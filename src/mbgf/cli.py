@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -235,18 +233,18 @@ def _parse_kv_value(key, raw):
     return raw
 
 
-def parse_config(text):
-    """Parse config text (a JSON object, or key=value lines with # comments)
-    into a validated ExperimentConfig."""
-    if not isinstance(text, str):
-        raise ConfigError("config: expected text")
+def _read_raw(text):
+    """Unvalidated dict from config text: a JSON object, or key=value lines
+    with # comments."""
     stripped = text.strip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             raw = json.loads(stripped)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config: invalid JSON ({e})") from None
-        return validate_config(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError("config: expected a JSON object")
+        return raw
     raw = {}
     for lineno, line in enumerate(stripped.splitlines(), start=1):
         line = line.strip()
@@ -260,7 +258,15 @@ def parse_config(text):
         if key in raw:
             raise ConfigError(f"{key}: duplicate key (line {lineno})")
         raw[key] = _parse_kv_value(key, value)
-    return validate_config(raw)
+    return raw
+
+
+def parse_config(text):
+    """Parse config text (a JSON object, or key=value lines with # comments)
+    into a validated ExperimentConfig."""
+    if not isinstance(text, str):
+        raise ConfigError("config: expected text")
+    return validate_config(_read_raw(text))
 
 
 # ---------------------------------------------------------------------------
@@ -428,37 +434,14 @@ def run_experiment(cfg):
 
 
 def _merge_cli_config(args, mode):
+    raw = {}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
                 text = f.read()
         except OSError as e:
             raise ConfigError(f"config: cannot read {args.config!r} ({e})") from None
-        stripped = text.strip()
-        if stripped.startswith("{"):
-            try:
-                raw = json.loads(stripped)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config: invalid JSON ({e})") from None
-            if not isinstance(raw, dict):
-                raise ConfigError("config: expected a JSON object")
-        else:
-            # Reuse the key=value reader, deferring validation to the end.
-            raw = {}
-            for lineno, line in enumerate(stripped.splitlines(), start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ConfigError(
-                        f"config line {lineno}: expected key=value, got {line!r}")
-                key = key.strip()
-                if key in raw:
-                    raise ConfigError(f"{key}: duplicate key (line {lineno})")
-                raw[key] = _parse_kv_value(key, value)
-    else:
-        raw = {}
+        raw = _read_raw(text)  # validated after the overrides are merged
 
     file_mode = raw.get("mode")
     if mode == "flow":
@@ -521,30 +504,10 @@ def _cmd_run(args, mode):
     return 1 if bad else 0
 
 
-def _worker_count(n_tasks):
-    raw = os.environ.get("MBGF_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"MBGF_THREADS: expected an integer, got {raw!r}") from None
-        if cap < 1:
-            raise ConfigError(f"MBGF_THREADS: must be >= 1, got {cap}")
-    return max(1, min(n_tasks, cap))
-
-
 def _cmd_verify(args):
     names = verify_mod.SUITES if args.suite == "all" else (args.suite,)
-    workers = _worker_count(len(names))
     seed = args.seed
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda nm: verify_mod.run_suite(nm, seed=seed), names))
-    else:
-        reports = [verify_mod.run_suite(nm, seed=seed) for nm in names]
+    reports = [verify_mod.run_suite(nm, seed=seed) for nm in names]
 
     for rep in reports:
         print(verify_mod.format_report(rep))

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericDomainError
 from .geometry import _min_norm_weights
+from .scaling import generator_map
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,7 @@ def run_discrete(p, rule, x0, cfg):
         raise InvalidInputError(f"x0 {x!r} lies outside the region box of {p.name}")
 
     s = step_size(p, rule, cfg)
+    gens = generator_map(rule, p.m)
     try:
         alpha_bounds = rule.declared_bounds(p)
     except InvalidInputError:
@@ -84,9 +86,7 @@ def run_discrete(p, rule, x0, cfg):
         if not np.all(np.isfinite(x)):
             raise NumericDomainError(f"non-finite iterate at k={k}")
         G = p._grads(x)
-        norms = np.sqrt((G * G).sum(axis=-1))
-        alphas = rule._alpha_of_norms(norms)
-        Gs = G / alphas[:, None]
+        Gs = gens(G)
         w = _min_norm_weights(Gs)
         d = w @ Gs
         crit_s = float(np.sqrt(d @ d))

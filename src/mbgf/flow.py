@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, NumericDomainError
-from .geometry import SUPPORT_TIE_TOL, _min_norm_weights
+from .geometry import (_as_generator_matrix, _as_vector, _min_norm_weights,
+                       _support_weights)
+from .scaling import generator_map
 
 DIVERGENCE_SLACK = 0.1  # fraction of the region diameter a state may overshoot
 
@@ -105,28 +107,6 @@ def _prepare(p, rule, x0, cfg):
     return x0, v0, steps, lo, hi
 
 
-def _scaled_generators_fn(p, rule):
-    # Fast inner path: raw gradient closure plus the rule's norm map,
-    # skipping per-call input validation (the integrator checks state
-    # finiteness every step).
-    grads = p._grads
-    if rule.variant == "constant":
-        if len(rule.values) != p.m:
-            raise InvalidInputError(
-                f"constant scaling has {len(rule.values)} values for {p.m} objectives")
-        a = np.asarray(rule.values, dtype=float)[:, None]
-
-        def gens(x):
-            return grads(x) / a
-    else:
-        of_norms = rule._alpha_of_norms
-
-        def gens(x):
-            g = grads(x)
-            return g / of_norms(np.sqrt((g * g).sum(axis=-1)))[:, None]
-    return gens
-
-
 def _divergence_guard(x, t, lo, hi, p):
     if not np.all(np.isfinite(x)):
         raise NumericDomainError(f"non-finite state at t = {t:.6g}")
@@ -141,28 +121,27 @@ def integrate_first_order(p, rule, x0, cfg):
     x0, _, steps, lo, hi = _prepare(p, rule, x0, cfg)
     if cfg.mode != "first_order":
         raise InvalidInputError("integrate_first_order needs mode='first_order'")
-    gens_at = _scaled_generators_fn(p, rule)
+    # Unvalidated inner path: the guard checks state finiteness every step.
+    grads, gens = p._grads, generator_map(rule, p.m)
     t0, dt, every = cfg.t0, cfg.dt, int(cfg.record_every)
 
     def rhs(x):
-        G = gens_at(x)
+        G = gens(grads(x))
         return -(_min_norm_weights(G) @ G)
 
     rec_t, rec_x, rec_f = [], [], []
-    rec_speed, rec_cu, rec_cs, rec_w = [], [], [], []
+    rec_speed, rec_cu, rec_w = [], [], []
 
     def record(t, x):
-        G = gens_at(x)
+        graw = grads(x)
+        G = gens(graw)
         w = _min_norm_weights(G)
-        d = w @ G
-        graw = p._grads(x)
-        cu = np.linalg.norm(_min_norm_weights(graw) @ graw)
         rec_t.append(t)
         rec_x.append(x.copy())
         rec_f.append(p._value(x))
-        rec_speed.append(float(np.linalg.norm(d)))
-        rec_cu.append(float(cu))
-        rec_cs.append(float(np.linalg.norm(d)))
+        # ||xdot|| is the scaled criticality in the first-order flow
+        rec_speed.append(float(np.linalg.norm(w @ G)))
+        rec_cu.append(float(np.linalg.norm(_min_norm_weights(graw) @ graw)))
         rec_w.append(w)
 
     x = x0.copy()
@@ -183,7 +162,7 @@ def integrate_first_order(p, rule, x0, cfg):
     return Trajectory(
         times=np.array(rec_t), states=np.array(rec_x), velocities=None,
         f_values=np.array(rec_f), speeds=np.array(rec_speed),
-        crit_unscaled=np.array(rec_cu), crit_scaled=np.array(rec_cs),
+        crit_unscaled=np.array(rec_cu), crit_scaled=np.array(rec_speed),
         energies=None, weights=np.array(rec_w), mode="first_order",
         problem_name=p.name, rule_spec=rule.spec_string(), config=cfg)
 
@@ -196,33 +175,9 @@ def solve_implicit_acceleration(generators, b):
     hull exactly at c*, and xddot = -w solves the implicit equation.  A tied
     support face resolves to its minimum-norm point.
     """
-    G = np.asarray(generators, dtype=float)
-    if G.ndim == 1:
-        G = G[None, :]
-    b = np.asarray(b, dtype=float)
-    if G.ndim != 2 or b.shape != (G.shape[1],):
-        raise InvalidInputError("generators must be (m, n) and b length n")
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("non-finite generators or b")
-    c, _ = _support_with_weights(G, b)
-    return -(b + c)
-
-
-def _support_with_weights(G, b):
-    # Support point in direction b with min-norm tie-break; returns the point
-    # and its full-length weights.
-    scores = G @ b
-    smax = float(scores.max())
-    tol = SUPPORT_TIE_TOL * (1.0 + float(np.abs(scores).max()))
-    tied = np.flatnonzero(scores >= smax - tol)
-    w = np.zeros(G.shape[0])
-    if tied.size == 1:
-        w[tied[0]] = 1.0
-        return G[tied[0]].copy(), w
-    face = G[tied]
-    wf = _min_norm_weights(face)
-    w[tied] = wf
-    return wf @ face, w
+    G = _as_generator_matrix(generators)
+    b = _as_vector(b, G.shape[1], "b")
+    return -(b + _support_weights(G, b)[2])
 
 
 def integrate_accelerated(p, rule, x0, cfg):
@@ -236,26 +191,22 @@ def integrate_accelerated(p, rule, x0, cfg):
     if rule.variant != "constant":
         raise InvalidInputError("accelerated flow requires a constant scaling rule")
     x0, v0, steps, lo, hi = _prepare(p, rule, x0, cfg)
-    gens_at = _scaled_generators_fn(p, rule)
-    grads = p._grads
+    grads, gens = p._grads, generator_map(rule, p.m)
     t0, dt, every = cfg.t0, cfg.dt, int(cfg.record_every)
     r, theta = float(cfg.r), float(cfg.theta)
     alpha = np.asarray(rule.values, dtype=float)
 
     def accel(x, v, t):
-        G = gens_at(x)
         b = (r / (t + theta)) * v
-        c, _ = _support_with_weights(G, b)
-        return -(b + c)
+        return -(b + _support_weights(gens(grads(x)), b)[2])
 
     rec_t, rec_x, rec_v, rec_f = [], [], [], []
     rec_speed, rec_cu, rec_cs, rec_en, rec_w = [], [], [], [], []
 
     def record(t, x, v):
-        G = gens_at(x)
-        b = (r / (t + theta)) * v
-        _, w = _support_with_weights(G, b)
         graw = grads(x)
+        G = gens(graw)
+        _, w, _ = _support_weights(G, (r / (t + theta)) * v)
         f = p._value(x)
         speed2 = float(v @ v)
         rec_t.append(t)

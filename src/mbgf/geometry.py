@@ -265,6 +265,22 @@ def min_norm_point(generators):
     return project_onto_hull(np.zeros(G.shape[1]), G)
 
 
+def _support_weights(G, b):
+    # Unvalidated support point of conv(rows of G) in direction b: returns
+    # the tied indices, full-length simplex weights and the point.
+    scores = G @ b
+    tol = SUPPORT_TIE_TOL * (1.0 + float(np.abs(scores).max()))
+    tied = np.flatnonzero(scores >= scores.max() - tol)
+    w = np.zeros(G.shape[0])
+    if tied.size == 1:
+        w[tied[0]] = 1.0
+        return tied, w, G[tied[0]].copy()
+    face = G[tied]
+    wf = _min_norm_weights(face)
+    w[tied] = wf
+    return tied, w, wf @ face
+
+
 def support_point(b, generators):
     """Maximize <b, .> over the hull.
 
@@ -276,14 +292,8 @@ def support_point(b, generators):
     """
     G = _as_generator_matrix(generators)
     b = _as_vector(b, G.shape[1], "b")
-    scores = G @ b
-    tol = SUPPORT_TIE_TOL * (1.0 + float(np.abs(scores).max()))
-    tied = np.flatnonzero(scores >= scores.max() - tol)
-    if tied.size == 1:
-        i = int(tied[0])
-        return (i,), G[i].copy()
-    face = min_norm_point(G[tied])
-    return tuple(int(i) for i in tied), face.point
+    tied, _, point = _support_weights(G, b)
+    return tuple(int(i) for i in tied), point
 
 
 def hausdorff_hull_distance(generators_a, generators_b):

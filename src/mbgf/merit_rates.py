@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateScalingError, GridBudgetError, InvalidInputError
 from .geometry import _min_norm_weights
-from .scaling import gradnorm_eta, scaled_hull_generators
+from .scaling import generator_map, gradnorm_eta
 
 GRID_BUDGET = 20_000_000
 _CHUNK = 500_000
@@ -130,7 +130,7 @@ def criticality(p, x, rule=None):
     if rule is None:
         rule = gradnorm_eta(0.0)
     try:
-        Gs = scaled_hull_generators(rule, p, x, 0.0)
+        Gs = generator_map(rule, p.m)(G)
     except DegenerateScalingError as e:
         e.unscaled_criticality = unscaled
         raise

@@ -159,16 +159,6 @@ class Problem:
         return f"Problem({self.name!r}, n={self.n}, m={self.m}, {self.convexity_class})"
 
 
-def evaluate(p, x):
-    """Objective vector f(x); vectorized over leading axes of x."""
-    return p.value(x)
-
-
-def gradients(p, x):
-    """Gradient stack (grad f_1(x), ..., grad f_m(x)); vectorized like evaluate."""
-    return p.grads(x)
-
-
 def level_set_bound(p, a):
     """Certified radius and box containing the sublevel set L(f, a)."""
     return p.level_set_bound(a)

@@ -34,10 +34,8 @@ class ScalingRule:
     # -- evaluation ------------------------------------------------------
 
     def _alpha_of_norms(self, norms):
-        # norms: (..., m) gradient norms; shared by alpha() and the flow
-        # integrators, which already have the gradients in hand.
-        if self.variant == "constant":
-            return np.broadcast_to(self.values, norms.shape).copy()
+        # norms: (..., m) gradient norms of a gradnorm variant; shared by
+        # alpha() and generator_map(), whose callers have the gradients.
         if self.variant == "gradnorm_eta" and self.eta == 0.0:
             small = norms < DEGENERATE_GRAD_TOL
             if np.any(small):
@@ -131,22 +129,28 @@ def gradnorm_eta_clamped(eta, alpha_min, alpha_max):
     return ScalingRule("gradnorm_eta_clamped", eta=eta, clamp_lo=lo, clamp_hi=hi)
 
 
-def evaluate_scaling(rule, p, x, t):
-    """Vector of m scaling values alpha_i(x, t)."""
-    return rule.alpha(p, x, t)
+def generator_map(rule, m):
+    """Function mapping raw gradients (..., m, n) to the generators
+    g_i / alpha_i of C_alpha.
+
+    The constant rule's length is checked once here; the returned map does
+    no input validation, so callers that already hold checked gradients
+    (the integrators, the discrete method) pay only the division.
+    """
+    if rule.variant == "constant":
+        if len(rule.values) != m:
+            raise InvalidInputError(
+                f"constant scaling has {len(rule.values)} values for {m} objectives")
+        a = np.asarray(rule.values, dtype=float)[:, None]
+        return lambda g: g / a
+    of_norms = rule._alpha_of_norms
+    return lambda g: g / of_norms(np.sqrt((g * g).sum(axis=-1)))[..., None]
 
 
 def scaled_hull_generators(rule, p, x, t):
     """The m generators grad f_i(x) / alpha_i(x, t) of C_alpha."""
     g = p.grads(x)
-    if rule.variant == "constant":
-        if len(rule.values) != p.m:
-            raise InvalidInputError(
-                f"constant scaling has {len(rule.values)} values for {p.m} objectives")
-        a = np.broadcast_to(rule.values, g.shape[:-1])
-    else:
-        a = rule._alpha_of_norms(np.linalg.norm(g, axis=-1))
-    return g / a[..., None]
+    return generator_map(rule, p.m)(g)
 
 
 def parse_scaling(text):

@@ -8,7 +8,8 @@ data, so a fixed seed yields byte-identical JSON.
 
 The min-norm oracle here is deliberately independent of the geometry
 module: a full simplex grid at spacing 1e-2 refined by recentered local
-grids down to 1e-4, matching the oracle used by the test suite.
+grids down to 1e-4.  The test suite checks the geometry module against
+this same oracle.
 """
 
 import math

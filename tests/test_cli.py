@@ -2,6 +2,7 @@
 exit codes, and subcommand wiring."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -124,6 +125,35 @@ def test_rate_requests_validated():
 def test_duplicate_key_in_kv_form():
     with pytest.raises(ConfigError, match="dt"):
         parse_config("problem = p2\nt_end = 1\ndt = 1e-3\ndt = 2e-3")
+
+
+def test_config_file_and_text_read_alike(tmp_path, capsys):
+    # parse_config and `run --config` share one reader: the same text gives
+    # the same config either way, in both syntaxes.
+    json_text = ('{"problem": "p2", "mode": "flow", "x0": [1, 0], '
+                 '"t_end": 0.5, "record_every": 100}')
+    kv_text = ("# comment\nproblem = p2\nmode = flow\nx0 = 1,0\n"
+               "t_end = 0.5\nrecord_every = 100\n")
+    assert parse_config(json_text) == parse_config(kv_text)
+    for i, text in enumerate((json_text, kv_text)):
+        cfgfile, summary = tmp_path / f"c{i}.cfg", tmp_path / f"s{i}.json"
+        cfgfile.write_text(text)
+        assert main(["run", "--config", str(cfgfile),
+                     "--summary", str(summary)]) == 0
+        ran = validate_config(json.loads(summary.read_text())["config"])
+        assert ran == dataclasses.replace(parse_config(text),
+                                          out_json=str(summary))
+    capsys.readouterr()
+
+
+def test_json_array_config_rejected_alike(tmp_path, capsys):
+    text = '[{"problem": "p2", "t_end": 1}]'
+    with pytest.raises(ConfigError, match="expected a JSON object"):
+        parse_config(text)
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(text)
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
 
 
 def test_x0_defaults_to_problem_start():
@@ -313,8 +343,7 @@ def test_main_list_problems(capsys):
         assert name in out
 
 
-def test_main_verify_single_suite(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MBGF_THREADS", "1")
+def test_main_verify_single_suite(tmp_path, capsys):
     report = tmp_path / "rep.json"
     rc = main(["verify", "--suite", "problem-sanity", "--json", str(report)])
     assert rc == 0
@@ -330,14 +359,7 @@ def test_main_verify_unknown_suite(capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_main_verify_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("MBGF_THREADS", "zero?")
-    assert main(["verify", "--suite", "problem-sanity"]) == 2
-    assert "MBGF_THREADS" in capsys.readouterr().err
-
-
-def test_verify_json_report_is_seed_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("MBGF_THREADS", "1")
+def test_verify_json_report_is_seed_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--suite", "problem-sanity", "--seed", "3",
                  "--json", str(a)]) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mbgf.discrete import DiscreteConfig, run_discrete, step_size
 from mbgf.errors import DivergenceError, InvalidInputError, NumericDomainError
 from mbgf.flow import (
     FlowConfig,
@@ -8,9 +9,10 @@ from mbgf.flow import (
     integrate_first_order,
     solve_implicit_acceleration,
 )
-from mbgf.geometry import min_norm_point, project_onto_hull
+from mbgf.geometry import min_norm_point, project_onto_hull, support_point
 from mbgf.problems import Box, get_problem, make_problem
-from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
+from mbgf.scaling import (constant, gradnorm_eta, gradnorm_eta_clamped,
+                          scaled_hull_generators)
 
 
 def ball_problem(region=2.0):
@@ -238,7 +240,7 @@ def test_accelerated_invariants_on_p2():
     # the key projection inequality at every record
     r, theta = cfg.r, cfg.theta
     for t, x, v in zip(tr.times, tr.states, tr.velocities):
-        G = p.grads(x) / np.asarray(rule.values)[:, None]
+        G = scaled_hull_generators(rule, p, x, t)
         b = (r / (t + theta)) * v
         xdd = solve_implicit_acceleration(G, b)
         inner = (G + b + xdd) @ v
@@ -255,3 +257,99 @@ def test_determinism_of_integration():
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.f_values, b.f_values)
     assert np.array_equal(a.weights, b.weights)
+
+
+# ---------------------------------------------------------- reference path
+# The integrators and the discrete method use unvalidated internals; these
+# rebuild short runs from the validated public API alone and compare.
+
+def _rk4(f, y, t, dt):
+    k1 = f(y, t)
+    k2 = f(y + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = f(y + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = f(y + dt * k3, t + dt)
+    return y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _criticalities(p, rule, x):
+    unscaled = np.linalg.norm(min_norm_point(p.grads(x)).point)
+    scaled = min_norm_point(scaled_hull_generators(rule, p, x, 0.0))
+    return unscaled, np.linalg.norm(scaled.point), scaled.weights.weights
+
+
+def _assert_close(a, b):
+    assert np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-12
+
+
+def test_first_order_matches_public_reference_path():
+    cfg = FlowConfig(t_end=0.05, dt=1e-3, record_every=10)
+    for name in ("unbalanced-convex", "nonconvex-bounded-grad"):
+        p = get_problem(name)
+        for rule in (constant([1.0, 2.0]), gradnorm_eta(0.2),
+                     gradnorm_eta_clamped(0.1, 0.5, 10.0)):
+            tr = integrate_first_order(p, rule, p.starts[-1], cfg)
+
+            def rhs(x, t):
+                return -min_norm_point(scaled_hull_generators(rule, p, x, t)).point
+
+            x = np.array(p.starts[-1], dtype=float)
+            for i, t in enumerate(np.arange(51) * cfg.dt):
+                if i % 10 == 0:
+                    j = i // 10
+                    cu, cs, w = _criticalities(p, rule, x)
+                    _assert_close(tr.states[j], x)
+                    _assert_close(tr.weights[j], w)
+                    _assert_close([tr.crit_unscaled[j], tr.crit_scaled[j],
+                                   tr.speeds[j]], [cu, cs, cs])
+                x = _rk4(rhs, x, t, cfg.dt)
+
+
+def test_accelerated_matches_public_reference_path():
+    # v0 = 0 ties every generator at the start, so the first stages take
+    # the tied-face branch of the support point.
+    p = get_problem("unbalanced-convex")
+    rule = constant([1.0, 1.0])
+    cfg = FlowConfig(t_end=0.05, dt=1e-3, mode="accelerated", record_every=10)
+    tr = integrate_accelerated(p, rule, [0.25, 1.5], cfg)
+
+    def support(x, v, t):
+        G = scaled_hull_generators(rule, p, x, t)
+        return support_point((cfg.r / (t + cfg.theta)) * v, G), G
+
+    def rhs(y, t):
+        x, v = y[:2], y[2:]
+        (_, c), _ = support(x, v, t)
+        return np.concatenate([v, -((cfg.r / (t + cfg.theta)) * v + c)])
+
+    y = np.array([0.25, 1.5, 0.0, 0.0])
+    for i, t in enumerate(np.arange(51) * cfg.dt):
+        if i % 10 == 0:
+            j = i // 10
+            x, v = y[:2], y[2:]
+            (idx, _), G = support(x, v, t)
+            assert i > 0 or len(idx) == p.m
+            w = np.zeros(p.m)
+            w[list(idx)] = (1.0 if len(idx) == 1
+                            else min_norm_point(G[list(idx)]).weights.weights)
+            cu, cs, _ = _criticalities(p, rule, x)
+            _assert_close(tr.states[j], x)
+            _assert_close(tr.velocities[j], v)
+            _assert_close(tr.weights[j], w)
+            _assert_close([tr.crit_unscaled[j], tr.crit_scaled[j], tr.speeds[j]],
+                          [cu, cs, np.linalg.norm(v)])
+        y = _rk4(rhs, y, t, cfg.dt)
+
+
+def test_discrete_matches_public_reference_path():
+    p = get_problem("unbalanced-convex")
+    cfg = DiscreteConfig(max_iters=30)
+    for rule in (constant([1.0, 1.0]), gradnorm_eta(0.1)):
+        seq = run_discrete(p, rule, p.starts[-1], cfg)
+        s = step_size(p, rule, cfg)
+        x = np.array(p.starts[-1], dtype=float)
+        for k in range(cfg.max_iters + 1):
+            cu, cs, w = _criticalities(p, rule, x)
+            _assert_close(seq.states[k], x)
+            _assert_close(seq.weights[k], w)
+            _assert_close([seq.crit_unscaled[k], seq.crit_scaled[k]], [cu, cs])
+            x = x - s * min_norm_point(scaled_hull_generators(rule, p, x, k)).point

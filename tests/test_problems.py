@@ -4,9 +4,7 @@ import pytest
 from mbgf.errors import ConfigError, InvalidInputError, NumericDomainError
 from mbgf.problems import (
     Box,
-    evaluate,
     get_problem,
-    gradients,
     level_set_bound,
     list_problems,
     make_problem,
@@ -25,7 +23,7 @@ def fd_gradients(p, x, h=1e-6):
     for j in range(p.n):
         e = np.zeros(p.n)
         e[j] = h
-        g[:, j] = (evaluate(p, x + e) - evaluate(p, x - e)) / (2.0 * h)
+        g[:, j] = (p.value(x + e) - p.value(x - e)) / (2.0 * h)
     return g
 
 
@@ -37,26 +35,26 @@ def test_registry_lists_builtins():
 
 def test_fixed_values():
     p1 = get_problem("unbalanced-convex")
-    assert np.allclose(evaluate(p1, [0.0, 0.0]), [0.0, 1.0])
-    g = gradients(p1, [1.0, 1.0])
+    assert np.allclose(p1.value([0.0, 0.0]), [0.0, 1.0])
+    g = p1.grads([1.0, 1.0])
     assert np.allclose(g[0], [100.0, 1.0])
     assert np.allclose(g[1], [0.0, 0.0])
 
     p2 = get_problem("strongly-convex")
-    assert evaluate(p2, [0.0, 0.0])[0] == 0.0
-    assert np.allclose(gradients(p2, [0.0, 0.0])[0], [0.0, 0.0])
+    assert p2.value([0.0, 0.0])[0] == 0.0
+    assert np.allclose(p2.grads([0.0, 0.0])[0], [0.0, 0.0])
 
     p4 = get_problem("scalar-pair")
-    assert np.allclose(evaluate(p4, [2.0]), [9.0, 1.0])
-    assert np.allclose(gradients(p4, [2.0])[:, 0], [6.0, 2.0])
+    assert np.allclose(p4.value([2.0]), [9.0, 1.0])
+    assert np.allclose(p4.grads([2.0])[:, 0], [6.0, 2.0])
 
 
 def test_evaluate_is_pure():
     for name in ALL:
         p = get_problem(name)
         x = p.starts[0]
-        assert np.array_equal(evaluate(p, x), evaluate(p, x))
-        assert np.array_equal(gradients(p, x), gradients(p, x))
+        assert np.array_equal(p.value(x), p.value(x))
+        assert np.array_equal(p.grads(x), p.grads(x))
 
 
 def test_gradients_match_finite_differences():
@@ -64,7 +62,7 @@ def test_gradients_match_finite_differences():
     for name in ALL:
         p = get_problem(name)
         for x in region_sample(p, rng, 100):
-            g = gradients(p, x)
+            g = p.grads(x)
             fd = fd_gradients(p, x)
             scale = np.maximum(np.linalg.norm(fd, axis=1), 1.0)
             err = np.linalg.norm(g - fd, axis=1) / scale
@@ -77,8 +75,8 @@ def test_lipschitz_ratios_hold():
         p = get_problem(name)
         xs = region_sample(p, rng, 200)
         ys = region_sample(p, rng, 200)
-        gx = gradients(p, xs)
-        gy = gradients(p, ys)
+        gx = p.grads(xs)
+        gy = p.grads(ys)
         dist = np.linalg.norm(xs - ys, axis=-1)
         keep = dist > 1e-12
         ratios = np.linalg.norm(gx - gy, axis=-1)[keep] / dist[keep, None]
@@ -90,7 +88,7 @@ def test_strong_convexity_monotonicity():
     rng = np.random.default_rng(11)
     xs = region_sample(p, rng, 200)
     ys = region_sample(p, rng, 200)
-    gap = gradients(p, xs) - gradients(p, ys)
+    gap = p.grads(xs) - p.grads(ys)
     d = xs - ys
     inner = np.einsum("kin,kn->ki", gap, d)
     dd = np.einsum("kn,kn->k", d, d)
@@ -103,8 +101,8 @@ def test_midpoint_convexity_of_convex_problems():
         p = get_problem(name)
         xs = region_sample(p, rng, 200)
         ys = region_sample(p, rng, 200)
-        mid = evaluate(p, 0.5 * (xs + ys))
-        avg = 0.5 * (evaluate(p, xs) + evaluate(p, ys))
+        mid = p.value(0.5 * (xs + ys))
+        avg = 0.5 * (p.value(xs) + p.value(ys))
         assert np.all(mid <= avg + 1e-10), name
 
 
@@ -112,21 +110,21 @@ def test_nonconvex_problem_violates_midpoint_convexity():
     p = get_problem("nonconvex-bounded-grad")
     x = np.array([5.3, 0.0])
     y = np.array([5.7, 0.0])
-    mid = evaluate(p, 0.5 * (x + y))[0]
-    avg = 0.5 * (evaluate(p, x)[0] + evaluate(p, y)[0])
+    mid = p.value(0.5 * (x + y))[0]
+    avg = 0.5 * (p.value(x)[0] + p.value(y)[0])
     assert mid > avg + 1e-6
 
 
 def test_nonconvex_metadata():
     p = get_problem("nonconvex-bounded-grad")
     # inf f_i = 0 attained at the centers.
-    assert np.allclose(evaluate(p, [0.0, 0.0])[0], 0.0, atol=1e-14)
-    assert np.allclose(evaluate(p, [2.0, 1.0])[1], 0.0, atol=1e-14)
+    assert np.allclose(p.value([0.0, 0.0])[0], 0.0, atol=1e-14)
+    assert np.allclose(p.value([2.0, 1.0])[1], 0.0, atol=1e-14)
     rng = np.random.default_rng(5)
     xs = rng.uniform(-30.0, 30.0, size=(20000, 2))
-    f = evaluate(p, xs)
+    f = p.value(xs)
     assert f.min() >= 0.0
-    norms = np.linalg.norm(gradients(p, xs), axis=-1)
+    norms = np.linalg.norm(p.grads(xs), axis=-1)
     assert norms.max() <= p.grad_bound + 1e-12
 
 
@@ -134,7 +132,7 @@ def test_region_contains_shipped_start_level_sets():
     for name in ALL:
         p = get_problem(name)
         for x0 in p.starts:
-            lsb = level_set_bound(p, evaluate(p, x0))
+            lsb = level_set_bound(p, p.value(x0))
             assert np.all(lsb.box.lo >= p.region.lo - 1e-12), name
             assert np.all(lsb.box.hi <= p.region.hi + 1e-12), name
 
@@ -174,10 +172,10 @@ def test_level_set_bound_by_rejection_sampling():
     for name in ALL:
         p = get_problem(name)
         x0 = p.starts[-1]
-        a = evaluate(p, x0)
+        a = p.value(x0)
         lsb = level_set_bound(p, a)
         xs = region_sample(p, rng, 20000)
-        inside = np.all(evaluate(p, xs) <= a + 1e-12, axis=-1)
+        inside = np.all(p.value(xs) <= a + 1e-12, axis=-1)
         pts = xs[inside]
         assert pts.size > 0
         assert np.all(np.linalg.norm(pts, axis=-1) <= lsb.radius + 1e-9), name
@@ -186,7 +184,7 @@ def test_level_set_bound_by_rejection_sampling():
 
 def test_level_set_bound_monotone_in_level():
     p = get_problem("strongly-convex")
-    a = evaluate(p, p.starts[0])
+    a = p.value(p.starts[0])
     big = level_set_bound(p, a)
     small = level_set_bound(p, 0.5 * a)
     assert small.radius <= big.radius + 1e-12
@@ -195,20 +193,20 @@ def test_level_set_bound_monotone_in_level():
 def test_vectorized_shapes():
     p = get_problem("unbalanced-convex")
     xs = np.zeros((7, 2))
-    assert evaluate(p, xs).shape == (7, 2)
-    assert gradients(p, xs).shape == (7, 2, 2)
+    assert p.value(xs).shape == (7, 2)
+    assert p.grads(xs).shape == (7, 2, 2)
     p4 = get_problem("scalar-pair")
-    assert evaluate(p4, np.zeros((5, 1))).shape == (5, 2)
-    assert gradients(p4, np.zeros((5, 1))).shape == (5, 2, 1)
-    assert evaluate(p4, 2.0).shape == (2,)
+    assert p4.value(np.zeros((5, 1))).shape == (5, 2)
+    assert p4.grads(np.zeros((5, 1))).shape == (5, 2, 1)
+    assert p4.value(2.0).shape == (2,)
 
 
 def test_error_paths():
     p = get_problem("strongly-convex")
     with pytest.raises(InvalidInputError):
-        evaluate(p, [np.nan, 0.0])
+        p.value([np.nan, 0.0])
     with pytest.raises(InvalidInputError):
-        evaluate(p, [1.0, 2.0, 3.0])
+        p.value([1.0, 2.0, 3.0])
     with pytest.raises(InvalidInputError):
         level_set_bound(p, [-1.0, 1.0])
 
@@ -220,7 +218,7 @@ def test_error_paths():
         region=Box([-1.0], [1.0]), grad_bound=1.0, starts=[[0.0]],
     )
     with pytest.raises(NumericDomainError):
-        evaluate(bad, [0.5])
+        bad.value([0.5])
 
 
 def test_register_plugin_roundtrip():
@@ -233,4 +231,4 @@ def test_register_plugin_roundtrip():
     ))
     assert name in list_problems()
     q = get_problem(name)
-    assert np.allclose(evaluate(q, [0.5]), [0.25])
+    assert np.allclose(q.value([0.5]), [0.25])

@@ -3,10 +3,9 @@ import pytest
 
 from mbgf.errors import ConfigError, DegenerateScalingError, InvalidInputError
 from mbgf.geometry import min_norm_point
-from mbgf.problems import get_problem, gradients
+from mbgf.problems import get_problem
 from mbgf.scaling import (
     constant,
-    evaluate_scaling,
     gradnorm_eta,
     gradnorm_eta_clamped,
     parse_scaling,
@@ -26,16 +25,16 @@ def test_constant_everywhere():
     p = get_problem("strongly-convex")
     rule = constant([1.0, 1.0])
     for x in ([0.0, 0.0], [1.0, -1.0], [3.0, 2.0]):
-        assert np.array_equal(evaluate_scaling(rule, p, x, 0.0), [1.0, 1.0])
+        assert np.array_equal(rule.alpha(p, x, 0.0), [1.0, 1.0])
 
 
 def test_gradnorm_on_unbalanced_problem():
     p = get_problem("unbalanced-convex")
     x = [1.0, 1.0]
-    a = evaluate_scaling(gradnorm_eta(0.1), p, x, 0.0)
+    a = gradnorm_eta(0.1).alpha(p, x, 0.0)
     assert a[0] == pytest.approx(np.hypot(100.0, 1.0) + 0.1)
     assert a[1] == pytest.approx(0.1)
-    a = evaluate_scaling(gradnorm_eta_clamped(0.1, 0.5, 10.0), p, x, 0.0)
+    a = gradnorm_eta_clamped(0.1, 0.5, 10.0).alpha(p, x, 0.0)
     assert a[0] == 10.0
     assert a[1] == 0.5
 
@@ -43,7 +42,7 @@ def test_gradnorm_on_unbalanced_problem():
 def test_scaled_generators():
     p = get_problem("strongly-convex")
     x = [1.0, 1.0]
-    g = gradients(p, x)
+    g = p.grads(x)
     assert np.allclose(scaled_hull_generators(constant([2.0, 2.0]), p, x, 0.0), g / 2.0)
     gens = scaled_hull_generators(gradnorm_eta(0.0), p, x, 0.0)
     assert np.allclose(np.linalg.norm(gens, axis=-1), 1.0)
@@ -62,7 +61,7 @@ def test_balancing_property():
         xs = rng.uniform(p.region.lo, p.region.hi, size=(100, p.n))
         for eta in (0.1, 1.0):
             gens = scaled_hull_generators(gradnorm_eta(eta), p, xs, 0.0)
-            gnorm = np.linalg.norm(gradients(p, xs), axis=-1)
+            gnorm = np.linalg.norm(p.grads(xs), axis=-1)
             ratio = np.linalg.norm(gens, axis=-1)
             assert np.all(ratio <= gnorm / (gnorm + eta) + 1e-12)
             assert np.all(ratio < 1.0)
@@ -75,7 +74,7 @@ def test_values_within_declared_bounds():
         xs = rng.uniform(p.region.lo, p.region.hi, size=(300, p.n))
         for rule in RULES:
             lo, hi = rule.declared_bounds(p)
-            a = evaluate_scaling(rule, p, xs, 0.0)
+            a = rule.alpha(p, xs, 0.0)
             assert a.min() >= lo - 1e-12, (name, rule.spec_string())
             assert a.max() <= hi + 1e-12, (name, rule.spec_string())
 
@@ -93,8 +92,8 @@ def test_lipschitz_of_scaling():
             l_alpha = rule.declared_l_alpha(p)
             diffs = np.zeros((200, p.m))
             for k in range(200):
-                diffs[k] = np.abs(evaluate_scaling(rule, p, us[k], ts[k])
-                                  - evaluate_scaling(rule, p, vs[k], ss[k]))
+                diffs[k] = np.abs(rule.alpha(p, us[k], ts[k])
+                                  - rule.alpha(p, vs[k], ss[k]))
             assert np.all(diffs.max(axis=-1) <= l_alpha * dist * (1.0 + 1e-6) + 1e-12)
 
 
@@ -106,14 +105,14 @@ def test_constant_rule_has_zero_l_alpha():
 def test_degenerate_scaling_detection():
     p = get_problem("unbalanced-convex")
     with pytest.raises(DegenerateScalingError) as err:
-        evaluate_scaling(gradnorm_eta(0.0), p, [1.0, 1.0], 0.0)
+        gradnorm_eta(0.0).alpha(p, [1.0, 1.0], 0.0)
     assert err.value.index == 1
     assert err.value.grad_norm == pytest.approx(0.0, abs=1e-14)
     # Clamping rescues eta = 0 at stationary points of single objectives.
-    a = evaluate_scaling(gradnorm_eta_clamped(0.0, 0.5, 10.0), p, [1.0, 1.0], 0.0)
+    a = gradnorm_eta_clamped(0.0, 0.5, 10.0).alpha(p, [1.0, 1.0], 0.0)
     assert a[1] == 0.5
     # And eta = 0 itself is fine where no gradient vanishes.
-    a = evaluate_scaling(gradnorm_eta(0.0), p, [0.5, 0.5], 0.0)
+    a = gradnorm_eta(0.0).alpha(p, [0.5, 0.5], 0.0)
     assert np.all(a > 0.0)
 
 
@@ -131,7 +130,7 @@ def test_criticality_invariant_under_scaling():
     p = get_problem("scalar-pair")
     rule = gradnorm_eta(0.1)
     for x, critical in (([0.5], True), ([0.0], True), ([1.5], False), ([-1.2], False)):
-        raw = np.linalg.norm(min_norm_point(gradients(p, x)).point)
+        raw = np.linalg.norm(min_norm_point(p.grads(x)).point)
         scaled = np.linalg.norm(min_norm_point(scaled_hull_generators(rule, p, x, 0.0)).point)
         if critical:
             assert raw <= 1e-8 and scaled <= 1e-8
@@ -171,4 +170,4 @@ def test_invalid_constructions():
     with pytest.raises(InvalidInputError):
         gradnorm_eta_clamped(0.1, 0.0, 1.0)
     with pytest.raises(InvalidInputError):
-        evaluate_scaling(constant([1.0, 1.0, 1.0]), get_problem("strongly-convex"), [0.0, 0.0], 0.0)
+        constant([1.0, 1.0, 1.0]).alpha(get_problem("strongly-convex"), [0.0, 0.0], 0.0)
