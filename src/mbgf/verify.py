@@ -7,13 +7,14 @@ check passes iff observed <= bound + slack.  Reports carry no wall-clock
 data, so a fixed seed yields byte-identical JSON.
 
 The min-norm oracle here is deliberately independent of the geometry
-module: a full simplex grid at spacing 1e-2 refined by recentered local
-grids down to 1e-4.  The test suite checks the geometry module against
-this same oracle.
+module: it enumerates every support subset of the generators and keeps
+the smallest affine minimizer with nonnegative weights, which is exact up
+to rounding for the m <= 5 hulls it is used on.  The test suite checks the
+geometry module against this same oracle.
 """
 
+import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,72 +111,56 @@ def _ascent_seed(rng):
     return int(rng.integers(2 ** 31 - 1))
 
 
+def _u0_estimates(p, x, rng):
+    """Certified grid and multi-start ascent estimates of u0(x)."""
+    box = p.level_set_bound(p.value(x)).box
+    est = u0_certified(p, x, box, 1e-3)
+    return est, u0_ascent(p, x, starts=12, iters=300, seed=_ascent_seed(rng))
+
+
+def _level_set_box_grid(p, x0, per_axis):
+    """f(x0) and a per_axis^n grid over the certified box of L(f, f(x0))."""
+    fx = p.value(x0)
+    box = p.level_set_bound(fx).box
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lo, box.hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return fx, np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 def _level_set_sample(p, x0, per_axis):
     """Dense grid sample of L(f, f(x0)) inside its certified box.
 
     x0 itself is always included, so the sample is never empty even when
     the level set is thin relative to the grid.
     """
-    fx = p.value(x0)
-    box = p.level_set_bound(fx).box
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lo, box.hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Z = np.stack([g.ravel() for g in mesh], axis=-1)
+    fx, Z = _level_set_box_grid(p, x0, per_axis)
     keep = np.all(p._value(Z) <= fx + 1e-9, axis=-1)
     return np.vstack([Z[keep], np.asarray(x0, dtype=float)[None, :]])
 
 
 # -- independent min-norm oracle -------------------------------------------
 
-@lru_cache(maxsize=8)
-def _full_simplex_grid(m, spacing):
-    steps = int(round(1.0 / spacing))
-    axis = np.arange(steps + 1) / steps
-    if m == 1:
-        return np.ones((1, 1))
-    mesh = np.meshgrid(*([axis] * (m - 1)), indexing="ij")
-    free = np.stack([a.ravel() for a in mesh], axis=1)
-    free = free[free.sum(axis=1) <= 1.0 + 1e-12]
-    last = 1.0 - free.sum(axis=1)
-    W = np.concatenate([free, np.clip(last, 0.0, None)[:, None]], axis=1)
-    W.flags.writeable = False
-    return W
+def _exact_min_norm(G):
+    """min_w ||w @ G|| over the simplex, by enumerating every support.
 
-
-def _box_simplex_grid(center, half, spacing):
-    axes = []
-    for c in center:
-        lo = max(0.0, c - half)
-        hi = min(1.0, c + half)
-        k = max(1, int(math.ceil((hi - lo) / spacing)))
-        axes.append(np.linspace(lo, hi, k + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    free = np.stack([a.ravel() for a in mesh], axis=1)
-    free = free[free.sum(axis=1) <= 1.0 + 1e-12]
-    last = 1.0 - free.sum(axis=1)
-    return np.concatenate([free, np.clip(last, 0.0, None)[:, None]], axis=1)
-
-
-def _grid_min_norm(G, coarse=1e-2, fine=1e-4):
-    """Grid-search min_w ||w @ G|| over the simplex (oracle value)."""
+    For each nonempty subset S of the rows, a0 = G[S[0]], D = G[S[1:]] - a0
+    and c solves min ||a0 + c @ D|| by least squares; a0 + c @ D is a
+    candidate iff its weights (1 - sum(c), c) are all >= -1e-12.  By
+    Caratheodory the optimum is the affine minimizer of some affinely
+    independent support with positive weights, so the smallest candidate
+    norm is exact up to rounding.
+    """
     G = np.asarray(G, dtype=float)
     m = G.shape[0]
-    if m == 1:
-        return float(np.linalg.norm(G[0]))
-    W = _full_simplex_grid(m, coarse)
-    vals = np.linalg.norm(W @ G, axis=1)
-    best = int(np.argmin(vals))
-    best_val, best_w = float(vals[best]), W[best]
-    spacing = coarse
-    while spacing > fine:
-        new = max(fine, spacing / 3.0)
-        W = _box_simplex_grid(best_w[:-1], 4.0 * spacing, new)
-        vals = np.linalg.norm(W @ G, axis=1)
-        b = int(np.argmin(vals))
-        if vals[b] < best_val:
-            best_val, best_w = float(vals[b]), W[b]
-        spacing = new
-    return best_val
+    best = np.inf
+    for k in range(1, m + 1):
+        for S in itertools.combinations(range(m), k):
+            a0 = G[S[0]]
+            D = G[list(S[1:])] - a0
+            c = np.linalg.lstsq(D.T, -a0, rcond=None)[0]
+            if min(1.0 - c.sum(), c.min(initial=0.0)) >= -1e-12:
+                best = min(best, float(np.linalg.norm(a0 + c @ D)))
+    return best
 
 
 # -- suites -----------------------------------------------------------------
@@ -273,7 +258,7 @@ def _suite_geometry_oracle(rng):
         elif k == 7:
             G *= 1e-3              # tiny scale
         res = min_norm_point(G)
-        gap = abs(float(np.linalg.norm(res.point)) - _grid_min_norm(G))
+        gap = abs(float(np.linalg.norm(res.point)) - _exact_min_norm(G))
         cert = (certificate_violation(np.zeros(n), G, res.point)
                 - certificate_tolerance(np.zeros(n), G))
         worst_gap = max(worst_gap, gap)
@@ -292,7 +277,7 @@ def _suite_geometry_oracle(rng):
         G = rng.normal(0.0, 0.1, size=(m, n))
         q = rng.normal(0.0, 0.1, size=n)
         val = float(np.linalg.norm(min_norm_point(G - q).point))
-        worst_proj = max(worst_proj, abs(val - _grid_min_norm(G - q)))
+        worst_proj = max(worst_proj, abs(val - _exact_min_norm(G - q)))
     checks.append(_check("projection-vs-grid-worst-gap", worst_proj, 1e-4))
     return checks
 
@@ -315,9 +300,7 @@ def _suite_convex_rate(rng):
         witness_err = 0.0
         for j in idx:
             x = tr.states[j]
-            box = p.level_set_bound(p.value(x)).box
-            est = u0_certified(p, x, box, 1e-3)
-            asc = u0_ascent(p, x, starts=12, iters=300, seed=_ascent_seed(rng))
+            est, asc = _u0_estimates(p, x, rng)
             grid_vals.append(est.value)
             asc_vals.append(asc.value)
             for e in (est, asc):
@@ -354,9 +337,7 @@ def _suite_strongly_convex_rate(rng):
     grid_ratio = asc_ratio = 0.0
     for j in idx:
         x, t = tr.states[j], tr.times[j]
-        box = p.level_set_bound(p.value(x)).box
-        est = u0_certified(p, x, box, 1e-3)
-        asc = u0_ascent(p, x, starts=12, iters=300, seed=_ascent_seed(rng))
+        est, asc = _u0_estimates(p, x, rng)
         grid_ratio = max(grid_ratio, est.value * math.exp(t) / C)
         asc_ratio = max(asc_ratio, asc.value * math.exp(t) / C)
     checks.append(_check("p2-exp-rate-grid-ratio", grid_ratio, 1.0, RATE_SLACK))
@@ -423,11 +404,7 @@ def _suite_nonconvex_rate(rng):
 def _accel_initial_value(p, x0, theta, per_axis=800):
     """Grid maximum of theta^2 min_i(f_i(x0) - f_i(z)) + 2||x0 - z||^2 over
     the initial level-set box (a superset of the admissible z)."""
-    fx = p.value(x0)
-    box = p.level_set_bound(fx).box
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lo, box.hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Z = np.stack([g.ravel() for g in mesh], axis=-1)
+    fx, Z = _level_set_box_grid(p, x0, per_axis)
     vals = (theta ** 2 * (fx - p._value(Z)).min(axis=-1)
             + 2.0 * ((Z - np.asarray(x0)) ** 2).sum(axis=-1))
     return float(vals.max())
@@ -450,9 +427,7 @@ def _suite_accelerated_rate(rng):
         grid_ratio = asc_ratio = 0.0
         for j in idx:
             x, t = tr.states[j], tr.times[j]
-            box = p.level_set_bound(p.value(x)).box
-            est = u0_certified(p, x, box, 1e-3)
-            asc = u0_ascent(p, x, starts=12, iters=300, seed=_ascent_seed(rng))
+            est, asc = _u0_estimates(p, x, rng)
             w2 = (t + theta) ** 2
             grid_ratio = max(grid_ratio, w2 * est.value / V0)
             asc_ratio = max(asc_ratio, w2 * asc.value / V0)

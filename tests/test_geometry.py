@@ -13,7 +13,7 @@ from mbgf import (
     support_point,
 )
 from mbgf.geometry import MEMBERSHIP_TOL
-from mbgf.verify import _grid_min_norm
+from mbgf.verify import _exact_min_norm
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=100)
 settings.load_profile("suite")
@@ -109,13 +109,40 @@ def test_min_norm_matches_grid_oracle():
         elif kind == 2:
             G *= 1e-3
         r = min_norm_point(G)
-        v_grid = _grid_min_norm(G)
-        assert abs(float(np.linalg.norm(r.point)) - v_grid) <= 1e-4
+        v_oracle = _exact_min_norm(G)
+        assert abs(float(np.linalg.norm(r.point)) - v_oracle) <= 1e-4
         z = np.zeros(n)
         assert certificate_violation(z, G, r.point) <= certificate_tolerance(z, G)
 
 
+def test_exact_oracle_closed_forms():
+    segment = np.array([[3.0, 1.0], [1.0, 3.0]])
+    triangle = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    assert _exact_min_norm([[3.0, 4.0]]) == 5.0
+    assert abs(_exact_min_norm(segment) - np.sqrt(8.0)) <= 1e-15
+    assert _exact_min_norm(triangle) <= 1e-15
+    assert abs(_exact_min_norm(segment[[0, 0, 1]]) - np.sqrt(8.0)) <= 1e-15
+    midpoint = np.vstack([segment, 0.5 * (segment[0] + segment[1])])
+    assert abs(_exact_min_norm(midpoint) - np.sqrt(8.0)) <= 1e-15
+    assert abs(_exact_min_norm(1e-3 * midpoint) - 1e-3 * np.sqrt(8.0)) <= 1e-18
+
+
 # ---------------------------------------------------------------- properties
+
+@given(hulls(), st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4))
+def test_min_norm_and_projection_match_exact_oracle(G, qraw):
+    # For a hull point x with gap g = ||x||^2 - min_i <x, g_i>, the distance
+    # to the minimum-norm point satisfies ||x - x*||^2 <= g, so a certified
+    # point is within sqrt(certificate_tolerance) of the oracle's value.
+    z = np.zeros(G.shape[1])
+    r = min_norm_point(G)
+    assert (abs(float(np.linalg.norm(r.point)) - _exact_min_norm(G))
+            <= np.sqrt(certificate_tolerance(z, G)))
+    q = np.array(qraw[: G.shape[1]])
+    r = project_onto_hull(q, G)
+    assert (abs(float(np.linalg.norm(r.point - q)) - _exact_min_norm(G - q))
+            <= np.sqrt(certificate_tolerance(q, G)))
+
 
 @given(hulls())
 def test_certificate_and_membership(G):

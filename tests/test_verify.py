@@ -110,3 +110,12 @@ def test_distinct_suites_get_distinct_streams():
         rng = np.random.default_rng(np.random.SeedSequence([0, idx]))
         draws[name] = rng.random()
     assert draws["problem-sanity"] != draws["geometry-oracle"]
+
+
+@pytest.mark.parametrize("seed", [12, 24, 46, 58])
+def test_geometry_oracle_passes_on_ill_conditioned_seeds(seed):
+    # These seeds draw ill-conditioned m = 4 hulls whose minimum-norm weights
+    # lie in a long, narrow valley of the simplex; the oracle must be exact
+    # there, not just near a coarse grid point.
+    rep = verify.run_suite("geometry-oracle", seed)
+    assert verify.suite_passed(rep), verify.format_report(rep)
