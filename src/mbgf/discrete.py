@@ -83,7 +83,7 @@ def run_discrete(p, rule, x0, cfg):
     ks, states, fvals, steps, cu, cs, ws = [], [], [], [], [], [], []
 
     for k in range(cfg.max_iters + 1):
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericDomainError(f"non-finite iterate at k={k}")
         G = p._grads(x)
         Gs = gens(G)

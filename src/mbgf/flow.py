@@ -9,6 +9,12 @@ as a first-order system in (x, v), with the implicit xddot solved in closed
 form each evaluation.  The right-hand side is only piecewise smooth (the
 projection's active set can switch), so the step size stays fixed and the
 theorem checks downstream carry slack for the O(dt) error near switches.
+
+A state that one RK4 step maps to itself byte for byte is an exact fixed
+point (in accelerated mode every stage velocity must also be zero, so the
+step cannot depend on t).  Stepping stops there and the remaining records
+are taken at that state; they are bit-identical to the ones stepping would
+give.
 """
 
 from dataclasses import dataclass, field
@@ -116,6 +122,14 @@ def _divergence_guard(x, t, lo, hi, p):
             f"{DIVERGENCE_SLACK:.0%} of its diameter at t = {t:.6g}")
 
 
+def _record_rest(record, k, steps, every, t0, dt, *state):
+    # state is an exact fixed point from step k on: record it at every
+    # record time stepping would still have reached.
+    for j in range(k, steps + 1):
+        if j % every == 0 or j == steps:
+            record(t0 + j * dt, *state)
+
+
 def integrate_first_order(p, rule, x0, cfg):
     """RK4 integration of xdot = -proj_{C_alpha(x,t)}(0) from x0."""
     x0, _, steps, lo, hi = _prepare(p, rule, x0, cfg)
@@ -133,31 +147,41 @@ def integrate_first_order(p, rule, x0, cfg):
     rec_speed, rec_cu, rec_w = [], [], []
 
     def record(t, x):
+        # Returns rhs(x), which the next step reuses as its k1.
         graw = grads(x)
         G = gens(graw)
         w = _min_norm_weights(G)
+        d = w @ G
         rec_t.append(t)
         rec_x.append(x.copy())
         rec_f.append(p._value(x))
         # ||xdot|| is the scaled criticality in the first-order flow
-        rec_speed.append(float(np.linalg.norm(w @ G)))
+        rec_speed.append(float(np.linalg.norm(d)))
         rec_cu.append(float(np.linalg.norm(_min_norm_weights(graw) @ graw)))
         rec_w.append(w)
+        return -d
 
     x = x0.copy()
-    record(t0, x)
+    k1 = record(t0, x)
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(steps):
-        k1 = rhs(x)
         k2 = rhs(x + half * k1)
         k3 = rhs(x + half * k2)
         k4 = rhs(x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        x_new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         t = t0 + (k + 1) * dt
-        _divergence_guard(x, t, lo, hi, p)
+        # NaN fails both comparisons; the guard tells the errors apart
+        if not ((lo <= x_new) & (x_new <= hi)).all():
+            _divergence_guard(x_new, t, lo, hi, p)
+        if x_new.tobytes() == x.tobytes():
+            _record_rest(record, k + 1, steps, every, t0, dt, x)
+            break
+        x = x_new
         if (k + 1) % every == 0 or k + 1 == steps:
-            record(t, x)
+            k1 = record(t, x)
+        else:
+            k1 = rhs(x)
 
     return Trajectory(
         times=np.array(rec_t), states=np.array(rec_x), velocities=None,
@@ -234,12 +258,20 @@ def integrate_accelerated(p, rule, x0, cfg):
         a3 = accel(x3, v3, t + half)
         x4, v4 = x + dt * v3, v + dt * a3
         a4 = accel(x4, v4, t + dt)
-        x = x + sixth * (v + 2.0 * (v2 + v3) + v4)
-        v = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        x_new = x + sixth * (v + 2.0 * (v2 + v3) + v4)
+        v_new = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
         t = t0 + (k + 1) * dt
-        _divergence_guard(x, t, lo, hi, p)
-        if not np.all(np.isfinite(v)):
+        if not ((lo <= x_new) & (x_new <= hi)).all():
+            _divergence_guard(x_new, t, lo, hi, p)
+        if not np.isfinite(v_new).all():
             raise NumericDomainError(f"non-finite velocity at t = {t:.6g}")
+        # t enters a step only as the damping factor of a stage velocity,
+        # so with every stage velocity zero the step is the same at all t.
+        if (x_new.tobytes() == x.tobytes() and v_new.tobytes() == v.tobytes()
+                and not (v.any() or v2.any() or v3.any() or v4.any())):
+            _record_rest(record, k + 1, steps, every, t0, dt, x, v)
+            break
+        x, v = x_new, v_new
         if (k + 1) % every == 0 or k + 1 == steps:
             record(t, x, v)
 

@@ -16,9 +16,11 @@ variational certificate
 where scale = (1 + max(max_i ||g_i - q||, 0))^2 absorbs the data magnitude.
 """
 
+import math
+
 import numpy as np
 
-from .errors import InvalidInputError, NoConvergenceError
+from .errors import InvalidInputError, NoConvergenceError, NumericDomainError
 
 # Tolerances, fixed by the public contracts of this module.
 MEMBERSHIP_TOL = 1e-9        # residual_norm <= MEMBERSHIP_TOL * (1 + max generator norm)
@@ -267,14 +269,21 @@ def min_norm_point(generators):
 
 def _support_weights(G, b):
     # Unvalidated support point of conv(rows of G) in direction b: returns
-    # the tied indices, full-length simplex weights and the point.
-    scores = G @ b
-    tol = SUPPORT_TIE_TOL * (1.0 + float(np.abs(scores).max()))
-    tied = np.flatnonzero(scores >= scores.max() - tol)
+    # the tied indices (a list), full-length simplex weights and the point.
+    # The scores are scanned as Python floats, which is cheaper than numpy
+    # reductions at small m; max(top, -min) is the largest |score|.
+    s = (G @ b).tolist()
+    top = max(s)
+    cut = top - SUPPORT_TIE_TOL * (1.0 + max(top, -min(s)))
+    tied = [i for i, v in enumerate(s) if v >= cut]
+    if not tied or math.isnan(sum(s)):
+        # a NaN score, or a +inf one that leaves no finite cut
+        raise NumericDomainError("non-finite support scores")
     w = np.zeros(G.shape[0])
-    if tied.size == 1:
-        w[tied[0]] = 1.0
-        return tied, w, G[tied[0]].copy()
+    if len(tied) == 1:
+        i = tied[0]
+        w[i] = 1.0
+        return tied, w, G[i].copy()
     face = G[tied]
     wf = _min_norm_weights(face)
     w[tied] = wf
@@ -288,12 +297,13 @@ def support_point(b, generators):
     whose score ties the maximum within 1e-10 * (1 + max |score|).  With a
     unique maximizer the point is that generator; under a tie the point is
     the minimum-norm point of the tied face, which makes the selection
-    deterministic.
+    deterministic.  Scores that overflow to NaN, or to +inf, raise
+    NumericDomainError.
     """
     G = _as_generator_matrix(generators)
     b = _as_vector(b, G.shape[1], "b")
     tied, _, point = _support_weights(G, b)
-    return tuple(int(i) for i in tied), point
+    return tuple(tied), point
 
 
 def hausdorff_hull_distance(generators_a, generators_b):

@@ -176,17 +176,23 @@ def _ball_bound(a_i, center, lower=0.0):
 
 # ------------------------------------------------------------ built-ins
 
+# The built-in oracles fill a preallocated result instead of calling
+# np.stack, whose per-call overhead dominates at a single point.
+
 def _p1_value(x):
     x1, x2 = x[..., 0], x[..., 1]
-    f1 = 0.5 * (100.0 * x1 ** 2 + x2 ** 2)
-    f2 = 0.5 * ((x1 - 1.0) ** 2 + (x2 - 1.0) ** 2)
-    return np.stack([f1, f2], axis=-1)
+    f = np.empty(x.shape[:-1] + (2,))
+    f[..., 0] = 0.5 * (100.0 * x1 ** 2 + x2 ** 2)
+    f[..., 1] = 0.5 * ((x1 - 1.0) ** 2 + (x2 - 1.0) ** 2)
+    return f
 
 
 def _p1_grads(x):
-    g1 = np.stack([100.0 * x[..., 0], x[..., 1]], axis=-1)
-    g2 = x - np.array([1.0, 1.0])
-    return np.stack([g1, g2], axis=-2)
+    g = np.empty(x.shape[:-1] + (2, 2))
+    g[..., 0, 0] = 100.0 * x[..., 0]
+    g[..., 0, 1] = x[..., 1]
+    g[..., 1, :] = x - 1.0
+    return g
 
 
 def _p1_level_set_bound(a):
@@ -295,12 +301,18 @@ def _make_p3():
 
 def _p4_value(x):
     x0 = x[..., 0]
-    return np.stack([(x0 + 1.0) ** 2, (x0 - 1.0) ** 2], axis=-1)
+    f = np.empty(x0.shape + (2,))
+    f[..., 0] = (x0 + 1.0) ** 2
+    f[..., 1] = (x0 - 1.0) ** 2
+    return f
 
 
 def _p4_grads(x):
     x0 = x[..., 0]
-    return np.stack([2.0 * (x0 + 1.0), 2.0 * (x0 - 1.0)], axis=-1)[..., None]
+    g = np.empty(x0.shape + (2, 1))
+    g[..., 0, 0] = 2.0 * (x0 + 1.0)
+    g[..., 1, 0] = 2.0 * (x0 - 1.0)
+    return g
 
 
 def _p4_level_set_bound(a):

@@ -3,7 +3,7 @@
 Each test prints one `ACCEPTANCE <n> ... PASS/FAIL` line (visible with
 `pytest tests/test_acceptance.py -v -s`) and asserts it.  Criteria reuse the
 bound-based verification suites, so `mbgf verify` exercises the same checks.
-Total runtime is about 100 s (102 s measured on a 2-core x86-64 machine);
+Total runtime is about a minute (67 s measured on a 2-core x86-64 machine);
 suites are memoized so each runs once per session.
 """
 

@@ -12,7 +12,8 @@ from mbgf.errors import ConfigError
 from mbgf.cli import (ExperimentConfig, parse_config, validate_config,
                       run_experiment, trajectory_csv_text, iterates_csv_text,
                       main, PROBLEM_ALIASES)
-from mbgf.problems import get_problem
+from mbgf import problems
+from mbgf.problems import Box, get_problem, make_problem
 from mbgf.scaling import parse_scaling
 from mbgf.flow import FlowConfig, integrate_first_order
 from mbgf.discrete import DiscreteConfig, run_discrete
@@ -317,6 +318,38 @@ def test_main_exit_3_on_degenerate_scaling(capsys):
                "--scaling", "gradnorm:eta=0", "--t-end", "1"])
     assert rc == 3
     assert "vanishing gradient" in capsys.readouterr().err
+
+
+def _register(monkeypatch, name, grads):
+    # a one-dimensional problem on [-2, 2] with the given gradient
+    def factory():
+        return make_problem(
+            name, 1, 1, lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
+            grads, lipschitz=[1.0], lower_bounds=[0.0],
+            convexity_class="convex", region=Box([-2.0], [2.0]),
+            grad_bound=2.0, starts=[[1.0]])
+    monkeypatch.setitem(problems._REGISTRY, name, factory)
+
+
+@pytest.mark.parametrize("cmd", ["run", "accel"])
+def test_main_exit_3_on_divergence(cmd, monkeypatch, capsys):
+    # alpha = 1e-3 makes the flow 1000 times stiffer than dt = 0.1 allows
+    _register(monkeypatch, "stiff-ball", lambda x: x[..., None, :])
+    rc = main([cmd, "--problem", "stiff-ball", "--x0", "1",
+               "--scaling", "const:0.001", "--dt", "0.1", "--t-end", "5"])
+    assert rc == 3
+    assert "left the region of stiff-ball" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["run", "accel"])
+def test_main_exit_3_on_numeric_domain(cmd, monkeypatch, capsys):
+    # an ascent field whose gradient turns NaN past |x| = 1.2
+    _register(monkeypatch, "nan-ascent", lambda x: np.where(
+        np.abs(x[..., None, :]) > 1.2, np.nan, -x[..., None, :]))
+    rc = main([cmd, "--problem", "nan-ascent", "--x0", "1",
+               "--scaling", "const:1", "--dt", "0.01", "--t-end", "3"])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_main_config_file_with_cli_override(tmp_path, capsys):

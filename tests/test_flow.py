@@ -9,10 +9,11 @@ from mbgf.flow import (
     integrate_first_order,
     solve_implicit_acceleration,
 )
-from mbgf.geometry import min_norm_point, project_onto_hull, support_point
+from mbgf.geometry import (_min_norm_weights, min_norm_point,
+                           project_onto_hull, support_point)
 from mbgf.problems import Box, get_problem, make_problem
-from mbgf.scaling import (constant, gradnorm_eta, gradnorm_eta_clamped,
-                          scaled_hull_generators)
+from mbgf.scaling import (constant, generator_map, gradnorm_eta,
+                          gradnorm_eta_clamped, scaled_hull_generators)
 
 
 def ball_problem(region=2.0):
@@ -114,10 +115,24 @@ def test_rk4_order_on_smooth_nonlinear_flow():
 
 
 def test_divergence_error_on_unstable_step():
+    # The guard must report the first state outside the box and its time,
+    # as plain stepping (_rk4 below) finds them.
     p = ball_problem()
-    with pytest.raises(DivergenceError):
-        integrate_first_order(p, constant([1e-3]), [1.0],
-                              FlowConfig(t_end=2.0, dt=0.1))
+    rule = constant([1e-3])
+    lo, hi = -2.4, 2.4  # the region [-2, 2] plus 10% of its diameter
+    for mode, t_end in (("first_order", 2.0), ("accelerated", 5.0)):
+        cfg = FlowConfig(t_end=t_end, dt=0.1, mode=mode)
+        with pytest.raises(DivergenceError) as err:
+            _integrate(p, rule, [1.0], cfg)
+        rhs = _stepping_rhs(p, rule, cfg)
+        y = np.array([1.0] if mode == "first_order" else [1.0, 0.0])
+        k = 0
+        while lo <= y[0] <= hi:
+            y = _rk4(rhs, y, k * cfg.dt, cfg.dt)
+            k += 1
+        assert str(err.value) == (
+            f"state {y[:1].tolist()} left the region of ball by more than "
+            f"10% of its diameter at t = {k * cfg.dt:.6g}"), mode
 
 
 def test_numeric_domain_error_propagates():
@@ -131,8 +146,14 @@ def test_numeric_domain_error_propagates():
         bad_grads,
         lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
         region=Box([-3.0], [3.0]), grad_bound=3.0, starts=[[1.0]])
-    with pytest.raises(NumericDomainError):
+    # A NaN state fails the box check too; it must still be reported as
+    # non-finite, not as a divergence.
+    with pytest.raises(NumericDomainError, match="non-finite state"):
         integrate_first_order(p, constant([1.0]), [1.0], FlowConfig(t_end=3.0, dt=1e-2))
+    # In accelerated mode the NaN gradient meets the support scan first.
+    with pytest.raises(NumericDomainError, match="non-finite support scores"):
+        integrate_accelerated(p, constant([1.0]), [1.0],
+                              FlowConfig(t_end=3.0, dt=1e-2, mode="accelerated"))
 
 
 def test_config_validation():
@@ -353,3 +374,156 @@ def test_discrete_matches_public_reference_path():
             _assert_close(seq.weights[k], w)
             _assert_close([seq.crit_unscaled[k], seq.crit_scaled[k]], [cu, cs])
             x = x - s * min_norm_point(scaled_hull_generators(rule, p, x, k)).point
+
+
+# ------------------------------------------------------ exact fixed points
+# A state that one RK4 step maps to itself byte for byte is not stepped
+# further.  These compare such runs, and runs that start next to a fixed
+# point, with plain stepping through _rk4.  The right-hand sides repeat the
+# integrators' own arithmetic, so the match is bit for bit; the tests above
+# tie that arithmetic to the public API.
+
+def _stepping_rhs(p, rule, cfg):
+    gens = generator_map(rule, p.m)
+    if cfg.mode == "first_order":
+        def rhs(x, t):
+            G = gens(p.grads(x))
+            return -(_min_norm_weights(G) @ G)
+        return rhs
+
+    def rhs(y, t):
+        x, v = y[:p.n], y[p.n:]
+        b = (cfg.r / (t + cfg.theta)) * v
+        return np.concatenate([v, -(b + support_point(b, gens(p.grads(x)))[1])])
+    return rhs
+
+
+def _stepped_records(p, rule, y0, cfg):
+    # times and states (with velocities in accelerated mode) of plain RK4
+    # over every step, at the integrator's record times
+    rhs = _stepping_rhs(p, rule, cfg)
+    steps = int(round((cfg.t_end - cfg.t0) / cfg.dt))
+    y = np.array(y0, dtype=float)
+    times, ys = [cfg.t0], [y]
+    for k in range(steps):
+        y = _rk4(rhs, y, cfg.t0 + k * cfg.dt, cfg.dt)
+        if (k + 1) % cfg.record_every == 0 or k + 1 == steps:
+            times.append(cfg.t0 + (k + 1) * cfg.dt)
+            ys.append(y)
+    return np.array(times), np.array(ys)
+
+
+def _integrate(p, rule, x0, cfg):
+    if cfg.mode == "first_order":
+        return integrate_first_order(p, rule, x0, cfg)
+    return integrate_accelerated(p, rule, x0, cfg)
+
+
+def _counting_grads(p):
+    calls = [0]
+    grads = p._grads
+
+    def counted(x):
+        calls[0] += 1
+        return grads(x)
+    p._grads = counted
+    return calls
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["first_order", "accelerated"])
+@pytest.mark.parametrize("name,x0,alpha,every", [
+    ("unbalanced-convex", [1.0, 1.0], [1.0, 2.0], 1),
+    ("unbalanced-convex", [1.0, 1.0], [1.0, 2.0], 7),
+    ("scalar-pair", [0.0], [1.0, 1.0], 1),
+    ("scalar-pair", [0.0], [1.0, 1.0], 7),
+])
+def test_fixed_point_records_equal_stepping(mode, name, x0, alpha, every):
+    p = get_problem(name)
+    rule = constant(alpha)
+    cfg = FlowConfig(t_end=0.2, dt=1e-3, mode=mode, record_every=every)
+    calls = _counting_grads(p)
+    tr = _integrate(p, rule, x0, cfg)
+    # One step, then one oracle call per record.  A first-order step takes
+    # its k1 from the record before it.
+    assert calls[0] == len(tr) + (3 if mode == "first_order" else 4)
+    y0 = x0 if mode == "first_order" else x0 + [0.0] * p.n
+    times, ys = _stepped_records(p, rule, y0, cfg)
+    assert _same_bytes(tr.times, times)
+    assert _same_bytes(tr.states, ys[:, :p.n])
+    if mode == "accelerated":
+        assert _same_bytes(tr.velocities, ys[:, p.n:])
+    # Stepping never moves the state, so every record repeats the first,
+    # which is taken before any step.
+    assert np.all(ys == ys[0])
+    arrays = [tr.f_values, tr.speeds, tr.crit_unscaled, tr.crit_scaled,
+              tr.weights] + ([tr.energies] if mode == "accelerated" else [])
+    for a in arrays:
+        assert _same_bytes(a, np.repeat(a[:1], len(a), axis=0))
+    assert tr.crit_scaled[0] == 0.0
+
+
+@pytest.mark.parametrize("mode,name,x0,moves", [
+    ("first_order", "unbalanced-convex", [1.0, 1.0 + 2.0 ** -30], True),
+    ("accelerated", "unbalanced-convex", [1.0, 1.0 + 2.0 ** -30], True),
+    # a rounding residue of 5e-17 in the min-norm point: too small to move
+    # x in a first-order step, but it builds up a velocity
+    ("first_order", "scalar-pair", [0.3], False),
+    ("accelerated", "scalar-pair", [0.3], True),
+])
+def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
+    # The first RK4 stage is tiny but not zero at these starts.
+    p = get_problem(name)
+    rule = constant([1.0, 1.0])
+    G = generator_map(rule, p.m)(p.grads(x0))
+    k1 = _min_norm_weights(G) @ G
+    assert 0.0 < np.abs(k1).max() <= 1e-8
+    cfg = FlowConfig(t_end=0.1, dt=1e-3, mode=mode, record_every=1)
+    tr = _integrate(p, rule, x0, cfg)
+    y0 = x0 if mode == "first_order" else x0 + [0.0] * p.n
+    times, ys = _stepped_records(p, rule, y0, cfg)
+    assert len(tr) == 101
+    assert _same_bytes(tr.times, times)
+    assert _same_bytes(tr.states, ys[:, :p.n])
+    if mode == "accelerated":
+        assert _same_bytes(tr.velocities, ys[:, p.n:])
+    assert np.any(ys != ys[0]) == moves
+
+
+# ------------------------------------------------------------- the guards
+
+def test_overflowing_accelerated_state_is_a_numeric_domain_error():
+    # A huge finite v0 with a tiny constant gradient overflows x to inf in
+    # the first step: out of the box, but reported as non-finite.
+    p = make_problem(
+        "flat", 1, 1, lambda x: 1e-10 * x, lambda x: np.full(x.shape + (1,), 1e-10),
+        lipschitz=[1.0], lower_bounds=[-1.0], convexity_class="convex",
+        region=Box([-1.0], [1.0]), grad_bound=1.0, starts=[[0.0]])
+    cfg = FlowConfig(t_end=1.0, dt=1e-3, mode="accelerated", r=0.1, v0=[1e308])
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericDomainError, match="non-finite state at t = 0.001"):
+        integrate_accelerated(p, constant([1.0]), [0.0], cfg)
+
+
+def test_non_finite_velocity_is_a_numeric_domain_error():
+    # The last stage sees a gradient of 1e308 and earlier stages see 0, so
+    # the state stays put while the velocity update overflows (dt / 6 = 2).
+    calls = [0]
+
+    def grads(x):
+        calls[0] += 1
+        return np.full(x.shape + (1,), 1e308 if calls[0] == 5 else 0.0)
+
+    p = make_problem(
+        "spike", 1, 1, lambda x: 0.0 * x, grads,
+        lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
+        region=Box([-1.0], [1.0]), grad_bound=1.0, starts=[[0.0]])
+    cfg = FlowConfig(t_end=12.0, dt=12.0, mode="accelerated")
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericDomainError, match="non-finite velocity at t = 12"):
+        integrate_accelerated(p, constant([1.0]), [0.0], cfg)
+    assert calls[0] == 5

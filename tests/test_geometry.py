@@ -12,7 +12,9 @@ from mbgf import (
     project_onto_hull,
     support_point,
 )
-from mbgf.geometry import MEMBERSHIP_TOL
+from mbgf.errors import NumericDomainError
+from mbgf.geometry import (MEMBERSHIP_TOL, SUPPORT_TIE_TOL, _min_norm_weights,
+                           _support_weights)
 from mbgf.verify import _exact_min_norm
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=100)
@@ -193,6 +195,89 @@ def test_support_point_maximizes_score(G, braw):
     tol = 1e-9 * (1.0 + float(np.abs(scores).max()))
     assert float(pt @ b) >= scores.max() - tol
     assert all(scores[i] >= scores.max() - tol for i in idx)
+
+
+# The support routine scans the scores as Python floats; this is the numpy
+# formula it replaced, kept as the reference.
+def _flatnonzero_support(G, b):
+    scores = G @ b
+    tol = SUPPORT_TIE_TOL * (1.0 + float(np.abs(scores).max()))
+    tied = np.flatnonzero(scores >= scores.max() - tol)
+    w = np.zeros(G.shape[0])
+    if tied.size == 1:
+        w[tied[0]] = 1.0
+        return tied, w, G[tied[0]].copy()
+    face = G[tied]
+    wf = _min_norm_weights(face)
+    w[tied] = wf
+    return tied, w, wf @ face
+
+
+def _assert_same_support(G, b):
+    tied, w, point = _support_weights(G, b)
+    ref_tied, ref_w, ref_point = _flatnonzero_support(G, b)
+    assert list(tied) == ref_tied.tolist()
+    assert w.tobytes() == ref_w.tobytes()
+    assert point.shape == ref_point.shape
+    assert point.tobytes() == ref_point.tobytes()
+    return tied
+
+
+@st.composite
+def support_cases(draw):
+    G = draw(hulls(max_m=5, max_n=4))
+    m, n = G.shape
+    b = np.array(draw(st.lists(st.floats(-3, 3, allow_nan=False, width=64),
+                               min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["plain", "zero-b", "duplicate", "near-tie"]))
+    if kind == "zero-b":
+        b = np.zeros(n)
+    elif kind == "duplicate" and m > 1:
+        G[draw(st.integers(1, m - 1))] = G[0]
+    elif kind == "near-tie" and m > 1 and b @ b > 0.0:
+        # move a second row to score the tie width times c below the top
+        scores = G @ b
+        top = int(np.argmax(scores))
+        tol = SUPPORT_TIE_TOL * (1.0 + np.abs(scores).max())
+        c = draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0]))
+        G[(top + 1) % m] = G[top] - (c * tol / (b @ b)) * b
+    return G, b
+
+
+@given(support_cases())
+def test_support_scan_matches_flatnonzero_formula(case):
+    _assert_same_support(*case)
+
+
+def test_support_scan_tie_width_edges():
+    # n = 1 and b = 1 make the scores the generators themselves.
+    b = np.array([1.0])
+    for top in (0.0, 1.0, -3.0, 1e6):
+        tol = SUPPORT_TIE_TOL * (1.0 + abs(top))
+        G = np.array([[top], [top - 0.999 * tol], [top - 1.001 * tol], [top]])
+        assert _assert_same_support(G, b) == [0, 1, 3]
+    # an exact tie between duplicate rows, and b = 0 tying everything
+    G = np.array([[1.0, 2.0], [0.5, 0.5], [1.0, 2.0]])
+    assert _assert_same_support(G, np.array([1.0, 1.0])) == [0, 2]
+    assert _assert_same_support(G, np.zeros(2)) == [0, 1, 2]
+
+
+def test_support_scan_non_finite_scores():
+    # NaN anywhere, or a +inf top score, leaves the old formula no tied
+    # face (it failed inside the min-norm solver); the scan raises.
+    for G, b in (([[1.0], [2.0]], [np.nan]),
+                 ([[2.0], [np.nan]], [1.0]),
+                 ([[1e308], [1.0]], [10.0])):
+        G, b = np.array(G), np.array(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                _flatnonzero_support(G, b)
+            with pytest.raises(NumericDomainError):
+                _support_weights(G, b)
+    # A -inf score under a finite top ties every row in both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _assert_same_support(np.array([[1.0], [-1e308]]),
+                                    np.array([10.0])) == [0, 1]
 
 
 @given(hulls(max_m=4, max_n=3), hulls(max_m=4, max_n=3),

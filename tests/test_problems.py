@@ -232,3 +232,53 @@ def test_register_plugin_roundtrip():
     assert name in list_problems()
     q = get_problem(name)
     assert np.allclose(q.value([0.5]), [0.25])
+
+
+# The built-in oracles fill preallocated arrays; these are the np.stack
+# formulas they replaced, kept as the reference.
+
+def _p1_value_stack(x):
+    x1, x2 = x[..., 0], x[..., 1]
+    f1 = 0.5 * (100.0 * x1 ** 2 + x2 ** 2)
+    f2 = 0.5 * ((x1 - 1.0) ** 2 + (x2 - 1.0) ** 2)
+    return np.stack([f1, f2], axis=-1)
+
+
+def _p1_grads_stack(x):
+    g1 = np.stack([100.0 * x[..., 0], x[..., 1]], axis=-1)
+    g2 = x - np.array([1.0, 1.0])
+    return np.stack([g1, g2], axis=-2)
+
+
+def _p4_value_stack(x):
+    x0 = x[..., 0]
+    return np.stack([(x0 + 1.0) ** 2, (x0 - 1.0) ** 2], axis=-1)
+
+
+def _p4_grads_stack(x):
+    x0 = x[..., 0]
+    return np.stack([2.0 * (x0 + 1.0), 2.0 * (x0 - 1.0)], axis=-1)[..., None]
+
+
+def _assert_same_array(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,value,grads", [
+    ("unbalanced-convex", _p1_value_stack, _p1_grads_stack),
+    ("scalar-pair", _p4_value_stack, _p4_grads_stack),
+])
+def test_oracles_match_stack_formulas_bitwise(name, value, grads):
+    p = get_problem(name)
+    rng = np.random.default_rng(11)
+    for lead in ((), (50,), (20, 30)):
+        x = region_sample(p, rng, int(np.prod(lead, dtype=int))).reshape(lead + (p.n,))
+        x.flat[0] = -0.0  # signed zero goes through unchanged
+        _assert_same_array(p._value(x), value(x))
+        _assert_same_array(p._grads(x), grads(x))
+        _assert_same_array(p.value(x), value(x))
+        _assert_same_array(p.grads(x), grads(x))
+    if p.n == 1:
+        _assert_same_array(p.value(2.0), value(np.array([2.0])))
+        _assert_same_array(p.grads(2.0), grads(np.array([2.0])))
