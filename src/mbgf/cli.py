@@ -395,8 +395,8 @@ def run_experiment(cfg):
                         record_every=cfg.record_every)
         result = integrate_accelerated(p, rule, x0, fc)
     else:
-        dc = DiscreteConfig(max_iters=cfg.iters, step="paper_default",
-                            safety=cfg.safety, stop_tol=cfg.stop_tol)
+        dc = DiscreteConfig(max_iters=cfg.iters, safety=cfg.safety,
+                            stop_tol=cfg.stop_tol)
         result = run_discrete(p, rule, x0, dc)
     wall = time.perf_counter() - start
 

@@ -1,8 +1,10 @@
 """Explicit multiobjective gradient iteration with the balanced-hull direction.
 
-x_{k+1} = x_k - s_k * proj_{C_alpha(x_k)}(0), with a constant step derived
-from the declared scaling bounds: s = safety * 2 * alpha_min / L_max.  That
-step always satisfies the admissible-step window
+x_{k+1} = x_k - s * proj_{C_alpha(x_k)}(0), the explicit Euler step of the
+first-order balanced flow.  There is one step rule: the constant step
+s = safety * 2 * alpha_min / L_max derived from the declared scaling bounds,
+so the rule must declare a positive floor alpha_min.  That step always
+satisfies the admissible-step window
 s_min <= s_k <= safety * min_i 2 alpha_i(x_k, k) / L_i.
 """
 
@@ -11,30 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericDomainError
-from .geometry import _min_norm_weights
+from .flow import _balanced_record
 from .scaling import generator_map
 
 
 @dataclass(frozen=True)
 class DiscreteConfig:
+    """Iteration budget, the safety factor of the constant step
+    s = safety * 2 * alpha_min / L_max, and the stopping tolerance."""
+
     max_iters: int
-    step: str = "paper_default"     # "paper_default" | "fixed"
-    s: float = None                 # step size for step="fixed"
-    safety: float = 0.99            # in (0, 1], for step="paper_default"
+    safety: float = 0.99            # in (0, 1]
     stop_tol: float = 0.0           # stop when scaled criticality <= stop_tol
 
 
 def _check_config(cfg):
     if not isinstance(cfg.max_iters, (int, np.integer)) or cfg.max_iters < 1:
         raise InvalidInputError(f"max_iters must be a positive integer, got {cfg.max_iters!r}")
-    if cfg.step not in ("paper_default", "fixed"):
-        raise InvalidInputError(f"unknown step rule {cfg.step!r}")
-    if cfg.step == "fixed":
-        if cfg.s is None or not np.isfinite(cfg.s) or cfg.s <= 0:
-            raise InvalidInputError(f"fixed step rule needs s > 0, got {cfg.s!r}")
-    else:
-        if not (0.0 < cfg.safety <= 1.0):
-            raise InvalidInputError(f"safety must lie in (0, 1], got {cfg.safety!r}")
+    if not (0.0 < cfg.safety <= 1.0):
+        raise InvalidInputError(f"safety must lie in (0, 1], got {cfg.safety!r}")
     if not (np.isfinite(cfg.stop_tol) and cfg.stop_tol >= 0.0):
         raise InvalidInputError(f"stop_tol must be >= 0, got {cfg.stop_tol!r}")
 
@@ -57,9 +54,7 @@ class IterateSequence:
 
 
 def step_size(p, rule, cfg):
-    """The constant step realized by the configured rule."""
-    if cfg.step == "fixed":
-        return float(cfg.s)
+    """The constant step s = safety * 2 * alpha_min / L_max."""
     alpha_min, _ = rule.declared_bounds(p)
     return cfg.safety * 2.0 * alpha_min / max(p.lipschitz)
 
@@ -73,29 +68,19 @@ def run_discrete(p, rule, x0, cfg):
         raise InvalidInputError(f"x0 {x!r} lies outside the region box of {p.name}")
 
     s = step_size(p, rule, cfg)
+    alpha_bounds = rule.declared_bounds(p)
     gens = generator_map(rule, p.m)
-    try:
-        alpha_bounds = rule.declared_bounds(p)
-    except InvalidInputError:
-        # fixed-step runs are allowed for rules without a declared floor;
-        # merit monitors then have no coefficient to work with
-        alpha_bounds = None
     ks, states, fvals, steps, cu, cs, ws = [], [], [], [], [], [], []
 
     for k in range(cfg.max_iters + 1):
         if not np.isfinite(x).all():
             raise NumericDomainError(f"non-finite iterate at k={k}")
-        G = p._grads(x)
-        Gs = gens(G)
-        w = _min_norm_weights(Gs)
-        d = w @ Gs
-        crit_s = float(np.sqrt(d @ d))
-        du = _min_norm_weights(G) @ G
+        f, w, d, crit_s, crit_u = _balanced_record(p, gens, x)
         ks.append(k)
         states.append(x.copy())
-        fvals.append(p._value(x))
+        fvals.append(f)
         steps.append(s)
-        cu.append(float(np.sqrt(du @ du)))
+        cu.append(crit_u)
         cs.append(crit_s)
         ws.append(w)
         if crit_s <= cfg.stop_tol or k == cfg.max_iters:
@@ -112,9 +97,6 @@ def run_discrete(p, rule, x0, cfg):
 
 def merit_coefficient(seq):
     """alpha_max / (2 s_min), the quadratic weight in the discrete merit."""
-    if seq.alpha_bounds is None:
-        raise InvalidInputError(
-            "merit monitors need a scaling rule with declared bounds")
     return seq.alpha_bounds[1] / (2.0 * seq.s_min)
 
 

@@ -237,6 +237,14 @@ def _min_norm_weights(P):
     return _wolfe_min_norm(P)
 
 
+def _min_norm(P):
+    """Weights w, point d = w @ P and norm ||d|| of the minimum-norm point
+    of conv(rows of P)."""
+    w = _min_norm_weights(P)
+    d = w @ P
+    return w, d, float(np.sqrt(d @ d))
+
+
 def _project_weights(q, G):
     # Shared implementation: project q onto conv(rows of G).
     w = _min_norm_weights(G - q)

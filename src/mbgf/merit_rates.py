@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateScalingError, GridBudgetError, InvalidInputError
-from .geometry import _min_norm_weights
+from .geometry import _min_norm
 from .scaling import generator_map, gradnorm_eta
 
 GRID_BUDGET = 20_000_000
@@ -125,8 +125,7 @@ def criticality(p, x, rule=None):
     """
     x = _check_point(p, x)
     G = p.grads(x)
-    du = _min_norm_weights(G) @ G
-    unscaled = float(np.sqrt(du @ du))
+    unscaled = _min_norm(G)[2]
     if rule is None:
         rule = gradnorm_eta(0.0)
     try:
@@ -134,8 +133,7 @@ def criticality(p, x, rule=None):
     except DegenerateScalingError as e:
         e.unscaled_criticality = unscaled
         raise
-    ds = _min_norm_weights(Gs) @ Gs
-    return unscaled, float(np.sqrt(ds @ ds))
+    return unscaled, _min_norm(Gs)[2]
 
 
 def fit_loglog_slope(ts, values):
@@ -153,20 +151,17 @@ def fit_loglog_slope(ts, values):
     return float(coef[0])
 
 
-def check_bound(ts, values, *, name, constant, bound_fn, slack=0.05,
-                running_min=False):
+def check_bound(ts, values, *, name, constant, bound_fn, slack=0.05):
     """Compare a (t, value) series against a theoretical bound curve.
 
     bound_fn maps the time grid to the bound values; the verdict passes iff
-    sup_t value/bound <= 1 + slack.  For min-over-prefix statements the
-    running minimum is formed before comparison.
+    sup_t value/bound <= 1 + slack.  For min-over-prefix statements pass
+    the running minimum as values.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape or ts.ndim != 1 or ts.size == 0:
         raise InvalidInputError("series must be matching 1-D arrays")
-    if running_min:
-        values = np.minimum.accumulate(values)
     bounds = np.asarray(bound_fn(ts), dtype=float)
     if np.any(bounds <= 0):
         raise InvalidInputError("bound curve must be positive on the series")

@@ -460,7 +460,7 @@ def _suite_accelerated_rate(rng):
 
 def _suite_discrete_rate(rng):
     rule = gradnorm_eta_clamped(0.1, 0.1, 10.0)
-    cfg = DiscreteConfig(max_iters=10_000, step="paper_default", safety=0.99)
+    cfg = DiscreteConfig(max_iters=10_000, safety=0.99)
     horizon = 10_000
     checks = []
     for tag, pname, start in (("p1-critical-start", "unbalanced-convex", 0),
@@ -571,8 +571,7 @@ def _suite_lyapunov(rng):
 
     # discrete merit monitor on a clamped-rule iterate sequence
     seq = run_discrete(p2, clamped, p2.starts[0],
-                       DiscreteConfig(max_iters=2000, step="paper_default",
-                                      safety=0.99))
+                       DiscreteConfig(max_iters=2000, safety=0.99))
     mon = discrete_monitors(seq, p=p2)
     checks.append(_check("p2-discrete-merit-monotone",
                          mon["merit_worst_increase"], 0.0,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mbgf.discrete import DiscreteConfig, discrete_monitors, run_discrete, step_size
-from mbgf.errors import DegenerateScalingError, InvalidInputError
+from mbgf.errors import InvalidInputError
 from mbgf.flow import FlowConfig, integrate_first_order
 from mbgf.problems import Box, get_problem, make_problem
 from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
@@ -98,9 +98,11 @@ def test_monitor_rejects_z_above_final_level():
 def test_shadowing_of_continuous_flow():
     p = get_problem("strongly-convex")
     rule = constant([1.0, 1.0])
-    s = 1e-3
-    seq = run_discrete(p, rule, [1.0, 1.0],
-                       DiscreteConfig(max_iters=2000, step="fixed", s=s))
+    # safety * 2 * alpha_min / L_max = 5e-4 * 2 is 1e-3 exactly in floats
+    cfg = DiscreteConfig(max_iters=2000, safety=5e-4)
+    s = step_size(p, rule, cfg)
+    assert s == 1e-3
+    seq = run_discrete(p, rule, [1.0, 1.0], cfg)
     tr = integrate_first_order(p, rule, [1.0, 1.0],
                                FlowConfig(t_end=2.0, dt=s, record_every=1))
     assert seq.states.shape == tr.states.shape
@@ -118,10 +120,7 @@ def test_stop_tolerance():
 
 def test_degenerate_scaling_propagates():
     p = ball_problem()
-    with pytest.raises(DegenerateScalingError):
-        run_discrete(p, gradnorm_eta(0.0), [0.0],
-                     DiscreteConfig(max_iters=5, step="fixed", s=0.1))
-    # paper_default needs a declared positive floor, which eta = 0 lacks
+    # the step rule needs a declared positive floor, which eta = 0 lacks
     with pytest.raises(InvalidInputError):
         run_discrete(p, gradnorm_eta(0.0), [1.0], DiscreteConfig(max_iters=5))
 
@@ -130,12 +129,9 @@ def test_config_validation():
     p = ball_problem()
     rule = constant([1.0])
     for bad in [DiscreteConfig(max_iters=0),
-                DiscreteConfig(max_iters=5, step="fixed"),
-                DiscreteConfig(max_iters=5, step="fixed", s=-1.0),
                 DiscreteConfig(max_iters=5, safety=0.0),
                 DiscreteConfig(max_iters=5, safety=1.5),
-                DiscreteConfig(max_iters=5, stop_tol=-1.0),
-                DiscreteConfig(max_iters=5, step="armijo")]:
+                DiscreteConfig(max_iters=5, stop_tol=-1.0)]:
         with pytest.raises(InvalidInputError):
             run_discrete(p, rule, [1.0], bad)
     with pytest.raises(InvalidInputError):

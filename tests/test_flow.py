@@ -448,9 +448,9 @@ def test_fixed_point_records_equal_stepping(mode, name, x0, alpha, every):
     cfg = FlowConfig(t_end=0.2, dt=1e-3, mode=mode, record_every=every)
     calls = _counting_grads(p)
     tr = _integrate(p, rule, x0, cfg)
-    # One step, then one oracle call per record.  A first-order step takes
-    # its k1 from the record before it.
-    assert calls[0] == len(tr) + (3 if mode == "first_order" else 4)
+    # One step, which takes its k1 from the first record, then one oracle
+    # call per record.
+    assert calls[0] == len(tr) + 3
     y0 = x0 if mode == "first_order" else x0 + [0.0] * p.n
     times, ys = _stepped_records(p, rule, y0, cfg)
     assert _same_bytes(tr.times, times)
@@ -494,29 +494,63 @@ def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
     assert np.any(ys != ys[0]) == moves
 
 
+@pytest.mark.parametrize("mode", ["first_order", "accelerated"])
+@pytest.mark.parametrize("every", [1, 7])
+def test_each_step_reuses_the_record_k1(mode, every):
+    # A step evaluates three stages; its first comes from the record, or the
+    # bare right-hand side evaluation, that ended the step before.  So a run
+    # costs 4 * steps + 1 oracle calls at any record cadence.
+    p = get_problem("unbalanced-convex")
+    cfg = FlowConfig(t_end=0.05, dt=1e-3, mode=mode, record_every=every)
+    calls = _counting_grads(p)
+    tr = _integrate(p, constant([1.0, 1.0]), [0.25, 1.5], cfg)
+    assert calls[0] == 4 * 50 + 1
+    assert len(tr) == (51 if every == 1 else 9)
+
+
+@pytest.mark.parametrize("name,x0", [
+    ("strongly-convex", [1.0, 1.0]),
+    ("unbalanced-convex", [0.25, 1.5]),
+])
+def test_accelerated_records_equal_stacked_stepping(name, x0):
+    # From rest every generator ties at t = 0; the records of the stacked
+    # (x, v) driver match plain stepping of the same state bit for bit.
+    p = get_problem(name)
+    rule = constant([1.0, 1.0])
+    cfg = FlowConfig(t_end=0.21, dt=1e-3, mode="accelerated", record_every=7)
+    tr = integrate_accelerated(p, rule, x0, cfg)
+    times, ys = _stepped_records(p, rule, x0 + [0.0] * p.n, cfg)
+    assert len(tr) == 31
+    assert _same_bytes(tr.times, times)
+    assert _same_bytes(tr.states, ys[:, :p.n])
+    assert _same_bytes(tr.velocities, ys[:, p.n:])
+    assert np.any(ys != ys[0])
+
+
 # ------------------------------------------------------------- the guards
 
 def test_overflowing_accelerated_state_is_a_numeric_domain_error():
-    # A huge finite v0 with a tiny constant gradient overflows x to inf in
-    # the first step: out of the box, but reported as non-finite.
+    # From rest, a huge constant gradient overflows x to -inf in the first
+    # step: out of the box, but reported as non-finite.
     p = make_problem(
-        "flat", 1, 1, lambda x: 1e-10 * x, lambda x: np.full(x.shape + (1,), 1e-10),
+        "steep", 1, 1, lambda x: 1e308 * x, lambda x: np.full(x.shape + (1,), 1e308),
         lipschitz=[1.0], lower_bounds=[-1.0], convexity_class="convex",
         region=Box([-1.0], [1.0]), grad_bound=1.0, starts=[[0.0]])
-    cfg = FlowConfig(t_end=1.0, dt=1e-3, mode="accelerated", r=0.1, v0=[1e308])
-    with np.errstate(over="ignore"), \
-            pytest.raises(NumericDomainError, match="non-finite state at t = 0.001"):
+    cfg = FlowConfig(t_end=2.0, dt=2.0, mode="accelerated", r=0.1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericDomainError, match="non-finite state at t = 2"):
         integrate_accelerated(p, constant([1.0]), [0.0], cfg)
 
 
 def test_non_finite_velocity_is_a_numeric_domain_error():
-    # The last stage sees a gradient of 1e308 and earlier stages see 0, so
-    # the state stays put while the velocity update overflows (dt / 6 = 2).
+    # The last stage (oracle call 4, after the record's k1 and two more
+    # stages) sees a gradient of 1e308 and earlier stages see 0, so the
+    # state stays put while the velocity update overflows (dt / 6 = 2).
     calls = [0]
 
     def grads(x):
         calls[0] += 1
-        return np.full(x.shape + (1,), 1e308 if calls[0] == 5 else 0.0)
+        return np.full(x.shape + (1,), 1e308 if calls[0] == 4 else 0.0)
 
     p = make_problem(
         "spike", 1, 1, lambda x: 0.0 * x, grads,
@@ -526,4 +560,4 @@ def test_non_finite_velocity_is_a_numeric_domain_error():
     with np.errstate(over="ignore"), \
             pytest.raises(NumericDomainError, match="non-finite velocity at t = 12"):
         integrate_accelerated(p, constant([1.0]), [0.0], cfg)
-    assert calls[0] == 5
+    assert calls[0] == 4

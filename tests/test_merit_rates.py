@@ -156,18 +156,6 @@ def test_check_bound_exact_ratio():
     assert rep.verdict == "fail" and rep.observed_sup == pytest.approx(1.1)
 
 
-def test_check_bound_running_min():
-    ts = np.array([1.0, 2.0, 3.0])
-    rep = check_bound(ts, np.array([2.0, 1.0, 3.0]), name="runmin",
-                      constant=1.0, bound_fn=lambda t: np.ones_like(t),
-                      running_min=True)
-    assert rep.observed_sup == pytest.approx(2.0)  # from the first entry
-    rep2 = check_bound(ts[1:], np.array([1.0, 3.0]), name="runmin",
-                       constant=1.0, bound_fn=lambda t: np.ones_like(t),
-                       running_min=True)
-    assert rep2.observed_sup == pytest.approx(1.0) and rep2.verdict == "pass"
-
-
 def test_strongly_convex_rate_light():
     # u0(x(t)) e^t stays below min-gap + R^2 on P2 with alpha = 1
     p = get_problem("strongly-convex")
@@ -193,11 +181,10 @@ def test_nonconvex_rate_light():
                                FlowConfig(t_end=50.0, dt=2e-3, record_every=25))
     mask = tr.times >= 1.0
     gap = float((p.value(x0) - np.asarray(p.lower_bounds)).min())
-    rep = check_bound(tr.times[mask], tr.crit_scaled[mask], name="sqrt-rate",
-                      constant=gap, running_min=True,
+    runmin = np.minimum.accumulate(tr.crit_scaled[mask])
+    rep = check_bound(tr.times[mask], runmin, name="sqrt-rate", constant=gap,
                       bound_fn=lambda t: np.sqrt(gap) / np.sqrt(eta * t))
     assert rep.verdict == "pass"
-    runmin = np.minimum.accumulate(tr.crit_scaled[mask])
     assert fit_loglog_slope(tr.times[mask], runmin) <= -0.4
 
 
