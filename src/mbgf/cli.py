@@ -424,6 +424,10 @@ def run_experiment(cfg):
         "rate_reports": [_report_dict(r) for r in reports],
         "wall_time_s": wall,
     }
+    if cfg.mode != "discrete":
+        # deterministic work counts, unlike the wall time
+        summary["work"] = {"rhs_evals": result.rhs_evals,
+                           "steps": result.steps, "rejected": result.rejected}
     if cfg.out_json:
         _write_text(cfg.out_json, summary_json_text(summary))
     return summary
@@ -486,6 +490,10 @@ def _print_run_summary(summary, out):
     print(f"  final f = ({fvals})", file=out)
     print(f"  criticality: unscaled {final['crit_unscaled']:.3e}, "
           f"scaled {final['crit_scaled']:.3e}", file=out)
+    if "work" in summary:
+        work = summary["work"]
+        print(f"  work: {work['steps']} steps ({work['rejected']} rejected), "
+              f"{work['rhs_evals']} right-hand-side evaluations", file=out)
     for rep in summary["rate_reports"]:
         sup = "n/a" if rep["observed_sup"] is None else f"{rep['observed_sup']:.4g}"
         print(f"  rate {rep['name']}: {rep['verdict']} "

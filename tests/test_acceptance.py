@@ -3,8 +3,8 @@
 Each test prints one `ACCEPTANCE <n> ... PASS/FAIL` line (visible with
 `pytest tests/test_acceptance.py -v -s`) and asserts it.  Criteria reuse the
 bound-based verification suites, so `mbgf verify` exercises the same checks.
-Total runtime is about a minute (67 s measured on a 2-core x86-64 machine);
-suites are memoized so each runs once per session.
+Total runtime is about 25 s (23 s measured on a 2-core x86-64 machine, 15 s
+of it in criterion 07); suites are memoized so each runs once per session.
 """
 
 import json

@@ -228,6 +228,33 @@ def test_run_experiment_writes_artifacts_and_summary(tmp_path):
     assert summary["config"] == cfg.to_dict()
 
 
+@pytest.mark.parametrize("mode", ["flow", "accel"])
+def test_summary_work_block_repeats_exactly(tmp_path, mode, capsys):
+    # Step and right-hand-side counts are deterministic, so they repeat
+    # across runs, on disk and on the terminal.
+    cfg = _run_cfg(tmp_path, mode=mode, x0=[0.5, 1.5])
+    works = [run_experiment(cfg)["work"] for _ in range(2)]
+    assert works[0] == works[1]
+    assert json.loads((tmp_path / "run.json").read_text())["work"] == works[0]
+    work = works[0]
+    if mode == "flow":
+        assert work["rhs_evals"] == 1 + 6 * (work["steps"] + work["rejected"])
+    else:
+        assert work == {"rhs_evals": 4 * 2000 + 1, "steps": 2000, "rejected": 0}
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfg.to_text())
+    assert main(["run" if mode == "flow" else "accel",
+                 "--config", str(cfgfile)]) == 0
+    assert (f"work: {work['steps']} steps ({work['rejected']} rejected), "
+            f"{work['rhs_evals']} right-hand-side evaluations"
+            in capsys.readouterr().out)
+
+
+def test_discrete_summary_has_no_work_block(tmp_path):
+    summary = run_experiment(_run_cfg(tmp_path, mode="discrete", iters=50))
+    assert "work" not in summary
+
+
 def test_identical_config_byte_identical_outputs(tmp_path):
     cfg = _run_cfg(tmp_path)
     run_experiment(cfg)
@@ -333,12 +360,18 @@ def _register(monkeypatch, name, grads):
 
 @pytest.mark.parametrize("cmd", ["run", "accel"])
 def test_main_exit_3_on_divergence(cmd, monkeypatch, capsys):
-    # alpha = 1e-3 makes the flow 1000 times stiffer than dt = 0.1 allows
-    _register(monkeypatch, "stiff-ball", lambda x: x[..., None, :])
-    rc = main([cmd, "--problem", "stiff-ball", "--x0", "1",
+    if cmd == "accel":
+        # alpha = 1e-3 makes the flow 1000 times stiffer than dt = 0.1 allows
+        name, grads = "stiff-ball", lambda x: x[..., None, :]
+    else:
+        # the adaptive first-order step stays stable on the stiff ball; an
+        # ascent field, xdot = 1000 x, leaves the region instead
+        name, grads = "ascent-ball", lambda x: -x[..., None, :]
+    _register(monkeypatch, name, grads)
+    rc = main([cmd, "--problem", name, "--x0", "1",
                "--scaling", "const:0.001", "--dt", "0.1", "--t-end", "5"])
     assert rc == 3
-    assert "left the region of stiff-ball" in capsys.readouterr().err
+    assert f"left the region of {name}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["run", "accel"])

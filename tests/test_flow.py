@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbgf.discrete import DiscreteConfig, run_discrete, step_size
-from mbgf.errors import DivergenceError, InvalidInputError, NumericDomainError
+from mbgf.errors import (DivergenceError, InvalidInputError, NoConvergenceError,
+                         NumericDomainError)
 from mbgf.flow import (
     FlowConfig,
     integrate_accelerated,
@@ -97,42 +99,64 @@ def test_descent_and_nesting_first_order():
         assert np.all(tr.f_values <= run_max[0] + 1e-9 * (1.0 + np.abs(run_max[0])))
 
 
-def test_rk4_order_on_smooth_nonlinear_flow():
+def test_smooth_nonlinear_flow_matches_closed_form():
     # Gradient-norm scaling makes the scalar flow genuinely nonlinear:
-    # xdot = -x / (x + 0.1) for x > 0.
+    # xdot = -x / (x + 0.1) for x > 0, so x + 0.1 ln x = 1 - t from x = 1.
+    # Every record, dense-output ones included, is within 1e-9 of that
+    # curve, and the pair needs far fewer steps than the record grid.
     p = ball_problem()
     rule = gradnorm_eta(0.1)
-
-    def final_state(dt):
+    for dt, every in ((1e-3, 1), (0.05, 1), (0.1, 10 ** 9), (1e-3, 7)):
         tr = integrate_first_order(p, rule, [1.0],
-                                   FlowConfig(t_end=1.0, dt=dt, record_every=10 ** 9))
-        return tr.states[-1, 0]
-
-    ref = final_state(1e-5)
-    e1 = abs(final_state(0.1) - ref)
-    e2 = abs(final_state(0.05) - ref)
-    assert e1 / e2 == pytest.approx(16.0, rel=0.5)
+                                   FlowConfig(t_end=1.0, dt=dt, record_every=every))
+        x = tr.states[:, 0]
+        residual = np.abs(x + 0.1 * np.log(x) - (1.0 - tr.times))
+        # divided by the curve's slope in x, 1 + 0.1 / x, this is
+        # |x - x(t)| to first order
+        assert (residual / (1.0 + 0.1 / x)).max() <= 1e-9, (dt, every)
+        assert tr.steps <= 50
 
 
 def test_divergence_error_on_unstable_step():
-    # The guard must report the first state outside the box and its time,
-    # as plain stepping (_rk4 below) finds them.
+    # The guard must report the first state outside the box and its time.
+    lo, hi = -2.4, 2.4  # the region [-2, 2] plus 10% of its diameter
+    # Accelerated mode: RK4 at dt = 0.1 is unstable on the alpha = 1e-3
+    # ball; plain stepping (_rk4 below) finds the state and time.
     p = ball_problem()
     rule = constant([1e-3])
-    lo, hi = -2.4, 2.4  # the region [-2, 2] plus 10% of its diameter
-    for mode, t_end in (("first_order", 2.0), ("accelerated", 5.0)):
-        cfg = FlowConfig(t_end=t_end, dt=0.1, mode=mode)
-        with pytest.raises(DivergenceError) as err:
-            _integrate(p, rule, [1.0], cfg)
-        rhs = _stepping_rhs(p, rule, cfg)
-        y = np.array([1.0] if mode == "first_order" else [1.0, 0.0])
-        k = 0
-        while lo <= y[0] <= hi:
-            y = _rk4(rhs, y, k * cfg.dt, cfg.dt)
-            k += 1
-        assert str(err.value) == (
-            f"state {y[:1].tolist()} left the region of ball by more than "
-            f"10% of its diameter at t = {k * cfg.dt:.6g}"), mode
+    cfg = FlowConfig(t_end=5.0, dt=0.1, mode="accelerated")
+    with pytest.raises(DivergenceError) as err:
+        _integrate(p, rule, [1.0], cfg)
+    rhs = _stepping_rhs(p, rule, cfg)
+    y = np.array([1.0, 0.0])
+    k = 0
+    while lo <= y[0] <= hi:
+        y = _rk4(rhs, y, k * cfg.dt, cfg.dt)
+        k += 1
+    assert str(err.value) == (
+        f"state {y[:1].tolist()} left the region of ball by more than "
+        f"10% of its diameter at t = {k * cfg.dt:.6g}")
+
+    # First-order mode: the step-size control keeps that flow stable, so an
+    # outward field, xdot = 4, is used.  Its stages are all equal, the first
+    # trial step dt = 0.5 is accepted, and it ends near x = 3, outside the
+    # box.  The same run on a wider region records that step's end.
+    def outward(half_width):
+        return make_problem(
+            "outward", 1, 1, lambda x: -4.0 * x,
+            lambda x: np.full(x.shape + (1,), -4.0),
+            lipschitz=[1.0], lower_bounds=[-10.0], convexity_class="convex",
+            region=Box([-half_width], [half_width]), grad_bound=4.0,
+            starts=[[1.0]])
+
+    cfg = FlowConfig(t_end=0.5, dt=0.5)
+    end = integrate_first_order(outward(10.0), constant([1.0]), [1.0], cfg)
+    assert end.steps == 1 and abs(end.states[-1, 0] - 3.0) <= 1e-15
+    with pytest.raises(DivergenceError) as err:
+        integrate_first_order(outward(2.0), constant([1.0]), [1.0], cfg)
+    assert str(err.value) == (
+        f"state {end.states[-1].tolist()} left the region of outward by more "
+        f"than 10% of its diameter at t = 0.5")
 
 
 def test_numeric_domain_error_propagates():
@@ -174,6 +198,14 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         integrate_accelerated(p, constant([1.0]), [1.0],
                               FlowConfig(t_end=1.0, mode="accelerated", theta=0.0, t0=0.0))
+
+
+@pytest.mark.parametrize("mode", ["first_order", "accelerated"])
+@pytest.mark.parametrize("every", [float("nan"), float("inf"), 0, 1.5])
+def test_record_every_must_be_a_positive_integer(mode, every):
+    cfg = FlowConfig(t_end=1.0, mode=mode, record_every=every)
+    with pytest.raises(InvalidInputError, match="record_every"):
+        _integrate(ball_problem(), constant([1.0]), [1.0], cfg)
 
 
 # ----------------------------------------------------------- implicit solve
@@ -298,11 +330,15 @@ def _criticalities(p, rule, x):
     return unscaled, np.linalg.norm(scaled.point), scaled.weights.weights
 
 
-def _assert_close(a, b):
-    assert np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-12
+def _assert_close(a, b, tol=1e-12):
+    assert np.abs(np.asarray(a) - np.asarray(b)).max() <= tol
 
 
 def test_first_order_matches_public_reference_path():
+    # RK4 on the public right-hand side at a step of 1e-4, ten times finer
+    # than dt; the adaptive run takes a few steps over the
+    # window, so most records come from its dense output.  States, weights
+    # and criticalities agree to 1e-10.
     cfg = FlowConfig(t_end=0.05, dt=1e-3, record_every=10)
     for name in ("unbalanced-convex", "nonconvex-bounded-grad"):
         p = get_problem(name)
@@ -313,16 +349,16 @@ def test_first_order_matches_public_reference_path():
             def rhs(x, t):
                 return -min_norm_point(scaled_hull_generators(rule, p, x, t)).point
 
-            x = np.array(p.starts[-1], dtype=float)
-            for i, t in enumerate(np.arange(51) * cfg.dt):
-                if i % 10 == 0:
-                    j = i // 10
+            x, h = np.array(p.starts[-1], dtype=float), 1e-4
+            for i in range(501):
+                if i % 100 == 0:
+                    j = i // 100
                     cu, cs, w = _criticalities(p, rule, x)
-                    _assert_close(tr.states[j], x)
-                    _assert_close(tr.weights[j], w)
+                    _assert_close(tr.states[j], x, 1e-10)
+                    _assert_close(tr.weights[j], w, 1e-10)
                     _assert_close([tr.crit_unscaled[j], tr.crit_scaled[j],
-                                   tr.speeds[j]], [cu, cs, cs])
-                x = _rk4(rhs, x, t, cfg.dt)
+                                   tr.speeds[j]], [cu, cs, cs], 1e-10)
+                x = _rk4(rhs, x, i * h, h)
 
 
 def test_accelerated_matches_public_reference_path():
@@ -377,11 +413,12 @@ def test_discrete_matches_public_reference_path():
 
 
 # ------------------------------------------------------ exact fixed points
-# A state that one RK4 step maps to itself byte for byte is not stepped
-# further.  These compare such runs, and runs that start next to a fixed
-# point, with plain stepping through _rk4.  The right-hand sides repeat the
-# integrators' own arithmetic, so the match is bit for bit; the tests above
-# tie that arithmetic to the public API.
+# At an exact fixed point the accelerated RK4 loop stops stepping, and the
+# first-order pair's stages, error estimate and dense output are all zero.
+# These compare such runs, and runs that start next to a fixed point, with
+# plain RK4 stepping through _rk4.  In accelerated mode the right-hand sides
+# repeat the integrator's own arithmetic, so the match is bit for bit; the
+# tests above tie that arithmetic to the public API.
 
 def _stepping_rhs(p, rule, cfg):
     gens = generator_map(rule, p.m)
@@ -448,9 +485,17 @@ def test_fixed_point_records_equal_stepping(mode, name, x0, alpha, every):
     cfg = FlowConfig(t_end=0.2, dt=1e-3, mode=mode, record_every=every)
     calls = _counting_grads(p)
     tr = _integrate(p, rule, x0, cfg)
-    # One step, which takes its k1 from the first record, then one oracle
-    # call per record.
-    assert calls[0] == len(tr) + 3
+    if mode == "first_order":
+        # The error estimate is 0, so each step is ten times the last:
+        # 1e-3, 1e-2, 0.1 and the rest of the window, six stages each.  The
+        # t0 record supplies the first stage; every other record costs one
+        # oracle call.
+        assert (tr.steps, tr.rejected, tr.rhs_evals) == (4, 0, 25)
+        assert calls[0] == tr.rhs_evals + len(tr) - 1 <= len(tr) + 30
+    else:
+        # One step, which takes its k1 from the first record, then one
+        # oracle call per record.
+        assert calls[0] == len(tr) + 3
     y0 = x0 if mode == "first_order" else x0 + [0.0] * p.n
     times, ys = _stepped_records(p, rule, y0, cfg)
     assert _same_bytes(tr.times, times)
@@ -488,8 +533,14 @@ def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
     times, ys = _stepped_records(p, rule, y0, cfg)
     assert len(tr) == 101
     assert _same_bytes(tr.times, times)
-    assert _same_bytes(tr.states, ys[:, :p.n])
-    if mode == "accelerated":
+    if mode == "first_order":
+        # RK4 at dt = 1e-3 is exact to rounding on this near-linear flow;
+        # the adaptive records, all but the last from dense output, are
+        # within 1e-14 of it, while the state moves by about 9e-11.
+        assert np.abs(tr.states - ys).max() <= 1e-14
+        assert np.any(tr.states != tr.states[0]) == moves
+    else:
+        assert _same_bytes(tr.states, ys[:, :p.n])
         assert _same_bytes(tr.velocities, ys[:, p.n:])
     assert np.any(ys != ys[0]) == moves
 
@@ -497,14 +548,21 @@ def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
 @pytest.mark.parametrize("mode", ["first_order", "accelerated"])
 @pytest.mark.parametrize("every", [1, 7])
 def test_each_step_reuses_the_record_k1(mode, every):
-    # A step evaluates three stages; its first comes from the record, or the
-    # bare right-hand side evaluation, that ended the step before.  So a run
-    # costs 4 * steps + 1 oracle calls at any record cadence.
+    # An RK4 step evaluates three stages; its first comes from the record,
+    # or the bare right-hand side evaluation, that ended the step before.
+    # So an accelerated run costs 4 * steps + 1 oracle calls at any record
+    # cadence.  A first-order step evaluates six stages; its first is the
+    # last stage of the step before (FSAL), and only the t0 record supplies
+    # one.  Every later record costs one oracle call of its own.
     p = get_problem("unbalanced-convex")
     cfg = FlowConfig(t_end=0.05, dt=1e-3, mode=mode, record_every=every)
     calls = _counting_grads(p)
     tr = _integrate(p, constant([1.0, 1.0]), [0.25, 1.5], cfg)
-    assert calls[0] == 4 * 50 + 1
+    if mode == "first_order":
+        assert calls[0] == 1 + 6 * (tr.steps + tr.rejected) + len(tr) - 1
+        assert calls[0] == tr.rhs_evals + len(tr) - 1
+    else:
+        assert calls[0] == 4 * 50 + 1
     assert len(tr) == (51 if every == 1 else 9)
 
 
@@ -525,6 +583,78 @@ def test_accelerated_records_equal_stacked_stepping(name, x0):
     assert _same_bytes(tr.states, ys[:, :p.n])
     assert _same_bytes(tr.velocities, ys[:, p.n:])
     assert np.any(ys != ys[0])
+
+
+# ------------------------------------------------ the adaptive first order
+
+@settings(max_examples=40, deadline=None)
+@given(x0=st.floats(0.5, 1.9), sign=st.sampled_from([-1.0, 1.0]),
+       alpha=st.floats(0.5, 2.0), t0=st.floats(-1.0, 1.0),
+       dt=st.floats(1e-3, 0.1), span=st.floats(0.01, 2.0),
+       every=st.sampled_from([1, 7, 10 ** 9]))
+def test_ball_records_match_exponential_decay(x0, sign, alpha, t0, dt, span,
+                                              every):
+    # xdot = -x / alpha on the ball: every record, dense-output ones
+    # included, is within 1e-9 relative of x0 exp(-(t - t0) / alpha).  The
+    # window decays the state by at most about e^-4.
+    x0 = sign * x0
+    steps = max(1, int(round(span / dt)))
+    cfg = FlowConfig(t0=t0, t_end=t0 + steps * dt, dt=dt, record_every=every)
+    tr = integrate_first_order(ball_problem(), constant([alpha]), [x0], cfg)
+    j = list(range(0, steps, every)) + [steps]
+    assert _same_bytes(tr.times, np.array([t0 + k * dt for k in j]))
+    exact = x0 * np.exp(-(tr.times - t0) / alpha)
+    assert (np.abs(tr.states[:, 0] - exact) / np.abs(exact)).max() <= 1e-9
+
+
+def test_switch_crossing_matches_fine_rk4():
+    # From p1's (-0.4, 1.9) with const:1,1 the min-norm weights sit on a
+    # vertex until t = 0.333 and then move into the simplex, where the
+    # right-hand side is not smooth.  RK4 at dt = 2e-5 is the reference;
+    # every record is within 1e-8 of it.
+    p = get_problem("unbalanced-convex")
+    rule = constant([1.0, 1.0])
+    cfg = FlowConfig(t_end=0.5, dt=1e-3, record_every=10)
+    tr = integrate_first_order(p, rule, [-0.4, 1.9], cfg)
+    interior = tr.times[tr.weights.min(axis=1) > 0.0]
+    assert tr.weights[0].tolist() == [0.0, 1.0] and 0.33 < interior[0] <= 0.34
+    # the error control rejects steps at the switch
+    assert tr.rejected > 0
+    rhs = _stepping_rhs(p, rule, cfg)
+    x, h = np.array([-0.4, 1.9]), 2e-5
+    for i in range(25001):
+        if i % 500 == 0:
+            assert np.abs(tr.states[i // 500] - x).max() <= 1e-8
+        x = _rk4(rhs, x, i * h, h)
+
+
+def test_step_size_underflow_is_no_convergence():
+    # A gradient of size 1e9 that oscillates on a 1e-12 scale: no step the
+    # error control tries is accepted, and the step falls to the float
+    # spacing of t = 1 after about twenty rejections.
+    p = make_problem(
+        "rough", 1, 1, lambda x: -1e-3 * np.cos(1e12 * x),
+        lambda x: (1e9 * np.sin(1e12 * x))[..., None, :],
+        lipschitz=[1e21], lower_bounds=[-1e-3], convexity_class="nonconvex",
+        region=Box([-2.0], [2.0]), grad_bound=1e9, starts=[[0.5]])
+    cfg = FlowConfig(t0=1.0, t_end=2.0, dt=1e-3)
+    with pytest.raises(NoConvergenceError, match="step size underflow"):
+        integrate_first_order(p, constant([1.0]), [0.5], cfg)
+
+
+@pytest.mark.parametrize("mode,x0", [("first_order", [-0.4, 1.9]),
+                                     ("accelerated", [0.25, 1.5])])
+def test_work_counts_repeat_exactly(mode, x0):
+    p = get_problem("unbalanced-convex")
+    cfg = FlowConfig(t_end=1.0, dt=1e-3, mode=mode, record_every=100)
+    runs = [_integrate(p, constant([1.0, 1.0]), x0, cfg) for _ in range(3)]
+    counts = {(tr.rhs_evals, tr.steps, tr.rejected) for tr in runs}
+    assert len(counts) == 1
+    rhs_evals, steps, rejected = counts.pop()
+    if mode == "first_order":
+        assert rejected > 0 and rhs_evals == 1 + 6 * (steps + rejected)
+    else:
+        assert (rhs_evals, steps, rejected) == (4 * 1000 + 1, 1000, 0)
 
 
 # ------------------------------------------------------------- the guards
