@@ -16,6 +16,9 @@ from .errors import InvalidInputError, NumericDomainError
 from .flow import _balanced_record
 from .scaling import generator_map
 
+# absolute slack of the per-step merit-decrease check in discrete_monitors
+MERIT_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class DiscreteConfig:
@@ -100,7 +103,7 @@ def merit_coefficient(seq):
     return seq.alpha_bounds[1] / (2.0 * seq.s_min)
 
 
-def discrete_monitors(seq, z=None, p=None, slack=1e-9):
+def discrete_monitors(seq, z=None, p=None):
     """Per-step descent and merit-decrease checks for a recorded run.
 
     z defaults to the final iterate, which lies in its own level set; a
@@ -137,5 +140,5 @@ def discrete_monitors(seq, z=None, p=None, slack=1e-9):
         "f_decrease_worst": float(df.max()) if df.size else 0.0,
         "f_decrease_ok": bool(df.size == 0 or (df - f_slack).max() <= 0.0),
         "merit_worst_increase": float(d_merit.max()) if d_merit.size else 0.0,
-        "merit_ok": bool(d_merit.size == 0 or d_merit.max() <= slack),
+        "merit_ok": bool(d_merit.size == 0 or d_merit.max() <= MERIT_SLACK),
     }

@@ -201,6 +201,7 @@ def _run_dp54(p, rule, cfg, y0, steps, rhs, record, fields):
     times = [t0 + j * dt for j in range(every, steps, every)]
     times.append(t0 + steps * dt)
     t_end = times[-1]
+    h_min = math.ulp(max(abs(t0), abs(t_end)))
     A, C, E, D = _DP_A, _DP_C, _DP_E, _DP_D
 
     K = np.empty((7, y0.size))
@@ -227,7 +228,7 @@ def _run_dp54(p, rule, cfg, y0, steps, rhs, record, fields):
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             grow = False
-            if h <= math.ulp(t):
+            if h <= h_min:
                 raise NoConvergenceError(
                     f"step size underflow ({h:.3g}) at t = {t:.17g}")
             continue

@@ -169,9 +169,9 @@ def _wolfe_min_norm(P):
     m = P.shape[0]
     norms2 = np.einsum("ij,ij->i", P, P)
     dmax = float(np.sqrt(norms2.max()))
-    scale = (1.0 + dmax) ** 2
-    stop_tol = _STOP_TOL * scale
-    cert_tol = CERTIFICATE_TOL * scale
+    # a stop relative to the hull's scale solves tiny hulls as well as unit ones
+    stop_tol = _STOP_TOL * dmax ** 2
+    cert_tol = CERTIFICATE_TOL * (1.0 + dmax) ** 2
     cap = ITER_FACTOR * m
 
     S = [int(np.argmin(norms2))]

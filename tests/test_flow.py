@@ -631,15 +631,17 @@ def test_switch_crossing_matches_fine_rk4():
 def test_step_size_underflow_is_no_convergence():
     # A gradient of size 1e9 that oscillates on a 1e-12 scale: no step the
     # error control tries is accepted, and the step falls to the float
-    # spacing of t = 1 after about twenty rejections.
+    # spacing of the window after about twenty rejections, also from
+    # t0 = 0, where the spacing of t itself is far smaller.
     p = make_problem(
         "rough", 1, 1, lambda x: -1e-3 * np.cos(1e12 * x),
         lambda x: (1e9 * np.sin(1e12 * x))[..., None, :],
         lipschitz=[1e21], lower_bounds=[-1e-3], convexity_class="nonconvex",
         region=Box([-2.0], [2.0]), grad_bound=1e9, starts=[[0.5]])
-    cfg = FlowConfig(t0=1.0, t_end=2.0, dt=1e-3)
-    with pytest.raises(NoConvergenceError, match="step size underflow"):
-        integrate_first_order(p, constant([1.0]), [0.5], cfg)
+    for t0 in (1.0, 0.0, -1.0):
+        cfg = FlowConfig(t0=t0, t_end=t0 + 1.0, dt=1e-3)
+        with pytest.raises(NoConvergenceError, match="step size underflow"):
+            integrate_first_order(p, constant([1.0]), [0.5], cfg)
 
 
 @pytest.mark.parametrize("mode,x0", [("first_order", [-0.4, 1.9]),

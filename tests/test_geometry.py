@@ -60,6 +60,15 @@ def test_min_norm_point_interior_origin():
     assert np.linalg.norm(r.point) < 1e-10
 
 
+def test_tiny_hull_around_origin_is_solved_to_its_scale():
+    # Four generators of size 1e-6 to 6e-5 on a line, with 0 inside the
+    # hull: the Wolfe stop is relative to the hull's scale, so the point
+    # found is 0 up to rounding, not ~1e-6 as an absolute stop would allow.
+    G = np.array([[-6.369867788021516e-05], [8.317504988157094e-06],
+                  [-8.135689145345654e-06], [-1.1290484673047792e-06]])
+    assert np.linalg.norm(min_norm_point(G).point) < 1e-9
+
+
 def test_single_generator():
     r = min_norm_point([[3.0, 4.0]])
     assert np.allclose(r.point, [3.0, 4.0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbgf.discrete import DiscreteConfig, run_discrete
 from mbgf.errors import DegenerateScalingError, GridBudgetError, InvalidInputError
@@ -9,10 +10,10 @@ from mbgf.merit_rates import (
     criticality,
     fit_loglog_slope,
     lyapunov_monitors,
-    u0_ascent,
+    u0_bracket,
     u0_certified,
 )
-from mbgf.problems import Box, get_problem, make_problem
+from mbgf.problems import Box, LevelSetBound, get_problem, make_problem
 from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
 
 
@@ -32,7 +33,6 @@ def test_u0_scalar_quadratic():
     assert abs(est.value - 2.0) <= est.certified_error
     assert est.certified_error == pytest.approx(3.0 * 1e-3 / 2.0)
     assert abs(est.witness[0]) <= 1e-3
-    assert not est.heuristic
 
 
 def test_u0_zero_at_weak_pareto_point():
@@ -72,48 +72,94 @@ def test_u0_nonnegative_with_valid_witness_everywhere():
             assert gap == pytest.approx(est.value, abs=1e-9)
 
 
-def test_grid_budget_error_suggests_ascent():
+def test_grid_budget_error_suggests_bracket():
     p = get_problem("unbalanced-convex")
-    with pytest.raises(GridBudgetError, match="u0_ascent") as exc:
+    with pytest.raises(GridBudgetError, match="u0_bracket") as exc:
         u0_certified(p, [1.0, 1.0], Box([-100.0, -100.0], [100.0, 100.0]), 1e-4)
     assert exc.value.requested > exc.value.budget
 
 
-# -------------------------------------------------------------- u0 ascent
+# ------------------------------------------------------------- u0 bracket
 
-def test_ascent_agrees_with_certified_on_convex_problems():
-    rng = np.random.default_rng(7)
-    for name, h in [("unbalanced-convex", 3e-3), ("strongly-convex", 8e-3)]:
-        p = get_problem(name)
-        for _ in range(25):
-            x = p.region.lo + rng.random(p.n) * (p.region.hi - p.region.lo)
-            box = p.level_set_bound(p.value(x)).box
-            cert = u0_certified(p, x, box, h)
-            asc = u0_ascent(p, x, starts=12, iters=300, seed=3)
-            assert asc.heuristic and asc.certified_error == 0.0
-            assert abs(cert.value - asc.value) <= cert.certified_error + 1e-6
-            gap = (p.value(x) - p.value(asc.witness)).min()
-            assert gap == pytest.approx(asc.value, abs=1e-9)
+def three_quadratics():
+    # f_i(x) = 0.5 sum_j a_ij (x_j - c_ij)^2: convex, m = 3, and its
+    # sublevel sets are axis-aligned ellipses with closed-form boxes
+    A = np.array([[4.0, 1.0], [1.0, 9.0], [2.0, 0.5]])
+    C = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]])
+
+    def value(x):
+        d = x[..., None, :] - C
+        return 0.5 * (A * d * d).sum(axis=-1)
+
+    def grads(x):
+        return A * (x[..., None, :] - C)
+
+    def level_set_bound(a):
+        half = np.sqrt(2.0 * a[:, None] / A)
+        box = Box(C[0] - half[0], C[0] + half[0])
+        for i in (1, 2):
+            box = box.intersect(Box(C[i] - half[i], C[i] + half[i]))
+        return LevelSetBound(a, box.max_norm(), box)
+
+    return make_problem(
+        "three-quadratics", 2, 3, value, grads, lipschitz=A.max(axis=1),
+        lower_bounds=[0.0, 0.0, 0.0], convexity_class="strongly_convex",
+        region=Box([0.0, 0.0], [2.0, 2.0]), grad_bound=20.0,
+        starts=[[1.0, 1.0]], level_set_bound=level_set_bound)
 
 
-def test_ascent_zero_on_pareto_segment():
+def test_bracket_holds_closed_forms():
+    # u0 = (|x| - 1)^2 on p4, and u0 = x2^2 / 2 for x1 in [0, 2] on p2
+    p4 = get_problem("scalar-pair")
+    p2 = get_problem("strongly-convex")
+    cases = [(p4, [x], max(abs(x) - 1.0, 0.0) ** 2)
+             for x in (-2.5, -1.7, -1.0, -0.3, 0.0, 0.6, 1.0, 1.3, 2.0)]
+    cases += [(p2, [x1, x2], 0.5 * x2 * x2)
+              for x1 in (0.0, 0.3, 1.0, 1.7, 2.0) for x2 in (-1.2, 0.5, 1.0)]
+    for p, x, exact in cases:
+        est = u0_bracket(p, x)
+        assert est.value - 1e-9 <= exact <= est.value + est.certified_error + 1e-9
+        assert est.certified_error <= 1e-3
+        gap = (p.value(np.asarray(x)) - p.value(est.witness)).min()
+        assert gap == pytest.approx(est.value, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["unbalanced-convex", "strongly-convex", "scalar-pair",
+                        "three-quadratics"]),
+       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_bracket_contains_certified_grid(name, u):
+    p = three_quadratics() if name == "three-quadratics" else get_problem(name)
+    lo, hi = p.region.lo, p.region.hi
+    x = lo + np.array(u[:p.n]) * (hi - lo)
+    est = u0_bracket(p, x)
+    box = p.level_set_bound(p.value(x)).box
+    grid = u0_certified(p, x, box, 1e-2)
+    assert grid.value <= est.value + est.certified_error + 1e-12
+    assert est.value <= grid.value + grid.certified_error + 1e-12
+
+
+def test_bracket_zero_on_pareto_segment():
     p = get_problem("strongly-convex")
-    for t in [0.3, 1.0, 1.7]:
-        est = u0_ascent(p, [t, 0.0], starts=8, iters=150)
-        assert est.value <= 1e-6
+    for t in [0.0, 0.3, 1.0, 1.7, 2.0]:
+        est = u0_bracket(p, [t, 0.0])
+        assert est.value + est.certified_error <= 1e-12
 
 
-def test_ascent_nonincreasing_along_descent_trajectory():
-    p = get_problem("strongly-convex")
-    tr = integrate_first_order(p, constant([1.0, 1.0]), [1.0, 1.0],
+def test_bracket_nonincreasing_along_descent_trajectory():
+    # u0 is nonincreasing along the flow, so each later lower end stays
+    # below each earlier upper end
+    p = get_problem("unbalanced-convex")
+    tr = integrate_first_order(p, constant([1.0, 1.0]), [0.25, 1.5],
                                FlowConfig(t_end=4.0, dt=1e-3, record_every=400))
-    vals = [u0_ascent(p, x, starts=8, iters=300).value for x in tr.states]
-    assert max(np.diff(vals)) <= 1e-3
+    ests = [u0_bracket(p, x) for x in tr.states]
+    for before, after in zip(ests, ests[1:]):
+        assert after.value <= before.value + before.certified_error + 1e-12
 
 
-def test_ascent_rejects_nonconvex():
-    with pytest.raises(InvalidInputError):
-        u0_ascent(get_problem("nonconvex-bounded-grad"), [0.9, 0.7])
+def test_bracket_rejects_nonconvex():
+    with pytest.raises(InvalidInputError, match="u0_bracket"):
+        u0_bracket(get_problem("nonconvex-bounded-grad"), [0.9, 0.7])
 
 
 # ------------------------------------------------------------- criticality

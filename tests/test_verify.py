@@ -39,8 +39,6 @@ def test_check_verdict_boundary():
     assert verify._check("a", 1.0, 1.0)["verdict"] == "pass"
     assert verify._check("a", 1.0, 1.0, slack=0.05)["verdict"] == "pass"
     assert verify._check("a", 1.06, 1.0, slack=0.05)["verdict"] == "fail"
-    assert verify._check("a", 2.0, 1.0, ok=True)["verdict"] == "pass"
-    assert verify._check("a", 0.0, 1.0, ok=False)["verdict"] == "fail"
     rec = verify._check("a", 0.5, 1.0)
     assert set(rec) == {"name", "observed", "bound", "slack", "verdict"}
     assert all(isinstance(rec[k], float) for k in ("observed", "bound", "slack"))
