@@ -73,16 +73,8 @@ class ExperimentConfig:
     out_json: str = None
 
     def to_dict(self):
-        return {
-            "problem": self.problem, "mode": self.mode,
-            "x0": list(self.x0), "scaling": self.scaling,
-            "t_end": self.t_end, "dt": self.dt,
-            "r": self.r, "theta": self.theta,
-            "iters": self.iters, "safety": self.safety,
-            "stop_tol": self.stop_tol, "record_every": self.record_every,
-            "seed": self.seed, "rates": list(self.rates),
-            "out_csv": self.out_csv, "out_json": self.out_json,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def to_text(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -468,12 +460,10 @@ def _merge_cli_config(args, mode):
     if args.rates is not None:
         overrides["rates"] = [tok.strip() for tok in args.rates.split(",")
                               if tok.strip()]
-    for attr, key in (("t_end", "t_end"), ("dt", "dt"), ("r", "r"),
-                      ("theta", "theta"), ("iters", "iters"),
-                      ("safety", "safety"), ("stop_tol", "stop_tol"),
-                      ("record_every", "record_every")):
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            overrides[key] = getattr(args, attr)
+    for key in ("t_end", "dt", "r", "theta", "iters", "safety", "stop_tol",
+                "record_every"):
+        if getattr(args, key, None) is not None:
+            overrides[key] = getattr(args, key)
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value

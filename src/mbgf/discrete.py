@@ -6,6 +6,11 @@ s = safety * 2 * alpha_min / L_max derived from the declared scaling bounds,
 so the rule must declare a positive floor alpha_min.  That step always
 satisfies the admissible-step window
 s_min <= s_k <= safety * min_i 2 alpha_i(x_k, k) / L_i.
+
+discrete_monitors checks a recorded run with merit_rates.monotone_excess:
+f-nesting at the relative NESTING_SLACK, and the merit
+E(k) = k min_i(f_i(x_k) - f_i(x_K)) + alpha_max / (2 s_min) ||x_k - x_K||^2
+at the absolute MERIT_SLACK.
 """
 
 from dataclasses import dataclass
@@ -14,9 +19,10 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericDomainError
 from .flow import _balanced_record
+from .merit_rates import NESTING_SLACK, monotone_excess
 from .scaling import generator_map
 
-# absolute slack of the per-step merit-decrease check in discrete_monitors
+# absolute per-step slack of the merit-decrease check in discrete_monitors
 MERIT_SLACK = 1e-9
 
 
@@ -103,42 +109,16 @@ def merit_coefficient(seq):
     return seq.alpha_bounds[1] / (2.0 * seq.s_min)
 
 
-def discrete_monitors(seq, z=None, p=None):
+def discrete_monitors(seq):
     """Per-step descent and merit-decrease checks for a recorded run.
 
-    z defaults to the final iterate, which lies in its own level set; a
-    user-supplied z must satisfy f(z) <= f(x_K) componentwise (p is needed
-    to evaluate f(z) and defaults to the registered problem of the run).
-    Returns a dict with the merit values E(k) and the worst signed
-    violations (negative = satisfied with margin).
+    Returns the merit values E(k), taken at the final iterate x_K, and the
+    monotone_excess of f (f_excess) and of E (merit_excess): <= 0 means
+    the series is nonincreasing within its slack.
     """
-    if z is None:
-        z = seq.states[-1]
-        fz = seq.f_values[-1]
-    else:
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if z.shape != seq.states[-1].shape or not np.all(np.isfinite(z)):
-            raise InvalidInputError("z must be a finite vector matching the iterate dimension")
-        if p is None:
-            from .problems import get_problem
-            p = get_problem(seq.problem_name)
-        fz = p.value(z)
-        tail = seq.f_values[-1]
-        if np.any(fz > tail + 1e-9 * (1.0 + np.abs(tail))):
-            raise InvalidInputError("z must lie in the level set of the final iterate")
-
-    df = np.diff(seq.f_values, axis=0)
-    # same per-step relative slack as the continuous level-nesting check
-    f_slack = 1e-9 * (1.0 + np.abs(seq.f_values[:-1]))
-    gaps = seq.f_values - fz
-    dist2 = ((seq.states - z) ** 2).sum(axis=-1)
+    gaps = seq.f_values - seq.f_values[-1]
+    dist2 = ((seq.states - seq.states[-1]) ** 2).sum(axis=-1)
     merit = seq.ks * gaps.min(axis=-1) + merit_coefficient(seq) * dist2
-    d_merit = np.diff(merit)
-    return {
-        "z": z,
-        "merit": merit,
-        "f_decrease_worst": float(df.max()) if df.size else 0.0,
-        "f_decrease_ok": bool(df.size == 0 or (df - f_slack).max() <= 0.0),
-        "merit_worst_increase": float(d_merit.max()) if d_merit.size else 0.0,
-        "merit_ok": bool(d_merit.size == 0 or d_merit.max() <= MERIT_SLACK),
-    }
+    return {"merit": merit,
+            "f_excess": monotone_excess(seq.f_values, NESTING_SLACK),
+            "merit_excess": monotone_excess(merit, 0.0, MERIT_SLACK)}

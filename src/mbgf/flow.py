@@ -154,7 +154,8 @@ def _prepare(p, x0, cfg):
     steps = int(round((cfg.t_end - cfg.t0) / cfg.dt))
     if steps < 1:
         raise InvalidInputError("integration window shorter than one step")
-    return x0, steps
+    # the recorded step counts: every record_every-th and the last
+    return x0, [*range(0, steps, int(cfg.record_every)), steps]
 
 
 def _guard_bounds(p, size):
@@ -190,16 +191,16 @@ def _trajectory(p, rule, cfg, fields, rows, **work):
                       **columns, **work)
 
 
-def _run_dp54(p, rule, cfg, y0, steps, rhs, record, fields):
-    """The adaptive Dormand-Prince 5(4) loop of the first-order mode.
-    rhs(y, t) is the right-hand side; record(t, y) returns rhs(y, t) and
-    the row of recorded values named by fields.  Only the t0 record's
-    right-hand side feeds a step; later steps take their first stage from
-    the last stage of the step before."""
+def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields):
+    """The adaptive Dormand-Prince 5(4) loop of the first-order mode,
+    recording at t0 + j dt for each step count j in counts.  rhs(y, t) is
+    the right-hand side; record(t, y) returns rhs(y, t) and the row of
+    recorded values named by fields.  Only the t0 record's right-hand side
+    feeds a step; later steps take their first stage from the last stage
+    of the step before."""
     lo, hi = _guard_bounds(p, y0.size)
-    t0, dt, every = cfg.t0, cfg.dt, int(cfg.record_every)
-    times = [t0 + j * dt for j in range(every, steps, every)]
-    times.append(t0 + steps * dt)
+    t0, dt = cfg.t0, cfg.dt
+    times = [t0 + j * dt for j in counts]
     t_end = times[-1]
     h_min = math.ulp(max(abs(t0), abs(t_end)))
     A, C, E, D = _DP_A, _DP_C, _DP_E, _DP_D
@@ -208,7 +209,7 @@ def _run_dp54(p, rule, cfg, y0, steps, rhs, record, fields):
     K[0], row = record(t0, y0)
     rows = [row]
     y, t, h = y0, t0, dt
-    q = accepted = rejected = 0
+    q, accepted, rejected = 1, 0, 0
     grow = True  # False on the step after a rejection
     while True:
         last = t + 1.01 * h >= t_end
@@ -262,29 +263,21 @@ def _run_dp54(p, rule, cfg, y0, steps, rhs, record, fields):
                        rhs_evals=1 + 6 * (accepted + rejected))
 
 
-def _record_rest(record, rows, k, steps, every, t0, dt, y):
-    # y is an exact fixed point from step k on: record it at every record
-    # time stepping would still have reached.
-    for j in range(k, steps + 1):
-        if j % every == 0 or j == steps:
-            rows.append(record(t0 + j * dt, y)[1])
-
-
-def _run_rk4(p, rule, cfg, y0, steps, rhs, record, fields):
+def _run_rk4(p, rule, cfg, y0, counts, rhs, record, fields):
     """The fixed-step RK4 loop of the accelerated mode over the stacked
-    state y0 = (x0, v0).  rhs(y, t) is the right-hand side; record(t, y)
-    returns rhs(y, t), the next step's k1, and the row of recorded values
-    named by fields."""
+    state y0 = (x0, v0), recording after each step count in counts.
+    rhs(y, t) is the right-hand side; record(t, y) returns rhs(y, t), the
+    next step's k1, and the row of recorded values named by fields."""
     n = p.n
     lo, hi = _guard_bounds(p, y0.size)
-    t0, dt, every = cfg.t0, cfg.dt, int(cfg.record_every)
+    t0, dt, steps = cfg.t0, cfg.dt, counts[-1]
     half = 0.5 * dt
     sixth = dt / 6.0
 
     y = y0
     k1, row = record(t0, y)
     rows = [row]
-    taken, evals = steps, 4 * steps + 1
+    q, taken, evals = 1, steps, 4 * steps + 1
     for k in range(steps):
         t = t0 + k * dt
         k2 = rhs(y + half * k1, t + half)
@@ -297,13 +290,16 @@ def _run_rk4(p, rule, cfg, y0, steps, rhs, record, fields):
         # so with every stage velocity zero the step is the same at all t.
         if y_new.tobytes() == y.tobytes() and not (
                 k1[:n].any() or k2[:n].any() or k3[:n].any() or k4[:n].any()):
-            _record_rest(record, rows, k + 1, steps, every, t0, dt, y)
+            # y is an exact fixed point: record it at every step count
+            # stepping would still have reached
+            rows.extend(record(t0 + j * dt, y)[1] for j in counts[q:])
             taken, evals = k + 1, 4 * (k + 1)
             break
         y = y_new
-        if (k + 1) % every == 0 or k + 1 == steps:
+        if k + 1 == counts[q]:
             k1, row = record(t, y)
             rows.append(row)
+            q += 1
         else:
             k1 = rhs(y, t)
     return _trajectory(p, rule, cfg, fields, rows, steps=taken, rejected=0,
@@ -324,7 +320,7 @@ def integrate_first_order(p, rule, x0, cfg):
     xdot = -proj_{C_alpha(x,t)}(0) from x0."""
     if cfg.mode != "first_order":
         raise InvalidInputError("integrate_first_order needs mode='first_order'")
-    x0, steps = _prepare(p, x0, cfg)
+    x0, counts = _prepare(p, x0, cfg)
     # Unvalidated inner path: the error estimate catches non-finite stages
     # and the guard checks every accepted state.
     grads, gens = p._grads, generator_map(rule, p.m)
@@ -338,7 +334,7 @@ def integrate_first_order(p, rule, x0, cfg):
         # ||xdot|| is the scaled criticality in the first-order flow
         return -d, (t, x.copy(), f, speed, cu, speed, w)
 
-    return _run_dp54(p, rule, cfg, x0, steps, rhs, record,
+    return _run_dp54(p, rule, cfg, x0, counts, rhs, record,
                      ("times", "states", "f_values", "speeds", "crit_unscaled",
                       "crit_scaled", "weights"))
 
@@ -373,7 +369,7 @@ def integrate_accelerated(p, rule, x0, cfg):
         raise InvalidInputError("integrate_accelerated needs mode='accelerated'")
     if rule.variant != "constant":
         raise InvalidInputError("accelerated flow requires a constant scaling rule")
-    x0, steps = _prepare(p, x0, cfg)
+    x0, counts = _prepare(p, x0, cfg)
     n = p.n
     grads, gens = p._grads, generator_map(rule, p.m)
     r, theta = float(cfg.r), float(cfg.theta)
@@ -395,7 +391,7 @@ def integrate_accelerated(p, rule, x0, cfg):
             t, x.copy(), v.copy(), f, float(np.sqrt(speed2)),
             _min_norm(graw)[2], _min_norm(G)[2], f + 0.5 * alpha * speed2, w)
 
-    return _run_rk4(p, rule, cfg, np.concatenate((x0, np.zeros(n))), steps,
+    return _run_rk4(p, rule, cfg, np.concatenate((x0, np.zeros(n))), counts,
                     rhs, record,
                     ("times", "states", "velocities", "f_values", "speeds",
                      "crit_unscaled", "crit_scaled", "energies", "weights"))

@@ -7,6 +7,13 @@ L(f, f(x)) because z outside that level set makes some f_i(z) > f_i(x) and
 hence the inner min negative.  Both estimators return a certified interval
 for u0: u0_certified by a grid over that box, for any problem, and
 u0_bracket by a primal-dual bracket, for convex problems.
+
+Every monotone gate, here and in mbgf.discrete and mbgf.verify, reads
+monotone_excess: the largest per-record increase of a series beyond a
+slack defined once as a named constant (MONITOR_SLACK for the Lyapunov
+monitors, NESTING_SLACK for f-nesting, discrete.MERIT_SLACK for the
+discrete merit).  An excess <= 0 means the series is nonincreasing within
+its slack.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +33,11 @@ _LATTICE = 8
 _ROUNDS = 5
 _ITERS = 400
 _STILL = 1e-13
+
+# per-record slack of the Lyapunov monitors: 1e-6 (1 + |V_k|)
+MONITOR_SLACK = 1e-6
+# per-record slack of f-nesting along flows and iterates: 1e-9 (1 + |f_i|)
+NESTING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -206,32 +218,36 @@ def check_bound(ts, values, *, name, constant, bound_fn, slack=0.05):
         slope=fit_loglog_slope(ts, values))
 
 
-def _monitor_record(values, slack_scale=1e-6):
-    values = np.asarray(values, dtype=float)
-    diffs = np.diff(values)
-    slack = slack_scale * (1.0 + np.abs(values[:-1]))
-    worst = float((diffs - slack).max()) if diffs.size else 0.0
-    return {"values": values,
-            "worst_increase": float(diffs.max()) if diffs.size else 0.0,
-            "worst_excess": worst,
-            "ok": bool(worst <= 0.0)}
+def monotone_excess(values, rel, per_step=0.0):
+    """Largest values[k+1] - values[k] beyond rel (1 + |values[k]|) + per_step.
 
-
-def lyapunov_monitors(run, which, z, p=None, rule=None):
-    """Evaluate named Lyapunov monitors on a recorded run.
-
-    which: iterable from {"h", "convex", "strongly_convex", "accelerated",
-    "discrete"}.  z must lie in the level set of the final record.  Each
-    monitor is checked for monotone non-increase within slack
-    1e-6 * (1 + |monitor|) per record: worst_excess is the largest
-    increase beyond that slack, and ok says it is <= 0.
+    Differences run along axis 0, so an (N, m) series is checked per
+    column; per_step may be an array broadcast against the differences.
+    Returns 0.0 for fewer than two records.
     """
-    if p is None:
-        from .problems import get_problem
-        p = get_problem(run.problem_name)
-    if rule is None:
-        from .scaling import parse_scaling
-        rule = parse_scaling(run.rule_spec)
+    values = np.asarray(values, dtype=float)
+    if len(values) < 2:
+        return 0.0
+    slack = rel * (1.0 + np.abs(values[:-1])) + per_step
+    return float((np.diff(values, axis=0) - slack).max())
+
+
+def _monitor_record(values):
+    return {"values": values,
+            "worst_excess": monotone_excess(values, MONITOR_SLACK)}
+
+
+def lyapunov_monitors(run, which, z, p, rule):
+    """Evaluate named Lyapunov monitors on a recorded flow run of problem p
+    under scaling rule.
+
+    which: iterable from {"h", "convex", "strongly_convex", "accelerated"}.
+    z must lie in the level set of the final record.  Each record is
+    {values, worst_excess}, where worst_excess is the monotone_excess of
+    the monitor at MONITOR_SLACK: <= 0 means nonincreasing within
+    1e-6 (1 + |monitor|) per record.  The discrete merit E(k) lives in
+    discrete.discrete_monitors.
+    """
     z = _check_point(p, z)
     fz = p.value(z)
     f_final = run.f_values[-1]
@@ -264,10 +280,6 @@ def lyapunov_monitors(run, which, z, p=None, rule=None):
             for i in range(p.m):
                 out[f"accel_E_{i}"] = _monitor_record(E[:, i])
             out["accel_E_min"] = _monitor_record(E.min(axis=-1))
-        elif name == "discrete":
-            from .discrete import merit_coefficient
-            vals = run.ks * gaps.min(axis=-1) + merit_coefficient(run) * d2
-            out["discrete_E"] = _monitor_record(vals)
         else:
             raise InvalidInputError(f"unknown monitor {name!r}")
     return out

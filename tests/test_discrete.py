@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mbgf.discrete import DiscreteConfig, discrete_monitors, run_discrete, step_size
+from mbgf.discrete import (MERIT_SLACK, DiscreteConfig, IterateSequence,
+                           discrete_monitors, run_discrete, step_size)
 from mbgf.errors import InvalidInputError
 from mbgf.flow import FlowConfig, integrate_first_order
 from mbgf.problems import Box, get_problem, make_problem
@@ -32,8 +33,8 @@ def test_boundary_step_oscillates():
                        DiscreteConfig(max_iters=6, safety=1.0))
     assert np.allclose(seq.states[:, 0], [1, -1, 1, -1, 1, -1, 1])
     assert np.allclose(seq.steps, 2.0)
-    mon = discrete_monitors(seq, z=[0.0], p=p)
-    assert mon["f_decrease_worst"] == 0.0 and mon["f_decrease_ok"]
+    mon = discrete_monitors(seq)
+    assert mon["f_excess"] == -1e-9 * (1.0 + 0.5)
 
 
 def test_half_safety_solves_quadratic_in_one_step():
@@ -65,11 +66,11 @@ def test_monitors_pass_on_p2():
                       (constant([1.0, 1.0]), DiscreteConfig(max_iters=500, safety=0.45))]:
         seq = run_discrete(p, rule, [1.0, 1.0], cfg)
         mon = discrete_monitors(seq)
-        assert mon["f_decrease_ok"] and mon["merit_ok"]
+        assert mon["f_excess"] <= 0.0 and mon["merit_excess"] <= 0.0
         # strict descent for safety < 1, checked away from the roundoff tail
         assert np.all(np.diff(seq.f_values[:5], axis=0) < 0.0)
-        # default z is the final iterate
-        assert np.array_equal(mon["z"], seq.states[-1])
+        # the merit is taken at the final iterate
+        assert mon["merit"][-1] == 0.0
         assert mon["merit"][0] == pytest.approx(
             (seq.alpha_bounds[1] / (2.0 * seq.s_min))
             * ((seq.states[0] - seq.states[-1]) ** 2).sum())
@@ -83,16 +84,27 @@ def test_boundary_adjacent_step_breaks_merit_but_not_descent():
     seq = run_discrete(p, constant([1.0, 1.0]), [1.0, 1.0],
                        DiscreteConfig(max_iters=500))
     mon = discrete_monitors(seq)
-    assert mon["f_decrease_ok"]
-    assert not mon["merit_ok"] and mon["merit_worst_increase"] > 1e-3
+    assert mon["f_excess"] <= 0.0
+    assert mon["merit_excess"] > 1e-3
 
 
-def test_monitor_rejects_z_above_final_level():
-    p = get_problem("strongly-convex")
-    seq = run_discrete(p, constant([1.0, 1.0]), [1.0, 1.0],
-                       DiscreteConfig(max_iters=200))
-    with pytest.raises(InvalidInputError):
-        discrete_monitors(seq, z=[1.0, 1.0], p=p)
+def test_merit_slack_is_absolute():
+    # E(k) = [10, 10 + 5e-9, 0] at |E| ~ 10: a rise of 5e-9 exceeds the
+    # absolute MERIT_SLACK, though a 1e-9 (1 + |E|) relative slack
+    # (1.1e-8 here) would let it pass.
+    root = np.sqrt([10.0, 10.0 + 5e-9, 0.0])
+    seq = IterateSequence(
+        ks=np.arange(3), states=root[:, None], f_values=np.ones((3, 1)),
+        steps=np.full(3, 0.5), crit_unscaled=np.zeros(3),
+        crit_scaled=np.zeros(3), weights=np.ones((3, 1)),
+        alpha_bounds=(1.0, 1.0), s_min=0.5, problem_name="hand-built",
+        rule_spec="const:1", config=DiscreteConfig(max_iters=2))
+    mon = discrete_monitors(seq)
+    rise = mon["merit"][1] - mon["merit"][0]
+    assert rise == pytest.approx(5e-9, rel=1e-6)
+    assert mon["merit_excess"] == rise - MERIT_SLACK > 0.0
+    assert (rise - 1e-9 * (1.0 + abs(mon["merit"][0]))) < 0.0
+    assert mon["f_excess"] == -1e-9 * 2.0
 
 
 def test_shadowing_of_continuous_flow():

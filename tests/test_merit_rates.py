@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mbgf.discrete import DiscreteConfig, run_discrete
 from mbgf.errors import DegenerateScalingError, GridBudgetError, InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
 from mbgf.merit_rates import (
@@ -10,11 +9,12 @@ from mbgf.merit_rates import (
     criticality,
     fit_loglog_slope,
     lyapunov_monitors,
+    monotone_excess,
     u0_bracket,
     u0_certified,
 )
 from mbgf.problems import Box, LevelSetBound, get_problem, make_problem
-from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
+from mbgf.scaling import constant, gradnorm_eta
 
 
 def ball_problem(region=3.0):
@@ -241,39 +241,65 @@ def test_monitors_first_order_p2():
     rule = constant([1.0, 1.0])
     tr = integrate_first_order(p, rule, [1.0, 1.0],
                                FlowConfig(t_end=5.0, dt=1e-3, record_every=50))
-    out = lyapunov_monitors(tr, ["h", "convex", "strongly_convex"], [1.0, 0.0])
+    out = lyapunov_monitors(tr, ["h", "convex", "strongly_convex"], [1.0, 0.0],
+                            p, rule)
     assert set(out) == {"h", "convex_E", "strongly_convex_W"}
     for rec in out.values():
-        assert rec["ok"], rec["worst_increase"]
+        assert rec["worst_excess"] <= 0.0, rec["worst_excess"]
 
 
 def test_monitors_accelerated_p2():
     p = get_problem("strongly-convex")
+    rule = constant([1.0, 1.0])
     tr = integrate_accelerated(
-        p, constant([1.0, 1.0]), [1.0, 1.0],
+        p, rule, [1.0, 1.0],
         FlowConfig(t_end=20.0, dt=1e-3, mode="accelerated", r=3.0, theta=1.0,
                    record_every=100))
-    out = lyapunov_monitors(tr, ["accelerated"], [1.0, 0.0])
+    out = lyapunov_monitors(tr, ["accelerated"], [1.0, 0.0], p, rule)
     assert set(out) == {"accel_E_0", "accel_E_1", "accel_E_min"}
     for rec in out.values():
-        assert rec["ok"], rec["worst_increase"]
-
-
-def test_monitors_discrete_p2():
-    p = get_problem("strongly-convex")
-    seq = run_discrete(p, gradnorm_eta_clamped(0.1, 0.1, 10.0), [1.0, 1.0],
-                       DiscreteConfig(max_iters=300))
-    out = lyapunov_monitors(seq, ["discrete"], seq.states[-1])
-    assert out["discrete_E"]["ok"]
+        assert rec["worst_excess"] <= 0.0, rec["worst_excess"]
 
 
 def test_monitor_error_paths():
     p = get_problem("strongly-convex")
-    tr = integrate_first_order(p, constant([1.0, 1.0]), [1.0, 1.0],
+    rule = constant([1.0, 1.0])
+    tr = integrate_first_order(p, rule, [1.0, 1.0],
                                FlowConfig(t_end=1.0, record_every=100))
     with pytest.raises(InvalidInputError):
-        lyapunov_monitors(tr, ["h"], [1.0, 1.0])     # z above final level
+        lyapunov_monitors(tr, ["h"], [1.0, 1.0], p, rule)  # z above final level
     with pytest.raises(InvalidInputError):
-        lyapunov_monitors(tr, ["nope"], [1.0, 0.0])
+        lyapunov_monitors(tr, ["nope"], [1.0, 0.0], p, rule)
     with pytest.raises(InvalidInputError):
-        lyapunov_monitors(tr, ["accelerated"], [1.0, 0.0])  # no velocities
+        lyapunov_monitors(tr, ["discrete"], [1.0, 0.0], p, rule)  # removed
+    with pytest.raises(InvalidInputError):
+        lyapunov_monitors(tr, ["accelerated"], [1.0, 0.0], p, rule)  # no velocities
+
+
+# ---------------------------------------------------------- monotone excess
+
+def test_monotone_excess_matches_inline_formulas():
+    # each reference is the inline formula a gate used before
+    rng = np.random.default_rng(3)
+    for shape in [(50,), (50, 2), (7, 3)]:
+        v = np.cumsum(rng.normal(0.0, 1e-6, size=shape) - 1e-7, axis=0) + 5.0
+        d = np.diff(v, axis=0)
+        for rel in (1e-6, 1e-9):        # Lyapunov monitors, f-nesting
+            assert monotone_excess(v, rel) == float(
+                (d - rel * (1.0 + np.abs(v[:-1]))).max())
+        # discrete merit: absolute slack
+        assert monotone_excess(v, 0.0, 1e-9) == float((d - 1e-9).max())
+        # accelerated W_i: 1e-7 per unit time
+        t = np.cumsum(rng.uniform(0.5e-3, 2e-3, size=shape[0]))
+        allowed = 1e-7 * np.diff(t)
+        if v.ndim == 2:
+            allowed = allowed[:, None]
+        assert monotone_excess(v, 0.0, allowed) == float((d - allowed).max())
+    tails = [0.3, 0.1, 0.05, 0.02, 0.025]  # omega tails: no slack
+    assert monotone_excess(tails, 0.0) == float(max(np.diff(tails)))
+
+
+def test_monotone_excess_short_series_is_zero():
+    for values in ([], [3.0], np.zeros((0, 2)), np.ones((1, 2))):
+        assert monotone_excess(values, 1e-6) == 0.0
+        assert monotone_excess(values, 0.0, 1e-9) == 0.0

@@ -117,3 +117,12 @@ def test_geometry_oracle_passes_on_ill_conditioned_seeds(seed):
     # there, not just near a coarse grid point.
     rep = verify.run_suite("geometry-oracle", seed)
     assert verify.suite_passed(rep), verify.format_report(rep)
+
+
+def test_deterministic_suites_ignore_the_seed():
+    # These suites draw nothing from their rng, so their checks must not
+    # move with the seed.
+    for name in ("strongly-convex-rate", "discrete-rate"):
+        a = verify.run_suite(name, seed=0)
+        b = verify.run_suite(name, seed=5)
+        assert a["checks"] == b["checks"]
