@@ -22,8 +22,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (MBGFError, InvalidInputError, ConfigError,
-                     NumericDomainError, DivergenceError,
-                     DegenerateScalingError, NoConvergenceError,
                      GridBudgetError)
 from .problems import get_problem, list_problems, level_set_bound
 from .scaling import parse_scaling
@@ -52,7 +50,9 @@ class ExperimentConfig:
 
     t_end is required for the flow modes and optional (unused) for discrete.
     x0 and scaling are always concrete after validation, so serializing and
-    re-parsing reproduces the identical config.
+    re-parsing reproduces the identical config.  The run parameters default
+    to those of FlowConfig and DiscreteConfig; x0 and scaling default to
+    the problem's first start and unit constant weights.
     """
 
     problem: str
@@ -60,13 +60,13 @@ class ExperimentConfig:
     x0: tuple = ()
     scaling: str = ""
     t_end: float = None
-    dt: float = 1e-3
-    r: float = 3.0
-    theta: float = 1.0
+    dt: float = FlowConfig.dt
+    r: float = FlowConfig.r
+    theta: float = FlowConfig.theta
     iters: int = 1000
-    safety: float = 0.99
-    stop_tol: float = 0.0
-    record_every: int = 1
+    safety: float = DiscreteConfig.safety
+    stop_tol: float = DiscreteConfig.stop_tol
+    record_every: int = FlowConfig.record_every
     seed: int = 0
     rates: tuple = ()
     out_csv: str = None
@@ -80,7 +80,8 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
+# every config key with its default (problem has none: MISSING)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _require_number(key, v):
@@ -93,11 +94,9 @@ def _require_number(key, v):
     return v
 
 
-def _require_int(key, v, lo):
+def _require_int(key, v):
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
-    if v < lo:
-        raise ConfigError(f"{key}: must be >= {lo}, got {v}")
     return int(v)
 
 
@@ -105,6 +104,26 @@ def _require_str(key, v):
     if not isinstance(v, str):
         raise ConfigError(f"{key}: expected a string, got {v!r}")
     return v
+
+
+def _positive(v):
+    return v > 0
+
+
+# The numeric keys in the order they are checked, each with its reader,
+# its range test and the rule an out-of-range error states.
+_NUMERIC_KEYS = (
+    ("t_end", _require_number, _positive, "must be > 0"),
+    ("dt", _require_number, _positive, "must be > 0"),
+    ("r", _require_number, _positive, "must be > 0"),
+    ("theta", _require_number, _positive, "must be > 0"),
+    ("iters", _require_int, _positive, "must be >= 1"),
+    ("safety", _require_number, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    ("stop_tol", _require_number, lambda v: v >= 0, "must be >= 0"),
+    ("record_every", _require_int, _positive, "must be >= 1"),
+    ("seed", _require_int, lambda v: v >= -(2 ** 63),
+     f"must be >= {-(2 ** 63)}"),
+)
 
 
 def resolve_problem_name(name):
@@ -117,7 +136,7 @@ def validate_config(raw):
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected a mapping, got {type(raw).__name__}")
     for key in raw:
-        if key not in _FIELD_NAMES:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
 
     if "problem" not in raw:
@@ -125,7 +144,7 @@ def validate_config(raw):
     pname = resolve_problem_name(_require_str("problem", raw["problem"]))
     p = get_problem(pname)  # ConfigError on unknown, lists known names
 
-    mode = _require_str("mode", raw.get("mode", "flow"))
+    mode = _require_str("mode", raw.get("mode", _DEFAULTS["mode"]))
     if mode not in MODES:
         raise ConfigError(f"mode: expected one of {', '.join(MODES)}, got {mode!r}")
 
@@ -145,35 +164,19 @@ def validate_config(raw):
     if mode == "accel" and rule.variant != "constant":
         raise ConfigError("scaling: accel mode requires a constant scaling")
 
-    t_end = raw.get("t_end")
-    if t_end is None:
-        if mode in ("flow", "accel"):
-            raise ConfigError("t_end: missing (required for flow/accel modes)")
-    else:
-        t_end = _require_number("t_end", t_end)
-        if t_end <= 0:
-            raise ConfigError(f"t_end: must be > 0, got {t_end!r}")
+    values = {}
+    for key, read, in_range, range_rule in _NUMERIC_KEYS:
+        v = raw.get(key, _DEFAULTS[key])
+        if v is None and key == "t_end":
+            if mode != "discrete":
+                raise ConfigError("t_end: missing (required for flow/accel modes)")
+        else:
+            v = read(key, v)
+            if not in_range(v):
+                raise ConfigError(f"{key}: {range_rule}, got {v!r}")
+        values[key] = v
 
-    dt = _require_number("dt", raw.get("dt", 1e-3))
-    if dt <= 0:
-        raise ConfigError(f"dt: must be > 0, got {dt!r}")
-    r = _require_number("r", raw.get("r", 3.0))
-    if r <= 0:
-        raise ConfigError(f"r: must be > 0, got {r!r}")
-    theta = _require_number("theta", raw.get("theta", 1.0))
-    if theta <= 0:
-        raise ConfigError(f"theta: must be > 0, got {theta!r}")
-    iters = _require_int("iters", raw.get("iters", 1000), lo=1)
-    safety = _require_number("safety", raw.get("safety", 0.99))
-    if not 0.0 < safety <= 1.0:
-        raise ConfigError(f"safety: must lie in (0, 1], got {safety!r}")
-    stop_tol = _require_number("stop_tol", raw.get("stop_tol", 0.0))
-    if stop_tol < 0:
-        raise ConfigError(f"stop_tol: must be >= 0, got {stop_tol!r}")
-    record_every = _require_int("record_every", raw.get("record_every", 1), lo=1)
-    seed = _require_int("seed", raw.get("seed", 0), lo=-(2 ** 63))
-
-    rates_raw = raw.get("rates", [])
+    rates_raw = raw.get("rates", _DEFAULTS["rates"])
     if isinstance(rates_raw, str):
         rates_raw = [rates_raw]
     if not isinstance(rates_raw, (list, tuple)):
@@ -188,24 +191,18 @@ def validate_config(raw):
                 or not rule.eta > 0:
             raise ConfigError("rates: runmin-criticality needs mode=flow and "
                               "a gradnorm scaling with eta > 0")
-        if t_end <= 1:
+        if values["t_end"] <= 1:
             raise ConfigError("rates: runmin-criticality is evaluated on "
                               "t in [1, t_end]; need t_end > 1")
     if "merit-cheap" in rates and mode != "discrete":
         raise ConfigError("rates: merit-cheap needs mode=discrete")
 
-    out_csv = raw.get("out_csv")
-    if out_csv is not None:
-        out_csv = _require_str("out_csv", out_csv)
-    out_json = raw.get("out_json")
-    if out_json is not None:
-        out_json = _require_str("out_json", out_json)
+    for key in ("out_csv", "out_json"):
+        v = raw.get(key, _DEFAULTS[key])
+        values[key] = None if v is None else _require_str(key, v)
 
-    return ExperimentConfig(
-        problem=pname, mode=mode, x0=x0, scaling=scaling, t_end=t_end,
-        dt=dt, r=r, theta=theta, iters=iters, safety=safety,
-        stop_tol=stop_tol, record_every=record_every, seed=seed,
-        rates=rates, out_csv=out_csv, out_json=out_json)
+    return ExperimentConfig(problem=pname, mode=mode, x0=x0, scaling=scaling,
+                            rates=rates, **values)
 
 
 def _parse_kv_value(key, raw):
@@ -437,36 +434,24 @@ def _merge_cli_config(args, mode):
                 text = f.read()
         except OSError as e:
             raise ConfigError(f"config: cannot read {args.config!r} ({e})") from None
-        raw = _read_raw(text)  # validated after the overrides are merged
+        raw = _read_raw(text)  # validated after the flags are merged
 
-    file_mode = raw.get("mode")
-    if mode == "flow":
-        raw.setdefault("mode", "flow")
-    else:
-        if file_mode is not None and file_mode != mode:
-            raise ConfigError(
-                f"mode: config file says {file_mode!r} but the subcommand is {mode}")
-        raw["mode"] = mode
+    file_mode = raw.setdefault("mode", mode)
+    if file_mode != mode:
+        raise ConfigError(
+            f"mode: config file says {file_mode!r} but the subcommand is {mode}")
 
-    overrides = {
-        "problem": args.problem, "scaling": args.scaling,
-        "seed": args.seed, "out_csv": args.out, "out_json": args.summary,
-    }
-    if args.x0 is not None:
+    flags = {key: value for key, value in vars(args).items()
+             if key in _DEFAULTS and value is not None}
+    if "x0" in flags:
         try:
-            overrides["x0"] = [float(tok) for tok in args.x0.split(",")]
+            flags["x0"] = [float(tok) for tok in flags["x0"].split(",")]
         except ValueError:
             raise ConfigError(f"x0: malformed number in {args.x0!r}") from None
-    if args.rates is not None:
-        overrides["rates"] = [tok.strip() for tok in args.rates.split(",")
-                              if tok.strip()]
-    for key in ("t_end", "dt", "r", "theta", "iters", "safety", "stop_tol",
-                "record_every"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
+    if "rates" in flags:
+        flags["rates"] = [tok.strip() for tok in flags["rates"].split(",")
+                          if tok.strip()]
+    raw.update(flags)
     return validate_config(raw)
 
 
@@ -539,8 +524,10 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, help="seed recorded in the summary")
     sub.add_argument("--rates", help="comma-separated rate reports to attach "
                                      f"({', '.join(RATE_NAMES)})")
-    sub.add_argument("--out", help="trajectory/iterate CSV path")
-    sub.add_argument("--summary", help="summary JSON path")
+    sub.add_argument("--out", dest="out_csv", metavar="OUT",
+                     help="trajectory/iterate CSV path")
+    sub.add_argument("--summary", dest="out_json", metavar="SUMMARY",
+                     help="summary JSON path")
 
 
 def build_parser():
@@ -595,8 +582,7 @@ def main(argv=None):
     except (ConfigError, InvalidInputError, GridBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NumericDomainError, DivergenceError, DegenerateScalingError,
-            NoConvergenceError, MBGFError) as e:
+    except MBGFError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

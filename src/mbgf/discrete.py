@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericDomainError
-from .flow import _balanced_record
+from .flow import _balanced_record, _check_start
 from .merit_rates import NESTING_SLACK, monotone_excess
 from .scaling import generator_map
 
@@ -70,11 +70,7 @@ def step_size(p, rule, cfg):
 
 def run_discrete(p, rule, x0, cfg):
     _check_config(cfg)
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (p.n,) or not np.all(np.isfinite(x)):
-        raise InvalidInputError(f"x0 must be a finite vector of length {p.n}")
-    if not p.region.contains(x):
-        raise InvalidInputError(f"x0 {x!r} lies outside the region box of {p.name}")
+    x = _check_start(p, x0)
 
     s = step_size(p, rule, cfg)
     alpha_bounds = rule.declared_bounds(p)

@@ -144,12 +144,18 @@ class Trajectory:
                 f"{len(self)} records, t in [{self.times[0]:g}, {self.times[-1]:g}])")
 
 
-def _prepare(p, x0, cfg):
+def _check_start(p, x0):
+    """x0 as a float vector: finite, of length p.n, inside p's region."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (p.n,) or not np.all(np.isfinite(x0)):
         raise InvalidInputError(f"x0 must be a finite vector of length {p.n}")
     if not p.region.contains(x0):
         raise InvalidInputError(f"x0 {x0.tolist()} outside the region of {p.name}")
+    return x0
+
+
+def _prepare(p, x0, cfg):
+    x0 = _check_start(p, x0)
     _check_config(cfg)
     steps = int(round((cfg.t_end - cfg.t0) / cfg.dt))
     if steps < 1:

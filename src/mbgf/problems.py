@@ -339,12 +339,11 @@ def _make_p4():
 _REGISTRY = {}
 
 
-def register_problem(factory, name=None):
-    """Register a problem factory under its name; returns the name."""
-    p = factory()
-    key = name or p.name
-    _REGISTRY[key] = factory
-    return key
+def register_problem(factory):
+    """Register a problem factory under its problem's name; returns the name."""
+    name = factory().name
+    _REGISTRY[name] = factory
+    return name
 
 
 def get_problem(name):
@@ -365,13 +364,9 @@ for _f in (_make_p1, _make_p2, _make_p3, _make_p4):
 
 def make_problem(name, n, m, value, grads, *, lipschitz, lower_bounds,
                  convexity_class, region, grad_bound, starts,
-                 strong_convexity=None, level_set_bound=None, register=False):
-    """Construct (and optionally register) a user-defined problem."""
-    def factory():
-        return Problem(name, n, m, value, grads, lipschitz, lower_bounds,
-                       convexity_class, region, grad_bound, starts,
-                       strong_convexity=strong_convexity,
-                       level_set_bound=level_set_bound)
-    if register:
-        register_problem(factory, name)
-    return factory()
+                 strong_convexity=None, level_set_bound=None):
+    """Construct a user-defined problem."""
+    return Problem(name, n, m, value, grads, lipschitz, lower_bounds,
+                   convexity_class, region, grad_bound, starts,
+                   strong_convexity=strong_convexity,
+                   level_set_bound=level_set_bound)

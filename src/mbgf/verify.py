@@ -63,10 +63,10 @@ def format_report(report):
 
 # -- shared helpers --------------------------------------------------------
 
-def _checkpoint_indices(times, t_lo, t_hi, count):
-    cps = np.geomspace(t_lo, t_hi, count)
-    idx = np.minimum(np.searchsorted(times, cps), times.size - 1)
-    return np.unique(idx)
+def _checkpoint_indices(times, targets):
+    """Distinct indices of the first record at or after each target time,
+    the last record standing in for targets past the end."""
+    return np.unique(np.minimum(np.searchsorted(times, targets), times.size - 1))
 
 
 def _descent_nesting(tr, alphas):
@@ -287,7 +287,7 @@ def _suite_convex_rate(rng):
                                    FlowConfig(t_end=100.0, dt=1e-3,
                                               record_every=100))
         _flow_sanity_checks(f"p1-{tag}", tr, p, rule, checks)
-        idx = _checkpoint_indices(tr.times, 1.0, 100.0, 20)
+        idx = _checkpoint_indices(tr.times, np.geomspace(1.0, 100.0, 20))
         ests = _merit_checks(p, tr.states[idx], C / tr.times[idx],
                              f"p1-{tag}-merit-rate-ratio", f"p1-{tag}", checks)
         witness_err = max(
@@ -310,9 +310,7 @@ def _suite_strongly_convex_rate(rng):
     checks = []
     _flow_sanity_checks("p2", tr, p, rule, checks)
 
-    idx = np.unique(np.minimum(
-        np.searchsorted(tr.times, np.linspace(0.0, 10.0, 21)),
-        len(tr) - 1))
+    idx = _checkpoint_indices(tr.times, np.linspace(0.0, 10.0, 21))
     _merit_checks(p, tr.states[idx], C * np.exp(-tr.times[idx]),
                   "p2-exp-rate-merit-ratio", "p2", checks)
 
@@ -397,7 +395,7 @@ def _suite_accelerated_rate(rng):
                                    FlowConfig(t_end=100.0, dt=1e-3,
                                               mode="accelerated", r=r,
                                               theta=theta, record_every=100))
-        idx = _checkpoint_indices(tr.times, 1.0, 100.0, 20)
+        idx = _checkpoint_indices(tr.times, np.geomspace(1.0, 100.0, 20))
         _merit_checks(p, tr.states[idx], V0 / (tr.times[idx] + theta) ** 2,
                       f"{tag}-merit-rate-ratio", tag, checks)
 

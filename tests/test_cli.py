@@ -38,6 +38,60 @@ def test_minimal_config_fills_documented_defaults():
     assert cfg.rates == ()
 
 
+@pytest.mark.parametrize("text", [MINIMAL, '{"problem": "p2", "mode": "discrete"}'])
+def test_minimal_config_takes_the_run_config_defaults(text):
+    cfg = parse_config(text)
+    flow, disc = FlowConfig(t_end=1.0), DiscreteConfig(max_iters=1)
+    assert (cfg.dt, cfg.r, cfg.theta, cfg.record_every) == (
+        flow.dt, flow.r, flow.theta, flow.record_every)
+    assert (cfg.safety, cfg.stop_tol) == (disc.safety, disc.stop_tol)
+    assert cfg.iters == 1000
+
+
+# each numeric key: an out-of-range value and a malformed value, with the
+# exact messages they raise
+NUMERIC_ERRORS = [
+    ("t_end", 0, "t_end: must be > 0, got 0.0",
+     "soon", "t_end: malformed number, got 'soon'"),
+    ("dt", -1, "dt: must be > 0, got -1.0",
+     "x", "dt: malformed number, got 'x'"),
+    ("r", 0, "r: must be > 0, got 0.0",
+     [1], "r: malformed number, got [1]"),
+    ("theta", -1, "theta: must be > 0, got -1.0",
+     "1", "theta: malformed number, got '1'"),
+    ("iters", 0, "iters: must be >= 1, got 0",
+     1.5, "iters: expected an integer, got 1.5"),
+    ("safety", 2, "safety: must lie in (0, 1], got 2.0",
+     "x", "safety: malformed number, got 'x'"),
+    ("stop_tol", -1e-9, "stop_tol: must be >= 0, got -1e-09",
+     None, "stop_tol: malformed number, got None"),
+    ("record_every", 0, "record_every: must be >= 1, got 0",
+     2.0, "record_every: expected an integer, got 2.0"),
+    ("seed", -(2 ** 63) - 1,
+     "seed: must be >= -9223372036854775808, got -9223372036854775809",
+     "0", "seed: expected an integer, got '0'"),
+]
+
+
+@pytest.mark.parametrize("key,low,low_msg,bad,bad_msg", NUMERIC_ERRORS,
+                         ids=[row[0] for row in NUMERIC_ERRORS])
+def test_numeric_key_errors_state_the_rule(key, low, low_msg, bad, bad_msg):
+    for value, msg in ((low, low_msg), (bad, bad_msg)):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"problem": "p2", "t_end": 1, key: value})
+        assert str(err.value) == msg
+
+
+def test_first_offending_numeric_key_is_reported_in_schema_order():
+    # the bad keys are inserted in reverse; the error follows the schema
+    for i, row in enumerate(NUMERIC_ERRORS):
+        raw = {"problem": "p2", "mode": "discrete"}
+        raw.update((key, low) for key, low, *_ in reversed(NUMERIC_ERRORS[i:]))
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert str(err.value) == row[2]
+
+
 def test_round_trip_is_identity():
     cfg = parse_config(MINIMAL)
     again = parse_config(cfg.to_text())
@@ -374,6 +428,17 @@ def test_main_exit_3_on_divergence(cmd, monkeypatch, capsys):
     assert f"left the region of {name}" in capsys.readouterr().err
 
 
+def test_main_exit_3_on_step_underflow(monkeypatch, capsys):
+    # a gradient of size 1e9 oscillating on a 1e-12 scale: the adaptive
+    # step is never accepted and falls to the float spacing of the window
+    _register(monkeypatch, "rough",
+              lambda x: (1e9 * np.sin(1e12 * x))[..., None, :])
+    rc = main(["run", "--problem", "rough", "--x0", "0.5",
+               "--scaling", "const:1", "--t-end", "1"])
+    assert rc == 3
+    assert "step size underflow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", ["run", "accel"])
 def test_main_exit_3_on_numeric_domain(cmd, monkeypatch, capsys):
     # an ascent field whose gradient turns NaN past |x| = 1.2
@@ -399,6 +464,16 @@ def test_main_mode_conflict_between_file_and_subcommand(tmp_path, capsys):
     cfgfile.write_text('{"problem": "p2", "mode": "flow", "t_end": 1}')
     assert main(["discrete", "--config", str(cfgfile)]) == 2
     assert "mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["accel", "discrete"])
+def test_run_rejects_a_config_file_of_another_mode(mode, tmp_path, capsys):
+    # run is the flow subcommand: it does not switch to the file's mode
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"problem": "p2", "mode": mode, "t_end": 1}))
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert (f"mode: config file says {mode!r} but the subcommand is flow"
+            in capsys.readouterr().err)
 
 
 def test_main_list_problems(capsys):

@@ -130,6 +130,21 @@ def test_stop_tolerance():
     assert len(seq) < 10 ** 5
 
 
+def test_start_points_checked_as_in_flow():
+    # run_discrete shares the flow's start check: a (1, n) start is rejected
+    # with the same message, and a scalar start of a 1-D problem is taken
+    p, rule = ball_problem(), constant([1.0])
+    cfg, fc = DiscreteConfig(max_iters=3), FlowConfig(t_end=1.0)
+    assert np.array_equal(run_discrete(p, rule, 1.0, cfg).states,
+                          run_discrete(p, rule, [1.0], cfg).states)
+    for x0, msg in (([[1.0]], "finite vector of length 1"),
+                    ([5.0], r"x0 \[5.0\] outside the region of ball")):
+        with pytest.raises(InvalidInputError, match=msg):
+            integrate_first_order(p, rule, x0, fc)
+        with pytest.raises(InvalidInputError, match=msg):
+            run_discrete(p, rule, x0, cfg)
+
+
 def test_degenerate_scaling_propagates():
     p = ball_problem()
     # the step rule needs a declared positive floor, which eta = 0 lacks
