@@ -6,6 +6,12 @@ flows need: the minimum-norm point of a hull, the Euclidean projection of an
 arbitrary point onto a hull, support points in a given direction with a
 deterministic tie rule, and the Hausdorff distance between two hulls.
 
+The Hausdorff distance also takes stacks: (..., mA, n) and (..., mB, n)
+generator arrays with equal leading shapes give an array of distances.  One
+implementation serves one pair and a stack; it projects one vertex of every
+hull in the stack at a time, and its distances equal the one-pair values bit
+for bit.
+
 Projections are solved with an active-set minimum-norm-point method (Wolfe's
 algorithm) on the shifted generators, with closed forms for one or two
 generators.  Every result carries simplex weights and satisfies the standard
@@ -36,12 +42,15 @@ _STOP_TOL = 1e-10
 _DROP_TOL = 1e-14
 
 
-def _as_generator_matrix(generators):
+def _as_generator_matrix(generators, stacked=False):
+    # An (m, n) matrix; with stacked=True also an (..., m, n) stack of them.
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
         G = G[None, :]
-    if G.ndim != 2 or G.shape[0] < 1 or G.shape[1] < 1:
-        raise InvalidInputError(f"generators must be a nonempty (m, n) matrix, got shape {G.shape}")
+    if not (G.ndim == 2 or stacked and G.ndim > 2) or G.shape[-2] < 1 or G.shape[-1] < 1:
+        stack = " or (..., m, n) stack" if stacked else ""
+        raise InvalidInputError(
+            f"generators must be a nonempty (m, n) matrix{stack}, got shape {G.shape}")
     if not np.all(np.isfinite(G)):
         raise InvalidInputError("generators contain non-finite entries")
     return G
@@ -314,23 +323,58 @@ def support_point(b, generators):
     return tuple(tied), point
 
 
+def _point_hull_distance(p, Q):
+    # dist(p, conv Q) for a (..., n) stack of points and (..., mQ, n) hulls,
+    # rounded as project_onto_hull rounds it: R = Q - p, w the min-norm
+    # weights of R, distance ||(p + w @ R) - p||.  The dot products use
+    # stacked @, which calls the same BLAS dot as one pair does.
+    R = Q - p[..., None, :]
+    mQ, n = R.shape[-2:]
+    if mQ == 1:
+        V = R[..., 0, :]
+    else:
+        if mQ == 2:
+            # _segment_weights on every R: theta = 1 on a zero-length segment
+            d = R[..., 0, :] - R[..., 1, :]
+            dd = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+            r1d = (R[..., 1, None, :] @ d[..., :, None])[..., 0, 0]
+            theta = np.divide(-r1d, dd, out=np.ones_like(dd), where=dd != 0.0)
+            np.clip(theta, 0.0, 1.0, out=theta)
+            w = np.stack([theta, 1.0 - theta], axis=-1)
+        else:
+            w = np.array([_min_norm_weights(Rk) for Rk in R.reshape(-1, mQ, n)])
+            w = w.reshape(R.shape[:-1])
+        V = (w[..., None, :] @ R)[..., 0, :]
+    diff = (p + V) - p
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+
+
+def _excess(P, Q):
+    # max over the vertices p of P of dist(p, conv Q), one vertex at a time
+    # for the whole stack
+    return np.max([_point_hull_distance(P[..., i, :], Q)
+                   for i in range(P.shape[-2])], axis=0)
+
+
 def hausdorff_hull_distance(generators_a, generators_b):
     """Hausdorff distance between conv(A) and conv(B).
+
+    A and B are one pair of (mA, n) and (mB, n) generator matrices, which
+    gives a float, or two stacks (..., mA, n) and (..., mB, n) with equal
+    leading shapes, which give an array of the pairwise distances.  Both go
+    through one implementation, and a stacked distance equals the distance
+    of its pair bit for bit.
 
     For polytopes the excess of A over B is attained at a vertex of A, since
     the distance to a convex set is a convex function, so it suffices to
     project the generators of each hull onto the other.
     """
-    A = _as_generator_matrix(generators_a)
-    B = _as_generator_matrix(generators_b)
-    if A.shape[1] != B.shape[1]:
+    A = _as_generator_matrix(generators_a, stacked=True)
+    B = _as_generator_matrix(generators_b, stacked=True)
+    if A.shape[-1] != B.shape[-1]:
         raise InvalidInputError("hulls live in different dimensions")
-
-    def excess(P, Q):
-        worst = 0.0
-        for p in P:
-            _, point = _project_weights(p, Q)
-            worst = max(worst, float(np.linalg.norm(point - p)))
-        return worst
-
-    return max(excess(A, B), excess(B, A))
+    if A.shape[:-2] != B.shape[:-2]:
+        raise InvalidInputError(f"hull stacks have different leading shapes "
+                                f"{A.shape[:-2]} and {B.shape[:-2]}")
+    h = np.maximum(_excess(A, B), _excess(B, A))
+    return float(h) if h.ndim == 0 else h

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mbgf import problems
 from mbgf.errors import ConfigError, InvalidInputError, NumericDomainError
 from mbgf.problems import (
     Box,
@@ -221,17 +222,25 @@ def test_error_paths():
         bad.value([0.5])
 
 
-def test_register_plugin_roundtrip():
-    name = register_problem(lambda: make_problem(
-        "plugin-demo", 1, 1,
-        lambda x: (x * x).sum(axis=-1, keepdims=True),
-        lambda x: 2.0 * x[..., None, :],
-        lipschitz=[2.0], lower_bounds=[0.0], convexity_class="convex",
-        region=Box([-1.0], [1.0]), grad_bound=2.0, starts=[[0.5]],
-    ))
+def test_register_plugin_roundtrip(monkeypatch):
+    def factory():
+        return make_problem(
+            "plugin-demo", 1, 1,
+            lambda x: (x * x).sum(axis=-1, keepdims=True),
+            lambda x: 2.0 * x[..., None, :],
+            lipschitz=[2.0], lower_bounds=[0.0], convexity_class="convex",
+            region=Box([-1.0], [1.0]), grad_bound=2.0, starts=[[0.5]],
+        )
+
+    # the setitem makes monkeypatch remove the entry again
+    monkeypatch.setitem(problems._REGISTRY, "plugin-demo", factory)
+    name = register_problem(factory)
+    assert name == "plugin-demo"
     assert name in list_problems()
     q = get_problem(name)
     assert np.allclose(q.value([0.5]), [0.25])
+    monkeypatch.undo()
+    assert list_problems() == sorted(ALL)
 
 
 # The built-in oracles fill preallocated arrays; these are the np.stack

@@ -56,9 +56,10 @@ def test_report_shape_and_pass():
     assert verify.suite_passed(rep)
 
 
-def test_same_seed_byte_identical_json():
-    a = verify.run_suite("problem-sanity", seed=3)
-    b = verify.run_suite("problem-sanity", seed=3)
+@pytest.mark.parametrize("suite", ["problem-sanity", "hausdorff-lipschitz"])
+def test_same_seed_byte_identical_json(suite):
+    a = verify.run_suite(suite, seed=3)
+    b = verify.run_suite(suite, seed=3)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
