@@ -417,6 +417,8 @@ def run_experiment(cfg):
         # deterministic work counts, unlike the wall time
         summary["work"] = {"rhs_evals": result.rhs_evals,
                            "steps": result.steps, "rejected": result.rejected}
+        if cfg.mode == "accel":
+            summary["work"]["switches"] = result.switches
     if cfg.out_json:
         _write_text(cfg.out_json, summary_json_text(summary))
     return summary
@@ -467,8 +469,11 @@ def _print_run_summary(summary, out):
           f"scaled {final['crit_scaled']:.3e}", file=out)
     if "work" in summary:
         work = summary["work"]
+        switches = (f", {work['switches']} located switches"
+                    if "switches" in work else "")
         print(f"  work: {work['steps']} steps ({work['rejected']} rejected), "
-              f"{work['rhs_evals']} right-hand-side evaluations", file=out)
+              f"{work['rhs_evals']} right-hand-side evaluations{switches}",
+              file=out)
     for rep in summary["rate_reports"]:
         sup = "n/a" if rep["observed_sup"] is None else f"{rep['observed_sup']:.4g}"
         print(f"  rate {rep['name']}: {rep['verdict']} "

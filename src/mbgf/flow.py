@@ -6,31 +6,43 @@ integrates the damped second-order system
     xddot + r/(t+theta) xdot + proj_{C_alpha(x)}(-xddot) = 0
 
 as a first-order system in the stacked state y = (x, v), started at rest
-(v = 0), with the implicit xddot solved in closed form each evaluation.
-A mode supplies only its right-hand side and its record; each record
-returns the right-hand side at the recorded state along with its row.
-Both modes record at t0 + j dt for j = 0, record_every, 2 record_every, ...
-and at the last step count j = round((t_end - t0) / dt), and both share the
-divergence guard and the Trajectory assembly.
+(v = 0).  A mode supplies only its right-hand side and its record; each
+record returns the right-hand side at the recorded state along with its
+row.  Both modes run on one stepping loop, the embedded Dormand-Prince 5(4)
+pair with step-size control (Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-II.6), and share the divergence guard and the Trajectory assembly.
+Both record at t0 + j dt for j = 0, record_every, 2 record_every, ... and
+at the last step count j = round((t_end - t0) / dt).  dt sets that grid and
+the first trial step, not a step bound.  Records between step ends come
+from the pair's 4th-order dense output; the last is the end of the last
+step, where stepping stops.  At a fixed point every stage is zero, so the
+error estimate is zero and every record repeats the first bit for bit.
 
 The first-order right-hand side is Lipschitz and smooth away from switches
-of the projection's active set.  It is integrated by the embedded
-Dormand-Prince 5(4) pair with step-size control (Hairer, Norsett & Wanner,
-Solving ODEs I, II.4-II.6): the error estimate shrinks the step at a switch
-and lets it grow where the flow is smooth.  dt sets the record grid and the
-first trial step, not a step bound.  Records between step ends come from
-the pair's 4th-order dense output; the last is the end of the last step,
-where stepping stops.  At a fixed point every stage is zero, so the error
-estimate is zero and every record repeats the first bit for bit.
+of the projection's active set: the error estimate shrinks the step at a
+switch and lets it grow where the flow is smooth.
 
 The accelerated right-hand side jumps wherever the support face of the
-hull switches, and an error control would collapse the step there.  That
-mode keeps the classical RK4 step of size dt, and the theorem checks
-downstream carry slack for the O(dt) error near switches.  A state that
-one RK4 step maps to itself byte for byte, with every stage velocity zero
-(so the step cannot depend on t), is an exact fixed point: stepping stops
-and the remaining records are taken at that state, bit-identical to the
-ones stepping would give.
+hull switches, so the system is a differential inclusion (Filippov,
+Differential Equations with Discontinuous Righthand Sides, 1988).  For a
+pair (m = 2), with u_i = g_i / alpha_i and delta = u_1 - u_2, the sign of
+the switching function sigma(x, v) = <v, delta> picks the support point:
+u_1 where sigma > 0 and u_2 where sigma < 0.  Each of three regimes has a
+smooth right-hand side: c = u_1, c = u_2, and sliding on sigma = 0 with
+c = lambda u_1 + (1 - lambda) u_2 and the equivalent control
+
+    lambda = (-<b + u_2, delta> + <v, D delta v>) / |delta|^2,
+
+b = r/(t+theta) v, which keeps d sigma/dt = 0.  D delta v, the derivative
+of delta along v, comes from a central difference of the gradients, paid
+only while sliding.  Sliding lasts while lambda is in [0, 1] and leaves
+past either end to that end's side.  When an accepted step ends outside
+its regime, the crossing is located on the step's dense output, the step
+is cut there, and stepping restarts at that point in the next regime:
+sliding if lambda is in [0, 1] there, else across the surface.  From rest
+sigma = 0, and the first regime is the one of lambda at the start, where
+it is the unclamped minimum-norm weight of the hull.  For other m the
+support point keeps its minimum-norm tie rule.
 """
 
 import math
@@ -45,9 +57,16 @@ from .geometry import (_as_generator_matrix, _as_vector, _min_norm,
 from .scaling import generator_map
 
 DIVERGENCE_SLACK = 0.1  # fraction of the region diameter a state may overshoot
-# Error tolerance of the first-order step: the RMS over components of the
-# local error estimate divided by TOL (1 + max(|y|, |y_new|)) must be <= 1.
+# Error tolerance of a step: the RMS over components of the local error
+# estimate divided by TOL (1 + max(|y|, |y_new|)) must be <= 1.
 TOL = 1e-11
+# A pair's regime c = u_1 (s = 1) or c = u_2 (s = -1) holds while
+# s sigma >= -SIGMA_BAND (1 + |v| |delta|), so rounding alone never ends it.
+SIGMA_BAND = 1e-10
+# Central-difference step of D delta v along v, relative to 1 + |x|.
+FD_STEP = 1e-5
+# Event location stops when the bracket is this narrow, in units of the step.
+ROOT_TOL = 1e-13
 
 # Dormand & Prince (1980), RK5(4)7M.  Row i of _DP_A holds the stage
 # weights a_ij (j < i); row 6 is the 5th-order solution, so the 7th stage,
@@ -76,12 +95,11 @@ class FlowConfig:
     """Integration window and mode.
 
     mode is "first_order" or "accelerated".  Records are taken every
-    record_every multiples of dt after t0.  In first-order mode dt is also
-    the first trial step of the adaptive pair, which then sizes its own
-    steps; in accelerated mode dt is the fixed RK4 step.  r and theta only
-    apply to the accelerated system, which starts at rest (r >= 3 is the
-    regime the rate theory covers, smaller values run but void the
-    guarantees).
+    record_every multiples of dt after t0.  dt is also the first trial step
+    of the adaptive pair, which then sizes its own steps in both modes.
+    r and theta only apply to the accelerated system, which starts at rest
+    (r >= 3 is the regime the rate theory covers, smaller values run but
+    void the guarantees).
     """
 
     t_end: float
@@ -120,16 +138,19 @@ class Trajectory:
     None), weights of the active projection.
 
     Work counts, deterministic for a given input: steps accepted, steps
-    rejected by the error control (always 0 for RK4), and rhs_evals, the
-    right-hand-side evaluations of the stepping loop.  An RK4 record taken
-    while stepping evaluates the next k1 and counts as one of them; in
-    first-order mode only the t0 record does, and every later record costs
-    one oracle call of its own.
+    rejected by the error control, and rhs_evals = 1 + 6 (steps +
+    rejected), the stage evaluations of the stepping loop.  The t0 record
+    supplies the first stage; every later record costs an evaluation of its
+    own.  switches counts the located regime changes of an accelerated pair
+    (sliding entries, sliding exits and crossings of sigma = 0); it is 0 for
+    other m and None in first-order mode.  A located switch also evaluates
+    the switching function on the dense output and the right-hand side at
+    the restart point, outside the stage count.
     """
 
     __slots__ = ("times", "states", "velocities", "f_values", "speeds",
                  "crit_unscaled", "crit_scaled", "energies", "weights",
-                 "rhs_evals", "steps", "rejected",
+                 "rhs_evals", "steps", "rejected", "switches",
                  "mode", "problem_name", "rule_spec", "config")
 
     def __init__(self, **kw):
@@ -197,19 +218,41 @@ def _trajectory(p, rule, cfg, fields, rows, **work):
                       **columns, **work)
 
 
-def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields):
-    """The adaptive Dormand-Prince 5(4) loop of the first-order mode,
-    recording at t0 + j dt for each step count j in counts.  rhs(y, t) is
-    the right-hand side; record(t, y) returns rhs(y, t) and the row of
-    recorded values named by fields.  Only the t0 record's right-hand side
-    feeds a step; later steps take their first stage from the last stage
-    of the step before."""
+def _dense_output(y, y_new, h, K):
+    """The pair's 4th-order interpolant on the step from y to y_new, as a
+    function of the step fraction th: y + th (dy + (1-th) (b + th (c +
+    (1-th) d)))."""
+    dy = y_new - y
+    b = h * K[0] - dy
+    c = dy - h * K[6] - b
+    d = h * (_DP_D @ K)
+
+    def at(th):
+        th1 = 1.0 - th
+        return y + th * (dy + th1 * (b + th * (c + th1 * d)))
+    return at
+
+
+def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None):
+    """The adaptive Dormand-Prince 5(4) loop, recording at t0 + j dt for
+    each step count j in counts.  rhs(y, t) is the right-hand side;
+    record(t, y) returns rhs(y, t) and the row of recorded values named by
+    fields.  Only the t0 record's right-hand side feeds a step; later steps
+    take their first stage from the last stage of the step before.
+
+    events, when given, switches the right-hand side between smooth
+    regimes: events.left() tells whether the last stage lies outside the
+    current regime, events.locate(dense, t, h) returns the step fraction of
+    the crossing on the step's dense output, and events.switch(y, t)
+    changes regime there and returns the new right-hand side, which starts
+    the next step.
+    """
     lo, hi = _guard_bounds(p, y0.size)
     t0, dt = cfg.t0, cfg.dt
     times = [t0 + j * dt for j in counts]
     t_end = times[-1]
     h_min = math.ulp(max(abs(t0), abs(t_end)))
-    A, C, E, D = _DP_A, _DP_C, _DP_E, _DP_D
+    A, C, E = _DP_A, _DP_C, _DP_E
 
     K = np.empty((7, y0.size))
     K[0], row = record(t0, y0)
@@ -230,8 +273,8 @@ def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields):
         err = math.sqrt(float(e @ e) / e.size)
         if not err <= 1.0:
             if not math.isfinite(err):
-                what = "error estimate" if np.isfinite(y_new).all() else "state"
-                raise NumericDomainError(f"non-finite {what} at t = {t_new:.6g}")
+                raise NumericDomainError(
+                    f"non-finite {_non_finite_part(y_new, p.n)} at t = {t_new:.6g}")
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             grow = False
@@ -239,26 +282,27 @@ def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields):
                 raise NoConvergenceError(
                     f"step size underflow ({h:.3g}) at t = {t:.17g}")
             continue
-        _guard(y_new, t_new, lo, hi, p)
         accepted += 1
+        dense = None
+        switch = events is not None and events.left()
+        if switch:
+            # cut the step where it leaves its regime
+            dense = _dense_output(y, y_new, h, K)
+            th = events.locate(dense, t, h)
+            if th < 1.0:
+                t_new, y_new, last = t + th * h, dense(th), False
+        _guard(y_new, t_new, lo, hi, p)
         if times[q] <= t_new:
-            # dense output y + th (dy + (1-th) (b + th (c + (1-th) d)))
-            dy = y_new - y
-            b = h * K[0] - dy
-            c = dy - h * K[6] - b
-            d = h * (D @ K)
+            dense = dense or _dense_output(y, y_new, h, K)
             while q < len(times) and times[q] <= t_new:
                 tq = times[q]
-                if tq == t_new:
-                    x = y_new
-                else:
-                    th = (tq - t) / h
-                    th1 = 1.0 - th
-                    x = y + th * (dy + th1 * (b + th * (c + th1 * d)))
+                x = y_new if tq == t_new else dense((tq - t) / h)
                 rows.append(record(tq, x)[1])
                 q += 1
         if last:
             break
+        if switch:
+            K[6] = events.switch(y_new, t_new)
         fac = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
         h *= fac if grow else min(fac, 1.0)
         grow = True
@@ -269,47 +313,10 @@ def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields):
                        rhs_evals=1 + 6 * (accepted + rejected))
 
 
-def _run_rk4(p, rule, cfg, y0, counts, rhs, record, fields):
-    """The fixed-step RK4 loop of the accelerated mode over the stacked
-    state y0 = (x0, v0), recording after each step count in counts.
-    rhs(y, t) is the right-hand side; record(t, y) returns rhs(y, t), the
-    next step's k1, and the row of recorded values named by fields."""
-    n = p.n
-    lo, hi = _guard_bounds(p, y0.size)
-    t0, dt, steps = cfg.t0, cfg.dt, counts[-1]
-    half = 0.5 * dt
-    sixth = dt / 6.0
-
-    y = y0
-    k1, row = record(t0, y)
-    rows = [row]
-    q, taken, evals = 1, steps, 4 * steps + 1
-    for k in range(steps):
-        t = t0 + k * dt
-        k2 = rhs(y + half * k1, t + half)
-        k3 = rhs(y + half * k2, t + half)
-        k4 = rhs(y + dt * k3, t + dt)
-        y_new = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        t = t0 + (k + 1) * dt
-        _guard(y_new, t, lo, hi, p)
-        # t enters a step only as the damping factor of a stage velocity,
-        # so with every stage velocity zero the step is the same at all t.
-        if y_new.tobytes() == y.tobytes() and not (
-                k1[:n].any() or k2[:n].any() or k3[:n].any() or k4[:n].any()):
-            # y is an exact fixed point: record it at every step count
-            # stepping would still have reached
-            rows.extend(record(t0 + j * dt, y)[1] for j in counts[q:])
-            taken, evals = k + 1, 4 * (k + 1)
-            break
-        y = y_new
-        if k + 1 == counts[q]:
-            k1, row = record(t, y)
-            rows.append(row)
-            q += 1
-        else:
-            k1 = rhs(y, t)
-    return _trajectory(p, rule, cfg, fields, rows, steps=taken, rejected=0,
-                       rhs_evals=evals)
+def _non_finite_part(y, n):
+    if not np.isfinite(y[:n]).all():
+        return "state"
+    return "error estimate" if np.isfinite(y).all() else "velocity"
 
 
 def _balanced_record(p, gens, x):
@@ -365,11 +372,172 @@ def solve_implicit_acceleration(generators, b):
     return _implicit_acceleration(G, b)[1]
 
 
+_FD_ROWS = np.array([[0.0], [1.0], [-1.0]])
+
+
+def _sliding_weight(grads, gens, x, v, k):
+    """The raw gradients and generators U of a pair at x, delta = U[0] -
+    U[1], and the equivalent control lambda = (-<b + u_2, delta> +
+    <v, D delta v>) / |delta|^2 with b = k v, which keeps d<v, delta>/dt = 0.
+
+    D delta v comes from a central difference of the gradients at
+    x +- e v, with |e v| = FD_STEP (1 + |x|), evaluated in one stacked
+    oracle call with x itself.  At v = 0 it is zero and x alone is
+    evaluated, as it is at an infinite v, where the field is not finite.
+    A zero delta gives lambda = 1, as the min-norm weights of a
+    zero-length segment do.
+    """
+    vv = float(v @ v)
+    if 0.0 < vv < math.inf:
+        e = FD_STEP * (1.0 + math.sqrt(float(x @ x))) / math.sqrt(vv)
+        graw3 = grads(x + (e * _FD_ROWS) * v)  # x, x + e v, x - e v
+        U3 = gens(graw3)
+        D3 = U3[:, 0] - U3[:, 1]
+        # sigma = <v, delta> and <v, delta> ahead of and behind x
+        sigma, ahead, behind = (D3 @ v).tolist()
+        graw, U, delta = graw3[0], U3[0], D3[0]
+        num = (ahead - behind) / (2.0 * e) - k * sigma
+    else:
+        graw = grads(x)
+        U = gens(graw)
+        delta = U[0] - U[1]
+        num = -k * float(v @ delta)
+    num -= float(U[1] @ delta)
+    dd = float(delta @ delta)
+    return graw, U, delta, num / dd if dd > 0.0 else 1.0
+
+
+_VERTICES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+class _SlidingPair:
+    """The accelerated system of a pair (m = 2) as a Filippov system.
+
+    regime is 1 (c = u_1), -1 (c = u_2) or 0 (sliding on sigma = 0); it is
+    None until the t0 evaluation picks it.  select() gives the right-hand
+    side in the current regime and keeps what left() needs about the
+    point it evaluated.
+    """
+
+    def __init__(self, p, gens, r, theta):
+        self.n, self.grads, self.gens = p.n, p._grads, gens
+        self.r, self.theta = r, theta
+        self.regime = None
+        self.switches = 0
+        self._last = None
+
+    def select(self, y, t):
+        """Raw gradients, generators, weights and xddot at (y, t)."""
+        n = self.n
+        x, v = y[:n], y[n:]
+        k = self.r / (t + self.theta)
+        b = k * v
+        if not self.regime:
+            graw, U, delta, lam = _sliding_weight(self.grads, self.gens, x, v, k)
+            if self.regime is None:
+                # from rest sigma = 0, and lambda is the unclamped min-norm
+                # weight of the hull
+                self.regime = 1 if lam > 1.0 else -1 if lam < 0.0 else 0
+            if self.regime == 0:
+                self._last = lam
+                w = min(1.0, max(0.0, lam))
+                return graw, U, np.array([w, 1.0 - w]), -(b + (U[1] + lam * delta))
+        else:
+            graw = self.grads(x)
+            U = self.gens(graw)
+        i = 0 if self.regime > 0 else 1
+        self._last = (v, U)
+        return graw, U, _VERTICES[i], -(b + U[i])
+
+    def rhs(self, y, t):
+        return np.concatenate((y[self.n:], self.select(y, t)[3]))
+
+    def left(self):
+        """Whether the last evaluated point lies outside the regime."""
+        if self.regime:
+            v, U = self._last
+            delta = U[0] - U[1]
+            band = SIGMA_BAND * (1.0 + math.sqrt(float(v @ v) * float(delta @ delta)))
+            return self.regime * float(v @ delta) < -band
+        return not 0.0 <= self._last <= 1.0
+
+    def locate(self, dense, t, h):
+        """The step fraction where the step's dense output leaves the
+        regime: the first point past the root of s sigma, or of lambda or
+        1 - lambda, by Illinois regula falsi from the step's start to the
+        last evaluated point, its end.  The start is in the regime, since
+        the step before ended there, except for a regime +-1 start that
+        rounding put inside the band; that one switches at once."""
+        n, s = self.n, self.regime
+        if s:
+            v, U = self._last
+            g_hi = s * float(v @ (U[0] - U[1]))
+
+            def g(th):
+                y = dense(th)
+                U = self.gens(self.grads(y[:n]))
+                return s * float(y[n:] @ (U[0] - U[1]))
+        else:
+            high = self._last > 1.0
+            g_hi = 1.0 - self._last if high else self._last
+
+            def g(th):
+                y = dense(th)
+                lam = _sliding_weight(self.grads, self.gens, y[:n], y[n:],
+                                      self.r / (t + th * h + self.theta))[3]
+                return 1.0 - lam if high else lam
+        g_lo = g(0.0)
+        if not g_lo >= 0.0:
+            return 0.0
+        return _illinois(g, g_lo, g_hi)
+
+    def switch(self, y, t):
+        """Change regime at a located crossing; the right-hand side there."""
+        n = self.n
+        lam = _sliding_weight(self.grads, self.gens, y[:n], y[n:],
+                              self.r / (t + self.theta))[3]
+        if self.regime:
+            # reached sigma = 0: slide if lambda holds it there, else cross
+            self.regime = 0 if 0.0 <= lam <= 1.0 else -self.regime
+        else:
+            # lambda left [0, 1]: leave to the side of the end it passed
+            self.regime = 1 if lam > 1.0 else -1
+        self.switches += 1
+        return self.rhs(y, t)
+
+
+def _illinois(g, g_lo, g_hi):
+    """The first point past the root of g on [0, 1], where g(0) = g_lo >= 0
+    and g(1) = g_hi < 0: the upper end of a bracket narrowed below ROOT_TOL
+    by the Illinois variant of regula falsi."""
+    lo, hi = 0.0, 1.0
+    kept = 0  # which end was kept last: -1 lower, 1 upper
+    while hi - lo > ROOT_TOL:
+        th = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if not lo < th < hi:
+            th = 0.5 * (lo + hi)
+        gt = g(th)
+        if gt >= 0.0:
+            lo, g_lo = th, gt
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        else:
+            hi, g_hi = th, gt
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+    return hi
+
+
 def integrate_accelerated(p, rule, x0, cfg):
-    """RK4 integration of the damped accelerated system from x0 at rest.
+    """Adaptive Dormand-Prince 5(4) integration of the damped accelerated
+    system from x0 at rest.
 
     Restricted to constant scaling rules; the damping coefficient is
-    r/(t + theta) and xddot is recovered in closed form each evaluation.
+    r/(t + theta).  A pair (m = 2) runs as a Filippov system with a located
+    sliding rule, see the module docstring; other m take xddot in closed
+    form from the support point with its minimum-norm tie rule.
     """
     if cfg.mode != "accelerated":
         raise InvalidInputError("integrate_accelerated needs mode='accelerated'")
@@ -379,25 +547,36 @@ def integrate_accelerated(p, rule, x0, cfg):
     n = p.n
     grads, gens = p._grads, generator_map(rule, p.m)
     r, theta = float(cfg.r), float(cfg.theta)
-    alpha = np.asarray(rule.values, dtype=float)
+    half_alpha = 0.5 * np.asarray(rule.values, dtype=float)
 
-    def rhs(y, t):
-        v = y[n:]
-        xdd = _implicit_acceleration(gens(grads(y[:n])), (r / (t + theta)) * v)[1]
-        return np.concatenate((v, xdd))
+    if p.m == 2:
+        events = _SlidingPair(p, gens, r, theta)
+        select, rhs = events.select, events.rhs
+    else:
+        events = None
+
+        def select(y, t):
+            graw = grads(y[:n])
+            G = gens(graw)
+            w, xdd = _implicit_acceleration(G, (r / (t + theta)) * y[n:])
+            return graw, G, w, xdd
+
+        def rhs(y, t):
+            return np.concatenate((y[n:], select(y, t)[3]))
 
     def record(t, y):
         x, v = y[:n], y[n:]
-        graw = grads(x)
-        G = gens(graw)
-        w, xdd = _implicit_acceleration(G, (r / (t + theta)) * v)
+        graw, G, w, xdd = select(y, t)
         f = p._value(x)
         speed2 = float(v @ v)
         return np.concatenate((v, xdd)), (
-            t, x.copy(), v.copy(), f, float(np.sqrt(speed2)),
-            _min_norm(graw)[2], _min_norm(G)[2], f + 0.5 * alpha * speed2, w)
+            t, x.copy(), v.copy(), f, math.sqrt(speed2),
+            _min_norm(graw)[2], _min_norm(G)[2], f + half_alpha * speed2, w)
 
-    return _run_rk4(p, rule, cfg, np.concatenate((x0, np.zeros(n))), counts,
-                    rhs, record,
-                    ("times", "states", "velocities", "f_values", "speeds",
-                     "crit_unscaled", "crit_scaled", "energies", "weights"))
+    tr = _run_dp54(p, rule, cfg, np.concatenate((x0, np.zeros(n))), counts,
+                   rhs, record,
+                   ("times", "states", "velocities", "f_values", "speeds",
+                    "crit_unscaled", "crit_scaled", "energies", "weights"),
+                   events)
+    tr.switches = 0 if events is None else events.switches
+    return tr

@@ -98,6 +98,13 @@ def _monitor_check(name, record, checks):
     checks.append(_check(name, record["worst_excess"], 0.0))
 
 
+def _energy_check(tag, tr, checks):
+    # W_i = f_i + (alpha_i/2)||xdot||^2 nonincreasing, 1e-7 per unit time
+    allowed = 1e-7 * np.diff(tr.times)[:, None]
+    checks.append(_check(f"{tag}-energy-monotone-violation",
+                         monotone_excess(tr.energies, 0.0, allowed), 0.0))
+
+
 def _merit_checks(p, points, bounds, rate_name, run, checks):
     """Check max U / bound of the u0 brackets at the points against 1, and
     max (U - L) / bound against RATE_SLACK.  Returns the brackets."""
@@ -399,10 +406,7 @@ def _suite_accelerated_rate(rng):
         _merit_checks(p, tr.states[idx], V0 / (tr.times[idx] + theta) ** 2,
                       f"{tag}-merit-rate-ratio", tag, checks)
 
-        # W_i = f_i + (alpha_i/2)||xdot||^2 nonincreasing, 1e-7 per unit time
-        allowed = 1e-7 * np.diff(tr.times)[:, None]
-        checks.append(_check(f"{tag}-energy-monotone-violation",
-                             monotone_excess(tr.energies, 0.0, allowed), 0.0))
+        _energy_check(tag, tr, checks)
 
         if r == 4.0:
             # integrability of t||xdot||^2: doubling-window tail integrals
@@ -417,6 +421,17 @@ def _suite_accelerated_rate(rng):
                                  monotone_excess(tails, 0.0), 0.0))
             checks.append(_check(f"{tag}-omega-tail-vs-head",
                                  max(tails) - head, 0.0))
+
+    # off p2's symmetry axis the support face switches, and the flow slides
+    # on sigma = 0; W_i stays nonincreasing there too
+    for tag, pname, start in (("p1-r3", "unbalanced-convex", 1),
+                              ("p3-r3", "nonconvex-bounded-grad", 0)):
+        q = get_problem(pname)
+        tr = integrate_accelerated(q, rule, q.starts[start],
+                                   FlowConfig(t_end=20.0, dt=1e-3,
+                                              mode="accelerated", r=3.0,
+                                              theta=theta, record_every=10))
+        _energy_check(tag, tr, checks)
     return checks
 
 

@@ -284,24 +284,33 @@ def test_run_experiment_writes_artifacts_and_summary(tmp_path):
 
 @pytest.mark.parametrize("mode", ["flow", "accel"])
 def test_summary_work_block_repeats_exactly(tmp_path, mode, capsys):
-    # Step and right-hand-side counts are deterministic, so they repeat
-    # across runs, on disk and on the terminal.
-    cfg = _run_cfg(tmp_path, mode=mode, x0=[0.5, 1.5])
+    # Step, right-hand-side and switch counts are deterministic, so they
+    # repeat across runs, on disk and on the terminal.  The accelerated run
+    # leaves its first slide on p1 and enters another one: two located
+    # switches.  Only accel reports switches.
+    if mode == "flow":
+        cfg = _run_cfg(tmp_path, mode=mode, x0=[0.5, 1.5])
+    else:
+        cfg = _run_cfg(tmp_path, mode=mode, problem="p1", x0=[-0.2, 1.8],
+                       t_end=1.0)
     works = [run_experiment(cfg)["work"] for _ in range(2)]
     assert works[0] == works[1]
     assert json.loads((tmp_path / "run.json").read_text())["work"] == works[0]
     work = works[0]
+    assert work["rhs_evals"] == 1 + 6 * (work["steps"] + work["rejected"])
+    line = (f"work: {work['steps']} steps ({work['rejected']} rejected), "
+            f"{work['rhs_evals']} right-hand-side evaluations")
     if mode == "flow":
-        assert work["rhs_evals"] == 1 + 6 * (work["steps"] + work["rejected"])
+        assert "switches" not in work
     else:
-        assert work == {"rhs_evals": 4 * 2000 + 1, "steps": 2000, "rejected": 0}
+        assert work["switches"] == 2
+        line += ", 2 located switches"
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(cfg.to_text())
     assert main(["run" if mode == "flow" else "accel",
                  "--config", str(cfgfile)]) == 0
-    assert (f"work: {work['steps']} steps ({work['rejected']} rejected), "
-            f"{work['rhs_evals']} right-hand-side evaluations"
-            in capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert f"  {line}\n" in out
 
 
 def test_discrete_summary_has_no_work_block(tmp_path):
@@ -414,18 +423,38 @@ def _register(monkeypatch, name, grads):
 
 @pytest.mark.parametrize("cmd", ["run", "accel"])
 def test_main_exit_3_on_divergence(cmd, monkeypatch, capsys):
-    if cmd == "accel":
-        # alpha = 1e-3 makes the flow 1000 times stiffer than dt = 0.1 allows
-        name, grads = "stiff-ball", lambda x: x[..., None, :]
-    else:
-        # the adaptive first-order step stays stable on the stiff ball; an
-        # ascent field, xdot = 1000 x, leaves the region instead
-        name, grads = "ascent-ball", lambda x: -x[..., None, :]
-    _register(monkeypatch, name, grads)
+    # the adaptive step stays stable on a stiff ball in both flows; an
+    # ascent field, xdot = 1000 x or xddot = 1000 x - r/(t+1) xdot, leaves
+    # the region instead
+    name = "ascent-ball"
+    _register(monkeypatch, name, lambda x: -x[..., None, :])
     rc = main([cmd, "--problem", name, "--x0", "1",
                "--scaling", "const:0.001", "--dt", "0.1", "--t-end", "5"])
     assert rc == 3
     assert f"left the region of {name}" in capsys.readouterr().err
+
+
+def test_accel_with_three_objectives_finishes(monkeypatch, capsys):
+    # m >= 3 has no sliding rule yet: the accelerated flow takes the support
+    # point with its min-norm tie rule on the adaptive pair.  Three
+    # quadratics with centers on a triangle, from (3, 2) at rest: the run
+    # finishes, with no located switch.
+    C = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
+
+    def factory():
+        return make_problem(
+            "triangle", 2, 3,
+            lambda x: 0.5 * ((x[..., None, :] - C) ** 2).sum(axis=-1),
+            lambda x: x[..., None, :] - C, lipschitz=[1.0] * 3,
+            lower_bounds=[0.0] * 3, convexity_class="convex",
+            region=Box([-3.0, -3.0], [5.0, 5.0]), grad_bound=10.0,
+            starts=[[3.0, 2.0]])
+    monkeypatch.setitem(problems._REGISTRY, "triangle", factory)
+    rc = main(["accel", "--problem", "triangle", "--x0", "3,2",
+               "--scaling", "const:1,1,1", "--t-end", "5",
+               "--record-every", "100"])
+    assert rc == 0
+    assert "0 located switches" in capsys.readouterr().out
 
 
 def test_main_exit_3_on_step_underflow(monkeypatch, capsys):

@@ -6,7 +6,9 @@ from mbgf.discrete import DiscreteConfig, run_discrete, step_size
 from mbgf.errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                          NumericDomainError)
 from mbgf.flow import (
+    SIGMA_BAND,
     FlowConfig,
+    _sliding_weight,
     integrate_accelerated,
     integrate_first_order,
     solve_implicit_acceleration,
@@ -16,6 +18,7 @@ from mbgf.geometry import (_min_norm_weights, min_norm_point,
 from mbgf.problems import Box, get_problem, make_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, scaled_hull_generators)
+from mbgf.verify import _exact_min_norm
 
 
 def ball_problem(region=2.0):
@@ -119,28 +122,13 @@ def test_smooth_nonlinear_flow_matches_closed_form():
 
 def test_divergence_error_on_unstable_step():
     # The guard must report the first state outside the box and its time.
-    lo, hi = -2.4, 2.4  # the region [-2, 2] plus 10% of its diameter
-    # Accelerated mode: RK4 at dt = 0.1 is unstable on the alpha = 1e-3
-    # ball; plain stepping (_rk4 below) finds the state and time.
-    p = ball_problem()
-    rule = constant([1e-3])
-    cfg = FlowConfig(t_end=5.0, dt=0.1, mode="accelerated")
-    with pytest.raises(DivergenceError) as err:
-        _integrate(p, rule, [1.0], cfg)
-    rhs = _stepping_rhs(p, rule, cfg)
-    y = np.array([1.0, 0.0])
-    k = 0
-    while lo <= y[0] <= hi:
-        y = _rk4(rhs, y, k * cfg.dt, cfg.dt)
-        k += 1
-    assert str(err.value) == (
-        f"state {y[:1].tolist()} left the region of ball by more than "
-        f"10% of its diameter at t = {k * cfg.dt:.6g}")
-
-    # First-order mode: the step-size control keeps that flow stable, so an
-    # outward field, xdot = 4, is used.  Its stages are all equal, the first
-    # trial step dt = 0.5 is accepted, and it ends near x = 3, outside the
-    # box.  The same run on a wider region records that step's end.
+    # The step-size control keeps both flows stable on the stiff ball, so an
+    # outward field is used, from f = -4x: xdot = 4 in first-order mode, and
+    # xddot = 4 - r/(t+1) xdot in accelerated mode, with the damping made
+    # negligible (r = 1e-9).  The first trial step dt is accepted and ends
+    # near x = 3, outside the box [-2.4, 2.4], the region [-2, 2] plus 10%
+    # of its diameter.  The same run on a wider region records that step's
+    # end.
     def outward(half_width):
         return make_problem(
             "outward", 1, 1, lambda x: -4.0 * x,
@@ -149,14 +137,16 @@ def test_divergence_error_on_unstable_step():
             region=Box([-half_width], [half_width]), grad_bound=4.0,
             starts=[[1.0]])
 
-    cfg = FlowConfig(t_end=0.5, dt=0.5)
-    end = integrate_first_order(outward(10.0), constant([1.0]), [1.0], cfg)
-    assert end.steps == 1 and abs(end.states[-1, 0] - 3.0) <= 1e-15
-    with pytest.raises(DivergenceError) as err:
-        integrate_first_order(outward(2.0), constant([1.0]), [1.0], cfg)
-    assert str(err.value) == (
-        f"state {end.states[-1].tolist()} left the region of outward by more "
-        f"than 10% of its diameter at t = 0.5")
+    for cfg, tol in ((FlowConfig(t_end=0.5, dt=0.5), 1e-15),
+                     (FlowConfig(t_end=1.0, dt=1.0, mode="accelerated",
+                                 r=1e-9), 1e-9)):
+        end = _integrate(outward(10.0), constant([1.0]), [1.0], cfg)
+        assert end.steps == 1 and abs(end.states[-1, 0] - 3.0) <= tol
+        with pytest.raises(DivergenceError) as err:
+            _integrate(outward(2.0), constant([1.0]), [1.0], cfg)
+        assert str(err.value) == (
+            f"state {end.states[-1].tolist()} left the region of outward by "
+            f"more than 10% of its diameter at t = {cfg.t_end:.6g}")
 
 
 def test_numeric_domain_error_propagates():
@@ -362,39 +352,42 @@ def test_first_order_matches_public_reference_path():
 
 
 def test_accelerated_matches_public_reference_path():
-    # v0 = 0 ties every generator at the start, so the first stages take
-    # the tied-face branch of the support point.
+    # From rest at p1's (0.25, 1.5) the pair slides on sigma = 0, with the
+    # equivalent control lambda inside (0, 1), over the whole window.  The
+    # reference rebuilds that sliding field from the validated API, with
+    # p1's exact Hessians for D delta v, and steps it by RK4 at h = 1e-4.
     p = get_problem("unbalanced-convex")
-    rule = constant([1.0, 1.0])
+    rule = constant([1.0, 2.0])
     cfg = FlowConfig(t_end=0.05, dt=1e-3, mode="accelerated", record_every=10)
     tr = integrate_accelerated(p, rule, [0.25, 1.5], cfg)
+    # H_1 / alpha_1 - H_2 / alpha_2
+    D = np.diag([100.0, 1.0]) - np.eye(2) / 2.0
 
-    def support(x, v, t):
-        G = scaled_hull_generators(rule, p, x, t)
-        return support_point((cfg.r / (t + cfg.theta)) * v, G), G
-
-    def rhs(y, t):
+    def sliding(y, t):
         x, v = y[:2], y[2:]
-        (_, c), _ = support(x, v, t)
-        return np.concatenate([v, -((cfg.r / (t + cfg.theta)) * v + c)])
+        U = scaled_hull_generators(rule, p, x, t)
+        delta = U[0] - U[1]
+        b = (cfg.r / (t + cfg.theta)) * v
+        lam = (v @ D @ v - (b + U[1]) @ delta) / (delta @ delta)
+        return lam, np.concatenate([v, -(b + lam * U[0] + (1.0 - lam) * U[1])])
 
-    y = np.array([0.25, 1.5, 0.0, 0.0])
-    for i, t in enumerate(np.arange(51) * cfg.dt):
-        if i % 10 == 0:
-            j = i // 10
+    y, h = np.array([0.25, 1.5, 0.0, 0.0]), 1e-4
+    for i in range(501):
+        lam = sliding(y, i * h)[0]
+        assert 0.0 < lam < 1.0
+        if i % 100 == 0:
+            j = i // 100
             x, v = y[:2], y[2:]
-            (idx, _), G = support(x, v, t)
-            assert i > 0 or len(idx) == p.m
-            w = np.zeros(p.m)
-            w[list(idx)] = (1.0 if len(idx) == 1
-                            else min_norm_point(G[list(idx)]).weights.weights)
             cu, cs, _ = _criticalities(p, rule, x)
-            _assert_close(tr.states[j], x)
-            _assert_close(tr.velocities[j], v)
-            _assert_close(tr.weights[j], w)
+            _assert_close(tr.states[j], x, 1e-10)
+            _assert_close(tr.velocities[j], v, 1e-10)
+            _assert_close(tr.weights[j], [lam, 1.0 - lam], 1e-10)
             _assert_close([tr.crit_unscaled[j], tr.crit_scaled[j], tr.speeds[j]],
-                          [cu, cs, np.linalg.norm(v)])
-        y = _rk4(rhs, y, t, cfg.dt)
+                          [cu, cs, np.linalg.norm(v)], 1e-10)
+            _assert_close(tr.energies[j],
+                          p.value(x) + 0.5 * np.array([1.0, 2.0]) * (v @ v), 1e-10)
+        y = _rk4(lambda y, t: sliding(y, t)[1], y, i * h, h)
+    assert tr.switches == 0
 
 
 def test_discrete_matches_public_reference_path():
@@ -413,12 +406,11 @@ def test_discrete_matches_public_reference_path():
 
 
 # ------------------------------------------------------ exact fixed points
-# At an exact fixed point the accelerated RK4 loop stops stepping, and the
-# first-order pair's stages, error estimate and dense output are all zero.
+# At an exact fixed point the pair's stages, error estimate and dense output
+# are all zero in both modes, so every record repeats the first bit for bit.
 # These compare such runs, and runs that start next to a fixed point, with
-# plain RK4 stepping through _rk4.  In accelerated mode the right-hand sides
-# repeat the integrator's own arithmetic, so the match is bit for bit; the
-# tests above tie that arithmetic to the public API.
+# plain RK4 stepping through _rk4, whose right-hand sides come from the
+# validated support point (with its min-norm tie rule) in accelerated mode.
 
 def _stepping_rhs(p, rule, cfg):
     gens = generator_map(rule, p.m)
@@ -472,6 +464,15 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _assert_records_repeat(tr):
+    arrays = [tr.states, tr.f_values, tr.speeds, tr.crit_unscaled,
+              tr.crit_scaled, tr.weights]
+    if tr.mode == "accelerated":
+        arrays += [tr.velocities, tr.energies]
+    for a in arrays:
+        assert _same_bytes(a, np.repeat(a[:1], len(a), axis=0))
+
+
 @pytest.mark.parametrize("mode", ["first_order", "accelerated"])
 @pytest.mark.parametrize("name,x0,alpha,every", [
     ("unbalanced-convex", [1.0, 1.0], [1.0, 2.0], 1),
@@ -485,17 +486,15 @@ def test_fixed_point_records_equal_stepping(mode, name, x0, alpha, every):
     cfg = FlowConfig(t_end=0.2, dt=1e-3, mode=mode, record_every=every)
     calls = _counting_grads(p)
     tr = _integrate(p, rule, x0, cfg)
-    if mode == "first_order":
-        # The error estimate is 0, so each step is ten times the last:
-        # 1e-3, 1e-2, 0.1 and the rest of the window, six stages each.  The
-        # t0 record supplies the first stage; every other record costs one
-        # oracle call.
-        assert (tr.steps, tr.rejected, tr.rhs_evals) == (4, 0, 25)
-        assert calls[0] == tr.rhs_evals + len(tr) - 1 <= len(tr) + 30
-    else:
-        # One step, which takes its k1 from the first record, then one
-        # oracle call per record.
-        assert calls[0] == len(tr) + 3
+    # The error estimate is 0, so each step is ten times the last: 1e-3,
+    # 1e-2, 0.1 and the rest of the window, six stages each.  The t0 record
+    # supplies the first stage; every other record costs one oracle call.
+    # At rest the pair slides (lambda = 0 on p1, where g_2 = 0, and 1/2 on
+    # p4), and the sliding field evaluates x alone, so the accelerated run
+    # costs the same.
+    assert (tr.steps, tr.rejected, tr.rhs_evals) == (4, 0, 25)
+    assert calls[0] == tr.rhs_evals + len(tr) - 1 <= len(tr) + 30
+    assert tr.switches == (None if mode == "first_order" else 0)
     y0 = x0 if mode == "first_order" else x0 + [0.0] * p.n
     times, ys = _stepped_records(p, rule, y0, cfg)
     assert _same_bytes(tr.times, times)
@@ -505,10 +504,7 @@ def test_fixed_point_records_equal_stepping(mode, name, x0, alpha, every):
     # Stepping never moves the state, so every record repeats the first,
     # which is taken before any step.
     assert np.all(ys == ys[0])
-    arrays = [tr.f_values, tr.speeds, tr.crit_unscaled, tr.crit_scaled,
-              tr.weights] + ([tr.energies] if mode == "accelerated" else [])
-    for a in arrays:
-        assert _same_bytes(a, np.repeat(a[:1], len(a), axis=0))
+    _assert_records_repeat(tr)
     assert tr.crit_scaled[0] == 0.0
 
 
@@ -516,12 +512,13 @@ def test_fixed_point_records_equal_stepping(mode, name, x0, alpha, every):
     ("first_order", "unbalanced-convex", [1.0, 1.0 + 2.0 ** -30], True),
     ("accelerated", "unbalanced-convex", [1.0, 1.0 + 2.0 ** -30], True),
     # a rounding residue of 5e-17 in the min-norm point: too small to move
-    # x in a first-order step, but it builds up a velocity
+    # x in a first-order step, but it builds up a velocity in accelerated
+    # stepping
     ("first_order", "scalar-pair", [0.3], False),
     ("accelerated", "scalar-pair", [0.3], True),
 ])
 def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
-    # The first RK4 stage is tiny but not zero at these starts.
+    # The first stage is tiny but not zero at these starts.
     p = get_problem(name)
     rule = constant([1.0, 1.0])
     G = generator_map(rule, p.m)(p.grads(x0))
@@ -540,49 +537,57 @@ def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
         assert np.abs(tr.states - ys).max() <= 1e-14
         assert np.any(tr.states != tr.states[0]) == moves
     else:
-        assert _same_bytes(tr.states, ys[:, :p.n])
-        assert _same_bytes(tr.velocities, ys[:, p.n:])
+        # The same holds within 1e-15 for the state and the velocity.  On
+        # p4 the sliding weight lambda = 0.35 cancels the residue exactly,
+        # so the integrator stays at rest while stepping drifts by 5e-18.
+        assert np.abs(tr.states - ys[:, :p.n]).max() <= 1e-15
+        assert np.abs(tr.velocities - ys[:, p.n:]).max() <= 1e-15
+        assert np.any(tr.velocities != 0.0) == (name != "scalar-pair")
     assert np.any(ys != ys[0]) == moves
 
 
 @pytest.mark.parametrize("mode", ["first_order", "accelerated"])
 @pytest.mark.parametrize("every", [1, 7])
 def test_each_step_reuses_the_record_k1(mode, every):
-    # An RK4 step evaluates three stages; its first comes from the record,
-    # or the bare right-hand side evaluation, that ended the step before.
-    # So an accelerated run costs 4 * steps + 1 oracle calls at any record
-    # cadence.  A first-order step evaluates six stages; its first is the
-    # last stage of the step before (FSAL), and only the t0 record supplies
-    # one.  Every later record costs one oracle call of its own.
+    # A step evaluates six stages; its first is the last stage of the step
+    # before (FSAL), and only the t0 record supplies one.  Every later
+    # record costs one oracle call of its own.  A sliding stage evaluates
+    # x and the central difference along v in one stacked oracle call, and
+    # this run locates no switch, so both modes cost the same.
     p = get_problem("unbalanced-convex")
     cfg = FlowConfig(t_end=0.05, dt=1e-3, mode=mode, record_every=every)
     calls = _counting_grads(p)
     tr = _integrate(p, constant([1.0, 1.0]), [0.25, 1.5], cfg)
-    if mode == "first_order":
-        assert calls[0] == 1 + 6 * (tr.steps + tr.rejected) + len(tr) - 1
-        assert calls[0] == tr.rhs_evals + len(tr) - 1
-    else:
-        assert calls[0] == 4 * 50 + 1
+    assert tr.rhs_evals == 1 + 6 * (tr.steps + tr.rejected)
+    assert calls[0] == tr.rhs_evals + len(tr) - 1
+    assert tr.switches == (None if mode == "first_order" else 0)
     assert len(tr) == (51 if every == 1 else 9)
 
 
 @pytest.mark.parametrize("name,x0", [
-    ("strongly-convex", [1.0, 1.0]),
-    ("unbalanced-convex", [0.25, 1.5]),
+    ("strongly-convex", [1.0, 0.0]),
+    ("unbalanced-convex", [1.0, 1.0]),
 ])
 def test_accelerated_records_equal_stacked_stepping(name, x0):
-    # From rest every generator ties at t = 0; the records of the stacked
-    # (x, v) driver match plain stepping of the same state bit for bit.
+    # Two weak Pareto points where the pair slides from rest with a sliding
+    # field that is exactly zero: lambda = 1/2 on p2's segment, lambda = 0 at
+    # p1's (1, 1), where g_2 = 0.  Every stage of the stacked (x, v) state is
+    # zero, so the records repeat the first bit for bit, and so does plain
+    # stepping.
     p = get_problem(name)
     rule = constant([1.0, 1.0])
     cfg = FlowConfig(t_end=0.21, dt=1e-3, mode="accelerated", record_every=7)
     tr = integrate_accelerated(p, rule, x0, cfg)
-    times, ys = _stepped_records(p, rule, x0 + [0.0] * p.n, cfg)
     assert len(tr) == 31
+    assert (tr.steps, tr.rejected, tr.rhs_evals, tr.switches) == (4, 0, 25, 0)
+    assert tr.weights[0].tolist() == ([0.5, 0.5] if name == "strongly-convex"
+                                      else [0.0, 1.0])
+    _assert_records_repeat(tr)
+    assert not tr.velocities.any()
+    times, ys = _stepped_records(p, rule, x0 + [0.0] * p.n, cfg)
     assert _same_bytes(tr.times, times)
     assert _same_bytes(tr.states, ys[:, :p.n])
-    assert _same_bytes(tr.velocities, ys[:, p.n:])
-    assert np.any(ys != ys[0])
+    assert np.all(ys == ys[0])
 
 
 # ------------------------------------------------ the adaptive first order
@@ -645,51 +650,207 @@ def test_step_size_underflow_is_no_convergence():
 
 
 @pytest.mark.parametrize("mode,x0", [("first_order", [-0.4, 1.9]),
-                                     ("accelerated", [0.25, 1.5])])
+                                     ("accelerated", [-0.2, 1.8])])
 def test_work_counts_repeat_exactly(mode, x0):
+    # The accelerated run leaves its first slide and enters another one.
     p = get_problem("unbalanced-convex")
     cfg = FlowConfig(t_end=1.0, dt=1e-3, mode=mode, record_every=100)
     runs = [_integrate(p, constant([1.0, 1.0]), x0, cfg) for _ in range(3)]
-    counts = {(tr.rhs_evals, tr.steps, tr.rejected) for tr in runs}
+    counts = {(tr.rhs_evals, tr.steps, tr.rejected, tr.switches) for tr in runs}
     assert len(counts) == 1
-    rhs_evals, steps, rejected = counts.pop()
-    if mode == "first_order":
-        assert rejected > 0 and rhs_evals == 1 + 6 * (steps + rejected)
-    else:
-        assert (rhs_evals, steps, rejected) == (4 * 1000 + 1, 1000, 0)
+    rhs_evals, steps, rejected, switches = counts.pop()
+    assert rejected > 0 and rhs_evals == 1 + 6 * (steps + rejected)
+    assert switches == (None if mode == "first_order" else 2)
 
 
 # ------------------------------------------------------------- the guards
 
+def _twin(name, grad):
+    # two equal objectives on [-1, 1]: the pair's hull is a point, so the
+    # field is smooth and no support scan sees a non-finite stage first
+    return make_problem(
+        name, 1, 2, lambda x: 0.0 * np.concatenate([x, x], axis=-1),
+        lambda x: np.full(x.shape[:-1] + (2, 1), grad()),
+        lipschitz=[1.0, 1.0], lower_bounds=[-1.0, -1.0],
+        convexity_class="convex", region=Box([-1.0], [1.0]), grad_bound=1.0,
+        starts=[[0.0]])
+
+
 def test_overflowing_accelerated_state_is_a_numeric_domain_error():
     # From rest, a huge constant gradient overflows x to -inf in the first
     # step: out of the box, but reported as non-finite.
-    p = make_problem(
-        "steep", 1, 1, lambda x: 1e308 * x, lambda x: np.full(x.shape + (1,), 1e308),
-        lipschitz=[1.0], lower_bounds=[-1.0], convexity_class="convex",
-        region=Box([-1.0], [1.0]), grad_bound=1.0, starts=[[0.0]])
+    p = _twin("steep", lambda: 1e308)
     cfg = FlowConfig(t_end=2.0, dt=2.0, mode="accelerated", r=0.1)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericDomainError, match="non-finite state at t = 2"):
-        integrate_accelerated(p, constant([1.0]), [0.0], cfg)
+        integrate_accelerated(p, constant([1.0, 1.0]), [0.0], cfg)
 
 
 def test_non_finite_velocity_is_a_numeric_domain_error():
-    # The last stage (oracle call 4, after the record's k1 and two more
-    # stages) sees a gradient of 1e308 and earlier stages see 0, so the
-    # state stays put while the velocity update overflows (dt / 6 = 2).
+    # The last stage that builds the new state (oracle call 6, after the
+    # record and four more stages, all taken at rest) sees a gradient of
+    # 1e308 and the others see 0, so the state stays put while the
+    # velocity overflows (h * 11/84 = 1.83).  The last stage then
+    # evaluates at that state.
     calls = [0]
 
-    def grads(x):
+    def grad():
         calls[0] += 1
-        return np.full(x.shape + (1,), 1e308 if calls[0] == 4 else 0.0)
+        return 1e308 if calls[0] == 6 else 0.0
 
-    p = make_problem(
-        "spike", 1, 1, lambda x: 0.0 * x, grads,
-        lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
-        region=Box([-1.0], [1.0]), grad_bound=1.0, starts=[[0.0]])
-    cfg = FlowConfig(t_end=12.0, dt=12.0, mode="accelerated")
-    with np.errstate(over="ignore"), \
-            pytest.raises(NumericDomainError, match="non-finite velocity at t = 12"):
-        integrate_accelerated(p, constant([1.0]), [0.0], cfg)
-    assert calls[0] == 4
+    p = _twin("spike", grad)
+    cfg = FlowConfig(t_end=14.0, dt=14.0, mode="accelerated")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericDomainError, match="non-finite velocity at t = 14"):
+        integrate_accelerated(p, constant([1.0, 1.0]), [0.0], cfg)
+    assert calls[0] == 7
+
+
+# ---------------------------------------------------------- the sliding pair
+
+# D delta = H_1 / alpha_1 - H_2 / alpha_2 is constant on p1, p2 and p4
+_HESSIANS = {
+    "unbalanced-convex": (np.diag([100.0, 1.0]), np.eye(2)),
+    "strongly-convex": (np.eye(2), np.eye(2)),
+    "scalar-pair": (np.array([[2.0]]), np.array([[2.0]])),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_HESSIANS)),
+       u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       v=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+       alpha=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+       damping=st.floats(0.0, 3.0))
+def test_sliding_weight_matches_exact_hessians(name, u, v, alpha, damping):
+    # The central difference of the gradients along v against D delta v
+    # from the exact, constant Hessians: lambda |delta|^2 agrees to 1e-9
+    # relative to the size of its terms.
+    p = get_problem(name)
+    lo, hi = p.region.lo, p.region.hi
+    x = lo + np.array(u[:p.n]) * (hi - lo)
+    v = np.array(v[:p.n])
+    b = damping * v
+    gens = generator_map(constant(alpha), 2)
+    graw, U, delta, lam = _sliding_weight(p._grads, gens, x, v, damping)
+    assert np.array_equal(graw, p.grads(x))
+    assert np.array_equal(U, scaled_hull_generators(constant(alpha), p, x, 0.0))
+    H1, H2 = _HESSIANS[name]
+    D = H1 / alpha[0] - H2 / alpha[1]
+    dd = float(delta @ delta)
+    exact = float(v @ D @ v) - float((b + U[1]) @ delta)
+    scale = 1.0 + float(v @ v) * np.abs(D).max() + np.linalg.norm(b + U[1]) * np.sqrt(dd)
+    if dd > 0.0:
+        assert abs(lam * dd - exact) <= 1e-9 * scale
+    else:
+        assert lam == 1.0
+
+
+def _segment_hull(G):
+    # grads and gens for _sliding_weight on a fixed hull of two generators
+    G = np.asarray(G, dtype=float)
+    return (lambda x: G.copy()), (lambda g: g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       kind=st.sampled_from(["random", "duplicate", "zero-inside", "tiny"]))
+def test_sliding_weight_at_rest_is_the_min_norm_weight(G, kind):
+    # At v = 0 the equivalent control is the unclamped min-norm weight of
+    # the hull: clamped to [0, 1] it gives the point of _exact_min_norm.
+    # Degenerate hulls: duplicate generators, 0 inside the hull, 1e-3 scale.
+    n = 3
+    G = np.array(G).reshape(2, n)
+    if kind == "duplicate":
+        G[1] = G[0]
+    elif kind == "zero-inside":
+        G[1] = -0.5 * G[0]
+    elif kind == "tiny":
+        G *= 1e-3
+    grads, gens = _segment_hull(G)
+    zero = np.zeros(n)
+    _, U, delta, lam = _sliding_weight(grads, gens, zero, zero, 1.0)
+    w = min(1.0, max(0.0, lam))
+    norm = np.linalg.norm(w * G[0] + (1.0 - w) * G[1])
+    scale = np.abs(G).max()
+    assert abs(norm - _exact_min_norm(G)) <= 1e-12 * (1.0 + scale)
+    if float(delta @ delta) == 0.0:
+        # duplicates, or a hull too small for its squared norm
+        assert lam == 1.0
+    elif kind == "zero-inside":
+        assert lam == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert kind != "duplicate" or lam == 1.0
+    if kind == "tiny":
+        # the weight does not depend on the hull's scale
+        lam_unit = _sliding_weight(*_segment_hull(G * 1e3), zero, zero, 1.0)[3]
+        assert lam == pytest.approx(lam_unit, rel=1e-12, abs=1e-12)
+
+
+def _sigma(p, rule, tr):
+    U = generator_map(rule, p.m)(p.grads(tr.states))
+    delta = U[:, 0] - U[:, 1]
+    sigma = (tr.velocities * delta).sum(axis=-1)
+    scale = 1.0 + np.linalg.norm(tr.velocities, axis=-1) * np.linalg.norm(delta, axis=-1)
+    return sigma, scale
+
+
+@pytest.mark.parametrize("name,x0,alpha,t_end", [
+    ("strongly-convex", [1.0, 1.0], [1.0, 1.0], 20.0),
+    ("strongly-convex", [1.0, 1.0], [0.5, 2.0], 20.0),
+    ("unbalanced-convex", [0.25, 1.5], [1.0, 1.0], 20.0),
+    ("unbalanced-convex", [-0.2, 1.8], [1.0, 1.0], 5.0),
+    ("nonconvex-bounded-grad", [0.9, 0.7], [1.0, 1.0], 20.0),
+    ("nonconvex-bounded-grad", [-2.0, 3.0], [1.0, 1.0], 10.0),
+    ("scalar-pair", [2.0], [1.0, 1.0], 10.0),
+])
+def test_sigma_stays_on_the_surface_while_sliding(name, x0, alpha, t_end):
+    # Every record with both weights positive is a sliding one, where
+    # |sigma| <= 1e-9 (1 + |v| |u_1 - u_2|).  The other records hold the
+    # vertex of their side: s sigma >= -SIGMA_BAND (1 + |v| |delta|).
+    p = get_problem(name)
+    rule = constant(alpha)
+    tr = integrate_accelerated(p, rule, x0,
+                               FlowConfig(t_end=t_end, dt=1e-3,
+                                          mode="accelerated", record_every=10))
+    sigma, scale = _sigma(p, rule, tr)
+    sliding = tr.weights.min(axis=1) > 0.0
+    assert sliding.any()
+    assert (np.abs(sigma[sliding]) <= 1e-9 * scale[sliding]).all()
+    side = tr.weights[~sliding, 0] - tr.weights[~sliding, 1]
+    assert (side * sigma[~sliding] >= -SIGMA_BAND * scale[~sliding]).all()
+
+
+@pytest.mark.parametrize("name,x0,alpha,t_switch,t_end,after", [
+    # sigma crosses from the u_2 side to the u_1 side at t = 0.473
+    ("unbalanced-convex", [-0.1, 0.7], [2.9, 1.2], 0.473, 0.8, "crossing"),
+    # lambda passes 1 at t = 1.178 and the state leaves the slide to the
+    # u_1 side
+    ("nonconvex-bounded-grad", [3.4, -0.7], [3.0, 1.5], 1.178, 1.5, "exit"),
+])
+def test_located_switch_is_the_limit_of_rk4(name, x0, alpha, t_switch, t_end,
+                                            after):
+    # Plain RK4 on the support point with its tie rule steps across the
+    # switch and converges to the Filippov solution at first order, so its
+    # distance to the located run shrinks at least 5 times from dt = 1e-3
+    # to dt = 1e-4.  (Where the switch falls inside an RK4 step sets the
+    # constant of that first order, so the ratio varies between runs.)
+    p = get_problem(name)
+    rule = constant(alpha)
+    tr = integrate_accelerated(p, rule, x0,
+                               FlowConfig(t_end=t_end, dt=1e-3,
+                                          mode="accelerated", record_every=10))
+    assert tr.switches == 1
+    before = tr.weights[tr.times < t_switch - 0.01]
+    if after == "crossing":
+        assert (before == [0.0, 1.0]).all()
+    else:
+        assert (before.min(axis=1) > 0.0).all()
+    assert (tr.weights[tr.times > t_switch + 0.01] == [1.0, 0.0]).all()
+    end = np.concatenate((tr.states[-1], tr.velocities[-1]))
+    dist = []
+    for dt in (1e-3, 1e-4):
+        cfg = FlowConfig(t_end=t_end, dt=dt, mode="accelerated",
+                         record_every=10 ** 9)
+        ys = _stepped_records(p, rule, x0 + [0.0] * p.n, cfg)[1]
+        dist.append(np.abs(ys[-1] - end).max())
+    assert dist[1] <= dist[0] / 5.0 and dist[1] <= 1e-5
