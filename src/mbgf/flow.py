@@ -42,7 +42,8 @@ is cut there, and stepping restarts at that point in the next regime:
 sliding if lambda is in [0, 1] there, else across the surface.  From rest
 sigma = 0, and the first regime is the one of lambda at the start, where
 it is the unclamped minimum-norm weight of the hull.  For other m the
-support point keeps its minimum-norm tie rule.
+support point keeps its minimum-norm tie rule, and a run that chatters
+between support points stops with NoConvergenceError (CHATTER_STEPS).
 """
 
 import math
@@ -67,6 +68,14 @@ SIGMA_BAND = 1e-10
 FD_STEP = 1e-5
 # Event location stops when the bracket is this narrow, in units of the step.
 ROOT_TOL = 1e-13
+# Without a sliding rule (m >= 3) a run that slides along a face of the hull
+# chatters between support points with steps of about 1e-9, which the error
+# control sets from TOL and the jump of xddot, not from the flow's time
+# scale.  A lone switch of the support point takes a few steps that short
+# too, so such a run stops with NoConvergenceError only at its
+# CHATTER_STEPS-th accepted step shorter than CHATTER_STEP times the window.
+CHATTER_STEP = 1e-8
+CHATTER_STEPS = 1000
 
 # Dormand & Prince (1980), RK5(4)7M.  Row i of _DP_A holds the stage
 # weights a_ij (j < i); row 6 is the 5th-order solution, so the 7th stage,
@@ -233,7 +242,8 @@ def _dense_output(y, y_new, h, K):
     return at
 
 
-def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None):
+def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None,
+              chatter=False):
     """The adaptive Dormand-Prince 5(4) loop, recording at t0 + j dt for
     each step count j in counts.  rhs(y, t) is the right-hand side;
     record(t, y) returns rhs(y, t) and the row of recorded values named by
@@ -241,17 +251,22 @@ def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None):
     take their first stage from the last stage of the step before.
 
     events, when given, switches the right-hand side between smooth
-    regimes: events.left() tells whether the last stage lies outside the
-    current regime, events.locate(dense, t, h) returns the step fraction of
-    the crossing on the step's dense output, and events.switch(y, t)
-    changes regime there and returns the new right-hand side, which starts
-    the next step.
+    regimes: events.left() tells whether the last stage, K[6] at the end
+    of the accepted step, lies outside the current regime;
+    events.locate(dense, t, h) returns the step fraction of the crossing
+    on the step's dense output; and events.switch(y, t) changes regime
+    there and returns the new right-hand side, which starts the next step.
+
+    chatter, when true, ends a run whose steps chatter with
+    NoConvergenceError, see CHATTER_STEPS.
     """
     lo, hi = _guard_bounds(p, y0.size)
     t0, dt = cfg.t0, cfg.dt
     times = [t0 + j * dt for j in counts]
-    t_end = times[-1]
+    t0, t_end = times[0], times[-1]  # t0 + 0 dt: a t0 of -0.0 records 0.0
     h_min = math.ulp(max(abs(t0), abs(t_end)))
+    floor = CHATTER_STEP * (t_end - t0) if chatter else 0.0
+    short = 0  # accepted steps shorter than floor, the last excluded
     A, C, E = _DP_A, _DP_C, _DP_E
 
     K = np.empty((7, y0.size))
@@ -283,6 +298,12 @@ def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None):
                     f"step size underflow ({h:.3g}) at t = {t:.17g}")
             continue
         accepted += 1
+        if h < floor and not last:
+            short += 1
+            if short == CHATTER_STEPS:
+                raise NoConvergenceError(
+                    f"steps chatter: {short} accepted steps shorter than "
+                    f"{floor:.3g} by t = {t + h:.6g}")
         dense = None
         switch = events is not None and events.left()
         if switch:
@@ -415,8 +436,10 @@ class _SlidingPair:
 
     regime is 1 (c = u_1), -1 (c = u_2) or 0 (sliding on sigma = 0); it is
     None until the t0 evaluation picks it.  select() gives the right-hand
-    side in the current regime and keeps what left() needs about the
-    point it evaluated.
+    side in the current regime.  rhs(), the stage path, also keeps the
+    probe of its point, lambda while sliding and else (v, U), so after a
+    step the probe is the one of the step's last stage, its end; records
+    leave it alone.
     """
 
     def __init__(self, p, gens, r, theta):
@@ -424,10 +447,11 @@ class _SlidingPair:
         self.r, self.theta = r, theta
         self.regime = None
         self.switches = 0
-        self._last = None
+        self._probe = None
 
-    def select(self, y, t):
-        """Raw gradients, generators, weights and xddot at (y, t)."""
+    def _evaluate(self, y, t):
+        """Raw gradients, generators, weights and xddot at (y, t), and the
+        probe of the regime there."""
         n = self.n
         x, v = y[:n], y[n:]
         k = self.r / (t + self.theta)
@@ -439,27 +463,31 @@ class _SlidingPair:
                 # weight of the hull
                 self.regime = 1 if lam > 1.0 else -1 if lam < 0.0 else 0
             if self.regime == 0:
-                self._last = lam
                 w = min(1.0, max(0.0, lam))
-                return graw, U, np.array([w, 1.0 - w]), -(b + (U[1] + lam * delta))
+                return (graw, U, np.array([w, 1.0 - w]),
+                        -(b + (U[1] + lam * delta)), lam)
         else:
             graw = self.grads(x)
             U = self.gens(graw)
         i = 0 if self.regime > 0 else 1
-        self._last = (v, U)
-        return graw, U, _VERTICES[i], -(b + U[i])
+        return graw, U, _VERTICES[i], -(b + U[i]), (v, U)
+
+    def select(self, y, t):
+        """Raw gradients, generators, weights and xddot at (y, t)."""
+        return self._evaluate(y, t)[:4]
 
     def rhs(self, y, t):
-        return np.concatenate((y[self.n:], self.select(y, t)[3]))
+        *_, xdd, self._probe = self._evaluate(y, t)
+        return np.concatenate((y[self.n:], xdd))
 
     def left(self):
-        """Whether the last evaluated point lies outside the regime."""
+        """Whether the last stage, the step's end, lies outside the regime."""
         if self.regime:
-            v, U = self._last
+            v, U = self._probe
             delta = U[0] - U[1]
             band = SIGMA_BAND * (1.0 + math.sqrt(float(v @ v) * float(delta @ delta)))
             return self.regime * float(v @ delta) < -band
-        return not 0.0 <= self._last <= 1.0
+        return not 0.0 <= self._probe <= 1.0
 
     def locate(self, dense, t, h):
         """The step fraction where the step's dense output leaves the
@@ -470,7 +498,7 @@ class _SlidingPair:
         rounding put inside the band; that one switches at once."""
         n, s = self.n, self.regime
         if s:
-            v, U = self._last
+            v, U = self._probe
             g_hi = s * float(v @ (U[0] - U[1]))
 
             def g(th):
@@ -478,8 +506,8 @@ class _SlidingPair:
                 U = self.gens(self.grads(y[:n]))
                 return s * float(y[n:] @ (U[0] - U[1]))
         else:
-            high = self._last > 1.0
-            g_hi = 1.0 - self._last if high else self._last
+            high = self._probe > 1.0
+            g_hi = 1.0 - self._probe if high else self._probe
 
             def g(th):
                 y = dense(th)
@@ -537,7 +565,8 @@ def integrate_accelerated(p, rule, x0, cfg):
     Restricted to constant scaling rules; the damping coefficient is
     r/(t + theta).  A pair (m = 2) runs as a Filippov system with a located
     sliding rule, see the module docstring; other m take xddot in closed
-    form from the support point with its minimum-norm tie rule.
+    form from the support point with its minimum-norm tie rule, and raise
+    NoConvergenceError when the steps chatter (CHATTER_STEPS).
     """
     if cfg.mode != "accelerated":
         raise InvalidInputError("integrate_accelerated needs mode='accelerated'")
@@ -577,6 +606,6 @@ def integrate_accelerated(p, rule, x0, cfg):
                    rhs, record,
                    ("times", "states", "velocities", "f_values", "speeds",
                     "crit_unscaled", "crit_scaled", "energies", "weights"),
-                   events)
+                   events, chatter=events is None)
     tr.switches = 0 if events is None else events.switches
     return tr

@@ -434,11 +434,17 @@ def test_main_exit_3_on_divergence(cmd, monkeypatch, capsys):
     assert f"left the region of {name}" in capsys.readouterr().err
 
 
-def test_accel_with_three_objectives_finishes(monkeypatch, capsys):
+@pytest.mark.parametrize("scaling,rc", [("const:1,1,1", 0),
+                                        ("const:1,2,0.5", 3)])
+def test_accel_with_three_objectives_finishes_or_exits_3(monkeypatch, capsys,
+                                                         scaling, rc):
     # m >= 3 has no sliding rule yet: the accelerated flow takes the support
     # point with its min-norm tie rule on the adaptive pair.  Three
-    # quadratics with centers on a triangle, from (3, 2) at rest: the run
-    # finishes, with no located switch.
+    # quadratics with centers on a triangle, from (3, 2) at rest.  With
+    # equal scalings the run finishes, with no located switch.  With
+    # const:1,2,0.5 the state reaches a face of the hull near t = 2.27 and
+    # chatters between its support points with steps of about 1e-9; the
+    # run stops with NoConvergenceError (exit 3) instead of hanging.
     C = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
 
     def factory():
@@ -450,11 +456,14 @@ def test_accel_with_three_objectives_finishes(monkeypatch, capsys):
             region=Box([-3.0, -3.0], [5.0, 5.0]), grad_bound=10.0,
             starts=[[3.0, 2.0]])
     monkeypatch.setitem(problems._REGISTRY, "triangle", factory)
-    rc = main(["accel", "--problem", "triangle", "--x0", "3,2",
-               "--scaling", "const:1,1,1", "--t-end", "5",
-               "--record-every", "100"])
-    assert rc == 0
-    assert "0 located switches" in capsys.readouterr().out
+    assert main(["accel", "--problem", "triangle", "--x0", "3,2",
+                 "--scaling", scaling, "--t-end", "5",
+                 "--record-every", "100"]) == rc
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert "0 located switches" in out
+    else:
+        assert "steps chatter: 1000 accepted steps shorter than 5e-08" in err
 
 
 def test_main_exit_3_on_step_underflow(monkeypatch, capsys):

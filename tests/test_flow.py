@@ -6,8 +6,11 @@ from mbgf.discrete import DiscreteConfig, run_discrete, step_size
 from mbgf.errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                          NumericDomainError)
 from mbgf.flow import (
+    FD_STEP,
+    ROOT_TOL,
     SIGMA_BAND,
     FlowConfig,
+    _SlidingPair,
     _sliding_weight,
     integrate_accelerated,
     integrate_first_order,
@@ -612,6 +615,16 @@ def test_ball_records_match_exponential_decay(x0, sign, alpha, t0, dt, span,
     assert (np.abs(tr.states[:, 0] - exact) / np.abs(exact)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("mode", ["first_order", "accelerated"])
+def test_t0_of_negative_zero_records_on_the_grid(mode):
+    # Records sit at t0 + j dt, and -0.0 + 0 dt is 0.0: the first record
+    # too, not t0 itself.
+    cfg = FlowConfig(t0=-0.0, t_end=1.0, dt=0.0625, mode=mode)
+    run = integrate_first_order if mode == "first_order" else integrate_accelerated
+    tr = run(ball_problem(), constant([1.0]), [-1.0], cfg)
+    assert _same_bytes(tr.times, np.array([-0.0 + k * 0.0625 for k in range(17)]))
+
+
 def test_switch_crossing_matches_fine_rk4():
     # From p1's (-0.4, 1.9) with const:1,1 the min-norm weights sit on a
     # vertex until t = 0.333 and then move into the simplex, where the
@@ -854,3 +867,63 @@ def test_located_switch_is_the_limit_of_rk4(name, x0, alpha, t_switch, t_end,
         ys = _stepped_records(p, rule, x0 + [0.0] * p.n, cfg)[1]
         dist.append(np.abs(ys[-1] - end).max())
     assert dist[1] <= dist[0] / 5.0 and dist[1] <= 1e-5
+
+
+@pytest.mark.parametrize("name,x0,alpha,t_end,kinds", [
+    ("unbalanced-convex", [-0.1, 0.7], [2.9, 1.2], 0.8, ["crossing"]),
+    ("nonconvex-bounded-grad", [3.4, -0.7], [3.0, 1.5], 1.5, ["exit"]),
+    ("unbalanced-convex", [-0.2, 1.8], [1.0, 1.0], 1.0, ["crossing", "entry"]),
+])
+def test_located_switch_is_a_root_on_the_dense_output(monkeypatch, name, x0,
+                                                      alpha, t_end, kinds):
+    # At each located switch the returned step fraction th is past the root
+    # of the regime's switching function g on the step's dense output: g
+    # (s sigma, or lambda or 1 - lambda while sliding) is negative there,
+    # within ROOT_TOL of the step of zero by g's slope, and positive one
+    # ROOT_TOL earlier.  g is evaluated with a rounding noise of 1e-15 for
+    # sigma and eps / FD_STEP for lambda, whose central difference divides
+    # the rounding of the gradients by FD_STEP; the noise widens both
+    # bounds.  The next step starts at dense(th).  sigma is recomputed
+    # here from the public gradients.
+    p = get_problem(name)
+    rule = constant(alpha)
+    gens = generator_map(rule, 2)
+    cfg = FlowConfig(t_end=t_end, dt=1e-3, mode="accelerated", record_every=10)
+    located, restarts = [], []
+    locate, switch = _SlidingPair.locate, _SlidingPair.switch
+
+    def spy_locate(self, dense, t, h):
+        th = locate(self, dense, t, h)
+        located.append((self.regime, dense, t, h, th))
+        return th
+
+    def spy_switch(self, y, t):
+        before = self.regime
+        k = switch(self, y, t)
+        kind = "exit" if not before else "entry" if not self.regime else "crossing"
+        restarts.append((y.copy(), t, kind))
+        return k
+
+    monkeypatch.setattr(_SlidingPair, "locate", spy_locate)
+    monkeypatch.setattr(_SlidingPair, "switch", spy_switch)
+    tr = integrate_accelerated(p, rule, x0, cfg)
+    assert tr.switches == len(kinds) == len(located) == len(restarts)
+    assert [kind for *_, kind in restarts] == kinds
+    for (s, dense, t, h, th), (y, t_switch, _) in zip(located, restarts):
+        assert 0.0 < th < 1.0
+        assert np.array_equal(y, dense(th)) and t_switch == t + th * h
+
+        def g(f):
+            z = dense(f)
+            x, v = z[:p.n], z[p.n:]
+            if s:
+                U = gens(p.grads(x))
+                return s * float(v @ (U[0] - U[1]))
+            lam = _sliding_weight(p._grads, gens, x, v,
+                                  cfg.r / (t + f * h + cfg.theta))[3]
+            return lam if lam < 0.5 else 1.0 - lam
+
+        slope = abs(g(th) - g(th - 1e-6)) / 1e-6
+        noise = 1e-15 if s else np.finfo(float).eps / FD_STEP
+        assert -2.0 * ROOT_TOL * slope - noise <= g(th) < 0.0
+        assert g(th - ROOT_TOL - 2.0 * noise / slope) > 0.0
