@@ -177,13 +177,17 @@ def _ball_bound(a_i, center, lower=0.0):
 # ------------------------------------------------------------ built-ins
 
 # The built-in oracles fill a preallocated result instead of calling
-# np.stack, whose per-call overhead dominates at a single point.
+# np.stack, whose per-call overhead dominates at a single point.  They
+# square by multiplication: ** 2 on a numpy scalar calls pow(), which can
+# round differently from the x * x that ** 2 gives on an array, and a point
+# must get the same value alone and inside a stack.
 
 def _p1_value(x):
     x1, x2 = x[..., 0], x[..., 1]
+    u1, u2 = x1 - 1.0, x2 - 1.0
     f = np.empty(x.shape[:-1] + (2,))
-    f[..., 0] = 0.5 * (100.0 * x1 ** 2 + x2 ** 2)
-    f[..., 1] = 0.5 * ((x1 - 1.0) ** 2 + (x2 - 1.0) ** 2)
+    f[..., 0] = 0.5 * (100.0 * (x1 * x1) + x2 * x2)
+    f[..., 1] = 0.5 * (u1 * u1 + u2 * u2)
     return f
 
 
@@ -302,8 +306,9 @@ def _make_p3():
 def _p4_value(x):
     x0 = x[..., 0]
     f = np.empty(x0.shape + (2,))
-    f[..., 0] = (x0 + 1.0) ** 2
-    f[..., 1] = (x0 - 1.0) ** 2
+    u0, u1 = x0 + 1.0, x0 - 1.0
+    f[..., 0] = u0 * u0
+    f[..., 1] = u1 * u1
     return f
 
 

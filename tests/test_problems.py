@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbgf import problems
 from mbgf.errors import ConfigError, InvalidInputError, NumericDomainError
@@ -291,3 +292,26 @@ def test_oracles_match_stack_formulas_bitwise(name, value, grads):
     if p.n == 1:
         _assert_same_array(p.value(2.0), value(np.array([2.0])))
         _assert_same_array(p.grads(2.0), grads(np.array([2.0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(ALL),
+       u=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_oracles_equal_single_points_bitwise(name, u, seed):
+    # The records of a run evaluate the oracles once on the stack of all
+    # recorded points, so a stacked call must give every point the bytes
+    # of its own call: on an (N, n) stack and on an (N/4, 4, n) one.
+    # Hypothesis draws points with edge coordinates, and the seed 400 more,
+    # since single-point rounding differences can be rare (pow() against
+    # x * x changed about 1 value in 2000).
+    p = get_problem(name)
+    lo, hi = p.region.lo, p.region.hi
+    drawn = np.array(u[:len(u) // (4 * p.n) * 4 * p.n]).reshape(-1, p.n)
+    x = np.concatenate([lo + drawn * (hi - lo),
+                        region_sample(p, np.random.default_rng(seed), 400)])
+    for oracle in (p._value, p._grads):
+        single = np.array([oracle(xi) for xi in x])
+        _assert_same_array(oracle(x), single)
+        _assert_same_array(oracle(x.reshape(-1, 4, p.n)),
+                           single.reshape((-1, 4) + single.shape[1:]))
