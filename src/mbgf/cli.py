@@ -262,8 +262,12 @@ def parse_config(text):
 # CSV / JSON persistence
 
 
-def _fmt(v):
-    return f"{float(v):.17g}"
+def _csv_lines(header, cols, first="%.17g"):
+    # the header and one line per row, each through one %-format string
+    # over the columns as Python numbers
+    row = ",".join([first] + ["%.17g"] * (len(cols) - 1))
+    return "\n".join([",".join(header)] + [
+        row % r for r in zip(*[c.tolist() for c in cols])]) + "\n"
 
 
 def trajectory_csv_text(tr):
@@ -284,10 +288,7 @@ def trajectory_csv_text(tr):
     if accel:
         header += [f"W_{i}" for i in range(m)]
         cols += [tr.energies[:, i] for i in range(m)]
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv_lines(header, cols)
 
 
 def iterates_csv_text(seq):
@@ -297,13 +298,10 @@ def iterates_csv_text(seq):
     header = (["k"] + [f"x_{i}" for i in range(n)] +
               [f"f_{i}" for i in range(m)] +
               ["step", "crit_unscaled", "crit_scaled"])
-    cols = ([seq.states[:, i] for i in range(n)] +
+    cols = ([seq.ks] + [seq.states[:, i] for i in range(n)] +
             [seq.f_values[:, i] for i in range(m)] +
             [seq.steps, seq.crit_unscaled, seq.crit_scaled])
-    lines = [",".join(header)]
-    for k, row in zip(seq.ks, zip(*cols)):
-        lines.append(",".join([str(int(k))] + [_fmt(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    return _csv_lines(header, cols, first="%d")
 
 
 def _write_text(path, text):

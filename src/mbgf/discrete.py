@@ -7,6 +7,11 @@ so the rule must declare a positive floor alpha_min.  That step always
 satisfies the admissible-step window
 s_min <= s_k <= safety * min_i 2 alpha_i(x_k, k) / L_i.
 
+An iteration pays one gradient call and one minimum-norm solve, whose point
+is the step and whose norm is the stop test.  The objective values and the
+unscaled criticality of every iterate come after the loop, from one
+stacked pass over all iterates.
+
 discrete_monitors checks a recorded run with merit_rates.monotone_excess:
 f-nesting at the relative NESTING_SLACK, and the merit
 E(k) = k min_i(f_i(x_k) - f_i(x_K)) + alpha_max / (2 s_min) ||x_k - x_K||^2
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericDomainError
-from .flow import _balanced_record, _check_start
+from .flow import _check_start
+from .geometry import _min_norm
 from .merit_rates import NESTING_SLACK, monotone_excess
 from .scaling import generator_map
 
@@ -75,26 +81,24 @@ def run_discrete(p, rule, x0, cfg):
     s = step_size(p, rule, cfg)
     alpha_bounds = rule.declared_bounds(p)
     gens = generator_map(rule, p.m)
-    ks, states, fvals, steps, cu, cs, ws = [], [], [], [], [], [], []
+    states, cs, ws = [], [], []
 
     for k in range(cfg.max_iters + 1):
         if not np.isfinite(x).all():
             raise NumericDomainError(f"non-finite iterate at k={k}")
-        f, w, d, crit_s, crit_u = _balanced_record(p, gens, x)
-        ks.append(k)
-        states.append(x.copy())
-        fvals.append(f)
-        steps.append(s)
-        cu.append(crit_u)
+        w, d, crit_s = _min_norm(gens(p._grads(x)))
+        states.append(x)
         cs.append(crit_s)
         ws.append(w)
         if crit_s <= cfg.stop_tol or k == cfg.max_iters:
             break
         x = x - s * d
 
+    # f and the unscaled criticality of every iterate in one stacked pass
+    X = np.array(states)
     return IterateSequence(
-        ks=np.array(ks), states=np.array(states), f_values=np.array(fvals),
-        steps=np.array(steps), crit_unscaled=np.array(cu),
+        ks=np.arange(len(X)), states=X, f_values=p._value(X),
+        steps=np.full(len(X), s), crit_unscaled=_min_norm(p._grads(X))[2],
         crit_scaled=np.array(cs), weights=np.array(ws),
         alpha_bounds=alpha_bounds, s_min=s, problem_name=p.name,
         rule_spec=rule.spec_string(), config=cfg)

@@ -6,11 +6,14 @@ integrates the damped second-order system
     xddot + r/(t+theta) xdot + proj_{C_alpha(x)}(-xddot) = 0
 
 as a first-order system in the stacked state y = (x, v), started at rest
-(v = 0).  A mode supplies only its right-hand side and its record; each
-record returns the right-hand side at the recorded state along with its
-row.  Both modes run on one stepping loop, the embedded Dormand-Prince 5(4)
-pair with step-size control (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6), and share the divergence guard and the Trajectory assembly.
+(v = 0).  A mode supplies only its right-hand side.  Both modes run on one
+stepping loop, the embedded Dormand-Prince 5(4) pair with step-size control
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), and share the
+divergence guard and the Trajectory assembly.  The loop keeps only the
+recorded times and states; the mode then computes every recorded
+diagnostic in one stacked pass over all records, with oracle calls and
+minimum-norm solves on (K, m, n) stacks, whose values equal those of each
+record alone bit for bit.
 Both record at t0 + j dt for j = 0, record_every, 2 record_every, ... and
 at the last step count j = round((t_end - t0) / dt).  dt sets that grid and
 the first trial step, not a step bound.  Records between step ends come
@@ -53,7 +56,7 @@ import numpy as np
 
 from .errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                      NumericDomainError)
-from .geometry import (_as_generator_matrix, _as_vector, _min_norm,
+from .geometry import (_as_generator_matrix, _as_vector, _dot, _min_norm,
                        _min_norm_weights, _support_weights)
 from .scaling import generator_map
 
@@ -148,13 +151,16 @@ class Trajectory:
 
     Work counts, deterministic for a given input: steps accepted, steps
     rejected by the error control, and rhs_evals = 1 + 6 (steps +
-    rejected), the stage evaluations of the stepping loop.  The t0 record
-    supplies the first stage; every later record costs an evaluation of its
-    own.  switches counts the located regime changes of an accelerated pair
-    (sliding entries, sliding exits and crossings of sigma = 0); it is 0 for
-    other m and None in first-order mode.  A located switch also evaluates
-    the switching function on the dense output and the right-hand side at
-    the restart point, outside the stage count.
+    rejected), the stage evaluations of the stepping loop, the first of
+    them at t0.  The records add a fixed number of oracle calls, whatever
+    their number: one on the stack of recorded states, and for an
+    accelerated pair one more on the central differences of the sliding
+    records that have left rest.  switches counts the located regime
+    changes of an accelerated pair (sliding entries, sliding exits and
+    crossings of sigma = 0); it is 0 for other m and None in first-order
+    mode.  A located switch also evaluates the switching function on the
+    dense output and the right-hand side at the restart point, outside the
+    stage count.
     """
 
     __slots__ = ("times", "states", "velocities", "f_values", "speeds",
@@ -220,8 +226,7 @@ def _guard(y, t, lo, hi, p):
     raise NumericDomainError(f"non-finite velocity at t = {t:.6g}")
 
 
-def _trajectory(p, rule, cfg, fields, rows, **work):
-    columns = {name: np.array(col) for name, col in zip(fields, zip(*rows))}
+def _trajectory(p, rule, cfg, work, **columns):
     return Trajectory(mode=cfg.mode, problem_name=p.name,
                       rule_spec=rule.spec_string(), config=cfg,
                       **columns, **work)
@@ -242,17 +247,18 @@ def _dense_output(y, y_new, h, K):
     return at
 
 
-def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None,
-              chatter=False):
+def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
     """The adaptive Dormand-Prince 5(4) loop, recording at t0 + j dt for
-    each step count j in counts.  rhs(y, t) is the right-hand side;
-    record(t, y) returns rhs(y, t) and the row of recorded values named by
-    fields.  Only the t0 record's right-hand side feeds a step; later steps
-    take their first stage from the last stage of the step before.
+    each step count j in counts.  rhs(y, t) is the right-hand side; its
+    value at (y0, t0) is the first stage, and every later step takes its
+    first stage from the last stage of the step before.  Returns the record
+    times (K,), the recorded states (K, y0.size), the regime of events at
+    each record (None without events) and the work counts; the modes
+    compute their recorded diagnostics from these in one stacked pass.
 
     events, when given, switches the right-hand side between smooth
-    regimes: events.left() tells whether the last stage, K[6] at the end
-    of the accepted step, lies outside the current regime;
+    regimes: events.regime is the current one; events.left() tells whether
+    the last stage, K[6] at the end of the accepted step, lies outside it;
     events.locate(dense, t, h) returns the step fraction of the crossing
     on the step's dense output; and events.switch(y, t) changes regime
     there and returns the new right-hand side, which starts the next step.
@@ -270,8 +276,9 @@ def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None,
     A, C, E = _DP_A, _DP_C, _DP_E
 
     K = np.empty((7, y0.size))
-    K[0], row = record(t0, y0)
-    rows = [row]
+    K[0] = rhs(y0, t0)
+    ys = [y0]
+    regimes = None if events is None else [events.regime]
     y, t, h = y0, t0, dt
     q, accepted, rejected = 1, 0, 0
     grow = True  # False on the step after a rejection
@@ -317,8 +324,9 @@ def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None,
             dense = dense or _dense_output(y, y_new, h, K)
             while q < len(times) and times[q] <= t_new:
                 tq = times[q]
-                x = y_new if tq == t_new else dense((tq - t) / h)
-                rows.append(record(tq, x)[1])
+                ys.append(y_new if tq == t_new else dense((tq - t) / h))
+                if regimes is not None:
+                    regimes.append(events.regime)
                 q += 1
         if last:
             break
@@ -329,24 +337,15 @@ def _run_dp54(p, rule, cfg, y0, counts, rhs, record, fields, events=None,
         grow = True
         y, t = y_new, t_new
         K[0] = K[6]
-    return _trajectory(p, rule, cfg, fields, rows, steps=accepted,
-                       rejected=rejected,
-                       rhs_evals=1 + 6 * (accepted + rejected))
+    return np.array(times), np.array(ys), regimes, dict(
+        steps=accepted, rejected=rejected,
+        rhs_evals=1 + 6 * (accepted + rejected))
 
 
 def _non_finite_part(y, n):
     if not np.isfinite(y[:n]).all():
         return "state"
     return "error estimate" if np.isfinite(y).all() else "velocity"
-
-
-def _balanced_record(p, gens, x):
-    """f(x); the weights w, the point d = w @ G and the norm ||d|| of the
-    min-norm point of C_alpha(x), whose negative -d is the balanced
-    direction; and the unscaled criticality at x."""
-    graw = p._grads(x)
-    w, d, norm = _min_norm(gens(graw))
-    return p._value(x), w, d, norm, _min_norm(graw)[2]
 
 
 def integrate_first_order(p, rule, x0, cfg):
@@ -363,14 +362,14 @@ def integrate_first_order(p, rule, x0, cfg):
         G = gens(grads(x))
         return -(_min_norm_weights(G) @ G)
 
-    def record(t, x):
-        f, w, d, speed, cu = _balanced_record(p, gens, x)
-        # ||xdot|| is the scaled criticality in the first-order flow
-        return -d, (t, x.copy(), f, speed, cu, speed, w)
-
-    return _run_dp54(p, rule, cfg, x0, counts, rhs, record,
-                     ("times", "states", "f_values", "speeds", "crit_unscaled",
-                      "crit_scaled", "weights"))
+    times, X, _, work = _run_dp54(p, cfg, x0, counts, rhs)
+    graw = grads(X)
+    w, _, speed = _min_norm(gens(graw))
+    # ||xdot|| is the scaled criticality in the first-order flow
+    return _trajectory(p, rule, cfg, work, times=times, states=X,
+                       f_values=p._value(X), speeds=speed,
+                       crit_unscaled=_min_norm(graw)[2], crit_scaled=speed,
+                       weights=w)
 
 
 def _implicit_acceleration(G, b):
@@ -397,9 +396,9 @@ _FD_ROWS = np.array([[0.0], [1.0], [-1.0]])
 
 
 def _sliding_weight(grads, gens, x, v, k):
-    """The raw gradients and generators U of a pair at x, delta = U[0] -
-    U[1], and the equivalent control lambda = (-<b + u_2, delta> +
-    <v, D delta v>) / |delta|^2 with b = k v, which keeps d<v, delta>/dt = 0.
+    """The generators U of a pair at x, delta = U[0] - U[1], and the
+    equivalent control lambda = (-<b + u_2, delta> + <v, D delta v>) /
+    |delta|^2 with b = k v, which keeps d<v, delta>/dt = 0.
 
     D delta v comes from a central difference of the gradients at
     x +- e v, with |e v| = FD_STEP (1 + |x|), evaluated in one stacked
@@ -411,21 +410,41 @@ def _sliding_weight(grads, gens, x, v, k):
     vv = float(v @ v)
     if 0.0 < vv < math.inf:
         e = FD_STEP * (1.0 + math.sqrt(float(x @ x))) / math.sqrt(vv)
-        graw3 = grads(x + (e * _FD_ROWS) * v)  # x, x + e v, x - e v
-        U3 = gens(graw3)
+        U3 = gens(grads(x + (e * _FD_ROWS) * v))  # x, x + e v, x - e v
         D3 = U3[:, 0] - U3[:, 1]
         # sigma = <v, delta> and <v, delta> ahead of and behind x
         sigma, ahead, behind = (D3 @ v).tolist()
-        graw, U, delta = graw3[0], U3[0], D3[0]
+        U, delta = U3[0], D3[0]
         num = (ahead - behind) / (2.0 * e) - k * sigma
     else:
-        graw = grads(x)
-        U = gens(graw)
+        U = gens(grads(x))
         delta = U[0] - U[1]
         num = -k * float(v @ delta)
     num -= float(U[1] @ delta)
     dd = float(delta @ delta)
-    return graw, U, delta, num / dd if dd > 0.0 else 1.0
+    return U, delta, num / dd if dd > 0.0 else 1.0
+
+
+def _sliding_weights(grads, gens, G, X, V, k):
+    """The lambda of _sliding_weight at every row of the (K, n) stacks X and V,
+    with generators G (K, 2, n) at X and damping coefficients k (K,), bit
+    for bit the value of each row alone.  The central differences of the
+    rows with 0 < |v| < inf take one oracle call on a (K', 3, n) stack."""
+    vv = _dot(V, V)
+    fd = (0.0 < vv) & (vv < math.inf)
+    U, delta = G[:, 1].copy(), G[:, 0] - G[:, 1]
+    num = -k * _dot(V, delta)
+    if fd.any():
+        x, v = X[fd], V[fd]
+        e = FD_STEP * (1.0 + np.sqrt(_dot(x, x))) / np.sqrt(vv[fd])
+        U3 = gens(grads(x[:, None] + (e[:, None, None] * _FD_ROWS) * v[:, None]))
+        D3 = U3[:, :, 0] - U3[:, :, 1]
+        sigma, ahead, behind = (D3 @ v[:, :, None])[:, :, 0].T
+        num[fd] = (ahead - behind) / (2.0 * e) - k[fd] * sigma
+        U[fd], delta[fd] = U3[:, 0, 1], D3[:, 0]
+    num -= _dot(U, delta)
+    dd = _dot(delta, delta)
+    return np.divide(num, dd, out=np.ones_like(dd), where=dd > 0.0)
 
 
 _VERTICES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -435,11 +454,10 @@ class _SlidingPair:
     """The accelerated system of a pair (m = 2) as a Filippov system.
 
     regime is 1 (c = u_1), -1 (c = u_2) or 0 (sliding on sigma = 0); it is
-    None until the t0 evaluation picks it.  select() gives the right-hand
-    side in the current regime.  rhs(), the stage path, also keeps the
-    probe of its point, lambda while sliding and else (v, U), so after a
-    step the probe is the one of the step's last stage, its end; records
-    leave it alone.
+    None until the t0 evaluation picks it.  rhs() gives the right-hand side
+    in the current regime and keeps the probe of its point, lambda while
+    sliding and else (v, U), so after a step the probe is the one of the
+    step's last stage, its end.
     """
 
     def __init__(self, p, gens, r, theta):
@@ -449,36 +467,41 @@ class _SlidingPair:
         self.switches = 0
         self._probe = None
 
-    def _evaluate(self, y, t):
-        """Raw gradients, generators, weights and xddot at (y, t), and the
-        probe of the regime there."""
+    def rhs(self, y, t):
         n = self.n
         x, v = y[:n], y[n:]
         k = self.r / (t + self.theta)
         b = k * v
         if not self.regime:
-            graw, U, delta, lam = _sliding_weight(self.grads, self.gens, x, v, k)
+            U, delta, lam = _sliding_weight(self.grads, self.gens, x, v, k)
             if self.regime is None:
                 # from rest sigma = 0, and lambda is the unclamped min-norm
                 # weight of the hull
                 self.regime = 1 if lam > 1.0 else -1 if lam < 0.0 else 0
             if self.regime == 0:
-                w = min(1.0, max(0.0, lam))
-                return (graw, U, np.array([w, 1.0 - w]),
-                        -(b + (U[1] + lam * delta)), lam)
+                self._probe = lam
+                return np.concatenate((v, -(b + (U[1] + lam * delta))))
         else:
-            graw = self.grads(x)
-            U = self.gens(graw)
-        i = 0 if self.regime > 0 else 1
-        return graw, U, _VERTICES[i], -(b + U[i]), (v, U)
+            U = self.gens(self.grads(x))
+        self._probe = (v, U)
+        return np.concatenate((v, -(b + U[0 if self.regime > 0 else 1])))
 
-    def select(self, y, t):
-        """Raw gradients, generators, weights and xddot at (y, t)."""
-        return self._evaluate(y, t)[:4]
-
-    def rhs(self, y, t):
-        *_, xdd, self._probe = self._evaluate(y, t)
-        return np.concatenate((y[self.n:], xdd))
+    def weights(self, G, T, X, V, regimes):
+        """The weights of the recorded states X, V at times T, with
+        generators G, in their recorded regimes: the vertex of their side,
+        or lambda clamped to [0, 1] while sliding."""
+        regimes = np.array(regimes)
+        w = np.where((regimes > 0)[:, None], _VERTICES[0], _VERTICES[1])
+        sliding = regimes == 0
+        if sliding.any():
+            lam = _sliding_weights(self.grads, self.gens, G[sliding],
+                                   X[sliding], V[sliding],
+                                   self.r / (T[sliding] + self.theta))
+            # max(0.0, lam) and min(1.0, lam) as floats: +0.0, never -0.0
+            lam = np.where(lam > 0.0, lam, 0.0)
+            lam = np.where(lam < 1.0, lam, 1.0)
+            w[sliding] = np.stack([lam, 1.0 - lam], axis=-1)
+        return w
 
     def left(self):
         """Whether the last stage, the step's end, lies outside the regime."""
@@ -512,7 +535,7 @@ class _SlidingPair:
             def g(th):
                 y = dense(th)
                 lam = _sliding_weight(self.grads, self.gens, y[:n], y[n:],
-                                      self.r / (t + th * h + self.theta))[3]
+                                      self.r / (t + th * h + self.theta))[2]
                 return 1.0 - lam if high else lam
         g_lo = g(0.0)
         if not g_lo >= 0.0:
@@ -523,7 +546,7 @@ class _SlidingPair:
         """Change regime at a located crossing; the right-hand side there."""
         n = self.n
         lam = _sliding_weight(self.grads, self.gens, y[:n], y[n:],
-                              self.r / (t + self.theta))[3]
+                              self.r / (t + self.theta))[2]
         if self.regime:
             # reached sigma = 0: slide if lambda holds it there, else cross
             self.regime = 0 if 0.0 <= lam <= 1.0 else -self.regime
@@ -580,32 +603,31 @@ def integrate_accelerated(p, rule, x0, cfg):
 
     if p.m == 2:
         events = _SlidingPair(p, gens, r, theta)
-        select, rhs = events.select, events.rhs
+        rhs = events.rhs
     else:
         events = None
 
-        def select(y, t):
-            graw = grads(y[:n])
-            G = gens(graw)
-            w, xdd = _implicit_acceleration(G, (r / (t + theta)) * y[n:])
-            return graw, G, w, xdd
-
         def rhs(y, t):
-            return np.concatenate((y[n:], select(y, t)[3]))
+            v = y[n:]
+            xdd = _implicit_acceleration(gens(grads(y[:n])), (r / (t + theta)) * v)[1]
+            return np.concatenate((v, xdd))
 
-    def record(t, y):
-        x, v = y[:n], y[n:]
-        graw, G, w, xdd = select(y, t)
-        f = p._value(x)
-        speed2 = float(v @ v)
-        return np.concatenate((v, xdd)), (
-            t, x.copy(), v.copy(), f, math.sqrt(speed2),
-            _min_norm(graw)[2], _min_norm(G)[2], f + half_alpha * speed2, w)
-
-    tr = _run_dp54(p, rule, cfg, np.concatenate((x0, np.zeros(n))), counts,
-                   rhs, record,
-                   ("times", "states", "velocities", "f_values", "speeds",
-                    "crit_unscaled", "crit_scaled", "energies", "weights"),
-                   events, chatter=events is None)
-    tr.switches = 0 if events is None else events.switches
-    return tr
+    times, Y, regimes, work = _run_dp54(
+        p, cfg, np.concatenate((x0, np.zeros(n))), counts, rhs, events,
+        chatter=events is None)
+    X, V = Y[:, :n].copy(), Y[:, n:].copy()
+    graw = grads(X)
+    G = gens(graw)
+    if events is None:
+        b = (r / (times + theta))[:, None] * V
+        w = np.array([_implicit_acceleration(Gk, bk)[0] for Gk, bk in zip(G, b)])
+    else:
+        w = events.weights(G, times, X, V, regimes)
+    f = p._value(X)
+    speed2 = _dot(V, V)
+    return _trajectory(p, rule, cfg, work, times=times, states=X,
+                       velocities=V, f_values=f, speeds=np.sqrt(speed2),
+                       crit_unscaled=_min_norm(graw)[2],
+                       crit_scaled=_min_norm(G)[2],
+                       energies=f + half_alpha * speed2[:, None], weights=w,
+                       switches=0 if events is None else events.switches)

@@ -10,7 +10,9 @@ The Hausdorff distance also takes stacks: (..., mA, n) and (..., mB, n)
 generator arrays with equal leading shapes give an array of distances.  One
 implementation serves one pair and a stack; it projects one vertex of every
 hull in the stack at a time, and its distances equal the one-pair values bit
-for bit.
+for bit.  It does so through the stack form of the internal minimum-norm
+kernel _min_norm, which also computes the recorded criticalities of the
+flows and the discrete method.
 
 Projections are solved with an active-set minimum-norm-point method (Wolfe's
 algorithm) on the shifted generators, with closed forms for one or two
@@ -246,12 +248,45 @@ def _min_norm_weights(P):
     return _wolfe_min_norm(P)
 
 
+def _dot(a, b):
+    # row-wise <a, b> over (..., n) stacks; stacked @ calls the same BLAS
+    # dot for each row that a @ b calls for one pair of vectors
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _min_norm(P):
     """Weights w, point d = w @ P and norm ||d|| of the minimum-norm point
-    of conv(rows of P)."""
-    w = _min_norm_weights(P)
-    d = w @ P
-    return w, d, float(np.sqrt(d @ d))
+    of conv(rows of P).
+
+    P is one (m, n) hull, which gives a float norm, or an (..., m, n) stack
+    of hulls, which gives stacks of weights, points and norms.  A stacked
+    result equals the result of its hull alone bit for bit: m = 2 takes
+    _segment_weights' closed form on every hull at once, m >= 3 runs Wolfe
+    hull by hull.
+    """
+    if P.ndim == 2:
+        w = _min_norm_weights(P)
+        d = w @ P
+        return w, d, float(np.sqrt(d @ d))
+    m = P.shape[-2]
+    if m == 1:
+        w = np.ones(P.shape[:-1])
+    elif m == 2:
+        d = P[..., 0, :] - P[..., 1, :]
+        dd = _dot(d, d)
+        # theta = 1 on a zero-length segment
+        theta = np.divide(-_dot(P[..., 1, :], d), dd, out=np.ones_like(dd),
+                          where=dd != 0.0)
+        # max(0.0, theta) and min(1.0, theta), which return +0.0 where
+        # np.clip would keep the -0.0 of a zero numerator
+        theta = np.where(theta > 0.0, theta, 0.0)
+        theta = np.where(theta < 1.0, theta, 1.0)
+        w = np.stack([theta, 1.0 - theta], axis=-1)
+    else:
+        hulls = P.reshape((-1,) + P.shape[-2:])
+        w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])
+    d = (w[..., None, :] @ P)[..., 0, :]
+    return w, d, np.sqrt(_dot(d, d))
 
 
 def _project_weights(q, G):
@@ -325,28 +360,11 @@ def support_point(b, generators):
 
 def _point_hull_distance(p, Q):
     # dist(p, conv Q) for a (..., n) stack of points and (..., mQ, n) hulls,
-    # rounded as project_onto_hull rounds it: R = Q - p, w the min-norm
-    # weights of R, distance ||(p + w @ R) - p||.  The dot products use
-    # stacked @, which calls the same BLAS dot as one pair does.
-    R = Q - p[..., None, :]
-    mQ, n = R.shape[-2:]
-    if mQ == 1:
-        V = R[..., 0, :]
-    else:
-        if mQ == 2:
-            # _segment_weights on every R: theta = 1 on a zero-length segment
-            d = R[..., 0, :] - R[..., 1, :]
-            dd = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
-            r1d = (R[..., 1, None, :] @ d[..., :, None])[..., 0, 0]
-            theta = np.divide(-r1d, dd, out=np.ones_like(dd), where=dd != 0.0)
-            np.clip(theta, 0.0, 1.0, out=theta)
-            w = np.stack([theta, 1.0 - theta], axis=-1)
-        else:
-            w = np.array([_min_norm_weights(Rk) for Rk in R.reshape(-1, mQ, n)])
-            w = w.reshape(R.shape[:-1])
-        V = (w[..., None, :] @ R)[..., 0, :]
+    # rounded as project_onto_hull rounds it: R = Q - p, V = w @ R the
+    # min-norm point of R, distance ||(p + V) - p||.
+    V = _min_norm(Q - p[..., None, :])[1]
     diff = (p + V) - p
-    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    return np.sqrt(_dot(diff, diff))
 
 
 def _excess(P, Q):

@@ -12,6 +12,7 @@ from mbgf.flow import (
     FlowConfig,
     _SlidingPair,
     _sliding_weight,
+    _sliding_weights,
     integrate_accelerated,
     integrate_first_order,
     solve_implicit_acceleration,
@@ -490,13 +491,13 @@ def test_fixed_point_records_equal_stepping(mode, name, x0, alpha, every):
     calls = _counting_grads(p)
     tr = _integrate(p, rule, x0, cfg)
     # The error estimate is 0, so each step is ten times the last: 1e-3,
-    # 1e-2, 0.1 and the rest of the window, six stages each.  The t0 record
-    # supplies the first stage; every other record costs one oracle call.
-    # At rest the pair slides (lambda = 0 on p1, where g_2 = 0, and 1/2 on
-    # p4), and the sliding field evaluates x alone, so the accelerated run
-    # costs the same.
+    # 1e-2, 0.1 and the rest of the window, six stages each, after the
+    # first stage at t0.  The records take one stacked oracle call, whatever
+    # their number.  At rest the pair slides (lambda = 0 on p1, where
+    # g_2 = 0, and 1/2 on p4), and the sliding weight at v = 0 needs no
+    # central difference, so the accelerated run costs the same.
     assert (tr.steps, tr.rejected, tr.rhs_evals) == (4, 0, 25)
-    assert calls[0] == tr.rhs_evals + len(tr) - 1 <= len(tr) + 30
+    assert calls[0] == tr.rhs_evals + 1
     assert tr.switches == (None if mode == "first_order" else 0)
     y0 = x0 if mode == "first_order" else x0 + [0.0] * p.n
     times, ys = _stepped_records(p, rule, y0, cfg)
@@ -553,16 +554,19 @@ def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
 @pytest.mark.parametrize("every", [1, 7])
 def test_each_step_reuses_the_record_k1(mode, every):
     # A step evaluates six stages; its first is the last stage of the step
-    # before (FSAL), and only the t0 record supplies one.  Every later
-    # record costs one oracle call of its own.  A sliding stage evaluates
-    # x and the central difference along v in one stacked oracle call, and
-    # this run locates no switch, so both modes cost the same.
+    # before (FSAL), and only the t0 stage is evaluated on its own.  A
+    # sliding stage evaluates x and the central difference along v in one
+    # stacked oracle call, and this run locates no switch, so both modes
+    # step at the same cost.  The records cost a fixed number of oracle
+    # calls, whatever their number: one on the stack of recorded states,
+    # and in accelerated mode one more on the stack of central differences
+    # of the sliding records that have left rest.
     p = get_problem("unbalanced-convex")
     cfg = FlowConfig(t_end=0.05, dt=1e-3, mode=mode, record_every=every)
     calls = _counting_grads(p)
     tr = _integrate(p, constant([1.0, 1.0]), [0.25, 1.5], cfg)
     assert tr.rhs_evals == 1 + 6 * (tr.steps + tr.rejected)
-    assert calls[0] == tr.rhs_evals + len(tr) - 1
+    assert calls[0] == tr.rhs_evals + (1 if mode == "first_order" else 2)
     assert tr.switches == (None if mode == "first_order" else 0)
     assert len(tr) == (51 if every == 1 else 9)
 
@@ -745,8 +749,7 @@ def test_sliding_weight_matches_exact_hessians(name, u, v, alpha, damping):
     v = np.array(v[:p.n])
     b = damping * v
     gens = generator_map(constant(alpha), 2)
-    graw, U, delta, lam = _sliding_weight(p._grads, gens, x, v, damping)
-    assert np.array_equal(graw, p.grads(x))
+    U, delta, lam = _sliding_weight(p._grads, gens, x, v, damping)
     assert np.array_equal(U, scaled_hull_generators(constant(alpha), p, x, 0.0))
     H1, H2 = _HESSIANS[name]
     D = H1 / alpha[0] - H2 / alpha[1]
@@ -782,7 +785,7 @@ def test_sliding_weight_at_rest_is_the_min_norm_weight(G, kind):
         G *= 1e-3
     grads, gens = _segment_hull(G)
     zero = np.zeros(n)
-    _, U, delta, lam = _sliding_weight(grads, gens, zero, zero, 1.0)
+    U, delta, lam = _sliding_weight(grads, gens, zero, zero, 1.0)
     w = min(1.0, max(0.0, lam))
     norm = np.linalg.norm(w * G[0] + (1.0 - w) * G[1])
     scale = np.abs(G).max()
@@ -795,8 +798,124 @@ def test_sliding_weight_at_rest_is_the_min_norm_weight(G, kind):
     assert kind != "duplicate" or lam == 1.0
     if kind == "tiny":
         # the weight does not depend on the hull's scale
-        lam_unit = _sliding_weight(*_segment_hull(G * 1e3), zero, zero, 1.0)[3]
+        lam_unit = _sliding_weight(*_segment_hull(G * 1e3), zero, zero, 1.0)[2]
         assert lam == pytest.approx(lam_unit, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_HESSIANS)),
+       u=st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16),
+       v=st.lists(st.floats(-5.0, 5.0), min_size=16, max_size=16),
+       alpha=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+       damping=st.lists(st.floats(0.0, 3.0), min_size=8, max_size=8),
+       rest=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_stacked_sliding_weights_bit_equal_each_row(name, u, v, alpha,
+                                                    damping, rest):
+    # The records' lambda of eight rows in one call equals _sliding_weight
+    # of each row alone byte for byte, rows at rest (v = 0, no central
+    # difference) mixed with moving ones.
+    p = get_problem(name)
+    n = p.n
+    lo, hi = p.region.lo, p.region.hi
+    X = lo + np.array(u).reshape(8, 2)[:, :n] * (hi - lo)
+    V = np.array(v).reshape(8, 2)[:, :n] * ~np.array(rest)[:, None]
+    k = np.array(damping)
+    gens = generator_map(constant(alpha), 2)
+    lam = _sliding_weights(p._grads, gens, gens(p._grads(X)), X, V, k)
+    single = [_sliding_weight(p._grads, gens, x, vi, ki)[2]
+              for x, vi, ki in zip(X, V, k.tolist())]
+    assert lam.tobytes() == np.array(single).tobytes()
+
+
+def test_stacked_sliding_weights_on_degenerate_hulls():
+    # duplicate generators (lambda = 1), 0 inside the hull and a 1e-3 scale,
+    # at rest and moving, against each row alone
+    X = np.array([[0.0, 0.0], [0.3, -0.2], [1.0, 1.0]])
+    V = np.array([[0.0, 0.0], [0.5, 0.1], [-1.0, 2.0]])
+    k = np.array([1.0, 0.5, 2.0])
+    for G in ([[1.0, 2.0], [1.0, 2.0]], [[1.0, 2.0], [-0.5, -1.0]],
+              [[1e-3, 2e-3], [-3e-3, 1e-3]]):
+        G = np.array(G)
+
+        def grads(x):
+            return np.broadcast_to(G, x.shape[:-1] + G.shape).copy()
+
+        lam = _sliding_weights(grads, lambda g: g, grads(X), X, V, k)
+        single = [_sliding_weight(grads, lambda g: g, x, vi, ki)[2]
+                  for x, vi, ki in zip(X, V, k.tolist())]
+        assert lam.tobytes() == np.array(single).tobytes()
+        if (G[0] == G[1]).all():
+            assert lam.tolist() == [1.0, 1.0, 1.0]
+
+
+def _same_row(a, b):
+    assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _rebuilt_min_norm(P):
+    r = min_norm_point(P)
+    return r.weights.weights, np.linalg.norm(r.point)
+
+
+@pytest.mark.parametrize("mode", ["first_order", "accelerated", "discrete"])
+@pytest.mark.parametrize("name", sorted(_HESSIANS) + ["nonconvex-bounded-grad"])
+def test_stacked_records_equal_per_record_rebuild(monkeypatch, mode, name):
+    # Every record of every shipped start at record_every = 1, computed in
+    # one stacked pass, equals the row rebuilt from its state alone through
+    # the public per-point path: p.value, p.grads, min_norm_point and
+    # scaled_hull_generators.  An accelerated weight is the vertex of its
+    # recorded regime, or the sliding weight clamped to [0, 1].
+    p = get_problem(name)
+    rule = constant([1.0, 2.0])
+    runs = [(rule, x0) for x0 in p.starts]
+    if mode != "accelerated":
+        runs.append((gradnorm_eta(0.2), p.starts[-1]))
+    elif name == "unbalanced-convex":
+        # a slide, a crossing and a slide entry
+        runs.append((constant([1.0, 1.0]), [-0.2, 1.8]))
+    regimes = []
+    weights = _SlidingPair.weights
+
+    def spy(self, G, T, X, V, recorded):
+        regimes.append(list(recorded))
+        return weights(self, G, T, X, V, recorded)
+
+    monkeypatch.setattr(_SlidingPair, "weights", spy)
+    for rule, x0 in runs:
+        if mode == "discrete":
+            tr = run_discrete(p, rule, x0, DiscreteConfig(max_iters=300))
+            times = tr.ks
+        else:
+            cfg = FlowConfig(t_end=0.6 if mode == "first_order" else 1.0,
+                             dt=1e-3, mode=mode, record_every=1)
+            tr = _integrate(p, rule, x0, cfg)
+            times = tr.times
+        # the discrete method stops at once at p1's fixed point (1, 1)
+        assert len(tr) > 300 or tr.crit_scaled[-1] == 0.0
+        for i, (t, x) in enumerate(zip(times.tolist(), tr.states)):
+            f = p.value(x)
+            _same_row(tr.f_values[i], f)
+            _same_row(tr.crit_unscaled[i], _rebuilt_min_norm(p.grads(x))[1])
+            w, norm = _rebuilt_min_norm(scaled_hull_generators(rule, p, x, t))
+            _same_row(tr.crit_scaled[i], norm)
+            if mode != "accelerated":
+                _same_row(tr.weights[i], w)
+                if mode == "first_order":
+                    _same_row(tr.speeds[i], norm)
+                continue
+            v = tr.velocities[i]
+            _same_row(tr.speeds[i], np.linalg.norm(v))
+            _same_row(tr.energies[i], f + 0.5 * rule.values * float(v @ v))
+            s = regimes[-1][i]
+            if s:
+                _same_row(tr.weights[i], [1.0, 0.0] if s > 0 else [0.0, 1.0])
+            else:
+                lam = _sliding_weight(p._grads, generator_map(rule, 2), x, v,
+                                      cfg.r / (t + cfg.theta))[2]
+                lam = min(1.0, max(0.0, lam))
+                _same_row(tr.weights[i], [lam, 1.0 - lam])
+        if mode == "accelerated" and len(x0) == 2 and x0[0] == -0.2:
+            assert tr.switches == 2 and set(regimes[-1]) == {-1, 0, 1}
 
 
 def _sigma(p, rule, tr):
@@ -920,7 +1039,7 @@ def test_located_switch_is_a_root_on_the_dense_output(monkeypatch, name, x0,
                 U = gens(p.grads(x))
                 return s * float(v @ (U[0] - U[1]))
             lam = _sliding_weight(p._grads, gens, x, v,
-                                  cfg.r / (t + f * h + cfg.theta))[3]
+                                  cfg.r / (t + f * h + cfg.theta))[2]
             return lam if lam < 0.5 else 1.0 - lam
 
         slope = abs(g(th) - g(th - 1e-6)) / 1e-6

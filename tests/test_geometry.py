@@ -14,7 +14,7 @@ from mbgf import (
 )
 from mbgf.errors import NumericDomainError
 from mbgf import verify
-from mbgf.geometry import (MEMBERSHIP_TOL, SUPPORT_TIE_TOL, _excess,
+from mbgf.geometry import (MEMBERSHIP_TOL, SUPPORT_TIE_TOL, _excess, _min_norm,
                            _min_norm_weights, _project_weights, _support_weights)
 from mbgf.verify import _exact_min_norm
 
@@ -415,6 +415,57 @@ def test_stacked_hausdorff_bit_equals_per_pair_on_suite_pairs():
         A, B = GU[pick], GV[pick]
         ref = np.array([_per_pair_hausdorff(a, b) for a, b in _pairs(A, B)])
         assert hausdorff_hull_distance(A, B).tobytes() == ref.tobytes()
+
+
+@st.composite
+def hull_stacks(draw):
+    # a stack of hulls with one m, plus the degenerate cases: duplicate
+    # generators, 0 inside the hull, a 1e-3 scale, and a zero generator,
+    # whose segment weight is -0.0 / |d|^2 before the clamp
+    lead = draw(st.sampled_from([(1,), (5,), (2, 3)]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    flat = draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False, width=64),
+                         min_size=m * n, max_size=m * n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    P = np.random.default_rng(seed).uniform(-5.0, 5.0, lead + (m, n))
+    P[(0,) * len(lead)] = np.reshape(flat, (m, n))
+    kind = draw(st.sampled_from(["plain", "duplicate", "zero-inside", "tiny",
+                                 "zero-generator"]))
+    if kind == "duplicate":
+        P[..., -1, :] = P[..., 0, :]
+    elif kind == "zero-inside":
+        P -= P.mean(axis=-2, keepdims=True)
+    elif kind == "tiny":
+        P *= 1e-3
+    elif kind == "zero-generator":
+        P[..., -1, :] = np.where(P[..., 0, :] > 0.0, 0.0, -0.0)
+    return P
+
+
+@given(hull_stacks())
+def test_stacked_min_norm_bit_equals_each_hull(P):
+    # Weights, points and norms of a stack equal those of each hull alone
+    # byte for byte, signed zeros included, and the norms are the exact
+    # oracle's to rounding.
+    w, d, norm = _min_norm(P)
+    m, n = P.shape[-2:]
+    assert w.shape == P.shape[:-1] and d.shape == P.shape[:-2] + (n,)
+    assert norm.shape == P.shape[:-2]
+    for Pk, wk, dk, nk in zip(P.reshape(-1, m, n), w.reshape(-1, m),
+                              d.reshape(-1, n), norm.ravel()):
+        w1, d1, n1 = _min_norm(Pk)
+        assert wk.tobytes() == w1.tobytes()
+        assert dk.tobytes() == d1.tobytes()
+        assert np.float64(n1).tobytes() == nk.tobytes()
+        assert abs(n1 - _exact_min_norm(Pk)) <= 1e-9 * (1.0 + np.abs(Pk).max())
+
+
+def test_stacked_min_norm_keeps_positive_zero_weights():
+    # theta = -<p_2, d> / |d|^2 is -0.0 when p_2 = 0; the clamp returns the
+    # +0.0 that max(0.0, theta) gives for one hull
+    P = np.array([[[1.0, 2.0], [0.0, 0.0]], [[3.0, 0.0], [-0.0, 0.0]]])
+    w = _min_norm(P)[0]
+    assert w.tobytes() == np.array([[0.0, 1.0], [0.0, 1.0]]).tobytes()
 
 
 def test_stacked_hausdorff_input_contract():
