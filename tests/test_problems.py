@@ -245,12 +245,15 @@ def test_register_plugin_roundtrip(monkeypatch):
 
 
 # The built-in oracles fill preallocated arrays; these are the np.stack
-# formulas they replaced, kept as the reference.
+# formulas they replaced, kept as the reference.  They square by
+# multiplication, as ** 2 does on an array: on a single point's numpy
+# scalars ** 2 calls pow(), which differs from x * x in the last bit at
+# about 1 point in 1000.
 
 def _p1_value_stack(x):
     x1, x2 = x[..., 0], x[..., 1]
-    f1 = 0.5 * (100.0 * x1 ** 2 + x2 ** 2)
-    f2 = 0.5 * ((x1 - 1.0) ** 2 + (x2 - 1.0) ** 2)
+    f1 = 0.5 * (100.0 * (x1 * x1) + x2 * x2)
+    f2 = 0.5 * ((x1 - 1.0) * (x1 - 1.0) + (x2 - 1.0) * (x2 - 1.0))
     return np.stack([f1, f2], axis=-1)
 
 
@@ -262,7 +265,7 @@ def _p1_grads_stack(x):
 
 def _p4_value_stack(x):
     x0 = x[..., 0]
-    return np.stack([(x0 + 1.0) ** 2, (x0 - 1.0) ** 2], axis=-1)
+    return np.stack([(x0 + 1.0) * (x0 + 1.0), (x0 - 1.0) * (x0 - 1.0)], axis=-1)
 
 
 def _p4_grads_stack(x):
