@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import (MBGFError, InvalidInputError, ConfigError,
                      GridBudgetError)
-from .problems import get_problem, list_problems, level_set_bound
+from .problems import get_problem, list_problems
 from .scaling import parse_scaling
 from .flow import FlowConfig, integrate_first_order, integrate_accelerated
 from .discrete import DiscreteConfig, run_discrete
-from .merit_rates import RateReport, check_bound
+from .merit_rates import RATE_BOUNDS, RATE_SLACK, RateReport, check_bound
 from . import verify as verify_mod
 
 # Short names accepted anywhere a problem name is; stored canonically.
@@ -328,38 +328,24 @@ def summary_json_text(summary):
 # Run orchestration
 
 
-def _min_gap(p, x0):
-    return float((p.value(np.asarray(x0, dtype=float)) - p.lower_bounds).min())
-
-
 def _rate_reports(cfg, p, rule, result):
     reports = []
     for name in cfg.rates:
-        if name == "runmin-criticality":
-            # Running-min scaled criticality against sqrt(gap / (eta t)).
-            gap = _min_gap(p, cfg.x0)
-            runmin = np.minimum.accumulate(result.crit_scaled)
-            mask = result.times >= 1.0
-            eta = rule.eta
-            rep = check_bound(
-                result.times[mask], runmin[mask], name=name, constant=gap,
-                bound_fn=lambda t: np.sqrt(gap) / np.sqrt(eta * t))
-        else:  # merit-cheap
-            # k * min_i(f_i(x_k) - inf f_i) against (alpha_max/s_min) R^2.
-            amax = rule.declared_bounds(p)[1]
-            lsb = level_set_bound(p, p.value(np.asarray(cfg.x0, dtype=float)))
-            C = amax / result.s_min * lsb.radius ** 2
-            cheap = (result.f_values - p.lower_bounds).min(axis=1)
-            ks = np.asarray(result.ks, dtype=float)
-            mask = ks >= 1.0
-            if not mask.any():
-                # stopped at a critical point before k=1: nothing to bound
-                rep = RateReport(name=name, constant=float(C),
-                                 observed_sup=0.0, slack=0.05,
-                                 verdict="pass", slope=float("nan"))
-            else:
-                rep = check_bound(ks[mask], cheap[mask], name=name,
-                                  constant=C, bound_fn=lambda k: C / k)
+        if name == "runmin-criticality":  # the nonconvex flow rate
+            C, bound = RATE_BOUNDS["nonconvex"](p, rule, cfg.x0)
+            ts, values = result.times, np.minimum.accumulate(result.crit_scaled)
+        else:  # merit-cheap: the discrete rate on u0 <= min_i(f_i - inf f_i)
+            C, bound = RATE_BOUNDS["discrete"](p, rule, cfg.x0,
+                                               s_min=result.s_min)
+            ts = np.asarray(result.ks, dtype=float)
+            values = (result.f_values - p.lower_bounds).min(axis=1)
+        mask = ts >= 1.0
+        if mask.any():
+            rep = check_bound(ts[mask], values[mask], name=name, constant=C,
+                              bound_fn=bound)
+        else:  # stopped at a critical point before k = 1: nothing to bound
+            rep = RateReport(name=name, constant=float(C), observed_sup=0.0,
+                             slack=RATE_SLACK, verdict="pass")
         reports.append(rep)
     return reports
 

@@ -7,6 +7,8 @@ L(f, f(x)) because z outside that level set makes some f_i(z) > f_i(x) and
 hence the inner min negative.  Both estimators return a certified interval
 for u0: u0_certified by a grid over that box, for any problem, and
 u0_bracket by a primal-dual bracket, for convex problems.
+RATE_BOUNDS states each rate theorem's constant and bound curve once, for
+the rate checks of mbgf.verify and mbgf.cli.
 
 Every monotone gate, here and in mbgf.discrete and mbgf.verify, reads
 monotone_excess: the largest per-record increase of a series beyond a
@@ -34,6 +36,8 @@ _ROUNDS = 5
 _ITERS = 400
 _STILL = 1e-13
 
+# relative slack of every rate check: value / bound <= 1 + RATE_SLACK
+RATE_SLACK = 0.05
 # per-record slack of the Lyapunov monitors: 1e-6 (1 + |V_k|)
 MONITOR_SLACK = 1e-6
 # per-record slack of f-nesting along flows and iterates: 1e-9 (1 + |f_i|)
@@ -196,7 +200,7 @@ def fit_loglog_slope(ts, values):
     return float(coef[0])
 
 
-def check_bound(ts, values, *, name, constant, bound_fn, slack=0.05):
+def check_bound(ts, values, *, name, constant, bound_fn, slack=RATE_SLACK):
     """Compare a (t, value) series against a theoretical bound curve.
 
     bound_fn maps the time grid to the bound values; the verdict passes iff
@@ -283,3 +287,79 @@ def lyapunov_monitors(run, which, z, p, rule):
         else:
             raise InvalidInputError(f"unknown monitor {name!r}")
     return out
+
+
+# -- rate bounds: row(p, rule, x0[, theta | s_min]) = (constant, bound_fn),
+# bound_fn mapping times (iterations for discrete) to the theorem's bound.
+# gap = min_i(f_i(x0) - inf f_i) and R, the certified radius of L(f, f(x0)),
+# are exact; a row with an estimated constant says which way it errs.
+
+def _level_set_box_grid(p, x0, per_axis):
+    """f(x0) and a per_axis^n grid over the certified box of L(f, f(x0))."""
+    fx = p.value(x0)
+    box = p.level_set_bound(fx).box
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lo, box.hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return fx, np.stack([g.ravel() for g in mesh], axis=-1)
+
+
+def level_set_grad_range(p, x0):
+    """Least and largest max_i ||grad f_i|| over a 500^n grid sample of
+    L(f, f(x0)), x0 included so the sample is never empty."""
+    fx, Z = _level_set_box_grid(p, x0, 500)
+    keep = np.all(p._value(Z) <= fx + 1e-9, axis=-1)
+    sample = np.vstack([Z[keep], np.asarray(x0, dtype=float)[None, :]])
+    g = np.linalg.norm(p._grads(sample), axis=-1).max(axis=-1)
+    return float(g.min()), float(g.max())
+
+
+def _convex(p, rule, x0):
+    """Convex flow, O(1/t): C = R^2 alpha_max."""
+    R = p.level_set_bound(p.value(x0)).radius
+    C = R ** 2 * rule.declared_bounds(p)[1]
+    return C, lambda t: C / t
+
+
+def _strongly_convex(p, rule, x0):
+    """Strongly convex flow, unit weights and modulus, O(e^-t): C = gap + R^2.
+    The sup of ||x0 - z||^2 / 2 may reach 2 R^2, so C errs strict."""
+    fx = p.value(x0)
+    C = float((fx - p.lower_bounds).min()) + p.level_set_bound(fx).radius ** 2
+    return C, lambda t: C * np.exp(-t)
+
+
+def _nonconvex(p, rule, x0):
+    """Nonconvex flow, eta > 0, running-min scaled criticality O(1/sqrt(t)):
+    C = gap, bound sqrt(C / (eta t))."""
+    C = float((p.value(x0) - p.lower_bounds).min())
+    return C, lambda t: np.sqrt(C) / np.sqrt(rule.eta * t)
+
+
+def _nonconvex_eta0(p, rule, x0):
+    """The nonconvex rate at eta = 0: eta becomes m1 = max of max_i ||grad f_i||
+    on L(f, f(x0)), a grid maximum that may undercount, so it errs loose."""
+    gap = float((p.value(x0) - p.lower_bounds).min())
+    m1 = level_set_grad_range(p, x0)[1]
+    return m1, lambda t: np.sqrt(gap) / np.sqrt(m1 * t)
+
+
+def _accelerated(p, rule, x0, theta):
+    """Accelerated flow, unit weights, r >= 3, O(1/(t + theta)^2): V0 = sup of
+    theta^2 min_i(f_i(x0) - f_i(z)) + 2 ||x0 - z||^2 over z in the box of
+    L(f, f(x0)), taken on an 800^n grid, at most the sup: errs strict."""
+    fx, Z = _level_set_box_grid(p, x0, 800)
+    V0 = float((theta ** 2 * (fx - p._value(Z)).min(axis=-1)
+                + 2.0 * ((Z - np.asarray(x0)) ** 2).sum(axis=-1)).max())
+    return V0, lambda t: V0 / (t + theta) ** 2
+
+
+def _discrete(p, rule, x0, s_min):
+    """Discrete method, step floor s_min, O(1/k): C = alpha_max R^2 / s_min."""
+    R = p.level_set_bound(p.value(x0)).radius
+    C = rule.declared_bounds(p)[1] / s_min * R ** 2
+    return C, lambda k: C / k
+
+
+RATE_BOUNDS = {"convex": _convex, "strongly-convex": _strongly_convex,
+               "nonconvex": _nonconvex, "nonconvex-eta0": _nonconvex_eta0,
+               "accelerated": _accelerated, "discrete": _discrete}

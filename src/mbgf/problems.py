@@ -159,11 +159,6 @@ class Problem:
         return f"Problem({self.name!r}, n={self.n}, m={self.m}, {self.convexity_class})"
 
 
-def level_set_bound(p, a):
-    """Certified radius and box containing the sublevel set L(f, a)."""
-    return p.level_set_bound(a)
-
-
 def _ball_bound(a_i, center, lower=0.0):
     # Sublevel set of 0.5*||x - c||^2 at level a_i: ball of radius sqrt(2 a_i).
     if a_i < lower:

@@ -22,7 +22,8 @@ from .errors import ConfigError
 from .flow import FlowConfig, integrate_accelerated, integrate_first_order
 from .geometry import (certificate_tolerance, certificate_violation,
                        min_norm_point, hausdorff_hull_distance)
-from .merit_rates import (NESTING_SLACK, check_bound, criticality,
+from .merit_rates import (NESTING_SLACK, RATE_BOUNDS, RATE_SLACK, check_bound,
+                          criticality, level_set_grad_range,
                           lyapunov_monitors, monotone_excess, u0_bracket,
                           u0_certified)
 from .problems import get_problem, list_problems
@@ -31,15 +32,10 @@ from .scaling import (constant, gradnorm_eta, gradnorm_eta_clamped,
 
 DEFAULT_SEED = 0
 
-RATE_SLACK = 0.05
-
 
 def _check(name, observed, bound, slack=0.0):
-    observed = float(observed)
-    bound = float(bound)
-    slack = float(slack)
-    return {"name": name, "observed": observed, "bound": bound,
-            "slack": slack,
+    observed, bound, slack = float(observed), float(bound), float(slack)
+    return {"name": name, "observed": observed, "bound": bound, "slack": slack,
             "verdict": "pass" if observed <= bound + slack else "fail"}
 
 
@@ -114,26 +110,6 @@ def _merit_checks(p, points, bounds, rate_name, run, checks):
     checks.append(_check(rate_name, rate, 1.0, RATE_SLACK))
     checks.append(_check(f"{run}-merit-gap-ratio", gap, RATE_SLACK))
     return ests
-
-
-def _level_set_box_grid(p, x0, per_axis):
-    """f(x0) and a per_axis^n grid over the certified box of L(f, f(x0))."""
-    fx = p.value(x0)
-    box = p.level_set_bound(fx).box
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lo, box.hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return fx, np.stack([g.ravel() for g in mesh], axis=-1)
-
-
-def _level_set_sample(p, x0, per_axis):
-    """Dense grid sample of L(f, f(x0)) inside its certified box.
-
-    x0 itself is always included, so the sample is never empty even when
-    the level set is thin relative to the grid.
-    """
-    fx, Z = _level_set_box_grid(p, x0, per_axis)
-    keep = np.all(p._value(Z) <= fx + 1e-9, axis=-1)
-    return np.vstack([Z[keep], np.asarray(x0, dtype=float)[None, :]])
 
 
 # -- independent min-norm oracle -------------------------------------------
@@ -280,22 +256,18 @@ def _suite_geometry_oracle(rng):
     return checks
 
 
-def _suite_convex_rate(rng):
-    del rng  # fully deterministic suite
+def _suite_convex_rate(_rng):  # fully deterministic suite
     p = get_problem("unbalanced-convex")
     rule = constant([1.0, 1.0])
-    amax = rule.declared_bounds(p)[1]
     checks = []
-    for tag, x0 in (("critical-start", p.starts[0]),
-                    ("interior-start", p.starts[1])):
-        lsb = p.level_set_bound(p.value(x0))
-        C = lsb.radius ** 2 * amax
+    for tag, x0 in zip(("critical-start", "interior-start"), p.starts):
+        _, bound = RATE_BOUNDS["convex"](p, rule, x0)
         tr = integrate_first_order(p, rule, x0,
                                    FlowConfig(t_end=100.0, dt=1e-3,
                                               record_every=100))
         _flow_sanity_checks(f"p1-{tag}", tr, p, rule, checks)
         idx = _checkpoint_indices(tr.times, np.geomspace(1.0, 100.0, 20))
-        ests = _merit_checks(p, tr.states[idx], C / tr.times[idx],
+        ests = _merit_checks(p, tr.states[idx], bound(tr.times[idx]),
                              f"p1-{tag}-merit-rate-ratio", f"p1-{tag}", checks)
         witness_err = max(
             abs(float((p.value(x) - p.value(e.witness)).min()) - e.value)
@@ -305,26 +277,24 @@ def _suite_convex_rate(rng):
     return checks
 
 
-def _suite_strongly_convex_rate(rng):
-    del rng  # fully deterministic suite
+def _suite_strongly_convex_rate(_rng):  # fully deterministic suite
     p = get_problem("strongly-convex")
     rule = constant([1.0, 1.0])
     x0 = p.starts[0]
-    lsb = p.level_set_bound(p.value(x0))
-    C = float((p.value(x0) - p.lower_bounds).min()) + lsb.radius ** 2
+    _, bound = RATE_BOUNDS["strongly-convex"](p, rule, x0)
     tr = integrate_first_order(p, rule, x0,
                                FlowConfig(t_end=10.0, dt=1e-3, record_every=10))
     checks = []
     _flow_sanity_checks("p2", tr, p, rule, checks)
 
     idx = _checkpoint_indices(tr.times, np.linspace(0.0, 10.0, 21))
-    _merit_checks(p, tr.states[idx], C * np.exp(-tr.times[idx]),
+    _merit_checks(p, tr.states[idx], bound(tr.times[idx]),
                   "p2-exp-rate-merit-ratio", "p2", checks)
 
-    # squared distance to the observed limit decays at the same exponent
+    # squared distance to the observed limit stays below twice the bound
     xstar = tr.states[-1]
     d2 = ((tr.states - xstar) ** 2).sum(axis=-1)
-    dist_ratio = float((d2 * np.exp(tr.times) / (2.0 * C)).max())
+    dist_ratio = float((d2 / (2.0 * bound(tr.times))).max())
     checks.append(_check("p2-distance-rate-ratio", dist_ratio, 1.0, RATE_SLACK))
 
     mons = lyapunov_monitors(tr, ("strongly_convex", "h"), xstar, p=p, rule=rule)
@@ -333,68 +303,37 @@ def _suite_strongly_convex_rate(rng):
     return checks
 
 
-def _suite_nonconvex_rate(rng):
-    del rng  # fully deterministic suite
+def _suite_nonconvex_rate(_rng):  # fully deterministic suite
     p = get_problem("nonconvex-bounded-grad")
     x0 = p.starts[0]
-    gap = float((p.value(x0) - p.lower_bounds).min())
     checks = []
-
-    rule2 = gradnorm_eta(0.2)
-    tr2 = integrate_first_order(p, rule2, x0,
-                                FlowConfig(t_end=200.0, dt=2e-3,
-                                           record_every=50))
-    _flow_sanity_checks("p3-eta02", tr2, p, rule2, checks)
-    runmin = np.minimum.accumulate(tr2.crit_scaled)
-    mask = tr2.times >= 1.0
-    rep = check_bound(tr2.times[mask], runmin[mask], name="p3-eta02",
-                      constant=gap,
-                      bound_fn=lambda t: np.sqrt(gap) / np.sqrt(0.2 * t),
-                      slack=RATE_SLACK)
-    checks.append(_check("p3-eta02-runmin-rate-ratio",
-                         rep.observed_sup, 1.0, RATE_SLACK))
-    checks.append(_check("p3-eta02-runmin-slope", rep.slope, -0.4))
-
-    # eta = 0 variant: the scaling constant comes from a dense sample of the
-    # initial level set, which also witnesses that no common stationary
-    # point exists there
-    rule0 = gradnorm_eta(0.0)
-    tr0 = integrate_first_order(p, rule0, x0,
-                                FlowConfig(t_end=200.0, dt=2e-3,
-                                           record_every=50))
-    _flow_sanity_checks("p3-eta0", tr0, p, rule0, checks)
-    sample = _level_set_sample(p, x0, 500)
-    per_point = np.linalg.norm(p._grads(sample), axis=-1).max(axis=-1)
-    m1 = float(per_point.max())
-    checks.append(_check("p3-eta0-no-common-stationary-point",
-                         -float(per_point.min()), -1e-3))
-    runmin0 = np.minimum.accumulate(tr0.crit_scaled)
-    mask0 = tr0.times >= 1.0
-    rep0 = check_bound(tr0.times[mask0], runmin0[mask0], name="p3-eta0",
-                       constant=m1,
-                       bound_fn=lambda t: np.sqrt(gap) / np.sqrt(m1 * t),
-                       slack=RATE_SLACK)
-    checks.append(_check("p3-eta0-runmin-rate-ratio",
-                         rep0.observed_sup, 1.0, RATE_SLACK))
+    for tag, rule, row in (("p3-eta02", gradnorm_eta(0.2), "nonconvex"),
+                           ("p3-eta0", gradnorm_eta(0.0), "nonconvex-eta0")):
+        tr = integrate_first_order(p, rule, x0,
+                                   FlowConfig(t_end=200.0, dt=2e-3,
+                                              record_every=50))
+        _flow_sanity_checks(tag, tr, p, rule, checks)
+        if rule.eta == 0.0:  # eta = 0 needs no common stationary point on L
+            checks.append(_check(f"{tag}-no-common-stationary-point",
+                                 -level_set_grad_range(p, x0)[0], -1e-3))
+        C, bound = RATE_BOUNDS[row](p, rule, x0)
+        mask = tr.times >= 1.0
+        rep = check_bound(tr.times[mask],
+                          np.minimum.accumulate(tr.crit_scaled)[mask],
+                          name=tag, constant=C, bound_fn=bound)
+        checks.append(_check(f"{tag}-runmin-rate-ratio",
+                             rep.observed_sup, 1.0, RATE_SLACK))
+        if rule.eta > 0.0:
+            checks.append(_check(f"{tag}-runmin-slope", rep.slope, -0.4))
     return checks
 
 
-def _accel_initial_value(p, x0, theta, per_axis=800):
-    """Grid maximum of theta^2 min_i(f_i(x0) - f_i(z)) + 2||x0 - z||^2 over
-    the initial level-set box (a superset of the admissible z)."""
-    fx, Z = _level_set_box_grid(p, x0, per_axis)
-    vals = (theta ** 2 * (fx - p._value(Z)).min(axis=-1)
-            + 2.0 * ((Z - np.asarray(x0)) ** 2).sum(axis=-1))
-    return float(vals.max())
-
-
-def _suite_accelerated_rate(rng):
-    del rng  # fully deterministic suite
+def _suite_accelerated_rate(_rng):  # fully deterministic suite
     p = get_problem("strongly-convex")
     rule = constant([1.0, 1.0])
     x0 = p.starts[0]
     theta = 1.0
-    V0 = _accel_initial_value(p, x0, theta)
+    _, bound = RATE_BOUNDS["accelerated"](p, rule, x0, theta=theta)
     checks = []
     for r in (3.0, 4.0):
         tag = f"p2-r{int(r)}"
@@ -403,7 +342,7 @@ def _suite_accelerated_rate(rng):
                                               mode="accelerated", r=r,
                                               theta=theta, record_every=100))
         idx = _checkpoint_indices(tr.times, np.geomspace(1.0, 100.0, 20))
-        _merit_checks(p, tr.states[idx], V0 / (tr.times[idx] + theta) ** 2,
+        _merit_checks(p, tr.states[idx], bound(tr.times[idx]),
                       f"{tag}-merit-rate-ratio", tag, checks)
 
         _energy_check(tag, tr, checks)
@@ -435,8 +374,7 @@ def _suite_accelerated_rate(rng):
     return checks
 
 
-def _suite_discrete_rate(rng):
-    del rng  # fully deterministic suite
+def _suite_discrete_rate(_rng):  # fully deterministic suite
     rule = gradnorm_eta_clamped(0.1, 0.1, 10.0)
     cfg = DiscreteConfig(max_iters=10_000, safety=0.99)
     horizon = 10_000
@@ -454,12 +392,10 @@ def _suite_discrete_rate(rng):
         checks.append(_check(f"{tag}-merit-monotone-violation",
                              mon["merit_excess"], 0.0))
 
-        # k u0(x_k) <= (alpha_max / s_min) R^2: u0 is nonincreasing along
-        # componentwise-descent iterates, so checking k_{j+1} u0(x_{k_j}) on a
-        # geometric ladder and horizon u0(x_K) covers every k in [1, horizon]
-        amax = seq.alpha_bounds[1]
-        R2 = p.level_set_bound(p.value(x0)).radius ** 2
-        C = amax / seq.s_min * R2
+        # u0 is nonincreasing along componentwise-descent iterates, so
+        # checking k_{j+1} u0(x_{k_j}) on a geometric ladder and horizon
+        # u0(x_K) covers every k in [1, horizon]
+        C, bound = RATE_BOUNDS["discrete"](p, rule, x0, s_min=seq.s_min)
         K = int(seq.ks[-1])
         cps = []
         k = 1
@@ -468,20 +404,20 @@ def _suite_discrete_rate(rng):
             k = max(k + 1, int(1.6 * k))
         cps.append(K)
         _merit_checks(p, seq.states[cps],
-                      C / np.array(cps[1:] + [horizon], dtype=float),
+                      bound(np.array(cps[1:] + [horizon], dtype=float)),
                       f"{tag}-rate-ratio", tag, checks)
 
         if tag == "p1-interior-start":
             # fully certified variant: u0 <= min_i(f_i - inf f_i)
             cheap = (seq.f_values - p.lower_bounds).min(axis=-1)
-            worst_cheap = float((seq.ks * cheap).max() / C)
+            rep = check_bound(seq.ks[1:], cheap[1:], name=tag, constant=C,
+                              bound_fn=bound)
             checks.append(_check(f"{tag}-rate-ratio-certified",
-                                 worst_cheap, 1.0, RATE_SLACK))
+                                 rep.observed_sup, 1.0, RATE_SLACK))
     return checks
 
 
-def _suite_lyapunov(rng):
-    del rng  # fully deterministic suite
+def _suite_lyapunov(_rng):  # fully deterministic suite
     checks = []
     clamped = gradnorm_eta_clamped(0.1, 0.1, 10.0)
     runs = [

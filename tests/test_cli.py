@@ -12,7 +12,7 @@ from mbgf.errors import ConfigError
 from mbgf.cli import (ExperimentConfig, parse_config, validate_config,
                       run_experiment, trajectory_csv_text, iterates_csv_text,
                       main, PROBLEM_ALIASES)
-from mbgf import problems
+from mbgf import merit_rates, problems, verify
 from mbgf.problems import Box, get_problem, make_problem
 from mbgf.scaling import parse_scaling
 from mbgf.flow import FlowConfig, integrate_first_order
@@ -367,6 +367,45 @@ def test_discrete_stop_at_critical_start_gives_vacuous_rate():
     (rep,) = summary["rate_reports"]
     assert rep["verdict"] == "pass"
     assert rep["observed_sup"] == 0.0
+
+
+def _verify_check(suite, name):
+    (check,) = [c for c in verify.run_suite(suite)["checks"]
+                if c["name"] == name]
+    return check["observed"]
+
+
+def test_runmin_criticality_equals_verify_nonconvex_ratio():
+    # the CLI report and nonconvex-rate read the same row on the same run
+    cfg = validate_config({
+        "problem": "p3", "mode": "flow",
+        "x0": list(get_problem("nonconvex-bounded-grad").starts[0]),
+        "scaling": "gradnorm:eta=0.2", "t_end": 200.0, "dt": 2e-3,
+        "record_every": 50, "rates": ["runmin-criticality"]})
+    (rep,) = run_experiment(cfg)["rate_reports"]
+    assert rep["observed_sup"] == _verify_check(
+        "nonconvex-rate", "p3-eta02-runmin-rate-ratio")
+
+
+def test_merit_cheap_equals_verify_certified_discrete_ratio():
+    cfg = validate_config({
+        "problem": "p1", "mode": "discrete", "x0": [0.25, 1.5],
+        "scaling": "gradnorm:eta=0.1,min=0.1,max=10", "iters": 10_000,
+        "safety": 0.99, "rates": ["merit-cheap"]})
+    (rep,) = run_experiment(cfg)["rate_reports"]
+    assert rep["observed_sup"] == _verify_check(
+        "discrete-rate", "p1-interior-start-rate-ratio-certified")
+
+
+def test_runmin_criticality_builds_no_level_set_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("runmin-criticality built a level-set grid")
+    monkeypatch.setattr(merit_rates, "_level_set_box_grid", no_grid)
+    cfg = validate_config({
+        "problem": "p3", "mode": "flow", "t_end": 5.0, "record_every": 50,
+        "scaling": "gradnorm:eta=0.2", "rates": ["runmin-criticality"]})
+    (rep,) = run_experiment(cfg)["rate_reports"]
+    assert rep["verdict"] == "pass"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from mbgf.errors import DegenerateScalingError, GridBudgetError, InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
+from mbgf import verify
 from mbgf.merit_rates import (
+    RATE_BOUNDS,
+    RATE_SLACK,
     check_bound,
     criticality,
     fit_loglog_slope,
@@ -14,7 +17,7 @@ from mbgf.merit_rates import (
     u0_certified,
 )
 from mbgf.problems import Box, LevelSetBound, get_problem, make_problem
-from mbgf.scaling import constant, gradnorm_eta
+from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
 
 
 def ball_problem(region=3.0):
@@ -202,6 +205,13 @@ def test_check_bound_exact_ratio():
     assert rep.verdict == "fail" and rep.observed_sup == pytest.approx(1.1)
 
 
+def test_one_rate_slack_for_check_bound_and_verify():
+    ts = np.array([1.0, 2.0])
+    rep = check_bound(ts, ts, name="t", constant=1.0, bound_fn=lambda t: t)
+    assert rep.slack == RATE_SLACK == 0.05
+    assert verify.RATE_SLACK is RATE_SLACK
+
+
 def test_strongly_convex_rate_light():
     # u0(x(t)) e^t stays below min-gap + R^2 on P2 with alpha = 1
     p = get_problem("strongly-convex")
@@ -232,6 +242,96 @@ def test_nonconvex_rate_light():
                       bound_fn=lambda t: np.sqrt(gap) / np.sqrt(eta * t))
     assert rep.verdict == "pass"
     assert fit_loglog_slope(tr.times[mask], runmin) <= -0.4
+
+
+# ------------------------------------------------------------- rate bounds
+# The formulas the verify suites and the CLI wrote inline before the rows
+# existed, kept as the reference each RATE_BOUNDS row must equal bit for bit.
+
+def _ref_box_grid(p, x0, per_axis):
+    fx = p.value(x0)
+    box = p.level_set_bound(fx).box
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lo, box.hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return fx, np.stack([g.ravel() for g in mesh], axis=-1)
+
+
+def _ref_gap(p, x0):
+    return float((p.value(x0) - p.lower_bounds).min())
+
+
+def _ref_convex(p, rule, x0):
+    lsb = p.level_set_bound(p.value(x0))
+    C = lsb.radius ** 2 * rule.declared_bounds(p)[1]
+    return C, lambda t: C / t
+
+
+def _ref_strongly_convex(p, rule, x0):
+    lsb = p.level_set_bound(p.value(x0))
+    C = float((p.value(x0) - p.lower_bounds).min()) + lsb.radius ** 2
+    return C, lambda t: C * np.exp(-t)
+
+
+def _ref_nonconvex(p, rule, x0):
+    gap = _ref_gap(p, x0)
+    return gap, lambda t: np.sqrt(gap) / np.sqrt(0.2 * t)
+
+
+def _ref_nonconvex_eta0(p, rule, x0):
+    fx, Z = _ref_box_grid(p, x0, 500)
+    keep = np.all(p._value(Z) <= fx + 1e-9, axis=-1)
+    sample = np.vstack([Z[keep], np.asarray(x0, dtype=float)[None, :]])
+    per_point = np.linalg.norm(p._grads(sample), axis=-1).max(axis=-1)
+    gap, m1 = _ref_gap(p, x0), float(per_point.max())
+    return m1, lambda t: np.sqrt(gap) / np.sqrt(m1 * t)
+
+
+def _ref_accelerated(p, rule, x0, theta):
+    fx, Z = _ref_box_grid(p, x0, 800)
+    vals = (theta ** 2 * (fx - p._value(Z)).min(axis=-1)
+            + 2.0 * ((Z - np.asarray(x0)) ** 2).sum(axis=-1))
+    V0 = float(vals.max())
+    return V0, lambda t: V0 / (t + theta) ** 2
+
+
+def _ref_discrete(p, rule, x0, s_min):
+    amax = rule.declared_bounds(p)[1]
+    R2 = p.level_set_bound(p.value(x0)).radius ** 2
+    C = amax / s_min * R2
+    return C, lambda k: C / k
+
+
+# row -> (rule for an m-objective problem, extra arguments, reference)
+_ROW_REFERENCES = {
+    "convex": (lambda m: constant([1.0] * m), {}, _ref_convex),
+    "strongly-convex": (lambda m: constant([1.0] * m), {},
+                        _ref_strongly_convex),
+    "nonconvex": (lambda m: gradnorm_eta(0.2), {}, _ref_nonconvex),
+    "nonconvex-eta0": (lambda m: gradnorm_eta(0.0), {}, _ref_nonconvex_eta0),
+    "accelerated": (lambda m: constant([1.0] * m), {"theta": 1.0},
+                    _ref_accelerated),
+    "discrete": (lambda m: gradnorm_eta_clamped(0.1, 0.1, 10.0),
+                 {"s_min": 0.0198}, _ref_discrete),
+}
+
+
+def test_every_rate_row_has_a_reference():
+    assert set(RATE_BOUNDS) == set(_ROW_REFERENCES)
+
+
+@pytest.mark.parametrize("row", sorted(_ROW_REFERENCES))
+def test_rate_row_matches_hand_formula_bit_for_bit(row):
+    make_rule, extra, reference = _ROW_REFERENCES[row]
+    t = np.concatenate([np.geomspace(1.0, 100.0, 20), np.arange(1.0, 60.0)])
+    for name in ("unbalanced-convex", "strongly-convex",
+                 "nonconvex-bounded-grad", "scalar-pair"):
+        p = get_problem(name)
+        rule = make_rule(p.m)
+        for x0 in p.starts:
+            C, bound = RATE_BOUNDS[row](p, rule, x0, **extra)
+            C_ref, bound_ref = reference(p, rule, x0, **extra)
+            assert np.float64(C).tobytes() == np.float64(C_ref).tobytes()
+            assert bound(t).tobytes() == bound_ref(t).tobytes()
 
 
 # -------------------------------------------------------- lyapunov monitors

@@ -7,7 +7,6 @@ from mbgf.errors import ConfigError, InvalidInputError, NumericDomainError
 from mbgf.problems import (
     Box,
     get_problem,
-    level_set_bound,
     list_problems,
     make_problem,
     register_problem,
@@ -134,7 +133,7 @@ def test_region_contains_shipped_start_level_sets():
     for name in ALL:
         p = get_problem(name)
         for x0 in p.starts:
-            lsb = level_set_bound(p, p.value(x0))
+            lsb = p.level_set_bound(p.value(x0))
             assert np.all(lsb.box.lo >= p.region.lo - 1e-12), name
             assert np.all(lsb.box.hi <= p.region.hi + 1e-12), name
 
@@ -175,7 +174,7 @@ def test_level_set_bound_by_rejection_sampling():
         p = get_problem(name)
         x0 = p.starts[-1]
         a = p.value(x0)
-        lsb = level_set_bound(p, a)
+        lsb = p.level_set_bound(a)
         xs = region_sample(p, rng, 20000)
         inside = np.all(p.value(xs) <= a + 1e-12, axis=-1)
         pts = xs[inside]
@@ -187,8 +186,8 @@ def test_level_set_bound_by_rejection_sampling():
 def test_level_set_bound_monotone_in_level():
     p = get_problem("strongly-convex")
     a = p.value(p.starts[0])
-    big = level_set_bound(p, a)
-    small = level_set_bound(p, 0.5 * a)
+    big = p.level_set_bound(a)
+    small = p.level_set_bound(0.5 * a)
     assert small.radius <= big.radius + 1e-12
 
 
@@ -210,7 +209,7 @@ def test_error_paths():
     with pytest.raises(InvalidInputError):
         p.value([1.0, 2.0, 3.0])
     with pytest.raises(InvalidInputError):
-        level_set_bound(p, [-1.0, 1.0])
+        p.level_set_bound([-1.0, 1.0])
 
     bad = make_problem(
         "explodes", 1, 1,

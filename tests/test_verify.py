@@ -56,7 +56,8 @@ def test_report_shape_and_pass():
     assert verify.suite_passed(rep)
 
 
-@pytest.mark.parametrize("suite", ["problem-sanity", "hausdorff-lipschitz"])
+@pytest.mark.parametrize("suite", ["problem-sanity", "hausdorff-lipschitz",
+                                   "strongly-convex-rate", "discrete-rate"])
 def test_same_seed_byte_identical_json(suite):
     a = verify.run_suite(suite, seed=3)
     b = verify.run_suite(suite, seed=3)
