@@ -335,8 +335,7 @@ def _rate_reports(cfg, p, rule, result):
             C, bound = RATE_BOUNDS["nonconvex"](p, rule, cfg.x0)
             ts, values = result.times, np.minimum.accumulate(result.crit_scaled)
         else:  # merit-cheap: the discrete rate on u0 <= min_i(f_i - inf f_i)
-            C, bound = RATE_BOUNDS["discrete"](p, rule, cfg.x0,
-                                               s_min=result.s_min)
+            C, bound = RATE_BOUNDS["discrete"](p, rule, cfg.x0, result.s_min)
             ts = np.asarray(result.ks, dtype=float)
             values = (result.f_values - p.lower_bounds).min(axis=1)
         mask = ts >= 1.0

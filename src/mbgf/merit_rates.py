@@ -290,9 +290,8 @@ def lyapunov_monitors(run, which, z, p, rule):
 
 
 # -- rate bounds: row(p, rule, x0[, theta | s_min]) = (constant, bound_fn),
-# bound_fn mapping times (iterations for discrete) to the theorem's bound.
-# gap = min_i(f_i(x0) - inf f_i) and R, the certified radius of L(f, f(x0)),
-# are exact; a row with an estimated constant says which way it errs.
+# bound_fn mapping times (iterations for discrete) to the theorem's bound;
+# gap = min_i(f_i(x0) - inf f_i) and R, the radius of L(f, f(x0)), are exact
 
 def _level_set_box_grid(p, x0, per_axis):
     """f(x0) and a per_axis^n grid over the certified box of L(f, f(x0))."""
@@ -304,13 +303,17 @@ def _level_set_box_grid(p, x0, per_axis):
 
 
 def level_set_grad_range(p, x0):
-    """Least and largest max_i ||grad f_i|| over a 500^n grid sample of
-    L(f, f(x0)), x0 included so the sample is never empty."""
+    """Certified [lo, hi] of max_i ||grad f_i|| on L(f, f(x0)).  Every point
+    of L is within hd (half a cell diagonal) of a 500^n box-grid point with
+    f <= f(x0) + grad_bound hd; over those, min - L hd and max + L hd, with L
+    = max_i lipschitz_i the Lipschitz constant of max_i ||grad f_i||."""
     fx, Z = _level_set_box_grid(p, x0, 500)
-    keep = np.all(p._value(Z) <= fx + 1e-9, axis=-1)
-    sample = np.vstack([Z[keep], np.asarray(x0, dtype=float)[None, :]])
-    g = np.linalg.norm(p._grads(sample), axis=-1).max(axis=-1)
-    return float(g.min()), float(g.max())
+    box = p.level_set_bound(fx).box
+    hd = np.linalg.norm((box.hi - box.lo) / 499) / 2.0
+    keep = np.all(p._value(Z) <= fx + p.grad_bound * hd, axis=-1)
+    g = np.linalg.norm(p._grads(Z[keep]), axis=-1).max(axis=-1)
+    Lhd = p.lipschitz.max() * hd
+    return float(g.min() - Lhd), float(g.max() + Lhd)
 
 
 def _convex(p, rule, x0):
@@ -337,7 +340,7 @@ def _nonconvex(p, rule, x0):
 
 def _nonconvex_eta0(p, rule, x0):
     """The nonconvex rate at eta = 0: eta becomes m1 = max of max_i ||grad f_i||
-    on L(f, f(x0)), a grid maximum that may undercount, so it errs loose."""
+    on L(f, f(x0)), a certified upper bound, so it errs strict."""
     gap = float((p.value(x0) - p.lower_bounds).min())
     m1 = level_set_grad_range(p, x0)[1]
     return m1, lambda t: np.sqrt(gap) / np.sqrt(m1 * t)

@@ -10,6 +10,7 @@ from mbgf.merit_rates import (
     RATE_SLACK,
     check_bound,
     criticality,
+    level_set_grad_range,
     fit_loglog_slope,
     lyapunov_monitors,
     monotone_excess,
@@ -278,11 +279,15 @@ def _ref_nonconvex(p, rule, x0):
 
 
 def _ref_nonconvex_eta0(p, rule, x0):
+    # m1 certified: the largest grid value plus L times half a cell diagonal,
+    # over the grid points within grad_bound * hd of the level set
     fx, Z = _ref_box_grid(p, x0, 500)
-    keep = np.all(p._value(Z) <= fx + 1e-9, axis=-1)
-    sample = np.vstack([Z[keep], np.asarray(x0, dtype=float)[None, :]])
-    per_point = np.linalg.norm(p._grads(sample), axis=-1).max(axis=-1)
-    gap, m1 = _ref_gap(p, x0), float(per_point.max())
+    box = p.level_set_bound(fx).box
+    hd = np.linalg.norm((box.hi - box.lo) / 499) / 2.0
+    keep = np.all(p._value(Z) <= fx + p.grad_bound * hd, axis=-1)
+    per_point = np.linalg.norm(p._grads(Z[keep]), axis=-1).max(axis=-1)
+    gap = _ref_gap(p, x0)
+    m1 = float(per_point.max() + p.lipschitz.max() * hd)
     return m1, lambda t: np.sqrt(gap) / np.sqrt(m1 * t)
 
 
@@ -332,6 +337,20 @@ def test_rate_row_matches_hand_formula_bit_for_bit(row):
             C_ref, bound_ref = reference(p, rule, x0, **extra)
             assert np.float64(C).tobytes() == np.float64(C_ref).tobytes()
             assert bound(t).tobytes() == bound_ref(t).tobytes()
+
+
+def test_level_set_grad_range_brackets_a_random_level_set_sample():
+    rng = np.random.default_rng(5)
+    for name in ("unbalanced-convex", "nonconvex-bounded-grad", "scalar-pair"):
+        p = get_problem(name)
+        for x0 in p.starts:
+            lo, hi = level_set_grad_range(p, x0)
+            box = p.level_set_bound(p.value(x0)).box
+            Z = box.lo + rng.random((200_000, p.n)) * (box.hi - box.lo)
+            Z = np.vstack([Z[np.all(p.value(Z) <= p.value(x0), axis=-1)],
+                           x0[None, :]])
+            g = np.linalg.norm(p.grads(Z), axis=-1).max(axis=-1)
+            assert lo <= g.min() and g.max() <= hi
 
 
 # -------------------------------------------------------- lyapunov monitors
