@@ -329,7 +329,6 @@ def summary_json_text(summary):
 
 
 def _rate_reports(cfg, p, rule, result):
-    reports = []
     for name in cfg.rates:
         if name == "runmin-criticality":  # the nonconvex flow rate
             C, bound = RATE_BOUNDS["nonconvex"](p, rule, cfg.x0)
@@ -340,13 +339,11 @@ def _rate_reports(cfg, p, rule, result):
             values = (result.f_values - p.lower_bounds).min(axis=1)
         mask = ts >= 1.0
         if mask.any():
-            rep = check_bound(ts[mask], values[mask], name=name, constant=C,
+            yield check_bound(ts[mask], values[mask], name=name, constant=C,
                               bound_fn=bound)
         else:  # stopped at a critical point before k = 1: nothing to bound
-            rep = RateReport(name=name, constant=float(C), observed_sup=0.0,
+            yield RateReport(name=name, constant=float(C), observed_sup=0.0,
                              slack=RATE_SLACK, verdict="pass")
-        reports.append(rep)
-    return reports
 
 
 def run_experiment(cfg):
@@ -372,7 +369,7 @@ def run_experiment(cfg):
         result = run_discrete(p, rule, x0, dc)
     wall = time.perf_counter() - start
 
-    reports = _rate_reports(cfg, p, rule, result)
+    reports = list(_rate_reports(cfg, p, rule, result))
 
     if cfg.out_csv:
         text = (iterates_csv_text(result) if cfg.mode == "discrete"

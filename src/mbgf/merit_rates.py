@@ -6,9 +6,8 @@ weak Pareto points.  The sup is attained inside any box containing
 L(f, f(x)) because z outside that level set makes some f_i(z) > f_i(x) and
 hence the inner min negative.  Both estimators return a certified interval
 for u0: u0_certified by a grid over that box, for any problem, and
-u0_bracket by a primal-dual bracket, for convex problems.
-RATE_BOUNDS states each rate theorem's constant and bound curve once, for
-the rate checks of mbgf.verify and mbgf.cli.
+u0_bracket by a primal-dual bracket, for convex problems.  RATE_BOUNDS
+states each rate theorem's constant and bound curve once.
 
 Every monotone gate, here and in mbgf.discrete and mbgf.verify, reads
 monotone_excess: the largest per-record increase of a series beyond a
@@ -36,8 +35,7 @@ _ROUNDS = 5
 _ITERS = 400
 _STILL = 1e-13
 
-# relative slack of every rate check: value / bound <= 1 + RATE_SLACK
-RATE_SLACK = 0.05
+RATE_SLACK = 0.05  # a rate check passes iff value / bound <= 1 + RATE_SLACK
 # per-record slack of the Lyapunov monitors: 1e-6 (1 + |V_k|)
 MONITOR_SLACK = 1e-6
 # per-record slack of f-nesting along flows and iterates: 1e-9 (1 + |f_i|)
@@ -289,9 +287,8 @@ def lyapunov_monitors(run, which, z, p, rule):
     return out
 
 
-# -- rate bounds: row(p, rule, x0[, theta | s_min]) = (constant, bound_fn),
-# bound_fn mapping times (iterations for discrete) to the theorem's bound;
-# gap = min_i(f_i(x0) - inf f_i) and R, the radius of L(f, f(x0)), are exact
+# -- rate bounds: row(p, rule, x0[, theta | s_min]) = (constant, bound_fn) on
+# t or k; gap = min_i(f_i(x0) - inf f_i) and R the radius of L(f, f(x0))
 
 def _level_set_box_grid(p, x0, per_axis):
     """f(x0) and a per_axis^n grid over the certified box of L(f, f(x0))."""
@@ -303,10 +300,9 @@ def _level_set_box_grid(p, x0, per_axis):
 
 
 def level_set_grad_range(p, x0):
-    """Certified [lo, hi] of max_i ||grad f_i|| on L(f, f(x0)).  Every point
-    of L is within hd (half a cell diagonal) of a 500^n box-grid point with
-    f <= f(x0) + grad_bound hd; over those, min - L hd and max + L hd, with L
-    = max_i lipschitz_i the Lipschitz constant of max_i ||grad f_i||."""
+    """Certified [lo, hi] of max_i ||grad f_i|| on L(f, f(x0)): each point of L
+    is within hd of a 500^n box-grid point with f <= f(x0) + grad_bound hd,
+    so the kept points' min and max widen by L hd, L = max_i lipschitz_i."""
     fx, Z = _level_set_box_grid(p, x0, 500)
     box = p.level_set_bound(fx).box
     hd = np.linalg.norm((box.hi - box.lo) / 499) / 2.0
@@ -332,8 +328,7 @@ def _strongly_convex(p, rule, x0):
 
 
 def _nonconvex(p, rule, x0):
-    """Nonconvex flow, eta > 0, running-min scaled criticality O(1/sqrt(t)):
-    C = gap, bound sqrt(C / (eta t))."""
+    """Nonconvex flow, eta > 0: running-min criticality O(1/sqrt(t)), C = gap."""
     C = float((p.value(x0) - p.lower_bounds).min())
     return C, lambda t: np.sqrt(C) / np.sqrt(rule.eta * t)
 
@@ -347,9 +342,8 @@ def _nonconvex_eta0(p, rule, x0):
 
 
 def _accelerated(p, rule, x0, theta):
-    """Accelerated flow, unit weights, r >= 3, O(1/(t + theta)^2): V0 = sup of
-    theta^2 min_i(f_i(x0) - f_i(z)) + 2 ||x0 - z||^2 over z in the box of
-    L(f, f(x0)), taken on an 800^n grid, at most the sup: errs strict."""
+    """Accelerated flow, unit weights, r >= 3: V0 = sup_z theta^2 min_i(f_i(x0)
+    - f_i(z)) + 2 ||x0 - z||^2, an 800^n box-grid max <= the sup: errs strict."""
     fx, Z = _level_set_box_grid(p, x0, 800)
     V0 = float((theta ** 2 * (fx - p._value(Z)).min(axis=-1)
                 + 2.0 * ((Z - np.asarray(x0)) ** 2).sum(axis=-1)).max())

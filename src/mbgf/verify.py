@@ -34,8 +34,11 @@ DEFAULT_SEED = 0
 
 
 def _check(name, observed, bound, slack=0.0):
-    observed, bound, slack = float(observed), float(bound), float(slack)
-    return {"name": name, "observed": observed, "bound": bound, "slack": slack,
+    observed = float(observed)
+    bound = float(bound)
+    slack = float(slack)
+    return {"name": name, "observed": observed, "bound": bound,
+            "slack": slack,
             "verdict": "pass" if observed <= bound + slack else "fail"}
 
 
@@ -256,7 +259,8 @@ def _suite_geometry_oracle(rng):
     return checks
 
 
-def _suite_convex_rate(_rng):  # fully deterministic suite
+def _suite_convex_rate(rng):
+    del rng  # fully deterministic suite
     p = get_problem("unbalanced-convex")
     rule = constant([1.0, 1.0])
     checks = []
@@ -277,7 +281,8 @@ def _suite_convex_rate(_rng):  # fully deterministic suite
     return checks
 
 
-def _suite_strongly_convex_rate(_rng):  # fully deterministic suite
+def _suite_strongly_convex_rate(rng):
+    del rng  # fully deterministic suite
     p = get_problem("strongly-convex")
     rule = constant([1.0, 1.0])
     x0 = p.starts[0]
@@ -303,7 +308,8 @@ def _suite_strongly_convex_rate(_rng):  # fully deterministic suite
     return checks
 
 
-def _suite_nonconvex_rate(_rng):  # fully deterministic suite
+def _suite_nonconvex_rate(rng):
+    del rng  # fully deterministic suite
     p = get_problem("nonconvex-bounded-grad")
     x0 = p.starts[0]
     checks = []
@@ -328,7 +334,8 @@ def _suite_nonconvex_rate(_rng):  # fully deterministic suite
     return checks
 
 
-def _suite_accelerated_rate(_rng):  # fully deterministic suite
+def _suite_accelerated_rate(rng):
+    del rng  # fully deterministic suite
     p = get_problem("strongly-convex")
     rule = constant([1.0, 1.0])
     x0 = p.starts[0]
@@ -374,7 +381,8 @@ def _suite_accelerated_rate(_rng):  # fully deterministic suite
     return checks
 
 
-def _suite_discrete_rate(_rng):  # fully deterministic suite
+def _suite_discrete_rate(rng):
+    del rng  # fully deterministic suite
     rule = gradnorm_eta_clamped(0.1, 0.1, 10.0)
     cfg = DiscreteConfig(max_iters=10_000, safety=0.99)
     horizon = 10_000
@@ -417,7 +425,8 @@ def _suite_discrete_rate(_rng):  # fully deterministic suite
     return checks
 
 
-def _suite_lyapunov(_rng):  # fully deterministic suite
+def _suite_lyapunov(rng):
+    del rng  # fully deterministic suite
     checks = []
     clamped = gradnorm_eta_clamped(0.1, 0.1, 10.0)
     runs = [
