@@ -300,9 +300,9 @@ def _level_set_box_grid(p, x0, per_axis):
 
 
 def level_set_grad_range(p, x0):
-    """Certified [lo, hi] of max_i ||grad f_i|| on L(f, f(x0)): each point of L
-    is within hd of a 500^n box-grid point with f <= f(x0) + grad_bound hd,
-    so the kept points' min and max widen by L hd, L = max_i lipschitz_i."""
+    """Certified [lo, hi] of max_i ||grad f_i|| on L(f, f(x0)): all of L lies
+    within hd, half a cell diagonal, of the 500^n box-grid points with f <=
+    f(x0) + grad_bound hd, whose min and max widen by hd max_i lipschitz_i."""
     fx, Z = _level_set_box_grid(p, x0, 500)
     box = p.level_set_bound(fx).box
     hd = np.linalg.norm((box.hi - box.lo) / 499) / 2.0
