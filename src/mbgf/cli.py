@@ -206,20 +206,25 @@ def validate_config(raw):
 
 
 def _parse_kv_value(key, raw):
+    """The value of a key=value line, or of the --x0 and --rates flags: the
+    JSON value if the text is JSON, else the text.  x0 and rates become
+    lists: a JSON list stays as it is; anything else (a JSON string by its
+    contents) is split at commas, empty tokens dropped, x0's read as floats."""
     raw = raw.strip()
     try:
-        return json.loads(raw)
+        value = json.loads(raw)
     except json.JSONDecodeError:
-        pass
-    if key in ("x0", "rates") and "," in raw:
-        parts = [tok.strip() for tok in raw.split(",") if tok.strip()]
-        if key == "rates":
-            return parts
-        try:
-            return [float(tok) for tok in parts]
-        except ValueError:
-            raise ConfigError(f"x0: malformed number in {raw!r}") from None
-    return raw
+        value = raw
+    if key not in ("x0", "rates") or isinstance(value, list):
+        return value
+    text = value if isinstance(value, str) else raw
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if key == "rates":
+        return tokens
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError:
+        raise ConfigError(f"x0: malformed number in {raw!r}") from None
 
 
 def _read_raw(text):
@@ -425,14 +430,9 @@ def _merge_cli_config(args, mode):
 
     flags = {key: value for key, value in vars(args).items()
              if key in _DEFAULTS and value is not None}
-    if "x0" in flags:
-        try:
-            flags["x0"] = [float(tok) for tok in flags["x0"].split(",")]
-        except ValueError:
-            raise ConfigError(f"x0: malformed number in {args.x0!r}") from None
-    if "rates" in flags:
-        flags["rates"] = [tok.strip() for tok in flags["rates"].split(",")
-                          if tok.strip()]
+    for key in ("x0", "rates"):
+        if key in flags:
+            flags[key] = _parse_kv_value(key, flags[key])
     raw.update(flags)
     return validate_config(raw)
 

@@ -44,8 +44,9 @@ class DivergenceError(MBGFError):
 
 
 class GridBudgetError(MBGFError):
-    """A grid-based estimator would exceed its point budget.  Carries the
-    requested and allowed point counts."""
+    """A brute-force grid would exceed merit_rates.GRID_BUDGET points.  The
+    budget guards every grid in the package and is checked before anything
+    is allocated.  Carries the requested and allowed point counts."""
 
     def __init__(self, message, requested=None, budget=None):
         super().__init__(message)

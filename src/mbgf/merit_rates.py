@@ -7,7 +7,10 @@ L(f, f(x)) because z outside that level set makes some f_i(z) > f_i(x) and
 hence the inner min negative.  Both estimators return a certified interval
 for u0: u0_certified by a grid over that box, for any problem, and
 u0_bracket by a primal-dual bracket, for convex problems.  RATE_BOUNDS
-states each rate theorem's constant and bound curve once.
+states each rate theorem's constant and bound curve once.  Every grid here
+(u0_certified's, the eta = 0 gradient range's and V0's) is walked in
+chunks by _box_grid, which raises GridBudgetError before it builds a grid
+of more than GRID_BUDGET points.
 
 Every monotone gate, here and in mbgf.discrete and mbgf.verify, reads
 monotone_excess: the largest per-record increase of a series beyond a
@@ -68,16 +71,23 @@ def _check_point(p, x):
     return x
 
 
-def _grid_axes(box, h):
-    sides = box.hi - box.lo
-    counts = np.maximum(1, np.ceil(sides / h).astype(int) + 1)
-    total = int(np.prod(counts.astype(float)))
+def _box_grid(box, counts):
+    """The grid of counts[j] points on axis j of box, in C order, as (k, n)
+    chunks of about _CHUNK points.  Raises GridBudgetError before building
+    anything if the grid has more than GRID_BUDGET points.  Counts may be
+    floats, so a count too large for an integer is refused, not wrapped."""
+    total = float(np.prod(np.asarray(counts, dtype=float)))
     if total > GRID_BUDGET:
         raise GridBudgetError(
-            f"u0 grid needs {total} points (> {GRID_BUDGET}); shrink the box, "
-            "coarsen h, or use u0_bracket for convex problems",
+            f"grid needs {total:.6g} points (> {GRID_BUDGET}); shrink the box, "
+            "coarsen the grid, or use u0_bracket for convex problems",
             requested=total, budget=GRID_BUDGET)
-    return [np.linspace(lo, hi, c) for lo, hi, c in zip(box.lo, box.hi, counts)]
+    counts = [int(c) for c in counts]
+    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(box.lo, box.hi, counts)]
+    block = max(1, _CHUNK // (int(total) // counts[0]))
+    for lo in range(0, len(axes[0]), block):
+        mesh = np.meshgrid(axes[0][lo:lo + block], *axes[1:], indexing="ij")
+        yield np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def u0_certified(p, x, box, h):
@@ -91,17 +101,13 @@ def u0_certified(p, x, box, h):
     if not (np.isfinite(h) and h > 0):
         raise InvalidInputError(f"grid spacing h must be > 0, got {h!r}")
     fx = p.value(x)
-    axes = _grid_axes(box, h)
+    counts = np.maximum(1.0, np.ceil((box.hi - box.lo) / h) + 1.0)
     best_val, best_z = 0.0, x  # z = x is always admissible and gives 0
-    rest = int(np.prod([len(a) for a in axes[1:]])) if len(axes) > 1 else 1
-    block = max(1, _CHUNK // rest)
-    for lo in range(0, len(axes[0]), block):
-        mesh = np.meshgrid(axes[0][lo:lo + block], *axes[1:], indexing="ij")
-        chunk = np.stack([g.ravel() for g in mesh], axis=-1)
-        inner = (fx - p._value(chunk)).min(axis=-1)
+    for Z in _box_grid(box, counts):
+        inner = (fx - p._value(Z)).min(axis=-1)
         j = int(np.argmax(inner))
         if inner[j] > best_val:
-            best_val, best_z = float(inner[j]), chunk[j].copy()
+            best_val, best_z = float(inner[j]), Z[j].copy()
     err = p.grad_bound * h * np.sqrt(p.n) / 2.0
     return MeritEstimate(value=best_val, certified_error=float(err), witness=best_z)
 
@@ -198,11 +204,11 @@ def fit_loglog_slope(ts, values):
     return float(coef[0])
 
 
-def check_bound(ts, values, *, name, constant, bound_fn, slack=RATE_SLACK):
+def check_bound(ts, values, *, name, constant, bound_fn):
     """Compare a (t, value) series against a theoretical bound curve.
 
     bound_fn maps the time grid to the bound values; the verdict passes iff
-    sup_t value/bound <= 1 + slack.  For min-over-prefix statements pass
+    sup_t value/bound <= 1 + RATE_SLACK.  For min-over-prefix statements pass
     the running minimum as values.
     """
     ts = np.asarray(ts, dtype=float)
@@ -215,8 +221,8 @@ def check_bound(ts, values, *, name, constant, bound_fn, slack=RATE_SLACK):
     observed = float((values / bounds).max())
     return RateReport(
         name=name, constant=float(constant), observed_sup=observed,
-        slack=float(slack),
-        verdict="pass" if observed <= 1.0 + slack else "fail",
+        slack=RATE_SLACK,
+        verdict="pass" if observed <= 1.0 + RATE_SLACK else "fail",
         slope=fit_loglog_slope(ts, values))
 
 
@@ -234,19 +240,13 @@ def monotone_excess(values, rel, per_step=0.0):
     return float((np.diff(values, axis=0) - slack).max())
 
 
-def _monitor_record(values):
-    return {"values": values,
-            "worst_excess": monotone_excess(values, MONITOR_SLACK)}
-
-
 def lyapunov_monitors(run, which, z, p, rule):
     """Evaluate named Lyapunov monitors on a recorded flow run of problem p
     under scaling rule.
 
     which: iterable from {"h", "convex", "strongly_convex", "accelerated"}.
-    z must lie in the level set of the final record.  Each record is
-    {values, worst_excess}, where worst_excess is the monotone_excess of
-    the monitor at MONITOR_SLACK: <= 0 means nonincreasing within
+    z must lie in the level set of the final record.  Each monitor maps to
+    its monotone_excess at MONITOR_SLACK: <= 0 means nonincreasing within
     1e-6 (1 + |monitor|) per record.  The discrete merit E(k) lives in
     discrete.discrete_monitors.
     """
@@ -258,18 +258,17 @@ def lyapunov_monitors(run, which, z, p, rule):
 
     gaps = run.f_values - fz              # (N, m)
     d2 = ((run.states - z) ** 2).sum(axis=-1)
-    out = {}
+    series = {}
     for name in which:
         if name == "h":
-            out["h"] = _monitor_record(0.5 * d2)
+            series["h"] = 0.5 * d2
         elif name == "convex":
             amax = rule.declared_bounds(p)[1]
-            vals = (run.times / amax) * gaps.min(axis=-1) + 0.5 * d2
-            out["convex_E"] = _monitor_record(vals)
+            series["convex_E"] = (run.times / amax) * gaps.min(axis=-1) + 0.5 * d2
         elif name == "strongly_convex":
             amax = rule.declared_bounds(p)[1]
-            vals = np.exp(run.times / amax) * (gaps.min(axis=-1) + 0.5 * d2)
-            out["strongly_convex_W"] = _monitor_record(vals)
+            series["strongly_convex_W"] = (np.exp(run.times / amax)
+                                           * (gaps.min(axis=-1) + 0.5 * d2))
         elif name == "accelerated":
             if run.velocities is None:
                 raise InvalidInputError("accelerated monitor needs recorded velocities")
@@ -280,36 +279,30 @@ def lyapunov_monitors(run, which, z, p, rule):
             norm2 = 0.5 * (shifted ** 2).sum(axis=-1)
             E = (w ** 2) * gaps / alphas + norm2[:, None]
             for i in range(p.m):
-                out[f"accel_E_{i}"] = _monitor_record(E[:, i])
-            out["accel_E_min"] = _monitor_record(E.min(axis=-1))
+                series[f"accel_E_{i}"] = E[:, i]
+            series["accel_E_min"] = E.min(axis=-1)
         else:
             raise InvalidInputError(f"unknown monitor {name!r}")
-    return out
+    return {key: monotone_excess(v, MONITOR_SLACK) for key, v in series.items()}
 
 
 # -- rate bounds: row(p, rule, x0[, theta | s_min]) = (constant, bound_fn) on
 # t or k; gap = min_i(f_i(x0) - inf f_i) and R the radius of L(f, f(x0))
 
-def _level_set_box_grid(p, x0, per_axis):
-    """f(x0) and a per_axis^n grid over the certified box of L(f, f(x0))."""
-    fx = p.value(x0)
-    box = p.level_set_bound(fx).box
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lo, box.hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return fx, np.stack([g.ravel() for g in mesh], axis=-1)
-
-
 def level_set_grad_range(p, x0):
     """Certified [lo, hi] of max_i ||grad f_i|| on L(f, f(x0)): all of L lies
     within hd, half a cell diagonal, of the 500^n box-grid points with f <=
     f(x0) + grad_bound hd, whose min and max widen by hd max_i lipschitz_i."""
-    fx, Z = _level_set_box_grid(p, x0, 500)
+    fx = p.value(x0)
     box = p.level_set_bound(fx).box
     hd = np.linalg.norm((box.hi - box.lo) / 499) / 2.0
-    keep = np.all(p._value(Z) <= fx + p.grad_bound * hd, axis=-1)
-    g = np.linalg.norm(p._grads(Z[keep]), axis=-1).max(axis=-1)
+    lo, hi = np.inf, -np.inf
+    for Z in _box_grid(box, [500] * p.n):
+        keep = np.all(p._value(Z) <= fx + p.grad_bound * hd, axis=-1)
+        g = np.linalg.norm(p._grads(Z[keep]), axis=-1).max(axis=-1)
+        lo, hi = min(lo, g.min(initial=np.inf)), max(hi, g.max(initial=-np.inf))
     Lhd = p.lipschitz.max() * hd
-    return float(g.min() - Lhd), float(g.max() + Lhd)
+    return float(lo - Lhd), float(hi + Lhd)
 
 
 def _convex(p, rule, x0):
@@ -344,9 +337,12 @@ def _nonconvex_eta0(p, rule, x0):
 def _accelerated(p, rule, x0, theta):
     """Accelerated flow, unit weights, r >= 3: V0 = sup_z theta^2 min_i(f_i(x0)
     - f_i(z)) + 2 ||x0 - z||^2, an 800^n box-grid max <= the sup: errs strict."""
-    fx, Z = _level_set_box_grid(p, x0, 800)
-    V0 = float((theta ** 2 * (fx - p._value(Z)).min(axis=-1)
-                + 2.0 * ((Z - np.asarray(x0)) ** 2).sum(axis=-1)).max())
+    fx = p.value(x0)
+    V0 = -np.inf
+    for Z in _box_grid(p.level_set_bound(fx).box, [800] * p.n):
+        vals = (theta ** 2 * (fx - p._value(Z)).min(axis=-1)
+                + 2.0 * ((Z - np.asarray(x0)) ** 2).sum(axis=-1))
+        V0 = max(V0, float(vals.max()))
     return V0, lambda t: V0 / (t + theta) ** 2
 
 

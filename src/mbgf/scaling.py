@@ -33,9 +33,17 @@ class ScalingRule:
 
     # -- evaluation ------------------------------------------------------
 
-    def _alpha_of_norms(self, norms):
-        # norms: (..., m) gradient norms of a gradnorm variant; shared by
+    def _constant_values(self, m):
+        # the one check of a constant rule's length against m objectives
+        if len(self.values) != m:
+            raise InvalidInputError(
+                f"constant scaling has {len(self.values)} values for {m} objectives")
+        return self.values
+
+    def _alpha_of_grads(self, g):
+        # g: (..., m, n) gradients under a gradnorm variant; shared by
         # alpha() and generator_map(), whose callers have the gradients.
+        norms = np.sqrt((g * g).sum(axis=-1))
         if self.variant == "gradnorm_eta" and self.eta == 0.0:
             small = norms < DEGENERATE_GRAD_TOL
             if np.any(small):
@@ -52,14 +60,11 @@ class ScalingRule:
     def alpha(self, p, x, t):
         del t  # no shipped rule is time-dependent
         if self.variant == "constant":
-            if len(self.values) != p.m:
-                raise InvalidInputError(
-                    f"constant scaling has {len(self.values)} values for {p.m} objectives")
             x = np.asarray(x, dtype=float)
             shape = x.shape[:-1] if x.ndim > 1 else ()
-            return np.broadcast_to(self.values, shape + (p.m,)).copy()
-        g = p.grads(x)
-        return self._alpha_of_norms(np.linalg.norm(g, axis=-1))
+            return np.broadcast_to(self._constant_values(p.m),
+                                   shape + (p.m,)).copy()
+        return self._alpha_of_grads(p.grads(x))
 
     # -- declared metadata -------------------------------------------------
 
@@ -138,13 +143,10 @@ def generator_map(rule, m):
     (the integrators, the discrete method) pay only the division.
     """
     if rule.variant == "constant":
-        if len(rule.values) != m:
-            raise InvalidInputError(
-                f"constant scaling has {len(rule.values)} values for {m} objectives")
-        a = np.asarray(rule.values, dtype=float)[:, None]
+        a = np.asarray(rule._constant_values(m), dtype=float)[:, None]
         return lambda g: g / a
-    of_norms = rule._alpha_of_norms
-    return lambda g: g / of_norms(np.sqrt((g * g).sum(axis=-1)))[..., None]
+    of_grads = rule._alpha_of_grads
+    return lambda g: g / of_grads(g)[..., None]
 
 
 def scaled_hull_generators(rule, p, x, t):

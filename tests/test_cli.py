@@ -138,6 +138,8 @@ def test_malformed_values_name_the_key():
         parse_config('{"problem": "p2", "t_end": 1, "x0": [1, "a"]}')
     with pytest.raises(ConfigError, match="x0"):
         parse_config('{"problem": "p2", "t_end": 1, "x0": [1, 2, 3]}')
+    with pytest.raises(ConfigError, match="x0"):  # JSON stays typed: no list
+        parse_config('{"problem": "p4", "t_end": 1, "x0": 2}')
     with pytest.raises(ConfigError, match="scaling"):
         parse_config('{"problem": "p2", "t_end": 1, "scaling": "const:1,1,1"}')
     with pytest.raises(ConfigError, match="mode"):
@@ -198,6 +200,28 @@ def test_config_file_and_text_read_alike(tmp_path, capsys):
         ran = validate_config(json.loads(summary.read_text())["config"])
         assert ran == dataclasses.replace(parse_config(text),
                                           out_json=str(summary))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("problem, x0, expected", [
+    ("p4", "2", [2.0]),          # a bare number
+    ("p4", "2,", [2.0]),         # a trailing comma
+    ("p2", "[1,1]", [1.0, 1.0]),  # a JSON list
+])
+def test_x0_flag_and_key_value_file_read_alike(problem, x0, expected,
+                                               tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"problem = {problem}\nmode = discrete\niters = 5\n"
+                       f"x0 = {x0}\n")
+    configs = []
+    for i, args in enumerate((["--config", str(cfgfile)],
+                              ["--problem", problem, "--iters", "5",
+                               "--x0", x0])):
+        summary = tmp_path / f"s{i}.json"
+        assert main(["discrete", *args, "--summary", str(summary)]) == 0
+        configs.append(json.loads(summary.read_text())["config"])
+        configs[-1].pop("out_json")
+    assert configs[0] == configs[1] and configs[0]["x0"] == expected
     capsys.readouterr()
 
 
@@ -400,7 +424,7 @@ def test_merit_cheap_equals_verify_certified_discrete_ratio():
 def test_runmin_criticality_builds_no_level_set_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("runmin-criticality built a level-set grid")
-    monkeypatch.setattr(merit_rates, "_level_set_box_grid", no_grid)
+    monkeypatch.setattr(merit_rates, "_box_grid", no_grid)
     cfg = validate_config({
         "problem": "p3", "mode": "flow", "t_end": 5.0, "record_every": 50,
         "scaling": "gradnorm:eta=0.2", "rates": ["runmin-criticality"]})

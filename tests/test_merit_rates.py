@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from mbgf.errors import DegenerateScalingError, GridBudgetError, InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
-from mbgf import verify
+from mbgf import merit_rates, verify
 from mbgf.merit_rates import (
+    GRID_BUDGET,
     RATE_BOUNDS,
     RATE_SLACK,
     check_bound,
@@ -80,6 +81,16 @@ def test_grid_budget_error_suggests_bracket():
     p = get_problem("unbalanced-convex")
     with pytest.raises(GridBudgetError, match="u0_bracket") as exc:
         u0_certified(p, [1.0, 1.0], Box([-100.0, -100.0], [100.0, 100.0]), 1e-4)
+    assert exc.value.requested > exc.value.budget
+
+
+def test_u0_grid_too_fine_for_an_integer_count_is_refused():
+    # 4 / 1e-300 cells per side do not fit an integer count; the budget
+    # check must see them rather than a wrapped count of one point
+    p = get_problem("scalar-pair")
+    box = p.level_set_bound(p.value(np.array([2.0]))).box
+    with pytest.raises(GridBudgetError) as exc:
+        u0_certified(p, [2.0], box, 1e-300)
     assert exc.value.requested > exc.value.budget
 
 
@@ -353,6 +364,94 @@ def test_level_set_grad_range_brackets_a_random_level_set_sample():
             assert lo <= g.min() and g.max() <= hi
 
 
+# ------------------------------------------------------------ the grid walk
+
+def two_balls_3d():
+    # f_i = 0.5 ||x - c_i||^2 in three dimensions: convex, and its level-set
+    # box is the whole region [-2, 2]^3
+    C = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return make_problem(
+        "two-balls-3d", 3, 2,
+        lambda x: 0.5 * ((x[..., None, :] - C) ** 2).sum(axis=-1),
+        lambda x: x[..., None, :] - C,
+        lipschitz=[1.0, 1.0], lower_bounds=[0.0, 0.0],
+        convexity_class="convex", region=Box([-2.0] * 3, [2.0] * 3),
+        grad_bound=6.0, starts=[[0.5, 0.5, 0.5]])
+
+
+def test_level_set_grids_respect_the_budget_in_three_dimensions():
+    # 800^3 points for V0 and 500^3 for the gradient range, both over budget
+    p = two_balls_3d()
+    x0 = p.starts[0]
+    for build in (lambda: RATE_BOUNDS["accelerated"](p, constant([1.0, 1.0]),
+                                                     x0, theta=1.0),
+                  lambda: level_set_grad_range(p, x0)):
+        with pytest.raises(GridBudgetError, match="u0_bracket") as exc:
+            build()
+        assert exc.value.requested > exc.value.budget == GRID_BUDGET
+
+
+def _u0_grid(p, x0):
+    # f(x0), the level-set box and a spacing of about 300 cells per side
+    fx = p.value(x0)
+    box = p.level_set_bound(fx).box
+    return fx, box, max(1e-9, float((box.hi - box.lo).max()) / 300.0)
+
+
+def _grid_results(p, x0):
+    _, box, h = _u0_grid(p, x0)
+    est = u0_certified(p, x0, box, h)
+    V0, _ = RATE_BOUNDS["accelerated"](p, constant([1.0] * p.m), x0, theta=1.0)
+    return (np.float64(est.value).tobytes(), est.witness.tobytes(),
+            np.array(level_set_grad_range(p, x0)).tobytes(),
+            np.float64(V0).tobytes())
+
+
+def test_chunked_grid_walk_matches_one_chunk_bit_for_bit(monkeypatch):
+    for name in ("unbalanced-convex", "strongly-convex",
+                 "nonconvex-bounded-grad", "scalar-pair"):
+        p = get_problem(name)
+        for x0 in p.starts:
+            monkeypatch.setattr(merit_rates, "_CHUNK", GRID_BUDGET)
+            whole = _grid_results(p, x0)
+            monkeypatch.setattr(merit_rates, "_CHUNK", 100)  # one row or less
+            assert _grid_results(p, x0) == whole, (name, x0)
+
+
+def trough():
+    # f = 0.5 x_2^2 on [-1, 1]^2: every row of the u0 grid, hence every
+    # chunk, ties at the z_2 nearest 0
+    return make_problem(
+        "trough", 2, 1, lambda x: 0.5 * x[..., 1:] ** 2,
+        lambda x: np.stack([0.0 * x[..., 1], x[..., 1]], axis=-1)[..., None, :],
+        lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
+        region=Box([-1.0, -1.0], [1.0, 1.0]), grad_bound=1.0,
+        starts=[[0.5, 0.5]])
+
+
+def test_u0_witness_is_the_first_grid_maximum_in_c_order(monkeypatch):
+    monkeypatch.setattr(merit_rates, "_CHUNK", 100)
+    problems = [get_problem(name) for name in (
+        "unbalanced-convex", "strongly-convex", "nonconvex-bounded-grad",
+        "scalar-pair")] + [trough()]
+    for p in problems:
+        for x0 in p.starts:
+            fx, box, h = _u0_grid(p, x0)
+            counts = np.maximum(1, np.ceil((box.hi - box.lo) / h).astype(int) + 1)
+            axes = [np.linspace(lo, hi, c)
+                    for lo, hi, c in zip(box.lo, box.hi, counts)]
+            Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                         axis=-1)
+            inner = (fx - p._value(Z)).min(axis=-1)
+            j = int(np.argmax(inner))
+            est = u0_certified(p, x0, box, h)
+            if inner[j] > 0.0:
+                assert est.value == inner[j]
+                assert est.witness.tobytes() == Z[j].tobytes()
+            else:
+                assert est.value == 0.0 and np.array_equal(est.witness, x0)
+
+
 # -------------------------------------------------------- lyapunov monitors
 
 def test_monitors_first_order_p2():
@@ -363,8 +462,8 @@ def test_monitors_first_order_p2():
     out = lyapunov_monitors(tr, ["h", "convex", "strongly_convex"], [1.0, 0.0],
                             p, rule)
     assert set(out) == {"h", "convex_E", "strongly_convex_W"}
-    for rec in out.values():
-        assert rec["worst_excess"] <= 0.0, rec["worst_excess"]
+    for excess in out.values():
+        assert isinstance(excess, float) and excess <= 0.0, excess
 
 
 def test_monitors_accelerated_p2():
@@ -376,8 +475,8 @@ def test_monitors_accelerated_p2():
                    record_every=100))
     out = lyapunov_monitors(tr, ["accelerated"], [1.0, 0.0], p, rule)
     assert set(out) == {"accel_E_0", "accel_E_1", "accel_E_min"}
-    for rec in out.values():
-        assert rec["worst_excess"] <= 0.0, rec["worst_excess"]
+    for excess in out.values():
+        assert isinstance(excess, float) and excess <= 0.0, excess
 
 
 def test_monitor_error_paths():

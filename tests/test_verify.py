@@ -57,7 +57,9 @@ def test_report_shape_and_pass():
 
 
 @pytest.mark.parametrize("suite", ["problem-sanity", "hausdorff-lipschitz",
-                                   "strongly-convex-rate", "discrete-rate"])
+                                   "strongly-convex-rate", "discrete-rate",
+                                   "nonconvex-rate", "accelerated-rate",
+                                   "lyapunov"])
 def test_same_seed_byte_identical_json(suite):
     a = verify.run_suite(suite, seed=3)
     b = verify.run_suite(suite, seed=3)
