@@ -398,8 +398,11 @@ def run_experiment(cfg):
         "rate_reports": [_report_dict(r) for r in reports],
         "wall_time_s": wall,
     }
-    if cfg.mode != "discrete":
-        # deterministic work counts, unlike the wall time
+    # deterministic work counts, unlike the wall time
+    if cfg.mode == "discrete":
+        summary["work"] = {"grad_calls": result.grad_calls,
+                           "fixed_point_k": result.fixed_point_k}
+    else:
         summary["work"] = {"rhs_evals": result.rhs_evals,
                            "steps": result.steps, "rejected": result.rejected}
         if cfg.mode == "accel":
@@ -447,8 +450,13 @@ def _print_run_summary(summary, out):
     print(f"  final f = ({fvals})", file=out)
     print(f"  criticality: unscaled {final['crit_unscaled']:.3e}, "
           f"scaled {final['crit_scaled']:.3e}", file=out)
-    if "work" in summary:
-        work = summary["work"]
+    work = summary["work"]
+    if "grad_calls" in work:
+        fixed = ("no fixed point" if work["fixed_point_k"] is None
+                 else f"fixed point at k = {work['fixed_point_k']}")
+        print(f"  work: {work['grad_calls']} gradient calls, {fixed}",
+              file=out)
+    else:
         switches = (f", {work['switches']} located switches"
                     if "switches" in work else "")
         print(f"  work: {work['steps']} steps ({work['rejected']} rejected), "

@@ -12,6 +12,15 @@ is the step and whose norm is the stop test.  The objective values and the
 unscaled criticality of every iterate come after the loop, from one
 stacked pass over all iterates.
 
+The loop stops stepping at a floating-point fixed point, the first k with
+x_{k+1} == x_k byte for byte, and repeats x_k, its scaled criticality and
+its weights up to k = max_iters.  That is exact, not an approximation: the
+step depends on x alone (s is constant and the generator map reads only
+the gradients), and the loop did not stop at k, so the scaled criticality
+exceeds stop_tol there and at every repeat of x_k.  A byte compare keeps
++0.0 and -0.0 apart, and the finiteness check rules out NaN.  A cycle of
+two or more distinct iterates is not a fixed point and is stepped through.
+
 discrete_monitors checks a recorded run with merit_rates.monotone_excess:
 f-nesting at the relative NESTING_SLACK, and the merit
 E(k) = k min_i(f_i(x_k) - f_i(x_K)) + alpha_max / (2 s_min) ||x_k - x_K||^2
@@ -52,10 +61,16 @@ def _check_config(cfg):
 
 
 class IterateSequence:
-    """Recorded iterates with the same diagnostics as a Trajectory."""
+    """Recorded iterates with the same diagnostics as a Trajectory.
+
+    Work counts, deterministic for a given input: grad_calls, the gradient
+    evaluations of the loop (the stacked pass over the iterates adds one
+    more), and fixed_point_k, the first k with x_{k+1} == x_k, or None.
+    """
 
     __slots__ = ("ks", "states", "f_values", "steps", "crit_unscaled",
                  "crit_scaled", "weights", "alpha_bounds", "s_min",
+                 "grad_calls", "fixed_point_k",
                  "problem_name", "rule_spec", "config")
 
     def __init__(self, **kw):
@@ -82,6 +97,7 @@ def run_discrete(p, rule, x0, cfg):
     alpha_bounds = rule.declared_bounds(p)
     gens = generator_map(rule, p.m)
     states, cs, ws = [], [], []
+    fixed_point_k = None
 
     for k in range(cfg.max_iters + 1):
         if not np.isfinite(x).all():
@@ -92,16 +108,28 @@ def run_discrete(p, rule, x0, cfg):
         ws.append(w)
         if crit_s <= cfg.stop_tol or k == cfg.max_iters:
             break
-        x = x - s * d
+        x_new = x - s * d
+        if x_new.tobytes() == x.tobytes():
+            fixed_point_k = k  # every later iterate repeats x_k
+            break
+        x = x_new
 
+    grad_calls = len(states)
+    rest = 0 if fixed_point_k is None else cfg.max_iters - fixed_point_k
+    X, cs, ws = (_repeat_last(a, rest) for a in (states, cs, ws))
     # f and the unscaled criticality of every iterate in one stacked pass
-    X = np.array(states)
     return IterateSequence(
         ks=np.arange(len(X)), states=X, f_values=p._value(X),
         steps=np.full(len(X), s), crit_unscaled=_min_norm(p._grads(X))[2],
-        crit_scaled=np.array(cs), weights=np.array(ws),
-        alpha_bounds=alpha_bounds, s_min=s, problem_name=p.name,
-        rule_spec=rule.spec_string(), config=cfg)
+        crit_scaled=cs, weights=ws, alpha_bounds=alpha_bounds, s_min=s,
+        grad_calls=grad_calls, fixed_point_k=fixed_point_k,
+        problem_name=p.name, rule_spec=rule.spec_string(), config=cfg)
+
+
+def _repeat_last(rows, rest):
+    """The rows as one array, its last row repeated rest more times."""
+    a = np.array(rows)
+    return np.concatenate([a, np.repeat(a[-1:], rest, axis=0)])
 
 
 def merit_coefficient(seq):

@@ -292,7 +292,11 @@ def lyapunov_monitors(run, which, z, p, rule):
 def level_set_grad_range(p, x0):
     """Certified [lo, hi] of max_i ||grad f_i|| on L(f, f(x0)): all of L lies
     within hd, half a cell diagonal, of the 500^n box-grid points with f <=
-    f(x0) + grad_bound hd, whose min and max widen by hd max_i lipschitz_i."""
+    f(x0) + grad_bound hd, whose min and max widen by hd max_i lipschitz_i.
+    The range is kept on p per start, so an instance walks each grid once."""
+    key = ("level_set_grad_range", np.asarray(x0, dtype=float).tobytes())
+    if key in p._memo:
+        return p._memo[key]
     fx = p.value(x0)
     box = p.level_set_bound(fx).box
     hd = np.linalg.norm((box.hi - box.lo) / 499) / 2.0
@@ -302,7 +306,8 @@ def level_set_grad_range(p, x0):
         g = np.linalg.norm(p._grads(Z[keep]), axis=-1).max(axis=-1)
         lo, hi = min(lo, g.min(initial=np.inf)), max(hi, g.max(initial=-np.inf))
     Lhd = p.lipschitz.max() * hd
-    return float(lo - Lhd), float(hi + Lhd)
+    p._memo[key] = float(lo - Lhd), float(hi + Lhd)
+    return p._memo[key]
 
 
 def _convex(p, rule, x0):

@@ -89,11 +89,15 @@ class Problem:
     lipschitz[i] bounds ||grad f_i(x) - grad f_i(y)|| / ||x - y|| on the
     region, lower_bounds[i] <= inf f_i, grad_bound bounds max_i ||grad f_i||
     on the region, and region contains L(f, f(x0)) for every shipped start.
+
+    _memo keeps values that other modules derive from this instance alone
+    (merit_rates.level_set_grad_range), so one instance computes each once.
     """
 
     __slots__ = ("name", "n", "m", "_value", "_grads", "lipschitz",
                  "lower_bounds", "strong_convexity", "convexity_class",
-                 "region", "grad_bound", "starts", "_level_set_bound")
+                 "region", "grad_bound", "starts", "_level_set_bound",
+                 "_memo")
 
     def __init__(self, name, n, m, value, grads, lipschitz, lower_bounds,
                  convexity_class, region, grad_bound, starts,
@@ -114,6 +118,7 @@ class Problem:
         self.grad_bound = float(grad_bound)
         self.starts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in starts]
         self._level_set_bound = level_set_bound
+        self._memo = {}
         if self.lipschitz.shape != (self.m,) or np.any(self.lipschitz <= 0):
             raise InvalidInputError("lipschitz must be m positive reals")
         if self.lower_bounds.shape != (self.m,):

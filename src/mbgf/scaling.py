@@ -40,22 +40,18 @@ class ScalingRule:
                 f"constant scaling has {len(self.values)} values for {m} objectives")
         return self.values
 
-    def _alpha_of_grads(self, g):
-        # g: (..., m, n) gradients under a gradnorm variant; shared by
-        # alpha() and generator_map(), whose callers have the gradients.
-        norms = np.sqrt((g * g).sum(axis=-1))
-        if self.variant == "gradnorm_eta" and self.eta == 0.0:
-            small = norms < DEGENERATE_GRAD_TOL
-            if np.any(small):
-                idx = int(np.argwhere(small)[0][-1])
-                raise DegenerateScalingError(
-                    f"gradnorm scaling with eta = 0 hit a vanishing gradient "
-                    f"(objective {idx}, norm {float(norms[..., idx].min()):.3e})",
-                    index=idx, grad_norm=float(norms[..., idx].min()))
-        a = norms + self.eta
+    def _alpha_map(self):
+        # g (..., m, n) -> alpha (..., m) under a gradnorm variant; shared by
+        # alpha() and generator_map(), whose callers have the gradients.  The
+        # variant is branched on here, once per map, not on every call.
+        eta = self.eta
         if self.variant == "gradnorm_eta_clamped":
-            a = np.clip(a, self.clamp_lo, self.clamp_hi)
-        return a
+            lo, hi = self.clamp_lo, self.clamp_hi
+            # bit-equal to np.clip(a, lo, hi), NaN included, and cheaper
+            return lambda g: np.minimum(np.maximum(_grad_norms(g) + eta, lo), hi)
+        if eta == 0.0:
+            return _alpha_eta0
+        return lambda g: _grad_norms(g) + eta
 
     def alpha(self, p, x, t):
         del t  # no shipped rule is time-dependent
@@ -64,7 +60,7 @@ class ScalingRule:
             shape = x.shape[:-1] if x.ndim > 1 else ()
             return np.broadcast_to(self._constant_values(p.m),
                                    shape + (p.m,)).copy()
-        return self._alpha_of_grads(p.grads(x))
+        return self._alpha_map()(p.grads(x))
 
     # -- declared metadata -------------------------------------------------
 
@@ -106,6 +102,24 @@ class ScalingRule:
         return f"ScalingRule({self.spec_string()!r})"
 
 
+def _grad_norms(g):
+    return np.sqrt((g * g).sum(axis=-1))
+
+
+def _alpha_eta0(g):
+    # gradnorm scaling with eta = 0: alpha_i = ||grad f_i||, which must not
+    # vanish
+    norms = _grad_norms(g)
+    small = norms < DEGENERATE_GRAD_TOL
+    if np.any(small):
+        idx = int(np.argwhere(small)[0][-1])
+        raise DegenerateScalingError(
+            f"gradnorm scaling with eta = 0 hit a vanishing gradient "
+            f"(objective {idx}, norm {float(norms[..., idx].min()):.3e})",
+            index=idx, grad_norm=float(norms[..., idx].min()))
+    return norms
+
+
 def constant(values):
     """alpha_i(x, t) = values[i], each > 0."""
     v = np.atleast_1d(np.asarray(values, dtype=float))
@@ -145,8 +159,8 @@ def generator_map(rule, m):
     if rule.variant == "constant":
         a = np.asarray(rule._constant_values(m), dtype=float)[:, None]
         return lambda g: g / a
-    of_grads = rule._alpha_of_grads
-    return lambda g: g / of_grads(g)[..., None]
+    alpha_of = rule._alpha_map()
+    return lambda g: g / alpha_of(g)[..., None]
 
 
 def scaled_hull_generators(rule, p, x, t):

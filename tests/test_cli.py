@@ -337,9 +337,24 @@ def test_summary_work_block_repeats_exactly(tmp_path, mode, capsys):
     assert f"  {line}\n" in out
 
 
-def test_discrete_summary_has_no_work_block(tmp_path):
-    summary = run_experiment(_run_cfg(tmp_path, mode="discrete", iters=50))
-    assert "work" not in summary
+@pytest.mark.parametrize("iters, work", [
+    (50, {"grad_calls": 10, "fixed_point_k": 9}),
+    (5, {"grad_calls": 6, "fixed_point_k": None})],
+    ids=["fixed-point", "budget-first"])
+def test_discrete_summary_work_block(tmp_path, capsys, iters, work):
+    # p4 from 2.0 reaches x_{k+1} == x_k at k = 9: the loop makes 10
+    # gradient calls however many iterations are asked for beyond that
+    cfg = _run_cfg(tmp_path, mode="discrete", problem="p4", x0=[2.0],
+                   scaling="gradnorm:eta=0.148939", iters=iters)
+    assert run_experiment(cfg)["work"] == work
+    assert json.loads((tmp_path / "run.json").read_text())["work"] == work
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(cfg.to_text())
+    assert main(["discrete", "--config", str(cfgfile)]) == 0
+    fixed = ("no fixed point" if work["fixed_point_k"] is None
+             else f"fixed point at k = {work['fixed_point_k']}")
+    assert (f"  work: {work['grad_calls']} gradient calls, {fixed}\n"
+            in capsys.readouterr().out)
 
 
 def test_identical_config_byte_identical_outputs(tmp_path):

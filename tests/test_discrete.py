@@ -5,8 +5,10 @@ from mbgf.discrete import (MERIT_SLACK, DiscreteConfig, IterateSequence,
                            discrete_monitors, run_discrete, step_size)
 from mbgf.errors import InvalidInputError
 from mbgf.flow import FlowConfig, integrate_first_order
+from mbgf.geometry import _min_norm
 from mbgf.problems import Box, get_problem, make_problem
-from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
+from mbgf.scaling import (constant, generator_map, gradnorm_eta,
+                          gradnorm_eta_clamped, parse_scaling)
 
 
 def ball_problem():
@@ -97,8 +99,9 @@ def test_merit_slack_is_absolute():
         ks=np.arange(3), states=root[:, None], f_values=np.ones((3, 1)),
         steps=np.full(3, 0.5), crit_unscaled=np.zeros(3),
         crit_scaled=np.zeros(3), weights=np.ones((3, 1)),
-        alpha_bounds=(1.0, 1.0), s_min=0.5, problem_name="hand-built",
-        rule_spec="const:1", config=DiscreteConfig(max_iters=2))
+        alpha_bounds=(1.0, 1.0), s_min=0.5, grad_calls=0, fixed_point_k=None,
+        problem_name="hand-built", rule_spec="const:1",
+        config=DiscreteConfig(max_iters=2))
     mon = discrete_monitors(seq)
     rise = mon["merit"][1] - mon["merit"][0]
     assert rise == pytest.approx(5e-9, rel=1e-6)
@@ -177,3 +180,69 @@ def test_merit_rate_small_horizon():
     gaps = (seq.f_values - np.asarray(p.lower_bounds)).min(axis=-1)
     ks = seq.ks[1:]
     assert (ks * gaps[1:]).max() <= (amax / seq.s_min) * R * R * 1.05
+
+
+# ------------------------------------------- the fixed-point stop, checked
+# against a plain loop that computes every iterate
+
+def reference_run(p, rule, x0, cfg):
+    """(states, f_values, crit_scaled, crit_unscaled, weights), every k."""
+    s = step_size(p, rule, cfg)
+    gens = generator_map(rule, p.m)
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    states, cs, ws = [], [], []
+    for k in range(cfg.max_iters + 1):
+        w, d, crit_s = _min_norm(gens(p._grads(x)))
+        states.append(x)
+        cs.append(crit_s)
+        ws.append(w)
+        if crit_s <= cfg.stop_tol or k == cfg.max_iters:
+            break
+        x = x - s * d
+    X = np.array(states)
+    return X, p._value(X), np.array(cs), _min_norm(p._grads(X))[2], np.array(ws)
+
+
+P1_CLAMPED = "gradnorm:eta=0.278754,min=0.419178,max=2.058262"
+
+
+# (problem, scaling, start, max_iters, stop_tol, fixed_point_k)
+@pytest.mark.parametrize("case", [
+    ("scalar-pair", "gradnorm:eta=0.148939", [2.0], 8000, 0.0, 9),
+    ("nonconvex-bounded-grad", "const:0.882142,0.548316", [0.9, 0.7],
+     8000, 0.0, 90),
+    ("unbalanced-convex", P1_CLAMPED, [0.25, 1.5], 8000, 0.0, 3980),
+    ("strongly-convex", "const:1,1", [1.0, 1.0], 8000, 0.0, None),
+    ("unbalanced-convex", P1_CLAMPED, [0.25, 1.5], 3000, 0.0, None),
+    ("strongly-convex", "const:1,1", [1.0, 1.0], 8000, 1e-6, None),
+], ids=["p4-k9", "p3-k90", "p1-k3980", "p2-none", "p1-budget-first",
+        "p2-stop-tol"])
+def test_fixed_point_stop_matches_the_every_k_loop_bit_for_bit(case):
+    name, spec, x0, max_iters, stop_tol, fixed_k = case
+    p, rule = get_problem(name), parse_scaling(spec)
+    cfg = DiscreteConfig(max_iters=max_iters, stop_tol=stop_tol)
+    seq = run_discrete(p, rule, x0, cfg)
+    ref = reference_run(p, rule, x0, cfg)
+    got = (seq.states, seq.f_values, seq.crit_scaled, seq.crit_unscaled,
+           seq.weights)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert seq.fixed_point_k == fixed_k
+    if fixed_k is None:
+        assert seq.grad_calls == len(seq)
+    else:
+        assert seq.grad_calls == fixed_k + 1
+        assert seq.states[fixed_k + 1].tobytes() == seq.states[fixed_k].tobytes()
+        assert seq.states[fixed_k].tobytes() != seq.states[fixed_k - 1].tobytes()
+    if stop_tol > 0.0:
+        assert len(seq) < max_iters + 1 and seq.crit_scaled[-1] <= stop_tol
+    else:
+        assert len(seq) == max_iters + 1
+
+
+def test_a_two_cycle_is_not_a_fixed_point():
+    # x_{k+1} = -x_k repeats every second iterate, never the last one
+    seq = run_discrete(ball_problem(), constant([1.0]), [1.0],
+                       DiscreteConfig(max_iters=6, safety=1.0))
+    assert seq.fixed_point_k is None and seq.grad_calls == 7

@@ -410,12 +410,12 @@ def _grid_results(p, x0):
 def test_chunked_grid_walk_matches_one_chunk_bit_for_bit(monkeypatch):
     for name in ("unbalanced-convex", "strongly-convex",
                  "nonconvex-bounded-grad", "scalar-pair"):
-        p = get_problem(name)
-        for x0 in p.starts:
+        # a fresh instance each time: p keeps the gradient range it walked
+        for x0 in get_problem(name).starts:
             monkeypatch.setattr(merit_rates, "_CHUNK", GRID_BUDGET)
-            whole = _grid_results(p, x0)
+            whole = _grid_results(get_problem(name), x0)
             monkeypatch.setattr(merit_rates, "_CHUNK", 100)  # one row or less
-            assert _grid_results(p, x0) == whole, (name, x0)
+            assert _grid_results(get_problem(name), x0) == whole, (name, x0)
 
 
 def trough():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from mbgf.errors import ConfigError
-from mbgf import verify
+from mbgf import merit_rates, verify
 
 
 EXPECTED_SUITES = (
@@ -130,3 +130,19 @@ def test_deterministic_suites_ignore_the_seed():
         a = verify.run_suite(name, seed=0)
         b = verify.run_suite(name, seed=5)
         assert a["checks"] == b["checks"]
+
+
+def test_nonconvex_rate_walks_the_level_set_grid_once_per_run(monkeypatch):
+    # the eta = 0 witness and the nonconvex-eta0 row share one 500^2 walk of
+    # p3's level set; a second run of the suite walks it again
+    walks = []
+    box_grid = merit_rates._box_grid
+
+    def counting(box, counts):
+        walks.append(tuple(counts))
+        return box_grid(box, counts)
+
+    monkeypatch.setattr(merit_rates, "_box_grid", counting)
+    reports = [verify.run_suite("nonconvex-rate") for _ in range(2)]
+    assert walks == [(500, 500)] * 2
+    assert reports[0] == reports[1]
