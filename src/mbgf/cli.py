@@ -306,7 +306,16 @@ def iterates_csv_text(seq):
     cols = ([seq.ks] + [seq.states[:, i] for i in range(n)] +
             [seq.f_values[:, i] for i in range(m)] +
             [seq.steps, seq.crit_unscaled, seq.crit_scaled])
-    return _csv_lines(header, cols, first="%d")
+    # past a fixed point the rows repeat but for k: find where the columns
+    # after k start to equal the last row byte for byte, and format that
+    # part of the line once
+    rest = np.column_stack(cols[1:])
+    bits = rest.view(np.uint64)
+    moved = np.flatnonzero((bits != bits[-1]).any(axis=1))
+    t = moved[-1] + 1 if moved.size else 0
+    tail = (",%.17g" * rest.shape[1]) % tuple(rest[-1].tolist())
+    return (_csv_lines(header, [c[:t] for c in cols], first="%d")
+            + "".join("%d%s\n" % (k, tail) for k in seq.ks[t:].tolist()))
 
 
 def _write_text(path, text):

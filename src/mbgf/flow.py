@@ -269,6 +269,7 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
     lo, hi = _guard_bounds(p, y0.size)
     t0, dt = cfg.t0, cfg.dt
     times = [t0 + j * dt for j in counts]
+    record_times = np.array(times)
     t0, t_end = times[0], times[-1]  # t0 + 0 dt: a t0 of -0.0 records 0.0
     h_min = math.ulp(max(abs(t0), abs(t_end)))
     floor = CHATTER_STEP * (t_end - t0) if chatter else 0.0
@@ -321,13 +322,17 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
                 t_new, y_new, last = t + th * h, dense(th), False
         _guard(y_new, t_new, lo, hi, p)
         if times[q] <= t_new:
+            # every record on this step from one dense-output call
             dense = dense or _dense_output(y, y_new, h, K)
+            q0 = q
             while q < len(times) and times[q] <= t_new:
-                tq = times[q]
-                ys.append(y_new if tq == t_new else dense((tq - t) / h))
-                if regimes is not None:
-                    regimes.append(events.regime)
                 q += 1
+            tq = record_times[q0:q]
+            block = dense(((tq - t) / h)[:, None])
+            block[tq == t_new] = y_new
+            ys.extend(block)
+            if regimes is not None:
+                regimes.extend([events.regime] * (q - q0))
         if last:
             break
         if switch:
@@ -337,7 +342,7 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
         grow = True
         y, t = y_new, t_new
         K[0] = K[6]
-    return np.array(times), np.array(ys), regimes, dict(
+    return record_times, np.array(ys), regimes, dict(
         steps=accepted, rejected=rejected,
         rhs_evals=1 + 6 * (accepted + rejected))
 

@@ -6,7 +6,10 @@ weak Pareto points.  The sup is attained inside any box containing
 L(f, f(x)) because z outside that level set makes some f_i(z) > f_i(x) and
 hence the inner min negative.  Both estimators return a certified interval
 for u0: u0_certified by a grid over that box, for any problem, and
-u0_bracket by a primal-dual bracket, for convex problems.  RATE_BOUNDS
+u0_bracket by a primal-dual bracket, for convex problems.  u0_bracket and
+criticality take one (n,) point or a (P, n) stack, and a stack gives per
+point the bits of that point's own call: u0_bracket(p, X) is a tuple of P
+MeritEstimates from one loop, criticality(p, X) two (P,) arrays.  RATE_BOUNDS
 states each rate theorem's constant and bound curve once.  Every grid here
 (u0_certified's, the eta = 0 gradient range's and V0's) is walked in
 chunks by _box_grid, which raises GridBudgetError before it builds a grid
@@ -71,6 +74,19 @@ def _check_point(p, x):
     return x
 
 
+def _check_points(p, x):
+    """x as a (P, n) stack of finite points, and whether it was one (n,)
+    point (then P = 1)."""
+    X = np.asarray(x, dtype=float)
+    one = X.ndim < 2
+    if one:
+        X = X.reshape(1, -1)
+    if X.ndim != 2 or X.shape[1] != p.n or not np.all(np.isfinite(X)):
+        raise InvalidInputError(
+            f"x must be a finite vector of length {p.n} or a stack of them")
+    return X, one
+
+
 def _box_grid(box, counts):
     """The grid of counts[j] points on axis j of box, in C order, as (k, n)
     chunks of about _CHUNK points.  Raises GridBudgetError before building
@@ -122,71 +138,103 @@ def u0_bracket(p, x):
     far the search is from converging, and every zbar the lower bound
     L = min_i(f_i(x) - f_i(zbar)).  Returns value = L, its witness (x when
     L = 0) and certified_error = U - L.
+
+    x is one (n,) point, which gives one MeritEstimate, or a (P, n) stack,
+    which gives a tuple of P of them: u0_bracket(p, X)[k] equals
+    u0_bracket(p, X[k]) bit for bit.  Each point keeps its own box, lattice
+    zooms and stop test; a point that stops leaves the active rows.
     """
-    x = _check_point(p, x)
+    X, one = _check_points(p, x)
     if p.convexity_class not in ("convex", "strongly_convex"):
         raise InvalidInputError(
             f"u0_bracket needs a convex problem, got {p.convexity_class!r}")
-    fx = p.value(x)
-    box = p.level_set_bound(fx).box
-    lo, hi = box.lo, box.hi
+    fx = np.array([p.value(xk) for xk in X]).reshape(-1, 1, p.m)
+    boxes = [p.level_set_bound(f[0]).box for f in fx]
+    lo = np.array([b.lo for b in boxes]).reshape(-1, 1, p.n)
+    hi = np.array([b.hi for b in boxes]).reshape(-1, 1, p.n)
     lattice = np.array([w for w in np.ndindex(*[_LATTICE + 1] * p.m)
                         if sum(w) == _LATTICE], dtype=float) / _LATTICE
-    lam, z_best = lattice, np.clip(x, lo, hi)
-    upper, lower, witness = np.inf, 0.0, x
+    P, rows = len(X), np.arange(len(X))
+    lam = np.repeat(lattice[None], P, axis=0)
+    z_best = np.clip(X[:, None], lo, hi)
+    upper, lower, witness = np.full(P, np.inf), np.zeros(P), X.copy()
     for r in range(1, _ROUNDS + 1):
         # projected FISTA with gradient restart (O'Donoghue & Candes 2015)
-        # on z -> lam_k . f(z) over the box, one row per lam_k, from z_best
-        step = 1.0 / (lam @ p.lipschitz)[:, None]
-        Z = Y = np.broadcast_to(z_best, (len(lam), p.n))
-        T = np.ones((len(lam), 1))
+        # on z -> lam_k . f(z) over each point's box, one row per lam_k, from
+        # the point's z_best; a point stops when none of its rows moves by
+        # _STILL, and its rows then stay at that Z
+        Z_end = np.empty(lam.shape[:2] + (p.n,))
+        act = rows
+        step = 1.0 / (lam @ p.lipschitz)[..., None]
+        lam_a, step_a, lo_a, hi_a = lam, step, lo, hi  # the active points'
+        Z = Y = np.broadcast_to(z_best, Z_end.shape)
+        T = np.ones(step.shape)
         for _ in range(_ITERS):
-            G = np.einsum("km,kmn->kn", lam, p._grads(Y))
-            Z_new = np.clip(Y - step * G, lo, hi)
+            G = np.einsum("akm,akmn->akn", lam_a, p._grads(Y))
+            Z_new = np.clip(Y - step_a * G, lo_a, hi_a)
             D, Z = Z_new - Z, Z_new
-            if np.abs(D).max() <= _STILL * (1.0 + np.abs(Z).max()):
-                break
+            still = (np.abs(D).max(axis=(1, 2))
+                     <= _STILL * (1.0 + np.abs(Z).max(axis=(1, 2))))
+            if still.any():
+                Z_end[act[still]] = Z[still]
+                go = ~still
+                act = act[go]
+                if not act.size:
+                    break
+                Z, D, G, T, lam_a, step_a, lo_a, hi_a = (
+                    v[go] for v in (Z, D, G, T, lam_a, step_a, lo_a, hi_a))
             T_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * T * T))
-            restart = (G * D).sum(axis=1, keepdims=True) > 0.0
+            restart = (G * D).sum(axis=2, keepdims=True) > 0.0
             Y = Z + np.where(restart, 0.0, (T - 1.0) / T_new) * D
             T = np.where(restart, 1.0, T_new)
+        else:
+            Z_end[act] = Z
+        Z = Z_end
         F = p._value(Z)
-        G = np.einsum("km,kmn->kn", lam, p._grads(Z))
-        U = ((lam * (fx - F)).sum(axis=1)
-             - np.minimum(G * (lo - Z), G * (hi - Z)).sum(axis=1))
-        j = int(np.argmin(U))
-        upper = min(upper, float(U[j]))
-        inner = (fx - F).min(axis=1)
-        i = int(np.argmax(inner))
-        if inner[i] > lower:
-            lower, witness = float(inner[i]), Z[i].copy()
+        G = np.einsum("akm,akmn->akn", lam, p._grads(Z))
+        U = ((lam * (fx - F)).sum(axis=2)
+             - np.minimum(G * (lo - Z), G * (hi - Z)).sum(axis=2))
+        j = np.argmin(U, axis=1)
+        upper = np.where(U[rows, j] < upper, U[rows, j], upper)
+        inner = (fx - F).min(axis=2)
+        i = np.argmax(inner, axis=1)
+        gain = inner[rows, i] > lower
+        lower = np.where(gain, inner[rows, i], lower)
+        witness[gain] = Z[rows, i][gain]
         # the next lattice spans two spacings of this one around lam[j]
         zoom = (2.0 / _LATTICE) ** r
-        lam = np.maximum(lam[j] + zoom * (lattice - 1.0 / p.m), 0.0)
-        lam /= lam.sum(axis=1, keepdims=True)
-        z_best = Z[j]
-    return MeritEstimate(value=lower, certified_error=max(upper, lower) - lower,
-                         witness=witness)
+        lam = np.maximum(lam[rows, j][:, None] + zoom * (lattice - 1.0 / p.m), 0.0)
+        lam /= lam.sum(axis=2, keepdims=True)
+        z_best = Z[rows, j][:, None]
+    ests = tuple(MeritEstimate(value=lo_k, certified_error=max(up_k, lo_k) - lo_k,
+                               witness=w)
+                 for up_k, lo_k, w in zip(upper.tolist(), lower.tolist(), witness))
+    return ests[0] if one else ests
 
 
 def criticality(p, x, rule=None):
     """(unscaled, scaled) min-norm criticality measures at x.
 
     unscaled uses the raw gradient hull; scaled uses the gradient-norm
-    balanced hull (eta = 0 by default).  A degenerate scaling only affects
-    the scaled figure; the raised error carries the unscaled value.
+    balanced hull (eta = 0 by default).  x is one (n,) point, which gives
+    two floats, or an (N, n) stack, which gives two (N,) arrays from one
+    gradient call and two stacked min-norm solves, each entry equal to its
+    point's own call bit for bit.  A degenerate scaling only affects the
+    scaled figure; the raised error carries the unscaled value (the array
+    for a stack).
     """
-    x = _check_point(p, x)
-    G = p.grads(x)
+    X, one = _check_points(p, x)
+    G = p.grads(X)
     unscaled = _min_norm(G)[2]
     if rule is None:
         rule = gradnorm_eta(0.0)
     try:
         Gs = generator_map(rule, p.m)(G)
     except DegenerateScalingError as e:
-        e.unscaled_criticality = unscaled
+        e.unscaled_criticality = float(unscaled[0]) if one else unscaled
         raise
-    return unscaled, _min_norm(Gs)[2]
+    scaled = _min_norm(Gs)[2]
+    return (float(unscaled[0]), float(scaled[0])) if one else (unscaled, scaled)
 
 
 def fit_loglog_slope(ts, values):

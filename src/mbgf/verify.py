@@ -103,7 +103,7 @@ def _energy_check(tag, tr, checks):
 def _merit_checks(p, points, bounds, rate_name, run, checks):
     """Check max U / bound of the u0 brackets at the points against 1, and
     max (U - L) / bound against RATE_SLACK.  Returns the brackets."""
-    ests = [u0_bracket(p, x) for x in points]
+    ests = u0_bracket(p, points)
     rate = max((e.value + e.certified_error) / b for e, b in zip(ests, bounds))
     gap = max(e.certified_error / b for e, b in zip(ests, bounds))
     checks.append(_check(rate_name, rate, 1.0, RATE_SLACK))
@@ -193,12 +193,13 @@ def _suite_problem_sanity(rng):
     mismatches = 0
     value_excess = -np.inf
     crit_err = 0.0
-    for x in np.linspace(-2.5, 2.5, 2001):
+    xs = np.linspace(-2.5, 2.5, 2001)
+    crits, _ = criticality(p4, xs[:, None], rule=unit)
+    for x, crit_u in zip(xs, crits.tolist()):
         xv = np.array([x])
         box = p4.level_set_bound(p4.value(xv)).box
         side = float(box.hi[0] - box.lo[0])
         est = u0_certified(p4, xv, box, max(1e-9, side * side / 40.0))
-        crit_u, _ = criticality(p4, xv, rule=unit)
         if (est.value <= est.certified_error) != (crit_u <= 1e-8):
             mismatches += 1
         exact = (abs(x) - 1.0) ** 2 if abs(x) > 1.0 else 0.0

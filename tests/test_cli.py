@@ -280,6 +280,43 @@ def test_iterates_csv_parses_back_exactly():
     assert np.array_equal(data[:, 6], seq.crit_scaled)
 
 
+_GRADNORM = "gradnorm:eta=0.1,min=0.1,max=10"
+
+
+def _every_row_csv(seq):
+    # the plain formatting of every row, one %-format per line
+    cols = ([seq.ks] + list(seq.states.T) + list(seq.f_values.T)
+            + [seq.steps, seq.crit_unscaled, seq.crit_scaled])
+    header = iterates_csv_text(seq).split("\n", 1)[0]
+    fmt = ",".join(["%d"] + ["%.17g"] * (len(cols) - 1))
+    return "\n".join([header] + [fmt % r for r in zip(*[c.tolist() for c in cols])]) + "\n"
+
+
+@pytest.mark.parametrize("problem, x0, cfg", [
+    ("scalar-pair", [2.0], DiscreteConfig(max_iters=300)),     # fixed point at k = 12
+    ("strongly-convex", [1.0, 1.0], DiscreteConfig(max_iters=60)),
+    ("scalar-pair", [2.0], DiscreteConfig(max_iters=5, stop_tol=1e9)),  # one row
+])
+def test_iterates_csv_formats_the_fixed_point_tail_once_byte_for_byte(
+        problem, x0, cfg):
+    seq = run_discrete(get_problem(problem), parse_scaling(_GRADNORM),
+                       np.array(x0), cfg)
+    assert (seq.fixed_point_k == 12) == (problem == "scalar-pair" and len(seq) > 1)
+    assert iterates_csv_text(seq) == _every_row_csv(seq)
+
+
+def test_iterates_csv_tail_keeps_the_sign_of_zero():
+    # rows equal as floats but not as bytes (-0.0 against 0.0) are not
+    # one repeated line
+    seq = run_discrete(get_problem("scalar-pair"), parse_scaling(_GRADNORM),
+                       np.array([2.0]), DiscreteConfig(max_iters=40))
+    seq.crit_scaled = seq.crit_scaled.copy()
+    seq.crit_scaled[-5:] = [0.0, 0.0, 0.0, -0.0, -0.0]
+    lines = iterates_csv_text(seq).splitlines()
+    assert "\n".join(lines) + "\n" == _every_row_csv(seq)
+    assert [line.rsplit(",", 1)[1] for line in lines[-3:]] == ["0", "-0", "-0"]
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mbgf import flow
 from mbgf.discrete import DiscreteConfig, run_discrete, step_size
 from mbgf.errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                          NumericDomainError)
@@ -548,6 +549,38 @@ def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
         assert np.abs(tr.velocities - ys[:, p.n:]).max() <= 1e-15
         assert np.any(tr.velocities != 0.0) == (name != "scalar-pair")
     assert np.any(ys != ys[0]) == moves
+
+
+@pytest.mark.parametrize("mode, name, x0", [
+    ("first_order", "unbalanced-convex", [0.25, 1.5]),
+    ("accelerated", "strongly-convex", [1.0, 1.0]),
+    ("accelerated", "unbalanced-convex", [-0.2, 1.8]),   # locates switches
+])
+def test_one_dense_output_call_per_step_matches_per_record_calls(
+        monkeypatch, mode, name, x0):
+    # a step evaluates all its off-grid records in one call on the vector
+    # of step fractions; each row has the bits of the one-record call
+    make = flow._dense_output
+    per_step = []
+
+    def checked(y, y_new, h, K):
+        at = make(y, y_new, h, K)
+
+        def dense(th):
+            out = at(th)
+            if np.ndim(th):
+                per_step.append(len(th))
+                for row, f in zip(out, np.ravel(th).tolist()):
+                    assert row.tobytes() == at(f).tobytes()
+            return out
+        return dense
+
+    monkeypatch.setattr(flow, "_dense_output", checked)
+    tr = _integrate(get_problem(name), constant([1.0, 1.0]), np.array(x0),
+                    FlowConfig(t_end=1.0, dt=1e-3, mode=mode, record_every=1))
+    assert len(tr) == 1001 and 0 < len(per_step) < sum(per_step) < 1001
+    assert max(per_step) > 1
+    assert bool(tr.switches) == (x0[0] < 0.0)
 
 
 @pytest.mark.parametrize("mode", ["first_order", "accelerated"])

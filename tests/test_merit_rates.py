@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mbgf.errors import DegenerateScalingError, GridBudgetError, InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
+from mbgf.geometry import _min_norm
 from mbgf import merit_rates, verify
 from mbgf.merit_rates import (
     GRID_BUDGET,
@@ -19,7 +20,8 @@ from mbgf.merit_rates import (
     u0_certified,
 )
 from mbgf.problems import Box, LevelSetBound, get_problem, make_problem
-from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
+from mbgf.scaling import (constant, generator_map, gradnorm_eta,
+                          gradnorm_eta_clamped)
 
 
 def ball_problem(region=3.0):
@@ -172,6 +174,125 @@ def test_bracket_nonincreasing_along_descent_trajectory():
         assert after.value <= before.value + before.certified_error + 1e-12
 
 
+def reference_bracket(p, x):
+    """The one-point bracket loop written out on its own, with the FISTA
+    steps each round took (_ITERS when it never stopped)."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    fx = p.value(x)
+    box = p.level_set_bound(fx).box
+    lo, hi = box.lo, box.hi
+    L = merit_rates._LATTICE
+    lattice = np.array([w for w in np.ndindex(*[L + 1] * p.m)
+                        if sum(w) == L], dtype=float) / L
+    lam, z_best = lattice, np.clip(x, lo, hi)
+    upper, lower, witness, steps = np.inf, 0.0, x, []
+    for r in range(1, merit_rates._ROUNDS + 1):
+        step = 1.0 / (lam @ p.lipschitz)[:, None]
+        Z = Y = np.broadcast_to(z_best, (len(lam), p.n))
+        T = np.ones((len(lam), 1))
+        steps.append(merit_rates._ITERS)
+        for it in range(merit_rates._ITERS):
+            G = np.einsum("km,kmn->kn", lam, p._grads(Y))
+            Z_new = np.clip(Y - step * G, lo, hi)
+            D, Z = Z_new - Z, Z_new
+            if np.abs(D).max() <= merit_rates._STILL * (1.0 + np.abs(Z).max()):
+                steps[-1] = it
+                break
+            T_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * T * T))
+            restart = (G * D).sum(axis=1, keepdims=True) > 0.0
+            Y = Z + np.where(restart, 0.0, (T - 1.0) / T_new) * D
+            T = np.where(restart, 1.0, T_new)
+        F = p._value(Z)
+        G = np.einsum("km,kmn->kn", lam, p._grads(Z))
+        U = ((lam * (fx - F)).sum(axis=1)
+             - np.minimum(G * (lo - Z), G * (hi - Z)).sum(axis=1))
+        j = int(np.argmin(U))
+        upper = min(upper, float(U[j]))
+        inner = (fx - F).min(axis=1)
+        i = int(np.argmax(inner))
+        if inner[i] > lower:
+            lower, witness = float(inner[i]), Z[i].copy()
+        lam = np.maximum(lam[j] + (2.0 / L) ** r * (lattice - 1.0 / p.m), 0.0)
+        lam /= lam.sum(axis=1, keepdims=True)
+        z_best = Z[j]
+    est = merit_rates.MeritEstimate(value=lower, witness=witness,
+                                    certified_error=max(upper, lower) - lower)
+    return est, steps
+
+
+def slow_problem():
+    # p2's objectives under a Lipschitz constant declared 1000 times too
+    # large: FISTA's step shrinks, so points off the Pareto segment run
+    # all _ITERS steps of a round, while on the segment the level-set box
+    # is one point and every round stops at once
+    p2 = get_problem("strongly-convex")
+    return make_problem(
+        "slow", 2, 2, p2._value, p2._grads, lipschitz=[1e3, 1e3],
+        lower_bounds=[0.0, 0.0], convexity_class="convex", region=p2.region,
+        grad_bound=p2.grad_bound, starts=p2.starts,
+        level_set_bound=p2._level_set_bound)
+
+
+def _bracket_problem(name):
+    return {"three-quadratics": three_quadratics,
+            "slow": slow_problem}.get(name, lambda: get_problem(name))()
+
+
+def _pareto_point(name, u):
+    # a point of each problem's Pareto set, u in [0, 1]
+    if name == "unbalanced-convex":
+        return [(1.0 - u) / (1.0 + 99.0 * u), 1.0 - u]
+    if name == "scalar-pair":
+        return [2.0 * u - 1.0]
+    if name == "three-quadratics":   # an objective's own minimizer
+        return [[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]][min(int(3 * u), 2)]
+    return [2.0 * u, 0.0]            # strongly-convex and slow
+
+
+def _bracket_bits(est):
+    return (np.float64(est.value).tobytes(),
+            np.float64(est.certified_error).tobytes(),
+            np.asarray(est.witness, dtype=float).tobytes())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["unbalanced-convex", "strongly-convex", "scalar-pair",
+                        "three-quadratics", "slow"]),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                          st.booleans()), min_size=1, max_size=4))
+def test_stacked_bracket_equals_per_point_calls_bit_for_bit(name, draws):
+    p = _bracket_problem(name)
+    lo, hi = p.region.lo, p.region.hi
+    X = np.array([_pareto_point(name, u) if pareto
+                  else lo + np.array([u, v][:p.n]) * (hi - lo)
+                  for u, v, pareto in draws])
+    stacked = u0_bracket(p, X)
+    assert isinstance(stacked, tuple) and len(stacked) == len(X)
+    for x, est in zip(X, stacked):
+        one = u0_bracket(p, x)
+        assert isinstance(one, merit_rates.MeritEstimate)
+        assert (_bracket_bits(est) == _bracket_bits(one)
+                == _bracket_bits(reference_bracket(p, x)[0]))
+
+
+def test_stacked_bracket_keeps_each_points_own_stop():
+    # one stack of points that stop at once, run all _ITERS steps, and
+    # stop in between, in different rounds: each keeps its own stop test
+    # and its own frozen rows
+    p = slow_problem()
+    X = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1e-3], [1.0, 0.05],
+                  [0.5, -0.3]])
+    refs = [reference_bracket(p, x) for x in X]
+    steps = np.array([s for _, s in refs])
+    assert (steps == merit_rates._ITERS).all(axis=1)[[0, 4]].all()
+    assert (steps[1] == 0).all()
+    assert 0 < steps[2:4].min() and steps[2:4].max() == merit_rates._ITERS
+    assert np.unique(steps[:, 1]).size == 4
+    for (ref, _), est in zip(refs, u0_bracket(p, X)):
+        assert _bracket_bits(est) == _bracket_bits(ref)
+    assert np.array_equal(u0_bracket(p, X)[1].witness, X[1])
+
+
 def test_bracket_rejects_nonconvex():
     with pytest.raises(InvalidInputError, match="u0_bracket"):
         u0_bracket(get_problem("nonconvex-bounded-grad"), [0.9, 0.7])
@@ -189,6 +310,40 @@ def test_criticality_closed_forms():
     with pytest.raises(DegenerateScalingError) as exc:
         criticality(p, [1.0])            # grad f_2 vanishes at x = 1
     assert exc.value.unscaled_criticality == 0.0
+
+
+@pytest.mark.parametrize("name", ["unbalanced-convex", "strongly-convex",
+                                  "nonconvex-bounded-grad", "scalar-pair",
+                                  "three-quadratics"])
+def test_stacked_criticality_equals_the_one_hull_solves_bit_for_bit(name):
+    # one gradient call and two stacked solves give, entry by entry, the
+    # bits of the one-point call and of each point's own (m, n) hull
+    p = _bracket_problem(name)
+    rng = np.random.default_rng(5)
+    X = p.region.lo + rng.random((200, p.n)) * (p.region.hi - p.region.lo)
+    for rule in (None, constant(np.arange(1.0, p.m + 1.0)),
+                 gradnorm_eta_clamped(0.1, 0.5, 4.0)):
+        unscaled, scaled = criticality(p, X, rule=rule)
+        assert unscaled.shape == scaled.shape == (len(X),)
+        gens = generator_map(rule or gradnorm_eta(0.0), p.m)
+        for x, u, s in zip(X, unscaled, scaled):
+            G = p.grads(x)
+            assert (np.float64(u).tobytes()
+                    == np.float64(criticality(p, x, rule=rule)[0]).tobytes()
+                    == np.float64(_min_norm(G)[2]).tobytes())
+            assert (np.float64(s).tobytes()
+                    == np.float64(criticality(p, x, rule=rule)[1]).tobytes()
+                    == np.float64(_min_norm(gens(G))[2]).tobytes())
+
+
+def test_stacked_criticality_degenerate_row_carries_the_unscaled_array():
+    p = get_problem("scalar-pair")
+    X = np.array([[2.0], [1.0], [0.0]])     # grad f_2 vanishes at x = 1
+    with pytest.raises(DegenerateScalingError) as exc:
+        criticality(p, X)
+    unscaled = exc.value.unscaled_criticality
+    assert isinstance(unscaled, np.ndarray)
+    assert unscaled.tobytes() == criticality(p, X, rule=constant([1.0, 1.0]))[0].tobytes()
 
 
 def test_scaled_zero_iff_unscaled_zero():

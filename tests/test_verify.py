@@ -3,6 +3,7 @@ check semantics).  The slow end-to-end suite runs live in test_acceptance.py."""
 
 import json
 
+import numpy as np
 import pytest
 
 from mbgf.errors import ConfigError
@@ -146,3 +147,53 @@ def test_nonconvex_rate_walks_the_level_set_grid_once_per_run(monkeypatch):
     reports = [verify.run_suite("nonconvex-rate") for _ in range(2)]
     assert walks == [(500, 500)] * 2
     assert reports[0] == reports[1]
+
+
+MERIT_SUITES = ("convex-rate", "strongly-convex-rate", "accelerated-rate",
+                "discrete-rate")
+
+
+@pytest.fixture(scope="module")
+def merit_point_sets():
+    # every (problem, points, brackets) that _merit_checks brackets in the
+    # rate suites, and the number of _merit_checks calls
+    sets, checks = [], []
+    bracket, merit_checks = verify.u0_bracket, verify._merit_checks
+
+    def recording_bracket(p, points):
+        ests = bracket(p, points)
+        sets.append((p, np.array(points), ests))
+        return ests
+
+    def counting_checks(p, points, *args):
+        checks.append(len(points))
+        return merit_checks(p, points, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "u0_bracket", recording_bracket)
+        mp.setattr(verify, "_merit_checks", counting_checks)
+        for name in MERIT_SUITES:
+            verify.run_suite(name, seed=0)
+    return sets, checks
+
+
+def test_merit_checks_bracket_each_point_set_in_one_call(merit_point_sets):
+    sets, checks = merit_point_sets
+    assert len(sets) == len(checks) >= len(MERIT_SUITES)
+    assert [len(X) for _, X, _ in sets] == checks
+    assert all(X.ndim == 2 and len(ests) == len(X) for _, X, ests in sets)
+
+
+def test_suite_brackets_equal_per_point_brackets_bit_for_bit(merit_point_sets):
+    # the real rate-suite points, compared bit for bit, since last-bit
+    # changes hide from random draws
+    def bits(est):
+        return (np.float64(est.value).tobytes(),
+                np.float64(est.certified_error).tobytes(),
+                np.asarray(est.witness, dtype=float).tobytes())
+
+    sets, _ = merit_point_sets
+    assert sum(len(X) for _, X, _ in sets) > 100
+    for p, X, ests in sets:
+        for x, est in zip(X, ests):
+            assert bits(est) == bits(merit_rates.u0_bracket(p, x))
