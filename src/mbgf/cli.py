@@ -27,7 +27,7 @@ from .problems import get_problem, list_problems
 from .scaling import parse_scaling
 from .flow import FlowConfig, integrate_first_order, integrate_accelerated
 from .discrete import DiscreteConfig, run_discrete
-from .merit_rates import RATE_BOUNDS, RATE_SLACK, RateReport, check_bound
+from .merit_rates import rate_report
 from . import verify as verify_mod
 
 # Short names accepted anywhere a problem name is; stored canonically.
@@ -40,8 +40,9 @@ PROBLEM_ALIASES = {
 
 MODES = ("flow", "accel", "discrete")
 
-# Rate reports a config may request by name.
-RATE_NAMES = ("runmin-criticality", "merit-cheap")
+# Rate reports a config may request by name, each with the RATE_BOUNDS row
+# it reads.
+RATE_ROWS = {"runmin-criticality": "nonconvex", "merit-cheap": "discrete"}
 
 
 @dataclass(frozen=True)
@@ -110,20 +111,29 @@ def _positive(v):
     return v > 0
 
 
-# The numeric keys in the order they are checked, each with its reader,
-# its range test and the rule an out-of-range error states.
+_FLOWS = ("run", "accel")
+
+# The numeric keys in the order they are checked, each with its reader, its
+# range test, the rule an out-of-range error states and the run subcommands
+# whose --key flag sets it.
 _NUMERIC_KEYS = (
-    ("t_end", _require_number, _positive, "must be > 0"),
-    ("dt", _require_number, _positive, "must be > 0"),
-    ("r", _require_number, _positive, "must be > 0"),
-    ("theta", _require_number, _positive, "must be > 0"),
-    ("iters", _require_int, _positive, "must be >= 1"),
-    ("safety", _require_number, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    ("stop_tol", _require_number, lambda v: v >= 0, "must be >= 0"),
-    ("record_every", _require_int, _positive, "must be >= 1"),
+    ("t_end", _require_number, _positive, "must be > 0", _FLOWS),
+    ("dt", _require_number, _positive, "must be > 0", _FLOWS),
+    ("r", _require_number, _positive, "must be > 0", ("accel",)),
+    ("theta", _require_number, _positive, "must be > 0", ("accel",)),
+    ("iters", _require_int, _positive, "must be >= 1", ("discrete",)),
+    ("safety", _require_number, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]",
+     ("discrete",)),
+    ("stop_tol", _require_number, lambda v: v >= 0, "must be >= 0",
+     ("discrete",)),
+    ("record_every", _require_int, _positive, "must be >= 1", _FLOWS),
     ("seed", _require_int, lambda v: v >= -(2 ** 63),
-     f"must be >= {-(2 ** 63)}"),
+     f"must be >= {-(2 ** 63)}", _FLOWS + ("discrete",)),
 )
+_FLAG_HELP = {"r": "damping exponent (>= 3 for the rate)",
+              "theta": "time shift in the damping",
+              "seed": "seed recorded in the summary"}
+_FLAG_TYPES = {_require_number: float, _require_int: int}
 
 
 def resolve_problem_name(name):
@@ -165,7 +175,7 @@ def validate_config(raw):
         raise ConfigError("scaling: accel mode requires a constant scaling")
 
     values = {}
-    for key, read, in_range, range_rule in _NUMERIC_KEYS:
+    for key, read, in_range, range_rule, _ in _NUMERIC_KEYS:
         v = raw.get(key, _DEFAULTS[key])
         if v is None and key == "t_end":
             if mode != "discrete":
@@ -183,9 +193,9 @@ def validate_config(raw):
         raise ConfigError(f"rates: expected a list of names, got {rates_raw!r}")
     rates = tuple(_require_str("rates", v) for v in rates_raw)
     for name in rates:
-        if name not in RATE_NAMES:
+        if name not in RATE_ROWS:
             raise ConfigError(
-                f"rates: unknown report {name!r} (known: {', '.join(RATE_NAMES)})")
+                f"rates: unknown report {name!r} (known: {', '.join(RATE_ROWS)})")
     if "runmin-criticality" in rates:
         if mode not in ("flow",) or not rule.variant.startswith("gradnorm") \
                 or not rule.eta > 0:
@@ -306,14 +316,10 @@ def iterates_csv_text(seq):
     cols = ([seq.ks] + [seq.states[:, i] for i in range(n)] +
             [seq.f_values[:, i] for i in range(m)] +
             [seq.steps, seq.crit_unscaled, seq.crit_scaled])
-    # past a fixed point the rows repeat but for k: find where the columns
-    # after k start to equal the last row byte for byte, and format that
-    # part of the line once
-    rest = np.column_stack(cols[1:])
-    bits = rest.view(np.uint64)
-    moved = np.flatnonzero((bits != bits[-1]).any(axis=1))
-    t = moved[-1] + 1 if moved.size else 0
-    tail = (",%.17g" * rest.shape[1]) % tuple(rest[-1].tolist())
+    # from fixed_point_k on the rows repeat but for k: format that part of
+    # the line once
+    t = len(seq) - 1 if seq.fixed_point_k is None else seq.fixed_point_k
+    tail = (",%.17g" * (len(cols) - 1)) % tuple(float(c[t]) for c in cols[1:])
     return (_csv_lines(header, [c[:t] for c in cols], first="%d")
             + "".join("%d%s\n" % (k, tail) for k in seq.ks[t:].tolist()))
 
@@ -342,24 +348,6 @@ def summary_json_text(summary):
 # Run orchestration
 
 
-def _rate_reports(cfg, p, rule, result):
-    for name in cfg.rates:
-        if name == "runmin-criticality":  # the nonconvex flow rate
-            C, bound = RATE_BOUNDS["nonconvex"](p, rule, cfg.x0)
-            ts, values = result.times, np.minimum.accumulate(result.crit_scaled)
-        else:  # merit-cheap: the discrete rate on u0 <= min_i(f_i - inf f_i)
-            C, bound = RATE_BOUNDS["discrete"](p, rule, cfg.x0, result.s_min)
-            ts = np.asarray(result.ks, dtype=float)
-            values = (result.f_values - p.lower_bounds).min(axis=1)
-        mask = ts >= 1.0
-        if mask.any():
-            yield check_bound(ts[mask], values[mask], name=name, constant=C,
-                              bound_fn=bound)
-        else:  # stopped at a critical point before k = 1: nothing to bound
-            yield RateReport(name=name, constant=float(C), observed_sup=0.0,
-                             slack=RATE_SLACK, verdict="pass")
-
-
 def run_experiment(cfg):
     """Execute one configured run; write requested artifacts; return the
     summary dict (also written to cfg.out_json when set)."""
@@ -383,7 +371,8 @@ def run_experiment(cfg):
         result = run_discrete(p, rule, x0, dc)
     wall = time.perf_counter() - start
 
-    reports = list(_rate_reports(cfg, p, rule, result))
+    reports = [rate_report(name, RATE_ROWS[name], p, rule, cfg.x0, result)
+               for name in cfg.rates]
 
     if cfg.out_csv:
         text = (iterates_csv_text(result) if cfg.mode == "discrete"
@@ -523,9 +512,8 @@ def _add_common(sub):
     sub.add_argument("--scaling", help="scaling spec, e.g. const:1,1 or "
                                        "gradnorm:eta=0.1,min=0.1,max=10")
     sub.add_argument("--x0", help="start point, comma separated, e.g. 1,0")
-    sub.add_argument("--seed", type=int, help="seed recorded in the summary")
     sub.add_argument("--rates", help="comma-separated rate reports to attach "
-                                     f"({', '.join(RATE_NAMES)})")
+                                     f"({', '.join(RATE_ROWS)})")
     sub.add_argument("--out", dest="out_csv", metavar="OUT",
                      help="trajectory/iterate CSV path")
     sub.add_argument("--summary", dest="out_json", metavar="SUMMARY",
@@ -538,28 +526,18 @@ def build_parser():
         description="Balanced multiobjective gradient flows: runs and checks.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="integrate the first-order flow")
-    _add_common(run)
-    run.add_argument("--t-end", dest="t_end", type=float)
-    run.add_argument("--dt", type=float)
-    run.add_argument("--record-every", dest="record_every", type=int)
-    run.set_defaults(fn=lambda a: _cmd_run(a, "flow"))
-
-    accel = subs.add_parser("accel", help="integrate the accelerated flow")
-    _add_common(accel)
-    accel.add_argument("--t-end", dest="t_end", type=float)
-    accel.add_argument("--dt", type=float)
-    accel.add_argument("--r", type=float, help="damping exponent (>= 3 for the rate)")
-    accel.add_argument("--theta", type=float, help="time shift in the damping")
-    accel.add_argument("--record-every", dest="record_every", type=int)
-    accel.set_defaults(fn=lambda a: _cmd_run(a, "accel"))
-
-    disc = subs.add_parser("discrete", help="run the discrete method")
-    _add_common(disc)
-    disc.add_argument("--iters", type=int)
-    disc.add_argument("--safety", type=float)
-    disc.add_argument("--stop-tol", dest="stop_tol", type=float)
-    disc.set_defaults(fn=lambda a: _cmd_run(a, "discrete"))
+    for command, mode, summary in (
+            ("run", "flow", "integrate the first-order flow"),
+            ("accel", "accel", "integrate the accelerated flow"),
+            ("discrete", "discrete", "run the discrete method")):
+        sub = subs.add_parser(command, help=summary)
+        _add_common(sub)
+        for key, read, _, _, commands in _NUMERIC_KEYS:
+            if command in commands:
+                sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 type=_FLAG_TYPES[read],
+                                 help=_FLAG_HELP.get(key))
+        sub.set_defaults(fn=lambda a, mode=mode: _cmd_run(a, mode))
 
     ver = subs.add_parser("verify", help="run bound-based verification suites")
     ver.add_argument("--suite", default="all",

@@ -9,17 +9,19 @@ s_min <= s_k <= safety * min_i 2 alpha_i(x_k, k) / L_i.
 
 An iteration pays one gradient call and one minimum-norm solve, whose point
 is the step and whose norm is the stop test.  The objective values and the
-unscaled criticality of every iterate come after the loop, from one
-stacked pass over all iterates.
+unscaled criticality of every distinct iterate come after the loop, from
+one stacked pass.
 
 The loop stops stepping at a floating-point fixed point, the first k with
-x_{k+1} == x_k byte for byte, and repeats x_k, its scaled criticality and
-its weights up to k = max_iters.  That is exact, not an approximation: the
-step depends on x alone (s is constant and the generator map reads only
-the gradients), and the loop did not stop at k, so the scaled criticality
-exceeds stop_tol there and at every repeat of x_k.  A byte compare keeps
-+0.0 and -0.0 apart, and the finiteness check rules out NaN.  A cycle of
-two or more distinct iterates is not a fixed point and is stepped through.
+x_{k+1} == x_k byte for byte, and every record of x_k (state, f, both
+criticalities and weights) is repeated up to k = max_iters, so rows
+fixed_point_k ... max_iters are byte copies of one row.  That is exact,
+not an approximation: the step depends on x alone (s is constant and the
+generator map reads only the gradients), and the loop did not stop at k,
+so the scaled criticality exceeds stop_tol there and at every repeat of
+x_k.  A byte compare keeps +0.0 and -0.0 apart, and the finiteness check
+rules out NaN.  A cycle of two or more distinct iterates is not a fixed
+point and is stepped through.
 
 discrete_monitors checks a recorded run with merit_rates.monotone_excess:
 f-nesting at the relative NESTING_SLACK, and the merit
@@ -114,15 +116,17 @@ def run_discrete(p, rule, x0, cfg):
             break
         x = x_new
 
-    grad_calls = len(states)
+    # f and the unscaled criticality of the distinct iterates in one stacked
+    # pass, then every column's last row repeated up to max_iters
+    X = np.array(states)
     rest = 0 if fixed_point_k is None else cfg.max_iters - fixed_point_k
-    X, cs, ws = (_repeat_last(a, rest) for a in (states, cs, ws))
-    # f and the unscaled criticality of every iterate in one stacked pass
+    X, F, cu, cs, ws = (_repeat_last(a, rest) for a in (
+        X, p._value(X), _min_norm(p._grads(X))[2], cs, ws))
     return IterateSequence(
-        ks=np.arange(len(X)), states=X, f_values=p._value(X),
-        steps=np.full(len(X), s), crit_unscaled=_min_norm(p._grads(X))[2],
-        crit_scaled=cs, weights=ws, alpha_bounds=alpha_bounds, s_min=s,
-        grad_calls=grad_calls, fixed_point_k=fixed_point_k,
+        ks=np.arange(len(X)), states=X, f_values=F, steps=np.full(len(X), s),
+        crit_unscaled=cu, crit_scaled=cs, weights=ws,
+        alpha_bounds=alpha_bounds, s_min=s,
+        grad_calls=len(states), fixed_point_k=fixed_point_k,
         problem_name=p.name, rule_spec=rule.spec_string(), config=cfg)
 
 

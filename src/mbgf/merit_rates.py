@@ -10,10 +10,12 @@ u0_bracket by a primal-dual bracket, for convex problems.  u0_bracket and
 criticality take one (n,) point or a (P, n) stack, and a stack gives per
 point the bits of that point's own call: u0_bracket(p, X) is a tuple of P
 MeritEstimates from one loop, criticality(p, X) two (P,) arrays.  RATE_BOUNDS
-states each rate theorem's constant and bound curve once.  Every grid here
-(u0_certified's, the eta = 0 gradient range's and V0's) is walked in
-chunks by _box_grid, which raises GridBudgetError before it builds a grid
-of more than GRID_BUDGET points.
+states each rate theorem's constant and bound curve once, and a row refuses
+a scaling rule its theorem does not cover; rate_report is the one place a
+row meets the series of a run it bounds.  Every grid here (u0_certified's,
+the eta = 0 gradient range's and V0's) is walked in chunks by _box_grid,
+which raises GridBudgetError before it builds a grid of more than
+GRID_BUDGET points.
 
 Every monotone gate, here and in mbgf.discrete and mbgf.verify, reads
 monotone_excess: the largest per-record increase of a series beyond a
@@ -358,6 +360,19 @@ def level_set_grad_range(p, x0):
     return p._memo[key]
 
 
+def _refuse_unless(covered, row, rule, needs):
+    # a row's constant holds only for the rules its theorem states
+    if not covered:
+        raise InvalidInputError(
+            f"rate row {row!r} needs {needs}, got {rule.spec_string()}")
+
+
+def _unit_weights(row, rule):
+    _refuse_unless(rule.variant == "constant"
+                   and bool(np.all(rule.values == 1.0)),
+                   row, rule, "constant weights all 1")
+
+
 def _convex(p, rule, x0):
     """Convex flow, O(1/t): C = R^2 alpha_max."""
     R = p.level_set_bound(p.value(x0)).radius
@@ -368,20 +383,27 @@ def _convex(p, rule, x0):
 def _strongly_convex(p, rule, x0):
     """Strongly convex flow, unit weights and modulus, O(e^-t): C = gap + R^2.
     The sup of ||x0 - z||^2 / 2 may reach 2 R^2, so C errs strict."""
+    _unit_weights("strongly-convex", rule)
     fx = p.value(x0)
     C = float((fx - p.lower_bounds).min()) + p.level_set_bound(fx).radius ** 2
     return C, lambda t: C * np.exp(-t)
 
 
 def _nonconvex(p, rule, x0):
-    """Nonconvex flow, eta > 0: running-min criticality O(1/sqrt(t)), C = gap."""
+    """Nonconvex flow, gradnorm scaling with eta > 0: running-min criticality
+    O(1/sqrt(t)), C = gap."""
+    _refuse_unless(rule.variant.startswith("gradnorm") and rule.eta > 0.0,
+                   "nonconvex", rule, "a gradnorm scaling with eta > 0")
     C = float((p.value(x0) - p.lower_bounds).min())
     return C, lambda t: np.sqrt(C) / np.sqrt(rule.eta * t)
 
 
 def _nonconvex_eta0(p, rule, x0):
-    """The nonconvex rate at eta = 0: eta becomes m1 = max of max_i ||grad f_i||
-    on L(f, f(x0)), a certified upper bound, so it errs strict."""
+    """The nonconvex rate at eta = 0 (unclamped gradnorm scaling): eta becomes
+    m1 = max of max_i ||grad f_i|| on L(f, f(x0)), a certified upper bound,
+    so it errs strict."""
+    _refuse_unless(rule.variant == "gradnorm_eta" and rule.eta == 0.0,
+                   "nonconvex-eta0", rule, "gradnorm scaling with eta = 0")
     gap = float((p.value(x0) - p.lower_bounds).min())
     m1 = level_set_grad_range(p, x0)[1]
     return m1, lambda t: np.sqrt(gap) / np.sqrt(m1 * t)
@@ -390,6 +412,7 @@ def _nonconvex_eta0(p, rule, x0):
 def _accelerated(p, rule, x0, theta):
     """Accelerated flow, unit weights, r >= 3: V0 = sup_z theta^2 min_i(f_i(x0)
     - f_i(z)) + 2 ||x0 - z||^2, an 800^n box-grid max <= the sup: errs strict."""
+    _unit_weights("accelerated", rule)
     fx = p.value(x0)
     V0 = -np.inf
     for Z in _box_grid(p.level_set_bound(fx).box, [800] * p.n):
@@ -409,3 +432,28 @@ def _discrete(p, rule, x0, s_min):
 RATE_BOUNDS = {"convex": _convex, "strongly-convex": _strongly_convex,
                "nonconvex": _nonconvex, "nonconvex-eta0": _nonconvex_eta0,
                "accelerated": _accelerated, "discrete": _discrete}
+
+
+def rate_report(name, row, p, rule, x0, run):
+    """The RateReport, under name, of RATE_BOUNDS[row] on the series it
+    bounds, read off the run from t >= 1 (k >= 1) on: the running minimum
+    of crit_scaled for nonconvex and nonconvex-eta0, and
+    min_i(f_i - inf f_i), an upper bound on u0, for discrete (at run.s_min).
+    A window with no record, as when the discrete method stops at a
+    critical start before k = 1, passes with observed_sup 0."""
+    if row == "discrete":
+        C, bound = RATE_BOUNDS[row](p, rule, x0, run.s_min)
+        ts = np.asarray(run.ks, dtype=float)
+        values = (run.f_values - p.lower_bounds).min(axis=1)
+    elif row in ("nonconvex", "nonconvex-eta0"):
+        C, bound = RATE_BOUNDS[row](p, rule, x0)
+        ts, values = run.times, np.minimum.accumulate(run.crit_scaled)
+    else:
+        raise InvalidInputError(f"rate row {row!r} is checked on u0, not on a "
+                                "series of the run")
+    keep = ts >= 1.0
+    if not keep.any():
+        return RateReport(name=name, constant=float(C), observed_sup=0.0,
+                          slack=RATE_SLACK, verdict="pass")
+    return check_bound(ts[keep], values[keep], name=name, constant=C,
+                       bound_fn=bound)

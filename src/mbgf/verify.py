@@ -20,11 +20,11 @@ import numpy as np
 from .discrete import DiscreteConfig, discrete_monitors, run_discrete
 from .errors import ConfigError
 from .flow import FlowConfig, integrate_accelerated, integrate_first_order
-from .geometry import (certificate_tolerance, certificate_violation,
+from .geometry import (_dot, certificate_tolerance, certificate_violation,
                        min_norm_point, hausdorff_hull_distance)
-from .merit_rates import (NESTING_SLACK, RATE_BOUNDS, RATE_SLACK, check_bound,
-                          criticality, level_set_grad_range,
-                          lyapunov_monitors, monotone_excess, u0_bracket,
+from .merit_rates import (NESTING_SLACK, RATE_BOUNDS, RATE_SLACK, criticality,
+                          level_set_grad_range, lyapunov_monitors,
+                          monotone_excess, rate_report, u0_bracket,
                           u0_certified)
 from .problems import get_problem, list_problems
 from .scaling import (constant, gradnorm_eta, gradnorm_eta_clamped,
@@ -173,14 +173,14 @@ def _suite_problem_sanity(rng):
         # lies in the certified box and ball
         box_misses = 0
         radius_excess = 0.0
-        for x in X[:10]:
-            lsb = p.level_set_bound(p.value(x))
-            members = X[np.all(F <= p.value(x) + 1e-12, axis=-1)]
-            for z in members:
-                if not lsb.box.contains(z, slack=1e-9):
-                    box_misses += 1
-                radius_excess = max(radius_excess,
-                                    float(np.linalg.norm(z)) - lsb.radius)
+        for fx in F[:10]:
+            lsb = p.level_set_bound(fx)
+            Z = X[np.all(F <= fx + 1e-12, axis=-1)]
+            inside = (np.all(Z >= lsb.box.lo - 1e-9, axis=-1)
+                      & np.all(Z <= lsb.box.hi + 1e-9, axis=-1))
+            box_misses += int((~inside).sum())
+            radius_excess = max(radius_excess,
+                                float((np.sqrt(_dot(Z, Z)) - lsb.radius).max()))
         checks.append(_check(f"{name}-level-set-box-misses", box_misses, 0.0))
         checks.append(_check(f"{name}-level-set-radius-excess",
                              radius_excess, 0.0, 1e-9))
@@ -320,11 +320,7 @@ def _suite_nonconvex_rate(rng):
         if rule.eta == 0.0:  # eta = 0 needs no common stationary point on L
             checks.append(_check(f"{tag}-no-common-stationary-point",
                                  -level_set_grad_range(p, x0)[0], -1e-3))
-        C, bound = RATE_BOUNDS[row](p, rule, x0)
-        mask = tr.times >= 1.0
-        rep = check_bound(tr.times[mask],
-                          np.minimum.accumulate(tr.crit_scaled)[mask],
-                          name=tag, constant=C, bound_fn=bound)
+        rep = rate_report(tag, row, p, rule, x0, tr)
         checks.append(_check(f"{tag}-runmin-rate-ratio",
                              rep.observed_sup, 1.0, RATE_SLACK))
         if rule.eta > 0.0:
@@ -401,7 +397,7 @@ def _suite_discrete_rate(rng):
         # u0 is nonincreasing along componentwise-descent iterates, so
         # checking k_{j+1} u0(x_{k_j}) on a geometric ladder and horizon
         # u0(x_K) covers every k in [1, horizon]
-        C, bound = RATE_BOUNDS["discrete"](p, rule, x0, s_min=seq.s_min)
+        _, bound = RATE_BOUNDS["discrete"](p, rule, x0, s_min=seq.s_min)
         K = int(seq.ks[-1])
         cps = []
         k = 1
@@ -415,9 +411,7 @@ def _suite_discrete_rate(rng):
 
         if tag == "p1-interior-start":
             # fully certified variant: u0 <= min_i(f_i - inf f_i)
-            cheap = (seq.f_values - p.lower_bounds).min(axis=-1)
-            rep = check_bound(seq.ks[1:], cheap[1:], name=tag, constant=C,
-                              bound_fn=bound)
+            rep = rate_report(tag, "discrete", p, rule, x0, seq)
             checks.append(_check(f"{tag}-rate-ratio-certified",
                                  rep.observed_sup, 1.0, RATE_SLACK))
     return checks

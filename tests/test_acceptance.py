@@ -3,9 +3,8 @@
 Each test prints one `ACCEPTANCE <n> ... PASS/FAIL` line (visible with
 `pytest tests/test_acceptance.py -v -s`) and asserts it.  Criteria reuse the
 bound-based verification suites, so `mbgf verify` exercises the same checks.
-Total runtime is about 11 s (10.6 s measured on a 2-core x86-64 machine,
-1.9 s of it in criterion 07 and 0.03 s in criterion 02); suites are
-memoized so each runs once per session.
+Suites are memoized so each runs once per session; the README states the
+file's running time.
 """
 
 import json

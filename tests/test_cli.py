@@ -12,7 +12,7 @@ from mbgf.errors import ConfigError
 from mbgf.cli import (ExperimentConfig, parse_config, validate_config,
                       run_experiment, trajectory_csv_text, iterates_csv_text,
                       main, PROBLEM_ALIASES)
-from mbgf import merit_rates, problems, verify
+from mbgf import cli, merit_rates, problems, verify
 from mbgf.problems import Box, get_problem, make_problem
 from mbgf.scaling import parse_scaling
 from mbgf.flow import FlowConfig, integrate_first_order
@@ -305,16 +305,22 @@ def test_iterates_csv_formats_the_fixed_point_tail_once_byte_for_byte(
     assert iterates_csv_text(seq) == _every_row_csv(seq)
 
 
-def test_iterates_csv_tail_keeps_the_sign_of_zero():
-    # rows equal as floats but not as bytes (-0.0 against 0.0) are not
-    # one repeated line
-    seq = run_discrete(get_problem("scalar-pair"), parse_scaling(_GRADNORM),
-                       np.array([2.0]), DiscreteConfig(max_iters=40))
-    seq.crit_scaled = seq.crit_scaled.copy()
-    seq.crit_scaled[-5:] = [0.0, 0.0, 0.0, -0.0, -0.0]
-    lines = iterates_csv_text(seq).splitlines()
-    assert "\n".join(lines) + "\n" == _every_row_csv(seq)
-    assert [line.rsplit(",", 1)[1] for line in lines[-3:]] == ["0", "-0", "-0"]
+@pytest.mark.parametrize("problem, x0, scaling", [
+    ("scalar-pair", [2.0], _GRADNORM),                  # fixed point at k = 12
+    ("nonconvex-bounded-grad", [0.9, 0.7], _GRADNORM),  # at k = 424
+    ("unbalanced-convex", [0.25, 1.5], "const:1,1"),    # at k = 1634
+])
+def test_every_column_past_the_fixed_point_is_a_byte_copy(problem, x0,
+                                                           scaling):
+    # the CSV formats rows fixed_point_k ... max_iters as one line, so
+    # run_discrete must make them copies of one row in every column
+    seq = run_discrete(get_problem(problem), parse_scaling(scaling),
+                       np.array(x0), DiscreteConfig(max_iters=3000))
+    k = seq.fixed_point_k
+    assert k is not None and len(seq) == 3001 and seq.grad_calls == k + 1
+    for col in (seq.states, seq.f_values, seq.steps, seq.crit_unscaled,
+                seq.crit_scaled, seq.weights):
+        assert all(row.tobytes() == col[k].tobytes() for row in col[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +479,27 @@ def test_merit_cheap_equals_verify_certified_discrete_ratio():
         "discrete-rate", "p1-interior-start-rate-ratio-certified")
 
 
+@pytest.mark.parametrize("raw, rows", [
+    ({"problem": "p3", "mode": "flow", "t_end": 5.0, "record_every": 50,
+      "scaling": "gradnorm:eta=0.2", "rates": ["runmin-criticality"]},
+     ["nonconvex"]),
+    ({"problem": "p4", "mode": "discrete", "x0": [2.0], "iters": 50,
+      "scaling": "gradnorm:eta=0.2", "rates": ["merit-cheap"]}, ["discrete"]),
+    ({"problem": "p4", "mode": "discrete", "x0": [2.0], "iters": 50}, []),
+])
+def test_each_requested_rate_is_one_rate_report_call(monkeypatch, raw, rows):
+    calls = []
+
+    def spy(name, row, *args):
+        calls.append(row)
+        return merit_rates.rate_report(name, row, *args)
+
+    monkeypatch.setattr(cli, "rate_report", spy)
+    summary = run_experiment(validate_config(raw))
+    assert calls == rows
+    assert [r["name"] for r in summary["rate_reports"]] == raw.get("rates", [])
+
+
 def test_runmin_criticality_builds_no_level_set_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("runmin-criticality built a level-set grid")
@@ -515,6 +542,30 @@ def test_main_exit_2_on_config_errors(tmp_path, capsys):
 def test_main_exit_2_on_usage_error(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, read, commands",
+                         [(k, read, commands)
+                          for k, read, _, _, commands in cli._NUMERIC_KEYS])
+def test_numeric_key_flag_parses_on_exactly_its_subcommands(key, read,
+                                                            commands, capsys):
+    # verify's --seed is verify's own flag, not a run key's
+    parser = cli.build_parser()
+    flag = "--" + key.replace("_", "-")
+    kind = int if read is cli._require_int else float
+    for command in ("run", "accel", "discrete", "list-problems"):
+        try:
+            value = vars(parser.parse_args([command, flag, "2"])).get(key)
+        except SystemExit:
+            value = None
+        if command in commands:
+            assert value == 2 and type(value) is kind
+        else:
+            assert value is None
+    if kind is int:
+        with pytest.raises(SystemExit):
+            parser.parse_args([commands[0], flag, "1.5"])
     capsys.readouterr()
 
 

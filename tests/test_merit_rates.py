@@ -1,7 +1,11 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mbgf.discrete import DiscreteConfig, run_discrete
 from mbgf.errors import DegenerateScalingError, GridBudgetError, InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
 from mbgf.geometry import _min_norm
@@ -16,12 +20,13 @@ from mbgf.merit_rates import (
     fit_loglog_slope,
     lyapunov_monitors,
     monotone_excess,
+    rate_report,
     u0_bracket,
     u0_certified,
 )
 from mbgf.problems import Box, LevelSetBound, get_problem, make_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
-                          gradnorm_eta_clamped)
+                          gradnorm_eta_clamped, parse_scaling)
 
 
 def ball_problem(region=3.0):
@@ -503,6 +508,97 @@ def test_rate_row_matches_hand_formula_bit_for_bit(row):
             C_ref, bound_ref = reference(p, rule, x0, **extra)
             assert np.float64(C).tobytes() == np.float64(C_ref).tobytes()
             assert bound(t).tobytes() == bound_ref(t).tobytes()
+
+
+@pytest.mark.parametrize("row, spec, extra", [
+    ("nonconvex", "const:1,1", {}),               # no eta: a TypeError before
+    ("nonconvex", "gradnorm:eta=0", {}),          # an infinite bound before
+    ("nonconvex-eta0", "gradnorm:eta=0.2", {}),
+    ("nonconvex-eta0", "gradnorm:eta=0,min=0.1,max=10", {}),
+    ("strongly-convex", "const:5,5", {}),         # the unit-weight C before
+    ("strongly-convex", "gradnorm:eta=0.1", {}),
+    ("accelerated", "const:1,2", {"theta": 1.0}),
+])
+def test_rate_row_refuses_a_rule_its_theorem_does_not_cover(row, spec, extra):
+    rule = parse_scaling(spec)
+    p = get_problem("strongly-convex")
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"{row!r}") + ".*"
+                       + re.escape(rule.spec_string())):
+        RATE_BOUNDS[row](p, rule, p.starts[0], **extra)
+
+
+# ------------------------------------------------------------- rate_report
+
+def _inline_rate_report(name, row, p, rule, x0, run):
+    # the pairing the CLI and verify each wrote inline before rate_report
+    if row == "discrete":
+        C, bound = RATE_BOUNDS[row](p, rule, x0, run.s_min)
+        ts = np.asarray(run.ks, dtype=float)
+        values = (run.f_values - p.lower_bounds).min(axis=1)
+    else:
+        C, bound = RATE_BOUNDS[row](p, rule, x0)
+        ts, values = run.times, np.minimum.accumulate(run.crit_scaled)
+    mask = ts >= 1.0
+    if not mask.any():
+        return merit_rates.RateReport(name=name, constant=float(C),
+                                      observed_sup=0.0, slack=RATE_SLACK,
+                                      verdict="pass")
+    return check_bound(ts[mask], values[mask], name=name, constant=C,
+                       bound_fn=bound)
+
+
+def _flow_run(pname, spec, start, t_end):
+    p, rule = get_problem(pname), parse_scaling(spec)
+    x0 = p.starts[start]
+    return p, rule, x0, integrate_first_order(
+        p, rule, x0, FlowConfig(t_end=t_end, dt=2e-3, record_every=25))
+
+
+def _discrete_run(pname, spec, x0, iters):
+    p, rule = get_problem(pname), parse_scaling(spec)
+    x0 = np.array(x0, dtype=float)
+    return p, rule, x0, run_discrete(p, rule, x0,
+                                     DiscreteConfig(max_iters=iters))
+
+
+@pytest.mark.parametrize("row, build", [
+    ("nonconvex", lambda: _flow_run("nonconvex-bounded-grad",
+                                    "gradnorm:eta=0.2", 0, 20.0)),
+    ("nonconvex-eta0", lambda: _flow_run("nonconvex-bounded-grad",
+                                         "gradnorm:eta=0", 0, 20.0)),
+    ("nonconvex", lambda: _flow_run("unbalanced-convex",
+                                    "gradnorm:eta=0.3,min=0.1,max=10", 1, 5.0)),
+    ("discrete", lambda: _discrete_run("scalar-pair", "gradnorm:eta=0.2",
+                                       [2.0], 300)),
+    ("discrete", lambda: _discrete_run("unbalanced-convex", "const:1,1",
+                                       [0.25, 1.5], 2000)),
+    ("discrete", lambda: _discrete_run("unbalanced-convex",
+                                       "gradnorm:eta=0.1,min=0.1,max=10",
+                                       [1.0, 1.0], 50)),
+])
+def test_rate_report_equals_the_inline_pairing_byte_for_byte(row, build):
+    p, rule, x0, run = build()
+    got = rate_report("r", row, p, rule, x0, run)
+    assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(
+        _inline_rate_report("r", row, p, rule, x0, run)))
+
+
+def test_rate_report_passes_an_empty_window_with_zero():
+    # (1, 1) is Pareto critical for p1: the method stops at k = 0, before
+    # the k >= 1 window opens
+    p, rule, x0, seq = _discrete_run(
+        "unbalanced-convex", "gradnorm:eta=0.1,min=0.1,max=10", [1.0, 1.0], 50)
+    assert len(seq) == 1
+    rep = rate_report("empty", "discrete", p, rule, x0, seq)
+    assert (rep.observed_sup, rep.verdict) == (0.0, "pass")
+
+
+@pytest.mark.parametrize("row", ["convex", "strongly-convex", "accelerated"])
+def test_rate_report_refuses_a_row_checked_on_u0(row):
+    p, rule, x0, seq = _discrete_run("scalar-pair", "const:1,1", [2.0], 10)
+    with pytest.raises(InvalidInputError, match=row):
+        rate_report("u0", row, p, rule, x0, seq)
 
 
 def test_level_set_grad_range_brackets_a_random_level_set_sample():

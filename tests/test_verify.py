@@ -149,6 +149,32 @@ def test_nonconvex_rate_walks_the_level_set_grid_once_per_run(monkeypatch):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("suite, rows", [
+    ("nonconvex-rate", ["nonconvex", "nonconvex-eta0"]),
+    ("discrete-rate", ["discrete"]),
+])
+def test_runmin_and_certified_checks_are_rate_report_calls(monkeypatch, suite,
+                                                           rows):
+    # each series check is one rate_report call, whose check_bound is the
+    # only one the suite makes
+    calls, bounds = [], []
+    check_bound = merit_rates.check_bound
+
+    def spy(name, row, *args):
+        calls.append(row)
+        return merit_rates.rate_report(name, row, *args)
+
+    def counting(*args, **kw):
+        bounds.append(kw["name"])
+        return check_bound(*args, **kw)
+
+    monkeypatch.setattr(verify, "rate_report", spy)
+    monkeypatch.setattr(merit_rates, "check_bound", counting)
+    verify.run_suite(suite)
+    assert calls == rows
+    assert len(bounds) == len(rows)
+
+
 MERIT_SUITES = ("convex-rate", "strongly-convex-rate", "accelerated-rate",
                 "discrete-rate")
 
