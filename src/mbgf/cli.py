@@ -521,8 +521,10 @@ def _add_common(sub):
 
 
 def build_parser():
+    # allow_abbrev=False everywhere: a prefix such as --r or --t would name
+    # a different flag on each run subcommand
     parser = argparse.ArgumentParser(
-        prog="mbgf",
+        prog="mbgf", allow_abbrev=False,
         description="Balanced multiobjective gradient flows: runs and checks.")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -530,7 +532,7 @@ def build_parser():
             ("run", "flow", "integrate the first-order flow"),
             ("accel", "accel", "integrate the accelerated flow"),
             ("discrete", "discrete", "run the discrete method")):
-        sub = subs.add_parser(command, help=summary)
+        sub = subs.add_parser(command, help=summary, allow_abbrev=False)
         _add_common(sub)
         for key, read, _, _, commands in _NUMERIC_KEYS:
             if command in commands:
@@ -539,14 +541,16 @@ def build_parser():
                                  help=_FLAG_HELP.get(key))
         sub.set_defaults(fn=lambda a, mode=mode: _cmd_run(a, mode))
 
-    ver = subs.add_parser("verify", help="run bound-based verification suites")
+    ver = subs.add_parser("verify", help="run bound-based verification suites",
+                          allow_abbrev=False)
     ver.add_argument("--suite", default="all",
                      help="suite name or 'all' (default); see docs for names")
     ver.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
     ver.add_argument("--json", help="write the JSON report here")
     ver.set_defaults(fn=_cmd_verify)
 
-    lp = subs.add_parser("list-problems", help="list registered problems")
+    lp = subs.add_parser("list-problems", help="list registered problems",
+                         allow_abbrev=False)
     lp.set_defaults(fn=_cmd_list_problems)
     return parser
 

@@ -58,12 +58,16 @@ def _as_generator_matrix(generators, stacked=False):
     return G
 
 
-def _as_vector(v, n, name):
+def _as_vector(v, n, name, lead=()):
+    # One (n,) vector; with lead, the leading shape of a stack of hulls,
+    # also one vector per hull.
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 and n == 1:
         v = v[None]
-    if v.shape != (n,):
-        raise InvalidInputError(f"{name} must be a vector of length {n}, got shape {v.shape}")
+    if v.shape not in ((n,), tuple(lead) + (n,)):
+        per_hull = ", or one per hull" if lead else ""
+        raise InvalidInputError(
+            f"{name} must be a vector of length {n}{per_hull}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return v
@@ -123,24 +127,37 @@ class HullProjection:
 
 
 def certificate_tolerance(q, generators):
-    """Absolute certificate tolerance for projecting q onto the hull."""
-    G = _as_generator_matrix(generators)
-    q = _as_vector(q, G.shape[1], "q")
-    d = float(np.sqrt(((G - q) ** 2).sum(axis=1).max()))
-    return CERTIFICATE_TOL * (1.0 + d) ** 2
+    """Absolute certificate tolerance for projecting q onto the hull.
+
+    One (m, n) hull gives a float.  An (..., m, n) stack of hulls, with q
+    one (n,) point or one per hull, gives an array of tolerances, each
+    equal to its hull's own call bit for bit, as certificate_violation's.
+    """
+    G = _as_generator_matrix(generators, stacked=True)
+    q = _as_vector(q, G.shape[-1], "q", G.shape[:-2])
+    d = np.sqrt(((G - q[..., None, :]) ** 2).sum(axis=-1).max(axis=-1))
+    tol = CERTIFICATE_TOL * _pow2(1.0 + d)
+    return float(tol) if tol.ndim == 0 else tol
 
 
 def certificate_violation(q, generators, point):
     """Largest violation of <point - q, g_i - point> >= 0 over the generators.
 
     Zero means the variational characterization of the projection holds
-    exactly; compare against certificate_tolerance(q, generators).
+    exactly; compare against certificate_tolerance(q, generators).  Takes
+    one hull or a stack, as certificate_tolerance does, with one point per
+    hull.
     """
-    G = _as_generator_matrix(generators)
-    q = _as_vector(q, G.shape[1], "q")
-    point = _as_vector(point, G.shape[1], "point")
-    inner = (G - point) @ (point - q)
-    return float(max(0.0, -inner.min()))
+    G = _as_generator_matrix(generators, stacked=True)
+    q = _as_vector(q, G.shape[-1], "q", G.shape[:-2])
+    point = _as_vector(point, G.shape[-1], "point", G.shape[:-2])
+    # (m, n) @ (n, 1) per hull: the matrix-vector product a one-hull
+    # (m, n) @ (n,) makes
+    inner = ((G - point[..., None, :]) @ (point - q)[..., :, None])[..., 0]
+    worst = -inner.min(axis=-1)
+    # max(0.0, worst), which keeps +0.0 where np.maximum would not
+    viol = np.where(worst > 0.0, worst, 0.0)
+    return float(viol) if viol.ndim == 0 else viol
 
 
 def _affine_minimizer(A):
@@ -252,6 +269,14 @@ def _dot(a, b):
     # row-wise <a, b> over (..., n) stacks; stacked @ calls the same BLAS
     # dot for each row that a @ b calls for one pair of vectors
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pow2(x):
+    # x ** 2 per entry, rounded by pow() as ** 2 on a Python float or a
+    # numpy scalar is; ** 2 on an array multiplies and can differ in the
+    # last bit, so code that squared one value at a time keeps its bits
+    # on a stack through this
+    return np.array([v ** 2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 def _min_norm(P):

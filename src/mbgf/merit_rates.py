@@ -6,16 +6,17 @@ weak Pareto points.  The sup is attained inside any box containing
 L(f, f(x)) because z outside that level set makes some f_i(z) > f_i(x) and
 hence the inner min negative.  Both estimators return a certified interval
 for u0: u0_certified by a grid over that box, for any problem, and
-u0_bracket by a primal-dual bracket, for convex problems.  u0_bracket and
-criticality take one (n,) point or a (P, n) stack, and a stack gives per
-point the bits of that point's own call: u0_bracket(p, X) is a tuple of P
-MeritEstimates from one loop, criticality(p, X) two (P,) arrays.  RATE_BOUNDS
+u0_bracket by a primal-dual bracket, for convex problems.  u0_certified,
+u0_bracket and criticality take one (n,) point or a (P, n) stack, and a
+stack gives per point the bits of that point's own call: u0_certified(p, X,
+boxes, h) and u0_bracket(p, X) are tuples of P MeritEstimates, from one
+grid walk and one loop, and criticality(p, X) two (P,) arrays.  RATE_BOUNDS
 states each rate theorem's constant and bound curve once, and a row refuses
 a scaling rule its theorem does not cover; rate_report is the one place a
-row meets the series of a run it bounds.  Every grid here (u0_certified's,
-the eta = 0 gradient range's and V0's) is walked in chunks by _box_grid,
-which raises GridBudgetError before it builds a grid of more than
-GRID_BUDGET points.
+row meets the series of a run it bounds.  Every grid here (u0_certified's
+P grids, one per point, the eta = 0 gradient range's and V0's) is walked in
+chunks of at most _CHUNK points by _box_grid, which raises GridBudgetError
+before it builds grids of more than GRID_BUDGET points together.
 
 Every monotone gate, here and in mbgf.discrete and mbgf.verify, reads
 monotone_excess: the largest per-record increase of a series beyond a
@@ -34,7 +35,10 @@ from .geometry import _min_norm
 from .scaling import generator_map, gradnorm_eta
 
 GRID_BUDGET = 20_000_000
-_CHUNK = 500_000
+# grid points per chunk: 64 kB per float column, so a walk adds little to a
+# run's peak memory (problem-sanity's 2001 scalar-pair grids, 114k points
+# in all, raised it by 8 MB when walked as one chunk)
+_CHUNK = 8192
 
 # u0_bracket search: a weight lattice with _LATTICE + 1 points per edge, _ROUNDS
 # zooms, and per zoom at most _ITERS FISTA steps, until none moves by _STILL
@@ -90,22 +94,46 @@ def _check_points(p, x):
 
 
 def _box_grid(box, counts):
-    """The grid of counts[j] points on axis j of box, in C order, as (k, n)
-    chunks of about _CHUNK points.  Raises GridBudgetError before building
-    anything if the grid has more than GRID_BUDGET points.  Counts may be
-    floats, so a count too large for an integer is refused, not wrapped."""
-    total = float(np.prod(np.asarray(counts, dtype=float)))
+    """The grid of counts[j] points on axis j of a box, or the grids of
+    counts[k, j] points on axis j of box k of a stack of boxes, box after
+    box and each in C order, as chunks (Z, k) of at most _CHUNK points: Z
+    the (c, n) points and k the (c,) box index of each.  Axis values are
+    np.linspace's, bit for bit.  Raises GridBudgetError before building
+    anything if the grids have more than GRID_BUDGET points together.
+    Counts may be floats, so a count too large for an integer is refused,
+    not wrapped."""
+    lo, hi = np.atleast_2d(box.lo), np.atleast_2d(box.hi)
+    counts = np.broadcast_to(np.asarray(counts, dtype=float), lo.shape)
+    total = float(np.prod(counts, axis=1).sum())
     if total > GRID_BUDGET:
         raise GridBudgetError(
             f"grid needs {total:.6g} points (> {GRID_BUDGET}); shrink the box, "
             "coarsen the grid, or use u0_bracket for convex problems",
             requested=total, budget=GRID_BUDGET)
-    counts = [int(c) for c in counts]
-    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(box.lo, box.hi, counts)]
-    block = max(1, _CHUNK // (int(total) // counts[0]))
-    for lo in range(0, len(axes[0]), block):
-        mesh = np.meshgrid(axes[0][lo:lo + block], *axes[1:], indexing="ij")
-        yield np.stack([g.ravel() for g in mesh], axis=-1)
+    counts = counts.astype(np.int64)
+    sizes = np.prod(counts, axis=1)
+    ends = np.cumsum(sizes)
+    first = ends - sizes
+    # np.linspace(lo, hi, c)[i] is i * step + lo with step = (hi - lo) /
+    # (c - 1), or (i / (c - 1)) * (hi - lo) + lo where step underflows to
+    # 0, and its last point is hi; one point is 0 * (hi - lo) + lo
+    delta = hi - lo
+    div = np.maximum(counts - 1, 1).astype(float)
+    step = delta / div
+    flat = step == 0.0
+    div, mul = np.where(flat, div, 1.0), np.where(flat, delta, step)
+    last = np.where(counts > 1, counts - 1, -1)
+    size = int(total)
+    for start in range(0, size, _CHUNK):
+        g = np.arange(start, min(start + _CHUNK, size))
+        k = np.searchsorted(ends, g, side="right")
+        rest = g - first[k]
+        Z = np.empty((len(g), lo.shape[1]))
+        for j in range(lo.shape[1] - 1, -1, -1):
+            rest, i = np.divmod(rest, counts[k, j]) if j else (None, rest)
+            Z[:, j] = np.where(i == last[k, j], hi[k, j],
+                               i / div[k, j] * mul[k, j] + lo[k, j])
+        yield Z, k
 
 
 def u0_certified(p, x, box, h):
@@ -113,21 +141,45 @@ def u0_certified(p, x, box, h):
 
     The box must contain L(f, f(x)).  The returned value underestimates the
     true sup by at most certified_error = M_region * h * sqrt(n) / 2, since
-    the inner function is M_region-Lipschitz in z.
+    the inner function is M_region-Lipschitz in z; the witness is the first
+    grid point in C order that attains the value, or x when no point beats
+    0 (z = x is always admissible and gives 0).
+
+    x is one (n,) point with one box, which gives one MeritEstimate, or a
+    (P, n) stack with a stack of P boxes, which gives a tuple of P of them;
+    h is one spacing or one per point.  u0_certified(p, X, boxes, h)[k]
+    equals u0_certified(p, X[k], boxes[k], h[k]) bit for bit: one _box_grid
+    walks every grid, and the budget bounds their sum.
     """
-    x = _check_point(p, x)
-    if not (np.isfinite(h) and h > 0):
-        raise InvalidInputError(f"grid spacing h must be > 0, got {h!r}")
-    fx = p.value(x)
-    counts = np.maximum(1.0, np.ceil((box.hi - box.lo) / h) + 1.0)
-    best_val, best_z = 0.0, x  # z = x is always admissible and gives 0
-    for Z in _box_grid(box, counts):
-        inner = (fx - p._value(Z)).min(axis=-1)
-        j = int(np.argmax(inner))
-        if inner[j] > best_val:
-            best_val, best_z = float(inner[j]), Z[j].copy()
-    err = p.grad_bound * h * np.sqrt(p.n) / 2.0
-    return MeritEstimate(value=best_val, certified_error=float(err), witness=best_z)
+    X, one = _check_points(p, x)
+    H = np.asarray(h, dtype=float)
+    if H.ndim > 1 or H.size not in (1, len(X)) or not (
+            np.all(np.isfinite(H)) and np.all(H > 0)):
+        raise InvalidInputError(
+            f"grid spacing h must be > 0, one or one per point, got {h!r}")
+    H = np.broadcast_to(H, len(X))
+    if box.n != p.n or box.lo.size != X.size:
+        raise InvalidInputError(f"u0_certified needs one box in R^{p.n} per point")
+    fx = p.value(X)
+    counts = np.maximum(1.0, np.ceil((box.hi - box.lo).reshape(X.shape)
+                                     / H[:, None]) + 1.0)
+    best_val, best_z = np.zeros(len(X)), X.copy()
+    for Z, k in _box_grid(box, counts):
+        inner = (fx[k] - p._value(Z)).min(axis=-1)
+        # each box's points in the chunk are one run of k; the first
+        # maximum of a run replaces its box's running one if it is larger
+        run = np.flatnonzero(np.diff(k, prepend=-1))
+        top = np.maximum.reduceat(inner, run)
+        ties = inner == np.repeat(top, np.diff(run, append=len(k)))
+        at = np.minimum.reduceat(np.where(ties, np.arange(len(k)), len(k)), run)
+        owner = k[run]
+        gain = top > best_val[owner]
+        best_val[owner[gain]] = top[gain]
+        best_z[owner[gain]] = Z[at[gain]]
+    err = p.grad_bound * H * np.sqrt(p.n) / 2.0
+    ests = tuple(MeritEstimate(value=v, certified_error=e, witness=z)
+                 for v, e, z in zip(best_val.tolist(), err.tolist(), best_z))
+    return ests[0] if one else ests
 
 
 def u0_bracket(p, x):
@@ -150,10 +202,10 @@ def u0_bracket(p, x):
     if p.convexity_class not in ("convex", "strongly_convex"):
         raise InvalidInputError(
             f"u0_bracket needs a convex problem, got {p.convexity_class!r}")
-    fx = np.array([p.value(xk) for xk in X]).reshape(-1, 1, p.m)
-    boxes = [p.level_set_bound(f[0]).box for f in fx]
-    lo = np.array([b.lo for b in boxes]).reshape(-1, 1, p.n)
-    hi = np.array([b.hi for b in boxes]).reshape(-1, 1, p.n)
+    fx = p.value(X)
+    box = p.level_set_bound(fx).box
+    fx = fx[:, None]
+    lo, hi = box.lo[:, None], box.hi[:, None]
     lattice = np.array([w for w in np.ndindex(*[_LATTICE + 1] * p.m)
                         if sum(w) == _LATTICE], dtype=float) / _LATTICE
     P, rows = len(X), np.arange(len(X))
@@ -351,7 +403,7 @@ def level_set_grad_range(p, x0):
     box = p.level_set_bound(fx).box
     hd = np.linalg.norm((box.hi - box.lo) / 499) / 2.0
     lo, hi = np.inf, -np.inf
-    for Z in _box_grid(box, [500] * p.n):
+    for Z, _ in _box_grid(box, [500] * p.n):
         keep = np.all(p._value(Z) <= fx + p.grad_bound * hd, axis=-1)
         g = np.linalg.norm(p._grads(Z[keep]), axis=-1).max(axis=-1)
         lo, hi = min(lo, g.min(initial=np.inf)), max(hi, g.max(initial=-np.inf))
@@ -415,7 +467,7 @@ def _accelerated(p, rule, x0, theta):
     _unit_weights("accelerated", rule)
     fx = p.value(x0)
     V0 = -np.inf
-    for Z in _box_grid(p.level_set_bound(fx).box, [800] * p.n):
+    for Z, _ in _box_grid(p.level_set_bound(fx).box, [800] * p.n):
         vals = (theta ** 2 * (fx - p._value(Z)).min(axis=-1)
                 + 2.0 * ((Z - np.asarray(x0)) ** 2).sum(axis=-1))
         V0 = max(V0, float(vals.max()))

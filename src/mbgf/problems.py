@@ -5,23 +5,55 @@ Lipschitz constants valid on a declared region, lower bounds, optional
 strong-convexity moduli, a regional gradient bound, and an analytic
 level-set over-approximation.  Oracles are vectorized over leading axes:
 value maps (..., n) to (..., m) and gradients maps (..., n) to (..., m, n).
+The level-set bound takes one (m,) level or a (P, m) stack of levels, and
+a stack gives every radius and box in one call (a stack of P boxes), each
+equal to its level's own call bit for bit: an analytic bound is one
+vectorized function of a (P, m) stack, and one level is its P = 1 case.
 """
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, NumericDomainError
+from .geometry import _dot, _pow2
+
+
+def _norm(v):
+    # Euclidean norm over the last axis, rounded as np.linalg.norm rounds
+    # one vector; a float for one vector
+    r = np.sqrt(_dot(v, v))
+    return float(r) if r.ndim == 0 else r
+
+
+def _intersect(lo1, hi1, lo2, hi2):
+    # corners of the intersection of boxes (or of two stacks of boxes)
+    lo = np.maximum(lo1, lo2)
+    hi = np.minimum(hi1, hi2)
+    # boxes touching along a face may cross by roundoff; collapse to
+    # the shared face instead of declaring them disjoint
+    tol = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
+    touching = (lo > hi) & (lo - hi <= tol)
+    if np.any(touching):
+        mid = 0.5 * (lo + hi)
+        lo = np.where(touching, mid, lo)
+        hi = np.where(touching, mid, hi)
+    if np.any(lo > hi):
+        raise InvalidInputError("empty box intersection")
+    return lo, hi
 
 
 class Box:
-    """Axis-aligned box [lo, hi] in R^n."""
+    """Axis-aligned box [lo, hi] in R^n, or a stack of P boxes: lo and hi
+    of shape (P, n), and box[k] the k-th.  intersect and max_norm act box
+    by box on a stack; contains and diameter take one box."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise InvalidInputError("box bounds must be 1-D vectors of equal length")
+        if lo.shape != hi.shape or lo.ndim > 2:
+            raise InvalidInputError("box bounds must be 1-D vectors of equal "
+                                    "length, or (P, n) stacks of them")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise InvalidInputError("box bounds must be finite")
         if np.any(lo > hi):
@@ -31,7 +63,7 @@ class Box:
 
     @property
     def n(self):
-        return self.lo.size
+        return self.lo.shape[-1]
 
     @property
     def diameter(self):
@@ -42,23 +74,14 @@ class Box:
         return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
 
     def intersect(self, other):
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        # boxes touching along a face may cross by roundoff; collapse to
-        # the shared face instead of declaring them disjoint
-        tol = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-        touching = (lo > hi) & (lo - hi <= tol)
-        if np.any(touching):
-            mid = 0.5 * (lo + hi)
-            lo = np.where(touching, mid, lo)
-            hi = np.where(touching, mid, hi)
-        if np.any(lo > hi):
-            raise InvalidInputError("empty box intersection")
-        return Box(lo, hi)
+        return Box(*_intersect(self.lo, self.hi, other.lo, other.hi))
 
     def max_norm(self):
-        """Largest ||x|| over the box, attained at a corner."""
-        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
+        """Largest ||x|| over the box, attained at a corner; (P,) for a stack."""
+        return _norm(np.maximum(np.abs(self.lo), np.abs(self.hi)))
+
+    def __getitem__(self, k):
+        return Box(self.lo[k], self.hi[k])
 
     def __repr__(self):
         return f"Box({self.lo.tolist()}, {self.hi.tolist()})"
@@ -70,17 +93,26 @@ class LevelSetBound:
     a       the level vector
     radius  R with ||x|| <= R for every x in L(f, a)
     box     axis-aligned box containing L(f, a)
+
+    For a (P, m) stack of levels, radius is (P,), box a stack of P boxes,
+    and bound[k] the bound of level k.
     """
 
     __slots__ = ("a", "radius", "box")
 
     def __init__(self, a, radius, box):
         self.a = np.atleast_1d(np.asarray(a, dtype=float))
-        self.radius = float(radius)
+        radius = np.asarray(radius, dtype=float)
+        self.radius = float(radius) if radius.ndim == 0 else radius
         self.box = box
 
+    def __getitem__(self, k):
+        return LevelSetBound(self.a[k], self.radius[k], self.box[k])
+
     def __repr__(self):
-        return f"LevelSetBound(a={self.a.tolist()}, radius={self.radius:.6g}, box={self.box})"
+        radius = (f"{self.radius:.6g}" if np.ndim(self.radius) == 0
+                  else np.array2string(self.radius, precision=6))
+        return f"LevelSetBound(a={self.a.tolist()}, radius={radius}, box={self.box})"
 
 
 class Problem:
@@ -89,6 +121,8 @@ class Problem:
     lipschitz[i] bounds ||grad f_i(x) - grad f_i(y)|| / ||x - y|| on the
     region, lower_bounds[i] <= inf f_i, grad_bound bounds max_i ||grad f_i||
     on the region, and region contains L(f, f(x0)) for every shipped start.
+    An analytic level_set_bound maps a (P, m) stack of levels to their
+    stacked LevelSetBound.
 
     _memo keeps values that other modules derive from this instance alone
     (merit_rates.level_set_grad_range), so one instance computes each once.
@@ -151,27 +185,43 @@ class Problem:
         return g
 
     def level_set_bound(self, a):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if a.shape != (self.m,) or not np.all(np.isfinite(a)):
-            raise InvalidInputError("level vector must be m finite reals")
+        """LevelSetBound of L(f, a) for one (m,) level, or the stacked bound
+        of a (P, m) stack of levels, whose entry k equals the call on a[k]
+        bit for bit."""
+        A = np.atleast_1d(np.asarray(a, dtype=float))
+        one = A.ndim == 1
+        if one:
+            A = A[None]
+        if A.ndim != 2 or A.shape[1] != self.m or not np.all(np.isfinite(A)):
+            raise InvalidInputError(
+                "level vector must be m finite reals, or a (P, m) stack of them")
         if self._level_set_bound is not None:
-            return self._level_set_bound(a)
-        # Fallback for plugins without analytic bounds: the declared region,
-        # valid whenever a comes from a shipped start.
-        return LevelSetBound(a, self.region.max_norm(), self.region)
+            bound = self._level_set_bound(A)
+        else:
+            # Fallback for plugins without analytic bounds: the declared
+            # region, valid whenever a comes from a shipped start.
+            shape = (len(A), self.n)
+            bound = LevelSetBound(
+                A, np.full(len(A), self.region.max_norm()),
+                Box(np.broadcast_to(self.region.lo, shape),
+                    np.broadcast_to(self.region.hi, shape)))
+        return bound[0] if one else bound
 
     def __repr__(self):
         return f"Problem({self.name!r}, n={self.n}, m={self.m}, {self.convexity_class})"
 
 
-def _ball_bound(a_i, center, lower=0.0):
-    # Sublevel set of 0.5*||x - c||^2 at level a_i: ball of radius sqrt(2 a_i).
-    if a_i < lower:
+def _refuse_negative(A):
+    if np.any(A < 0.0):
         raise InvalidInputError("empty sublevel set (level below the objective minimum)")
-    r = np.sqrt(max(0.0, 2.0 * a_i))
+
+
+def _ball_bound(a_i, center):
+    # Sublevel sets of 0.5*||x - c||^2 at the (P,) levels a_i: balls of
+    # radius sqrt(2 a_i).  Returns their norm bounds and box corners.
+    r = np.sqrt(np.maximum(0.0, 2.0 * a_i))
     c = np.asarray(center, dtype=float)
-    box = Box(c - r, c + r)
-    return float(np.linalg.norm(c) + r), box
+    return _norm(c) + r, c - r[:, None], c + r[:, None]
 
 
 # ------------------------------------------------------------ built-ins
@@ -199,17 +249,16 @@ def _p1_grads(x):
     return g
 
 
-def _p1_level_set_bound(a):
-    if a[0] < 0.0 or a[1] < 0.0:
-        raise InvalidInputError("empty sublevel set (level below the objective minimum)")
+def _p1_level_set_bound(A):
+    _refuse_negative(A)
     # f1-sublevel: ellipse 100 x1^2 + x2^2 <= 2 a1.  Its largest norm sits on
     # the x2 axis because that is the flattest direction.
-    r1 = np.sqrt(2.0 * a[0])
-    box1 = Box([-r1 / 10.0, -r1], [r1 / 10.0, r1])
-    radius2, box2 = _ball_bound(a[1], [1.0, 1.0])
-    box = box1.intersect(box2)
-    radius = min(r1, radius2, box.max_norm())
-    return LevelSetBound(a, radius, box)
+    r1 = np.sqrt(2.0 * A[:, 0])
+    radius2, lo2, hi2 = _ball_bound(A[:, 1], [1.0, 1.0])
+    box = Box(*_intersect(np.stack([-r1 / 10.0, -r1], axis=-1),
+                          np.stack([r1 / 10.0, r1], axis=-1), lo2, hi2))
+    radius = np.minimum.reduce([r1, radius2, box.max_norm()])
+    return LevelSetBound(A, radius, box)
 
 
 def _make_p1():
@@ -237,11 +286,13 @@ def _p2_grads(x):
     return x[..., None, :] - _P2_C
 
 
-def _p2_level_set_bound(a):
-    r1, box1 = _ball_bound(a[0], _P2_C[0])
-    r2, box2 = _ball_bound(a[1], _P2_C[1])
-    box = box1.intersect(box2)
-    return LevelSetBound(a, min(r1, r2, box.max_norm()), box)
+def _p2_level_set_bound(A):
+    _refuse_negative(A)
+    r1, lo1, hi1 = _ball_bound(A[:, 0], _P2_C[0])
+    r2, lo2, hi2 = _ball_bound(A[:, 1], _P2_C[1])
+    box = Box(*_intersect(lo1, hi1, lo2, hi2))
+    radius = np.minimum.reduce([r1, r2, box.max_norm()])
+    return LevelSetBound(A, radius, box)
 
 
 def _make_p2():
@@ -275,19 +326,19 @@ def _p3_grads(x):
     return u / np.sqrt(1.0 + u * u) - 0.4 * np.sin(u)
 
 
-def _p3_level_set_bound(a):
+def _p3_level_set_bound(A):
     # Per coordinate, g(u) >= sqrt(1 + u^2) - 1.8, and every term is
     # nonnegative, so f_i <= a_i confines |x_j - c_ij| within r_i below.
-    if np.any(a < 0.0):
-        raise InvalidInputError("empty sublevel set (level below the objective minimum)")
-    radius = np.inf
-    box = None
-    for i, c in enumerate(_P3_C):
-        r_i = float(np.sqrt((a[i] + 1.8) ** 2 - 1.0))
-        box_i = Box(c - r_i, c + r_i)
-        box = box_i if box is None else box.intersect(box_i)
-        radius = min(radius, box_i.max_norm())
-    return LevelSetBound(a, min(radius, box.max_norm()), box)
+    # The bound has always squared a + 1.8 by pow(), so it still does
+    # (_pow2; see the note above the built-ins).
+    _refuse_negative(A)
+    r = np.sqrt(_pow2(A + 1.8) - 1.0)[:, :, None]
+    lo, hi = _P3_C - r, _P3_C + r
+    box = Box(*_intersect(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]))
+    corners = np.maximum(np.abs(lo), np.abs(hi))
+    radius = np.minimum.reduce([_norm(corners[:, 0]), _norm(corners[:, 1]),
+                                box.max_norm()])
+    return LevelSetBound(A, radius, box)
 
 
 def _make_p3():
@@ -320,12 +371,12 @@ def _p4_grads(x):
     return g
 
 
-def _p4_level_set_bound(a):
-    if np.any(a < 0.0):
-        raise InvalidInputError("empty sublevel set (level below the objective minimum)")
-    r1, r2 = np.sqrt(a[0]), np.sqrt(a[1])
-    box = Box([-1.0 - r1], [-1.0 + r1]).intersect(Box([1.0 - r2], [1.0 + r2]))
-    return LevelSetBound(a, min(1.0 + r1, 1.0 + r2, box.max_norm()), box)
+def _p4_level_set_bound(A):
+    _refuse_negative(A)
+    r1, r2 = np.sqrt(A[:, :1]), np.sqrt(A[:, 1:])
+    box = Box(*_intersect(-1.0 - r1, -1.0 + r1, 1.0 - r2, 1.0 + r2))
+    radius = np.minimum.reduce([1.0 + r1[:, 0], 1.0 + r2[:, 0], box.max_norm()])
+    return LevelSetBound(A, radius, box)
 
 
 def _make_p4():

@@ -20,8 +20,8 @@ import numpy as np
 from .discrete import DiscreteConfig, discrete_monitors, run_discrete
 from .errors import ConfigError
 from .flow import FlowConfig, integrate_accelerated, integrate_first_order
-from .geometry import (_dot, certificate_tolerance, certificate_violation,
-                       min_norm_point, hausdorff_hull_distance)
+from .geometry import (_dot, _min_norm, certificate_tolerance,
+                       certificate_violation, hausdorff_hull_distance)
 from .merit_rates import (NESTING_SLACK, RATE_BOUNDS, RATE_SLACK, criticality,
                           level_set_grad_range, lyapunov_monitors,
                           monotone_excess, rate_report, u0_bracket,
@@ -170,17 +170,14 @@ def _suite_problem_sanity(rng):
                              (p.lower_bounds - F.min(axis=0)).max(), 0.0))
 
         # level-set bound containment: every sampled member of L(f, f(x))
-        # lies in the certified box and ball
-        box_misses = 0
-        radius_excess = 0.0
-        for fx in F[:10]:
-            lsb = p.level_set_bound(fx)
-            Z = X[np.all(F <= fx + 1e-12, axis=-1)]
-            inside = (np.all(Z >= lsb.box.lo - 1e-9, axis=-1)
-                      & np.all(Z <= lsb.box.hi + 1e-9, axis=-1))
-            box_misses += int((~inside).sum())
-            radius_excess = max(radius_excess,
-                                float((np.sqrt(_dot(Z, Z)) - lsb.radius).max()))
+        # lies in the certified box and ball, for the first 10 levels
+        lsb = p.level_set_bound(F[:10])
+        member = np.all(F <= F[:10, None] + 1e-12, axis=-1)
+        inside = (np.all(X >= lsb.box.lo[:, None] - 1e-9, axis=-1)
+                  & np.all(X <= lsb.box.hi[:, None] + 1e-9, axis=-1))
+        box_misses = int((member & ~inside).sum())
+        excess = np.sqrt(_dot(X, X)) - lsb.radius[:, None]
+        radius_excess = max(0.0, float(excess[member].max()))
         checks.append(_check(f"{name}-level-set-box-misses", box_misses, 0.0))
         checks.append(_check(f"{name}-level-set-radius-excess",
                              radius_excess, 0.0, 1e-9))
@@ -195,11 +192,11 @@ def _suite_problem_sanity(rng):
     crit_err = 0.0
     xs = np.linspace(-2.5, 2.5, 2001)
     crits, _ = criticality(p4, xs[:, None], rule=unit)
-    for x, crit_u in zip(xs, crits.tolist()):
-        xv = np.array([x])
-        box = p4.level_set_bound(p4.value(xv)).box
-        side = float(box.hi[0] - box.lo[0])
-        est = u0_certified(p4, xv, box, max(1e-9, side * side / 40.0))
+    box = p4.level_set_bound(p4.value(xs[:, None])).box
+    side = box.hi[:, 0] - box.lo[:, 0]
+    ests = u0_certified(p4, xs[:, None], box,
+                        np.maximum(1e-9, side * side / 40.0))
+    for x, crit_u, est in zip(xs, crits.tolist(), ests):
         if (est.value <= est.certified_error) != (crit_u <= 1e-8):
             mismatches += 1
         exact = (abs(x) - 1.0) ** 2 if abs(x) > 1.0 else 0.0
@@ -215,43 +212,62 @@ def _suite_problem_sanity(rng):
     return checks
 
 
+def _draw_hull(rng):
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 4))
+    return rng.normal(0.0, 0.1, size=(m, n))
+
+
+def _by_shape(hulls):
+    """The hulls grouped by (m, n) shape: (indices, (k, m, n) stack) pairs."""
+    groups = {}
+    for i, G in enumerate(hulls):
+        groups.setdefault(G.shape, []).append(i)
+    return [(idx, np.stack([hulls[i] for i in idx])) for idx in groups.values()]
+
+
 def _suite_geometry_oracle(rng):
-    checks = []
-    worst_gap = 0.0
-    worst_cert = -np.inf
-    failures = 0
+    # every hull is drawn first, in the rng order of a hull-by-hull loop,
+    # then each (m, n) shape is solved and certified as one stack
+    hulls = []
     for i in range(1000):
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 4))
-        G = rng.normal(0.0, 0.1, size=(m, n))
-        k = i % 10
+        G = _draw_hull(rng)
+        m, k = G.shape[0], i % 10
         if k == 3 and m >= 2:
             G[1] = G[0]            # duplicated generator
         elif k == 5 and m >= 2:
             G[1] = -G[0]           # zero inside the hull
         elif k == 7:
             G *= 1e-3              # tiny scale
-        res = min_norm_point(G)
-        gap = abs(float(np.linalg.norm(res.point)) - _exact_min_norm(G))
-        cert = (certificate_violation(np.zeros(n), G, res.point)
-                - certificate_tolerance(np.zeros(n), G))
-        worst_gap = max(worst_gap, gap)
-        worst_cert = max(worst_cert, cert)
-        if gap > 1e-4 or cert > 0.0:
-            failures += 1
-    checks.append(_check("min-norm-vs-grid-worst-gap", worst_gap, 1e-4))
-    checks.append(_check("min-norm-certificate-excess", worst_cert, 0.0))
-    checks.append(_check("min-norm-failures", failures, 0.0))
+        hulls.append(G)
+    worst_gap = 0.0
+    worst_cert = -np.inf
+    failures = 0
+    for idx, Gs in _by_shape(hulls):
+        _, points, norms = _min_norm(Gs)
+        q = np.zeros(Gs.shape[-1])
+        # the projection of q onto the hull is q + points, as
+        # project_onto_hull forms it
+        cert = (certificate_violation(q, Gs, q + points)
+                - certificate_tolerance(q, Gs))
+        gap = np.abs(norms - [_exact_min_norm(hulls[i]) for i in idx])
+        worst_gap = max(worst_gap, float(gap.max()))
+        worst_cert = max(worst_cert, float(cert.max()))
+        failures += int(((gap > 1e-4) | (cert > 0.0)).sum())
+    checks = [_check("min-norm-vs-grid-worst-gap", worst_gap, 1e-4),
+              _check("min-norm-certificate-excess", worst_cert, 0.0),
+              _check("min-norm-failures", failures, 0.0)]
 
     # projections of nonzero points, via the same oracle on shifted hulls
-    worst_proj = 0.0
+    shifted = []
     for _ in range(300):
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 4))
-        G = rng.normal(0.0, 0.1, size=(m, n))
-        q = rng.normal(0.0, 0.1, size=n)
-        val = float(np.linalg.norm(min_norm_point(G - q).point))
-        worst_proj = max(worst_proj, abs(val - _exact_min_norm(G - q)))
+        G = _draw_hull(rng)
+        shifted.append(G - rng.normal(0.0, 0.1, size=G.shape[1]))
+    worst_proj = 0.0
+    for idx, Gs in _by_shape(shifted):
+        gap = np.abs(_min_norm(Gs)[2]
+                     - [_exact_min_norm(shifted[i]) for i in idx])
+        worst_proj = max(worst_proj, float(gap.max()))
     checks.append(_check("projection-vs-grid-worst-gap", worst_proj, 1e-4))
     return checks
 

@@ -711,3 +711,42 @@ def test_verify_json_report_is_seed_deterministic(tmp_path):
     assert main(["verify", "--suite", "problem-sanity", "--seed", "3",
                  "--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# flags are spelled out in full
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--problem", "p2", "--t", "2"], "--t"),
+    (["accel", "--problem", "p2", "--t", "2"], "--t"),
+    (["discrete", "--problem", "p4", "--x0", "2", "--r", "3"], "--r"),
+    (["verify", "--suite", "problem-sanity", "--s", "0"], "--s"),
+])
+def test_abbreviated_flags_are_refused(argv, flag, capsys):
+    # a prefix would name a different flag per subcommand: --t is --t-end
+    # on run and ambiguous on accel, --r is --rates on discrete
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "accel", "discrete"])
+def test_full_flag_names_parse_as_before(command):
+    argv, expected = [command], {}
+    for flag, dest in (("--config", "config"), ("--problem", "problem"),
+                       ("--scaling", "scaling"), ("--x0", "x0"),
+                       ("--rates", "rates"), ("--out", "out_csv"),
+                       ("--summary", "out_json")):
+        argv += [flag, "2"]
+        expected[dest] = "2"
+    for key, _, _, _, commands in cli._NUMERIC_KEYS:
+        if command in commands:
+            argv += ["--" + key.replace("_", "-"), "2"]
+            expected[key] = 2
+    args = vars(cli.build_parser().parse_args(argv))
+    assert {key: args[key] for key in expected} == expected
+
+
+def test_full_verify_flag_names_parse_as_before():
+    args = cli.build_parser().parse_args(
+        ["verify", "--suite", "problem-sanity", "--seed", "3", "--json", "r.json"])
+    assert (args.suite, args.seed, args.json) == ("problem-sanity", 3, "r.json")

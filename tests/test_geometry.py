@@ -14,8 +14,9 @@ from mbgf import (
 )
 from mbgf.errors import NumericDomainError
 from mbgf import verify
-from mbgf.geometry import (MEMBERSHIP_TOL, SUPPORT_TIE_TOL, _excess, _min_norm,
-                           _min_norm_weights, _project_weights, _support_weights)
+from mbgf.geometry import (CERTIFICATE_TOL, MEMBERSHIP_TOL, SUPPORT_TIE_TOL,
+                           _excess, _min_norm, _min_norm_weights,
+                           _project_weights, _support_weights)
 from mbgf.verify import _exact_min_norm
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=100)
@@ -527,3 +528,84 @@ def test_invalid_inputs_rejected():
         hausdorff_hull_distance([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
     with pytest.raises(InvalidInputError):
         min_norm_point(np.zeros((0, 2)))
+
+
+# ------------------------------------------------------ stacked certificates
+
+def _ref_violation(q, G, point):
+    # the one-hull formula before stacks
+    return float(max(0.0, -((G - point) @ (point - q)).min()))
+
+
+def _ref_tolerance(q, G):
+    d = float(np.sqrt(((G - q) ** 2).sum(axis=1).max()))
+    return CERTIFICATE_TOL * (1.0 + d) ** 2
+
+
+def _geometry_oracle_stacks():
+    # the (k, m, n) hull stacks geometry-oracle certifies at seed 0
+    stacks = []
+    by_shape = verify._by_shape
+
+    def recording(hulls):
+        groups = by_shape(hulls)
+        stacks.extend(Gs for _, Gs in groups)
+        return groups
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_by_shape", recording)
+        verify.run_suite("geometry-oracle", seed=0)
+    return stacks
+
+
+def _degenerate_stacks(rng):
+    # duplicate generators, 0 inside the hull and 1e-3 scale, per shape
+    stacks = []
+    for m in range(1, 5):
+        for n in range(1, 4):
+            G = rng.normal(0.0, 0.1, size=(40, m, n))
+            if m >= 2:
+                G[:10, 1] = G[:10, 0]
+                G[10:20, 1] = -G[10:20, 0]
+            G[20:30] *= 1e-3
+            stacks.append(G)
+    return stacks
+
+
+def test_stacked_certificates_equal_per_hull_calls_bit_for_bit():
+    rng = np.random.default_rng(31)
+    stacks = _geometry_oracle_stacks() + _degenerate_stacks(rng)
+    assert sum(len(Gs) for Gs in stacks) > 1000
+    for Gs in stacks:
+        n = Gs.shape[-1]
+        points = _min_norm(Gs)[1]
+        # q = 0 with its projection, a q per hull with its projection, and
+        # random points, whose violations are not 0
+        Q = rng.normal(0.0, 0.1, size=(len(Gs), n))
+        cases = [(np.zeros(n), points),
+                 (Q, Q + _min_norm(Gs - Q[:, None])[1]),
+                 (Q, rng.normal(0.0, 0.1, size=(len(Gs), n)))]
+        for q, P in cases:
+            viol = certificate_violation(q, Gs, P)
+            tol = certificate_tolerance(q, Gs)
+            assert viol.shape == tol.shape == (len(Gs),)
+            for k, G in enumerate(Gs):
+                qk = q if q.ndim == 1 else q[k]
+                one_v = certificate_violation(qk, G, P[k])
+                one_t = certificate_tolerance(qk, G)
+                assert isinstance(one_v, float) and isinstance(one_t, float)
+                assert viol[k].tobytes() == np.float64(one_v).tobytes()
+                assert tol[k].tobytes() == np.float64(one_t).tobytes()
+                assert one_v == _ref_violation(qk, G, P[k])
+                assert np.float64(one_t).tobytes() == np.float64(
+                    _ref_tolerance(qk, G)).tobytes()
+
+
+def test_certificate_stacks_check_their_shapes():
+    Gs = np.zeros((3, 2, 2))
+    with pytest.raises(InvalidInputError, match="one per hull"):
+        certificate_tolerance(np.zeros((2, 2)), Gs)
+    with pytest.raises(InvalidInputError, match="one per hull"):
+        certificate_violation(np.zeros(2), Gs, np.zeros((4, 2)))
+    with pytest.raises(InvalidInputError, match="length 2, got"):
+        certificate_violation(np.zeros(2), Gs[0], np.zeros((3, 2)))

@@ -117,10 +117,11 @@ def three_quadratics():
         return A * (x[..., None, :] - C)
 
     def level_set_bound(a):
-        half = np.sqrt(2.0 * a[:, None] / A)
-        box = Box(C[0] - half[0], C[0] + half[0])
+        # a (P, 3) stack of levels, as every analytic bound takes
+        half = np.sqrt(2.0 * a[:, :, None] / A)
+        box = Box(C[0] - half[:, 0], C[0] + half[:, 0])
         for i in (1, 2):
-            box = box.intersect(Box(C[i] - half[i], C[i] + half[i]))
+            box = box.intersect(Box(C[i] - half[:, i], C[i] + half[:, i]))
         return LevelSetBound(a, box.max_norm(), box)
 
     return make_problem(
@@ -701,6 +702,169 @@ def test_u0_witness_is_the_first_grid_maximum_in_c_order(monkeypatch):
                 assert est.witness.tobytes() == Z[j].tobytes()
             else:
                 assert est.value == 0.0 and np.array_equal(est.witness, x0)
+
+
+def _linspace_grid(box, counts):
+    # the grid as np.linspace and np.meshgrid build it, in C order
+    axes = [np.linspace(lo, hi, int(c))
+            for lo, hi, c in zip(box.lo, box.hi, counts)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sides=st.lists(st.tuples(
+           st.sampled_from([0.0, 5e-324, 1e-310, 1e-12, 0.3, 7.0]),
+           st.integers(1, 12), st.sampled_from([-0.0, 0.0, -1.5, 2.25])),
+           min_size=1, max_size=3).flatmap(
+               lambda axes: st.lists(st.just(axes), min_size=1, max_size=4)),
+       chunk=st.sampled_from([5, 8192]))
+def test_box_grid_points_are_linspace_meshgrid_points(sides, chunk):
+    # every (side, count, lo) axis, for one box and for a stack of copies
+    # whose chunks split boxes: underflowing steps, one-point axes and
+    # signed zeros included
+    lo = np.array([[lo for _, _, lo in axes] for axes in sides])
+    hi = lo + np.array([[side for side, _, _ in axes] for axes in sides])
+    counts = np.array([[c for _, c, _ in axes] for axes in sides])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(merit_rates, "_CHUNK", chunk)
+        chunks = list(merit_rates._box_grid(Box(lo, hi), counts))
+        one = list(merit_rates._box_grid(Box(lo[0], hi[0]), counts[0]))
+    assert all(len(Z) <= chunk for Z, _ in chunks)
+    Z = np.concatenate([Z for Z, _ in chunks])
+    k = np.concatenate([k for _, k in chunks])
+    ref = [_linspace_grid(Box(lo[i], hi[i]), counts[i]) for i in range(len(lo))]
+    assert Z.tobytes() == np.concatenate(ref).tobytes()
+    assert k.tolist() == [i for i, R in enumerate(ref) for _ in R]
+    assert np.concatenate([Z for Z, _ in one]).tobytes() == ref[0].tobytes()
+
+
+def _est_bits(est):
+    return (np.float64(est.value).tobytes(),
+            np.float64(est.certified_error).tobytes(),
+            np.asarray(est.witness, dtype=float).tobytes())
+
+
+def test_stacked_u0_equals_one_point_calls_on_the_scalar_pair_sweep():
+    # problem-sanity's 2001 points, boxes and spacings, as the suite makes them
+    p = get_problem("scalar-pair")
+    X = np.linspace(-2.5, 2.5, 2001)[:, None]
+    box = p.level_set_bound(p.value(X)).box
+    side = box.hi[:, 0] - box.lo[:, 0]
+    h = np.maximum(1e-9, side * side / 40.0)
+    ests = u0_certified(p, X, box, h)
+    assert len(ests) == len(X)
+    for k, est in enumerate(ests):
+        assert _est_bits(est) == _est_bits(u0_certified(p, X[k], box[k], h[k]))
+
+
+# weak Pareto points: each minimizes f_1, so u0 = 0 there
+_PARETO = {"unbalanced-convex": [0.0, 0.0], "strongly-convex": [0.0, 0.0],
+           "nonconvex-bounded-grad": [0.0, 0.0], "scalar-pair": [-1.0]}
+
+
+def _u0_case(p, kind, rng):
+    """A point, a box and a spacing of one kind: its level-set box at 3 to
+    40 cells per side, the same box with h above every side (2 points per
+    axis), a zero-width box (1 point per axis), a box collapsed to a face
+    by Box.intersect's touching rule, or a weak Pareto point (u0 = 0)."""
+    x = p.region.lo + rng.random(p.n) * (p.region.hi - p.region.lo)
+    if kind == "pareto":
+        x = np.array(_PARETO[p.name])
+    box = p.level_set_bound(p.value(x)).box
+    widest = float((box.hi - box.lo).max())
+    h = max(1e-9, widest / rng.uniform(3.0, 40.0))
+    if kind == "coarse":
+        h = 2.0 * widest + rng.random()
+    elif kind == "zero-width":
+        box = Box(x, x)
+    elif kind == "touching":
+        # two boxes around x that cross by roundoff at x_0
+        lo1, hi1 = x - 0.5, x + 0.5
+        hi1[0] = x[0]
+        lo2, hi2 = x - 0.5, x + 0.5
+        lo2[0] = x[0] + 1e-13 * (1.0 + abs(x[0]))
+        box = Box(lo1, hi1).intersect(Box(lo2, hi2))
+        assert box.lo[0] == box.hi[0]
+    return x, box, h
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["unbalanced-convex", "strongly-convex",
+                             "nonconvex-bounded-grad", "scalar-pair"]),
+       kinds=st.lists(st.sampled_from(["level-set", "coarse", "zero-width",
+                                       "touching", "pareto"]),
+                      min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       chunk=st.sampled_from([7, 8192]))
+def test_stacked_u0_equals_one_point_calls_and_the_full_grid(name, kinds,
+                                                            seed, chunk):
+    # entry k of a stack equals the one-point call on X[k] byte for byte,
+    # and both equal the first maximum of the whole linspace grid, with
+    # chunks of 7 points splitting grids and runs of boxes
+    p = get_problem(name)
+    rng = np.random.default_rng(seed)
+    cases = [_u0_case(p, kind, rng) for kind in kinds]
+    X = np.array([x for x, _, _ in cases])
+    boxes = Box(np.array([b.lo for _, b, _ in cases]),
+                np.array([b.hi for _, b, _ in cases]))
+    h = np.array([h for _, _, h in cases])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(merit_rates, "_CHUNK", chunk)
+        ests = u0_certified(p, X, boxes, h)
+        singles = [u0_certified(p, x, b, hk) for x, b, hk in cases]
+    for kind, (x, b, hk), est, single in zip(kinds, cases, ests, singles):
+        assert _est_bits(est) == _est_bits(single)
+        counts = np.maximum(1.0, np.ceil((b.hi - b.lo) / hk) + 1.0)
+        if kind == "coarse":
+            assert counts.max() <= 2.0
+        elif kind in ("zero-width", "touching"):
+            assert counts.min() == 1.0
+        Z = _linspace_grid(b, counts)
+        inner = (p.value(x) - p._value(Z)).min(axis=-1)
+        j = int(np.argmax(inner))
+        if inner[j] > 0.0:
+            assert est.value == inner[j]
+            assert est.witness.tobytes() == Z[j].tobytes()
+        else:
+            assert est.value == 0.0 and est.witness.tobytes() == x.tobytes()
+        if kind == "pareto":
+            assert est.value == 0.0
+
+
+def test_stacked_u0_budget_covers_the_sum_of_the_grids():
+    # six grids of 2001^2 points: each fits GRID_BUDGET, together they do
+    # not, and the walk refuses them before it builds a chunk
+    shapes = []
+    p2 = get_problem("strongly-convex")
+
+    def value(x):
+        shapes.append(x.shape)
+        return p2._value(x)
+
+    p = make_problem("spy", 2, 2, value, p2._grads, lipschitz=[1.0, 1.0],
+                     lower_bounds=[0.0, 0.0], convexity_class="convex",
+                     region=p2.region, grad_bound=p2.grad_bound,
+                     starts=p2.starts)
+    lo = np.full((6, 2), -1.0)
+    assert 2001 ** 2 < GRID_BUDGET < 6 * 2001 ** 2
+    with pytest.raises(GridBudgetError, match="u0_bracket") as exc:
+        u0_certified(p, np.zeros((6, 2)), Box(lo, lo + 2.0), 1e-3)
+    assert exc.value.requested == 6 * 2001 ** 2
+    assert shapes == [(6, 2)]  # f at the points, and no grid point
+
+
+def test_stacked_u0_needs_one_box_and_spacing_per_point():
+    p = get_problem("strongly-convex")
+    X = np.zeros((3, 2))
+    boxes = Box(np.full((3, 2), -1.0), np.ones((3, 2)))
+    with pytest.raises(InvalidInputError, match="one box"):
+        u0_certified(p, X, boxes[0], 0.5)
+    with pytest.raises(InvalidInputError, match="grid spacing"):
+        u0_certified(p, X, boxes, [0.5, 0.5])
+    with pytest.raises(InvalidInputError, match="grid spacing"):
+        u0_certified(p, X, boxes, [0.5, 0.0, 0.5])
+    assert len(u0_certified(p, X, boxes, 0.5)) == 3
 
 
 # -------------------------------------------------------- lyapunov monitors

@@ -153,9 +153,10 @@ def test_level_set_bound_ball_example():
     assert lsb.radius == pytest.approx(np.sqrt(18.0))
 
     def analytic(a):
+        # a (P, 1) stack of levels, as every analytic bound takes
         from mbgf.problems import LevelSetBound
-        r = float(np.sqrt(2.0 * a[0]))
-        return LevelSetBound(a, r, Box([-r, -r], [r, r]))
+        r = np.sqrt(2.0 * a)
+        return LevelSetBound(a, r[:, 0], Box(-r * [1.0, 1.0], r * [1.0, 1.0]))
 
     ball2 = make_problem(
         "unit-ball-2", 2, 1,
@@ -317,3 +318,103 @@ def test_stacked_oracles_equal_single_points_bitwise(name, u, seed):
         _assert_same_array(oracle(x), single)
         _assert_same_array(oracle(x.reshape(-1, 4, p.n)),
                            single.reshape((-1, 4) + single.shape[1:]))
+
+
+# ------------------------------------------------- stacked level-set bounds
+
+def _bound_bits(b):
+    return (np.float64(b.radius).tobytes() if np.ndim(b.radius) == 0
+            else b.radius.tobytes(), b.box.lo.tobytes(), b.box.hi.tobytes())
+
+
+def _levels(p, rng, k):
+    # levels of region points, some raised, and of the shipped starts: each
+    # sublevel set is nonempty, so a stack of them has every box
+    F = p.value(region_sample(p, rng, k))
+    F[: k // 2] += rng.uniform(0.0, 5.0, (k // 2, 1))
+    return np.vstack([F, np.stack([p.value(s) for s in p.starts])])
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_stacked_level_set_bound_equals_per_level_calls(name):
+    p = get_problem(name)
+    A = _levels(p, np.random.default_rng(17), 400)
+    stacked = p.level_set_bound(A)
+    assert stacked.radius.shape == (len(A),)
+    assert stacked.box.lo.shape == stacked.box.hi.shape == (len(A), p.n)
+    assert "radius=[" in repr(stacked)
+    for k, a in enumerate(A):
+        one = p.level_set_bound(a)
+        assert isinstance(one.radius, float) and one.box.lo.shape == (p.n,)
+        assert _bound_bits(stacked[k]) == _bound_bits(one), (name, k)
+
+
+def test_p3_bound_squares_each_level_as_a_numpy_scalar_does():
+    # r_i = sqrt((a_i + 1.8) ** 2 - 1): ** 2 on a numpy scalar calls pow(),
+    # on an array it multiplies, and the two differ in the last bit at about
+    # 1 level in 1000 here; the stacked bound keeps pow()'s bits
+    p = get_problem("nonconvex-bounded-grad")
+    A = np.random.default_rng(3).uniform(0.0, 10.0, (20000, 2))
+    r = np.array([[float(np.sqrt((a_i + 1.8) ** 2 - 1.0)) for a_i in a]
+                  for a in A])
+    C = np.array([[0.0, 0.0], [2.0, 1.0]])
+    lo = np.maximum(C[0] - r[:, :1], C[1] - r[:, 1:])
+    hi = np.minimum(C[0] + r[:, :1], C[1] + r[:, 1:])
+    b = p.level_set_bound(A)
+    assert b.box.lo.tobytes() == lo.tobytes()
+    assert b.box.hi.tobytes() == hi.tobytes()
+    for k in range(0, len(A), 97):
+        assert _bound_bits(b[k]) == _bound_bits(p.level_set_bound(A[k]))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_a_negative_level_anywhere_in_a_stack_is_refused(name):
+    p = get_problem(name)
+    A = _levels(p, np.random.default_rng(5), 6)
+    for k in range(len(A)):
+        for i in range(p.m):
+            B = A.copy()
+            B[k, i] = -1e-3
+            with pytest.raises(InvalidInputError, match="empty sublevel set"):
+                p.level_set_bound(B)
+
+
+def test_level_stack_shape_is_checked():
+    p = get_problem("strongly-convex")
+    for bad in (np.ones((3, 3)), np.ones((2, 2, 2)), [[1.0, np.nan]]):
+        with pytest.raises(InvalidInputError, match="level vector"):
+            p.level_set_bound(bad)
+
+
+def test_plugin_without_analytic_bound_gets_its_region_per_level():
+    ball = make_problem(
+        "unit-ball", 2, 1,
+        lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
+        lambda x: x[..., None, :],
+        lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
+        region=Box([-3.0, -2.0], [3.0, 4.0]), grad_bound=5.0,
+        starts=[[1.0, 1.0]])
+    A = np.array([[0.5], [2.0], [9.0]])
+    b = ball.level_set_bound(A)
+    assert b.radius.tolist() == [ball.region.max_norm()] * 3
+    assert np.array_equal(b.box.lo, np.tile(ball.region.lo, (3, 1)))
+    assert np.array_equal(b.box.hi, np.tile(ball.region.hi, (3, 1)))
+    for k, a in enumerate(A):
+        assert _bound_bits(b[k]) == _bound_bits(ball.level_set_bound(a))
+
+
+def test_box_stack_intersects_and_indexes_box_by_box():
+    lo = np.array([[0.0, 0.0], [1.0, -1.0]])
+    boxes = Box(lo, lo + 2.0)
+    other = Box(lo + 1.0, lo + 3.0)
+    both = boxes.intersect(other)
+    assert both.n == 2
+    for k in range(2):
+        one = boxes[k].intersect(other[k])
+        assert both[k].lo.tobytes() == one.lo.tobytes()
+        assert both[k].hi.tobytes() == one.hi.tobytes()
+        assert both.max_norm()[k] == one.max_norm()
+    with pytest.raises(InvalidInputError):
+        Box(lo, lo - 1.0)
+    with pytest.raises(InvalidInputError):
+        Box(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))

@@ -1,13 +1,16 @@
 """Fast tests for the verification-suite runner (report shape, determinism,
 check semantics).  The slow end-to-end suite runs live in test_acceptance.py."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from mbgf.errors import ConfigError
-from mbgf import merit_rates, verify
+from mbgf.geometry import (certificate_tolerance, certificate_violation,
+                           min_norm_point)
+from mbgf import cli, merit_rates, problems, verify
 
 
 EXPECTED_SUITES = (
@@ -223,3 +226,94 @@ def test_suite_brackets_equal_per_point_brackets_bit_for_bit(merit_point_sets):
     for p, X, ests in sets:
         for x, est in zip(X, ests):
             assert bits(est) == bits(merit_rates.u0_bracket(p, x))
+
+
+# ------------------------------------------------- stacked suite loops
+
+def _geometry_oracle_hull_by_hull(rng):
+    # the suite as one loop over hulls, each solved by min_norm_point and
+    # certified alone: the reference the grouped suite must equal
+    checks = []
+    worst_gap = 0.0
+    worst_cert = -np.inf
+    failures = 0
+    for i in range(1000):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 4))
+        G = rng.normal(0.0, 0.1, size=(m, n))
+        k = i % 10
+        if k == 3 and m >= 2:
+            G[1] = G[0]
+        elif k == 5 and m >= 2:
+            G[1] = -G[0]
+        elif k == 7:
+            G *= 1e-3
+        res = min_norm_point(G)
+        gap = abs(float(np.linalg.norm(res.point)) - verify._exact_min_norm(G))
+        cert = (certificate_violation(np.zeros(n), G, res.point)
+                - certificate_tolerance(np.zeros(n), G))
+        worst_gap = max(worst_gap, gap)
+        worst_cert = max(worst_cert, cert)
+        if gap > 1e-4 or cert > 0.0:
+            failures += 1
+    checks.append(verify._check("min-norm-vs-grid-worst-gap", worst_gap, 1e-4))
+    checks.append(verify._check("min-norm-certificate-excess", worst_cert, 0.0))
+    checks.append(verify._check("min-norm-failures", failures, 0.0))
+    worst_proj = 0.0
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 4))
+        G = rng.normal(0.0, 0.1, size=(m, n))
+        q = rng.normal(0.0, 0.1, size=n)
+        val = float(np.linalg.norm(min_norm_point(G - q).point))
+        worst_proj = max(worst_proj, abs(val - verify._exact_min_norm(G - q)))
+    checks.append(verify._check("projection-vs-grid-worst-gap", worst_proj, 1e-4))
+    return checks
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grouped_geometry_oracle_equals_the_hull_by_hull_loop(seed):
+    reference = _geometry_oracle_hull_by_hull(np.random.default_rng(
+        np.random.SeedSequence([seed, verify.SUITES.index("geometry-oracle")])))
+    assert verify.run_suite("geometry-oracle", seed)["checks"] == reference
+
+
+def test_problem_sanity_makes_one_stacked_call_per_loop(monkeypatch):
+    # the scalar-pair sweep is one u0_certified call on its 2001 points, and
+    # each problem's containment check one level_set_bound call on 10 levels
+    sweeps, levels = [], []
+    u0, Problem = verify.u0_certified, problems.Problem
+    bound = Problem.level_set_bound
+
+    def spy_u0(p, X, box, h):
+        sweeps.append(np.shape(X))
+        return u0(p, X, box, h)
+
+    def spy_bound(self, a):
+        levels.append(np.shape(a))
+        return bound(self, a)
+
+    monkeypatch.setattr(verify, "u0_certified", spy_u0)
+    monkeypatch.setattr(Problem, "level_set_bound", spy_bound)
+    verify.run_suite("problem-sanity", seed=0)
+    assert sweeps == [(2001, 1)]
+    assert levels == [(10, 2)] * 4 + [(2001, 2)]
+
+
+# sha256 of `mbgf verify --suite <suite> --seed 0 --json`: the bytes each
+# report keeps however its loops are stacked
+SUITE_JSON_SHA256 = {
+    "problem-sanity":
+        "8834021d7e2e9b2ede4e4c5876f1aa8ab702418c2d967d218771baeb3e7a6298",
+    "geometry-oracle":
+        "4045e7f2cce2fba2150e4f6e191d7b9b0318efe65ecab8b3b736d917a6da7d51",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_JSON_SHA256))
+def test_suite_json_report_keeps_its_bytes(suite, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", suite, "--seed", "0",
+                     "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SUITE_JSON_SHA256[suite]
