@@ -325,8 +325,11 @@ def iterates_csv_text(seq):
 
 
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path!r} ({e})") from None
 
 
 def _jf(v):

@@ -8,9 +8,10 @@ satisfies the admissible-step window
 s_min <= s_k <= safety * min_i 2 alpha_i(x_k, k) / L_i.
 
 An iteration pays one gradient call and one minimum-norm solve, whose point
-is the step and whose norm is the stop test.  The objective values and the
-unscaled criticality of every distinct iterate come after the loop, from
-one stacked pass.
+is the step and whose norm is the stop test; the loop keeps only the
+iterates.  Every record of the distinct iterates (f, both criticalities
+and the min-norm weights) comes after the loop, from the one stacked
+record pass the flows use (flow._diagnostics).
 
 The loop stops stepping at a floating-point fixed point, the first k with
 x_{k+1} == x_k byte for byte, and every record of x_k (state, f, both
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericDomainError
-from .flow import _check_start
+from .flow import _check_start, _diagnostics
 from .geometry import _min_norm
 from .merit_rates import NESTING_SLACK, monotone_excess
 from .scaling import generator_map
@@ -98,16 +99,14 @@ def run_discrete(p, rule, x0, cfg):
     s = step_size(p, rule, cfg)
     alpha_bounds = rule.declared_bounds(p)
     gens = generator_map(rule, p.m)
-    states, cs, ws = [], [], []
+    states = []
     fixed_point_k = None
 
     for k in range(cfg.max_iters + 1):
         if not np.isfinite(x).all():
             raise NumericDomainError(f"non-finite iterate at k={k}")
-        w, d, crit_s = _min_norm(gens(p._grads(x)))
+        _, d, crit_s = _min_norm(gens(p._grads(x)))
         states.append(x)
-        cs.append(crit_s)
-        ws.append(w)
         if crit_s <= cfg.stop_tol or k == cfg.max_iters:
             break
         x_new = x - s * d
@@ -116,12 +115,12 @@ def run_discrete(p, rule, x0, cfg):
             break
         x = x_new
 
-    # f and the unscaled criticality of the distinct iterates in one stacked
-    # pass, then every column's last row repeated up to max_iters
+    # the records of the distinct iterates in one stacked pass, then every
+    # column's last row repeated up to max_iters
     X = np.array(states)
+    F, cu, _, ws, cs = _diagnostics(p, gens, X)
     rest = 0 if fixed_point_k is None else cfg.max_iters - fixed_point_k
-    X, F, cu, cs, ws = (_repeat_last(a, rest) for a in (
-        X, p._value(X), _min_norm(p._grads(X))[2], cs, ws))
+    X, F, cu, cs, ws = (_repeat_last(a, rest) for a in (X, F, cu, cs, ws))
     return IterateSequence(
         ks=np.arange(len(X)), states=X, f_values=F, steps=np.full(len(X), s),
         crit_unscaled=cu, crit_scaled=cs, weights=ws,

@@ -10,10 +10,12 @@ as a first-order system in the stacked state y = (x, v), started at rest
 stepping loop, the embedded Dormand-Prince 5(4) pair with step-size control
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), and share the
 divergence guard and the Trajectory assembly.  The loop keeps only the
-recorded times and states; the mode then computes every recorded
-diagnostic in one stacked pass over all records, with oracle calls and
-minimum-norm solves on (K, m, n) stacks, whose values equal those of each
-record alone bit for bit.
+recorded times and states.  Every recorded diagnostic then comes from one
+stacked record pass over all K records, _diagnostics, which the discrete
+method shares: one value and one grads call on the (K, n) stack of
+recorded states and two minimum-norm solves on (K, m, n) stacks, plus, for
+an accelerated pair, the central-difference grads call of its sliding
+records.  Each record's values equal those of the record alone bit for bit.
 Both record at t0 + j dt for j = 0, record_every, 2 record_every, ... and
 at the last step count j = round((t_end - t0) / dt).  dt sets that grid and
 the first trial step, not a step bound.  Records between step ends come
@@ -57,7 +59,7 @@ import numpy as np
 from .errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                      NumericDomainError)
 from .geometry import (_as_generator_matrix, _as_vector, _dot, _min_norm,
-                       _min_norm_weights, _support_weights)
+                       _min_norm_weights, _pair_weights, _support_weights)
 from .scaling import generator_map
 
 DIVERGENCE_SLACK = 0.1  # fraction of the region diameter a state may overshoot
@@ -153,14 +155,14 @@ class Trajectory:
     rejected by the error control, and rhs_evals = 1 + 6 (steps +
     rejected), the stage evaluations of the stepping loop, the first of
     them at t0.  The records add a fixed number of oracle calls, whatever
-    their number: one on the stack of recorded states, and for an
-    accelerated pair one more on the central differences of the sliding
-    records that have left rest.  switches counts the located regime
-    changes of an accelerated pair (sliding entries, sliding exits and
-    crossings of sigma = 0); it is 0 for other m and None in first-order
-    mode.  A located switch also evaluates the switching function on the
-    dense output and the right-hand side at the restart point, outside the
-    stage count.
+    their number: one value and one grads call on the stack of recorded
+    states, and for an accelerated pair one more grads call on the central
+    differences of the sliding records that have left rest.  switches
+    counts the located regime changes of an accelerated pair (sliding
+    entries, sliding exits and crossings of sigma = 0); it is 0 for other
+    m and None in first-order mode.  A located switch also evaluates the
+    switching function on the dense output and the right-hand side at the
+    restart point, outside the stage count.
     """
 
     __slots__ = ("times", "states", "velocities", "f_values", "speeds",
@@ -230,6 +232,19 @@ def _trajectory(p, rule, cfg, work, **columns):
     return Trajectory(mode=cfg.mode, problem_name=p.name,
                       rule_spec=rule.spec_string(), config=cfg,
                       **columns, **work)
+
+
+def _diagnostics(p, gens, X):
+    """The recorded diagnostics of a (K, n) stack of states X under the
+    generator map gens: f (K, m), the unscaled criticality (K,), the scaled
+    generators G (K, m, n), and the min-norm weights (K, m) and norms (K,)
+    of their hulls, the scaled criticality.  One value call, one gradient
+    call and two stacked minimum-norm solves; every row equals its state's
+    values alone bit for bit."""
+    graw = p._grads(X)
+    G = gens(graw)
+    w, _, crit_scaled = _min_norm(G)
+    return p._value(X), _min_norm(graw)[2], G, w, crit_scaled
 
 
 def _dense_output(y, y_new, h, K):
@@ -368,13 +383,11 @@ def integrate_first_order(p, rule, x0, cfg):
         return -(_min_norm_weights(G) @ G)
 
     times, X, _, work = _run_dp54(p, cfg, x0, counts, rhs)
-    graw = grads(X)
-    w, _, speed = _min_norm(gens(graw))
+    f, crit, _, w, speed = _diagnostics(p, gens, X)
     # ||xdot|| is the scaled criticality in the first-order flow
     return _trajectory(p, rule, cfg, work, times=times, states=X,
-                       f_values=p._value(X), speeds=speed,
-                       crit_unscaled=_min_norm(graw)[2], crit_scaled=speed,
-                       weights=w)
+                       f_values=f, speeds=speed, crit_unscaled=crit,
+                       crit_scaled=speed, weights=w)
 
 
 def _implicit_acceleration(G, b):
@@ -502,10 +515,7 @@ class _SlidingPair:
             lam = _sliding_weights(self.grads, self.gens, G[sliding],
                                    X[sliding], V[sliding],
                                    self.r / (T[sliding] + self.theta))
-            # max(0.0, lam) and min(1.0, lam) as floats: +0.0, never -0.0
-            lam = np.where(lam > 0.0, lam, 0.0)
-            lam = np.where(lam < 1.0, lam, 1.0)
-            w[sliding] = np.stack([lam, 1.0 - lam], axis=-1)
+            w[sliding] = _pair_weights(lam)
         return w
 
     def left(self):
@@ -621,18 +631,15 @@ def integrate_accelerated(p, rule, x0, cfg):
         p, cfg, np.concatenate((x0, np.zeros(n))), counts, rhs, events,
         chatter=events is None)
     X, V = Y[:, :n].copy(), Y[:, n:].copy()
-    graw = grads(X)
-    G = gens(graw)
+    f, crit, G, _, crit_scaled = _diagnostics(p, gens, X)
     if events is None:
         b = (r / (times + theta))[:, None] * V
         w = np.array([_implicit_acceleration(Gk, bk)[0] for Gk, bk in zip(G, b)])
     else:
         w = events.weights(G, times, X, V, regimes)
-    f = p._value(X)
     speed2 = _dot(V, V)
     return _trajectory(p, rule, cfg, work, times=times, states=X,
                        velocities=V, f_values=f, speeds=np.sqrt(speed2),
-                       crit_unscaled=_min_norm(graw)[2],
-                       crit_scaled=_min_norm(G)[2],
+                       crit_unscaled=crit, crit_scaled=crit_scaled,
                        energies=f + half_alpha * speed2[:, None], weights=w,
                        switches=0 if events is None else events.switches)

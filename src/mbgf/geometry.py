@@ -11,8 +11,10 @@ generator arrays with equal leading shapes give an array of distances.  One
 implementation serves one pair and a stack; it projects one vertex of every
 hull in the stack at a time, and its distances equal the one-pair values bit
 for bit.  It does so through the stack form of the internal minimum-norm
-kernel _min_norm, which also computes the recorded criticalities of the
-flows and the discrete method.
+kernel _min_norm, which also computes the recorded criticalities and
+weights of the flows and the discrete method.  The one-hull form of
+_min_norm gives project_onto_hull its weights and point, and a tied
+support face its point.
 
 Projections are solved with an active-set minimum-norm-point method (Wolfe's
 algorithm) on the shifted generators, with closed forms for one or two
@@ -279,6 +281,15 @@ def _pow2(x):
     return np.array([v ** 2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
+def _pair_weights(theta):
+    # the pair weights (theta, 1 - theta), (..., 2), with each theta clamped
+    # to [0, 1] as max(0.0, theta) and min(1.0, theta) clamp: +0.0 where
+    # np.clip would keep the -0.0 of a zero numerator
+    theta = np.where(theta > 0.0, theta, 0.0)
+    theta = np.where(theta < 1.0, theta, 1.0)
+    return np.stack([theta, 1.0 - theta], axis=-1)
+
+
 def _min_norm(P):
     """Weights w, point d = w @ P and norm ||d|| of the minimum-norm point
     of conv(rows of P).
@@ -300,25 +311,13 @@ def _min_norm(P):
         d = P[..., 0, :] - P[..., 1, :]
         dd = _dot(d, d)
         # theta = 1 on a zero-length segment
-        theta = np.divide(-_dot(P[..., 1, :], d), dd, out=np.ones_like(dd),
-                          where=dd != 0.0)
-        # max(0.0, theta) and min(1.0, theta), which return +0.0 where
-        # np.clip would keep the -0.0 of a zero numerator
-        theta = np.where(theta > 0.0, theta, 0.0)
-        theta = np.where(theta < 1.0, theta, 1.0)
-        w = np.stack([theta, 1.0 - theta], axis=-1)
+        w = _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
+                                    out=np.ones_like(dd), where=dd != 0.0))
     else:
         hulls = P.reshape((-1,) + P.shape[-2:])
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])
     d = (w[..., None, :] @ P)[..., 0, :]
     return w, d, np.sqrt(_dot(d, d))
-
-
-def _project_weights(q, G):
-    # Shared implementation: project q onto conv(rows of G).
-    w = _min_norm_weights(G - q)
-    point = q + w @ (G - q)
-    return w, point
 
 
 def project_onto_hull(q, generators):
@@ -329,7 +328,8 @@ def project_onto_hull(q, generators):
     """
     G = _as_generator_matrix(generators)
     q = _as_vector(q, G.shape[1], "q")
-    w, point = _project_weights(q, G)
+    w, d, _ = _min_norm(G - q)
+    point = q + d
     sw = SimplexWeights(w)
     residual = float(np.linalg.norm(point - sw.weights @ G))
     return HullProjection(point, sw, residual)
@@ -361,10 +361,8 @@ def _support_weights(G, b):
         i = tied[0]
         w[i] = 1.0
         return tied, w, G[i].copy()
-    face = G[tied]
-    wf = _min_norm_weights(face)
-    w[tied] = wf
-    return tied, w, wf @ face
+    w[tied], point, _ = _min_norm(G[tied])
+    return tied, w, point
 
 
 def support_point(b, generators):

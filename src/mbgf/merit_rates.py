@@ -347,15 +347,15 @@ def lyapunov_monitors(run, which, z, p, rule):
     under scaling rule.
 
     which: iterable from {"h", "convex", "strongly_convex", "accelerated"}.
-    z must lie in the level set of the final record.  Each monitor maps to
-    its monotone_excess at MONITOR_SLACK: <= 0 means nonincreasing within
-    1e-6 (1 + |monitor|) per record.  The discrete merit E(k) lives in
+    z must lie in the level set of the final record, within NESTING_SLACK
+    (1 + |f_i|).  Each monitor maps to its monotone_excess at MONITOR_SLACK:
+    <= 0 means nonincreasing within 1e-6 (1 + |monitor|) per record.  The discrete merit E(k) lives in
     discrete.discrete_monitors.
     """
     z = _check_point(p, z)
     fz = p.value(z)
     f_final = run.f_values[-1]
-    if np.any(fz > f_final + 1e-9 * (1.0 + np.abs(f_final))):
+    if np.any(fz > f_final + NESTING_SLACK * (1.0 + np.abs(f_final))):
         raise InvalidInputError("z must lie in the level set of the final record")
 
     gaps = run.f_values - fz              # (N, m)

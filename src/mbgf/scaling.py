@@ -56,8 +56,7 @@ class ScalingRule:
     def alpha(self, p, x, t):
         del t  # no shipped rule is time-dependent
         if self.variant == "constant":
-            x = np.asarray(x, dtype=float)
-            shape = x.shape[:-1] if x.ndim > 1 else ()
+            shape = p._check_input(x).shape[:-1]
             return np.broadcast_to(self._constant_values(p.m),
                                    shape + (p.m,)).copy()
         return self._alpha_map()(p.grads(x))

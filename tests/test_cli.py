@@ -539,6 +539,23 @@ def test_main_exit_2_on_config_errors(tmp_path, capsys):
     assert "bogus" in err and "dt" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "p2", "--t-end", "1", "--out"],
+    ["run", "--problem", "p2", "--t-end", "1", "--summary"],
+    ["verify", "--suite", "strongly-convex-rate", "--json"],
+], ids=["out", "summary", "verify-json"])
+def test_main_exit_2_on_an_unwritable_output_path(argv, tmp_path, capsys):
+    # exit 1 means a failed check; a path that cannot be written is an
+    # input error, reported by name, as an unreadable --config is
+    path = str(tmp_path / "absent" / "out.txt")
+    assert main(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path!r} (")
+    assert "[Errno 2]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "absent").exists()
+
+
 def test_main_exit_2_on_usage_error(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from mbgf import discrete, flow
 from mbgf.discrete import (MERIT_SLACK, DiscreteConfig, IterateSequence,
                            discrete_monitors, run_discrete, step_size)
 from mbgf.errors import InvalidInputError
-from mbgf.flow import FlowConfig, integrate_first_order
+from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
 from mbgf.geometry import _min_norm
 from mbgf.problems import Box, get_problem, make_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
@@ -246,3 +247,82 @@ def test_a_two_cycle_is_not_a_fixed_point():
     seq = run_discrete(ball_problem(), constant([1.0]), [1.0],
                        DiscreteConfig(max_iters=6, safety=1.0))
     assert seq.fixed_point_k is None and seq.grad_calls == 7
+
+
+# ------------------------------------------- the stacked record pass, checked
+# against the per-iterate solves it replaced
+
+def three_quadratics():
+    # m = 3: the records of every iterate go through Wolfe's solver
+    A = np.array([[4.0, 1.0], [1.0, 9.0], [2.0, 0.5]])
+    C = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]])
+    return make_problem(
+        "three-quadratics", 2, 3,
+        lambda x: 0.5 * (A * (x[..., None, :] - C) ** 2).sum(axis=-1),
+        lambda x: A * (x[..., None, :] - C), lipschitz=A.max(axis=1),
+        lower_bounds=[0.0, 0.0, 0.0], convexity_class="strongly_convex",
+        region=Box([0.0, 0.0], [2.0, 2.0]), grad_bound=20.0,
+        starts=[[1.0, 1.0]])
+
+
+# discrete-rate's scaling and budget
+CLAMPED = "gradnorm:eta=0.1,min=0.1,max=10"
+
+
+# (problem, scaling, start, max_iters, fixed_point_k, records)
+@pytest.mark.parametrize("case", [
+    ("unbalanced-convex", CLAMPED, 0, 10_000, None, 1),  # critical: k = 0
+    ("unbalanced-convex", CLAMPED, 1, 10_000, None, 10_001),
+    ("strongly-convex", CLAMPED, 0, 10_000, None, 1880),  # crit_scaled 0
+    ("three-quadratics", "const:1,1.5,0.5", [0.3, 1.7], 2000, 108, 2001),
+], ids=["discrete-rate-p1-critical-start", "discrete-rate-p1-interior-start",
+        "discrete-rate-p2", "m3-wolfe-k108"])
+def test_record_pass_matches_the_every_k_loop_bit_for_bit(case):
+    # every record, weights and crit_scaled included, comes from one stacked
+    # pass after the loop; row k must be the one-hull solve at x_k
+    name, spec, x0, max_iters, fixed_k, records = case
+    p = three_quadratics() if name == "three-quadratics" else get_problem(name)
+    if isinstance(x0, int):
+        x0 = p.starts[x0]
+    rule, cfg = parse_scaling(spec), DiscreteConfig(max_iters=max_iters)
+    seq = run_discrete(p, rule, x0, cfg)
+    assert (seq.fixed_point_k, len(seq)) == (fixed_k, records)
+    got = (seq.states, seq.f_values, seq.crit_scaled, seq.crit_unscaled,
+           seq.weights)
+    for a, b in zip(got, reference_run(p, rule, x0, cfg)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_each_dynamics_records_through_the_one_pass(monkeypatch):
+    # one record pass per run, and the only value call of the run is the
+    # pass's call on the (K, n) stack of recorded states
+    passes, values = [], []
+    real = flow._diagnostics
+
+    def spy(p, gens, X):
+        passes.append(X.shape)
+        return real(p, gens, X)
+
+    monkeypatch.setattr(flow, "_diagnostics", spy)
+    monkeypatch.setattr(discrete, "_diagnostics", spy)
+    p2 = get_problem("strongly-convex")
+
+    def value(x):
+        values.append(x.shape)
+        return p2._value(x)
+
+    p = make_problem("counted", 2, 2, value, p2._grads,
+                     lipschitz=p2.lipschitz, lower_bounds=p2.lower_bounds,
+                     convexity_class=p2.convexity_class, region=p2.region,
+                     grad_bound=p2.grad_bound, starts=p2.starts)
+    rule, x0 = constant([1.0, 2.0]), [1.0, 1.0]
+    runs = [
+        integrate_first_order(p, rule, x0, FlowConfig(t_end=1.0, dt=0.1)),
+        integrate_accelerated(p, rule, x0, FlowConfig(t_end=1.0, dt=0.1,
+                                                      mode="accelerated")),
+        run_discrete(p, rule, x0, DiscreteConfig(max_iters=7)),
+    ]
+    assert passes == values == [(11, 2), (11, 2), (8, 2)]
+    for run in runs:
+        assert run.f_values.tobytes() == p2._value(run.states).tobytes()

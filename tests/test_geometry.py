@@ -16,7 +16,7 @@ from mbgf.errors import NumericDomainError
 from mbgf import verify
 from mbgf.geometry import (CERTIFICATE_TOL, MEMBERSHIP_TOL, SUPPORT_TIE_TOL,
                            _excess, _min_norm, _min_norm_weights,
-                           _project_weights, _support_weights)
+                           _support_weights)
 from mbgf.verify import _exact_min_norm
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=100)
@@ -339,12 +339,12 @@ def test_hausdorff_symmetry(A, B):
 
 
 # hausdorff_hull_distance projects whole stacks at once; this is the per-pair
-# loop it replaced, kept as the reference.
+# loop it replaced, kept as the reference, one project_onto_hull per vertex.
 def _per_pair_hausdorff(A, B):
     def excess(P, Q):
         worst = 0.0
         for p in P:
-            _, point = _project_weights(p, Q)
+            point = project_onto_hull(p, Q).point
             worst = max(worst, float(np.linalg.norm(point - p)))
         return worst
 

@@ -28,6 +28,31 @@ def test_constant_everywhere():
         assert np.array_equal(rule.alpha(p, x, 0.0), [1.0, 1.0])
 
 
+def test_constant_rule_reads_points_as_the_problem_does():
+    # p4 (n = 1) reads a (P,) stack as P points and one float as one
+    # point, under every rule; a (K, n) stack gives the values per row
+    p4 = get_problem("scalar-pair")
+    for rule in (constant([1.0, 2.0]), gradnorm_eta(0.1)):
+        assert rule.alpha(p4, [0.5, -1.0, 2.0], 0.0).shape == (3, 2)
+        assert rule.alpha(p4, 0.5, 0.0).shape == (2,)
+        assert rule.alpha(p4, [0.5], 0.0).shape == (2,)
+    a = constant([1.0, 2.0]).alpha(get_problem("strongly-convex"),
+                                   np.zeros((4, 2)), 0.0)
+    assert a.tobytes() == np.tile([1.0, 2.0], (4, 1)).tobytes()
+    a[0, 0] = 3.0  # a writable copy, not a view of the rule's values
+    assert constant([1.0, 2.0]).values[0] == 1.0
+
+
+@pytest.mark.parametrize("x", [[np.nan], [np.inf, 0.0], [[0.0, 1.0, 2.0]]],
+                         ids=["nan", "inf", "wrong-length"])
+def test_constant_rule_refuses_what_the_problem_refuses(x):
+    p = get_problem("scalar-pair" if len(np.ravel(x)) == 1
+                    else "strongly-convex")
+    for rule in (constant([1.0, 1.0]), gradnorm_eta(0.1)):
+        with pytest.raises(InvalidInputError):
+            rule.alpha(p, x, 0.0)
+
+
 def test_gradnorm_on_unbalanced_problem():
     p = get_problem("unbalanced-convex")
     x = [1.0, 1.0]

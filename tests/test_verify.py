@@ -307,6 +307,20 @@ SUITE_JSON_SHA256 = {
         "8834021d7e2e9b2ede4e4c5876f1aa8ab702418c2d967d218771baeb3e7a6298",
     "geometry-oracle":
         "4045e7f2cce2fba2150e4f6e191d7b9b0318efe65ecab8b3b736d917a6da7d51",
+    "accelerated-rate":
+        "a072f30c1bd72dd788f7cfaa5bfd0fd4d811e12ddbcb39a4e50521bdaf9ddae9",
+    "convex-rate":
+        "fd759c7da90a476ea838af31f3f1c58b5c2c4b225a89b38bbc4c3d8402891e8b",
+    "discrete-rate":
+        "087c154f0446bd342ff5383f592c4056913c0fa14bcbdb52f33f42610f011b70",
+    "hausdorff-lipschitz":
+        "c1ea1765535cbf040ea44756fddcabc0c94896c35aac868f684990000ea58049",
+    "lyapunov":
+        "aba32e1d243eecc9c1dc7851ab5889f90dd13dbb14f300d66203c9e28047636a",
+    "nonconvex-rate":
+        "105ba7d88fe9393d2fa0d8943f0f32a2afe431cebf4933ff1fda986547dbc048",
+    "strongly-convex-rate":
+        "600542ee1523fc553d9d1ea3e4f7095c0edaf045ac1696c50c8a06289338a396",
 }
 
 
