@@ -23,9 +23,11 @@ from the pair's 4th-order dense output; the last is the end of the last
 step, where stepping stops.  At a fixed point every stage is zero, so the
 error estimate is zero and every record repeats the first bit for bit.
 
-The first-order right-hand side is Lipschitz and smooth away from switches
-of the projection's active set: the error estimate shrinks the step at a
-switch and lets it grow where the flow is smooth.
+The first-order right-hand side is the negated minimum-norm point of the
+scaled hull, from geometry._min_norm, the kernel every other minimum-norm
+point comes from.  It is Lipschitz and smooth away from switches of the
+projection's active set: the error estimate shrinks the step at a switch
+and lets it grow where the flow is smooth.
 
 The accelerated right-hand side jumps wherever the support face of the
 hull switches, so the system is a differential inclusion (Filippov,
@@ -47,8 +49,11 @@ is cut there, and stepping restarts at that point in the next regime:
 sliding if lambda is in [0, 1] there, else across the surface.  From rest
 sigma = 0, and the first regime is the one of lambda at the start, where
 it is the unclamped minimum-norm weight of the hull.  For other m the
-support point keeps its minimum-norm tie rule, and a run that chatters
-between support points stops with NoConvergenceError (CHATTER_STEPS).
+right-hand side, its record weights and solve_implicit_acceleration all
+take the support point from geometry._support_weights, with its
+minimum-norm tie rule, and a run that chatters between support points
+stops with NoConvergenceError (CHATTER_STEPS).  Starts are read by the
+problem's point reader, Problem._check_input, as one point.
 """
 
 import math
@@ -59,7 +64,7 @@ import numpy as np
 from .errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                      NumericDomainError)
 from .geometry import (_as_generator_matrix, _as_vector, _dot, _min_norm,
-                       _min_norm_weights, _pair_weights, _support_weights)
+                       _pair_weights, _proper_pair, _support_weights)
 from .scaling import generator_map
 
 DIVERGENCE_SLACK = 0.1  # fraction of the region diameter a state may overshoot
@@ -183,9 +188,9 @@ class Trajectory:
 
 
 def _check_start(p, x0):
-    """x0 as a float vector: finite, of length p.n, inside p's region."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (p.n,) or not np.all(np.isfinite(x0)):
+    """x0 read by p's point reader as one point inside p's region."""
+    x0 = p._check_input(x0)
+    if x0.ndim != 1:
         raise InvalidInputError(f"x0 must be a finite vector of length {p.n}")
     if not p.region.contains(x0):
         raise InvalidInputError(f"x0 {x0.tolist()} outside the region of {p.name}")
@@ -379,8 +384,7 @@ def integrate_first_order(p, rule, x0, cfg):
     grads, gens = p._grads, generator_map(rule, p.m)
 
     def rhs(x, t):
-        G = gens(grads(x))
-        return -(_min_norm_weights(G) @ G)
+        return -_min_norm(gens(grads(x)))[1]
 
     times, X, _, work = _run_dp54(p, cfg, x0, counts, rhs)
     f, crit, _, w, speed = _diagnostics(p, gens, X)
@@ -388,13 +392,6 @@ def integrate_first_order(p, rule, x0, cfg):
     return _trajectory(p, rule, cfg, work, times=times, states=X,
                        f_values=f, speeds=speed, crit_unscaled=crit,
                        crit_scaled=speed, weights=w)
-
-
-def _implicit_acceleration(G, b):
-    # Support weights w and xddot = -(b + c*) for the support point c* of
-    # conv(rows of G) in direction b; see solve_implicit_acceleration.
-    _, w, c = _support_weights(G, b)
-    return w, -(b + c)
 
 
 def solve_implicit_acceleration(generators, b):
@@ -407,7 +404,7 @@ def solve_implicit_acceleration(generators, b):
     """
     G = _as_generator_matrix(generators)
     b = _as_vector(b, G.shape[1], "b")
-    return _implicit_acceleration(G, b)[1]
+    return -(b + _support_weights(G, b)[2])
 
 
 _FD_ROWS = np.array([[0.0], [1.0], [-1.0]])
@@ -422,8 +419,9 @@ def _sliding_weight(grads, gens, x, v, k):
     x +- e v, with |e v| = FD_STEP (1 + |x|), evaluated in one stacked
     oracle call with x itself.  At v = 0 it is zero and x alone is
     evaluated, as it is at an infinite v, where the field is not finite.
-    A zero delta gives lambda = 1, as the min-norm weights of a
-    zero-length segment do.
+    A degenerate delta, whose |delta|^2 is below the smallest normal
+    float (geometry._proper_pair), gives lambda = 1, as the min-norm
+    weights of a zero-length segment do.
     """
     vv = float(v @ v)
     if 0.0 < vv < math.inf:
@@ -440,7 +438,7 @@ def _sliding_weight(grads, gens, x, v, k):
         num = -k * float(v @ delta)
     num -= float(U[1] @ delta)
     dd = float(delta @ delta)
-    return U, delta, num / dd if dd > 0.0 else 1.0
+    return U, delta, num / dd if _proper_pair(dd) else 1.0
 
 
 def _sliding_weights(grads, gens, G, X, V, k):
@@ -462,7 +460,7 @@ def _sliding_weights(grads, gens, G, X, V, k):
         U[fd], delta[fd] = U3[:, 0, 1], D3[:, 0]
     num -= _dot(U, delta)
     dd = _dot(delta, delta)
-    return np.divide(num, dd, out=np.ones_like(dd), where=dd > 0.0)
+    return np.divide(num, dd, out=np.ones_like(dd), where=_proper_pair(dd))
 
 
 _VERTICES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -624,8 +622,9 @@ def integrate_accelerated(p, rule, x0, cfg):
 
         def rhs(y, t):
             v = y[n:]
-            xdd = _implicit_acceleration(gens(grads(y[:n])), (r / (t + theta)) * v)[1]
-            return np.concatenate((v, xdd))
+            b = (r / (t + theta)) * v
+            c = _support_weights(gens(grads(y[:n])), b)[2]
+            return np.concatenate((v, -(b + c)))
 
     times, Y, regimes, work = _run_dp54(
         p, cfg, np.concatenate((x0, np.zeros(n))), counts, rhs, events,
@@ -634,7 +633,7 @@ def integrate_accelerated(p, rule, x0, cfg):
     f, crit, G, _, crit_scaled = _diagnostics(p, gens, X)
     if events is None:
         b = (r / (times + theta))[:, None] * V
-        w = np.array([_implicit_acceleration(Gk, bk)[0] for Gk, bk in zip(G, b)])
+        w = np.array([_support_weights(Gk, bk)[1] for Gk, bk in zip(G, b)])
     else:
         w = events.weights(G, times, X, V, regimes)
     speed2 = _dot(V, V)

@@ -10,15 +10,21 @@ The Hausdorff distance also takes stacks: (..., mA, n) and (..., mB, n)
 generator arrays with equal leading shapes give an array of distances.  One
 implementation serves one pair and a stack; it projects one vertex of every
 hull in the stack at a time, and its distances equal the one-pair values bit
-for bit.  It does so through the stack form of the internal minimum-norm
-kernel _min_norm, which also computes the recorded criticalities and
-weights of the flows and the discrete method.  The one-hull form of
-_min_norm gives project_onto_hull its weights and point, and a tied
-support face its point.
+for bit.  It does so through the stack form of _min_norm, the one internal
+minimum-norm kernel: every minimum-norm point of the package is formed
+there, with one dispatch on m for one (m, n) hull and an (..., m, n) stack
+alike.  Its one-hull form gives the first-order right-hand side of
+mbgf.flow its velocity, the discrete method its step, project_onto_hull
+its weights and point, and a tied support face its point; its stack form
+gives the recorded criticalities and weights of the flows and the
+discrete method.
 
 Projections are solved with an active-set minimum-norm-point method (Wolfe's
 algorithm) on the shifted generators, with closed forms for one or two
-generators.  Every result carries simplex weights and satisfies the standard
+generators.  A pair whose |g_1 - g_2|^2 is below the smallest normal float,
+or NaN, is degenerate (_proper_pair) and takes weight 1 on g_1, as a
+zero-length segment does; every two-generator closed form, here and in
+mbgf.flow's sliding weights, keeps that one rule.  Every result carries simplex weights and satisfies the standard
 variational certificate
 
     <point - q, g_i - point> >= -CERTIFICATE_TOL * scale   for all i,
@@ -44,6 +50,7 @@ ITER_FACTOR = 50             # solver iteration cap is ITER_FACTOR * m
 # returned projections pass it with margin.
 _STOP_TOL = 1e-10
 _DROP_TOL = 1e-14
+_MIN_NORMAL = float(np.finfo(float).tiny)
 
 
 def _as_generator_matrix(generators, stacked=False):
@@ -181,17 +188,6 @@ def _affine_minimizer(A):
     return u
 
 
-def _segment_weights(P):
-    # Closed form for two rows: minimize ||theta p0 + (1 - theta) p1||.
-    d = P[0] - P[1]
-    dd = float(d @ d)
-    if dd == 0.0:
-        return np.array([1.0, 0.0])
-    theta = float(-(P[1] @ d)) / dd
-    theta = min(1.0, max(0.0, theta))
-    return np.array([theta, 1.0 - theta])
-
-
 def _wolfe_min_norm(P):
     # Wolfe's minimum-norm-point algorithm over the rows of P (m >= 3).
     # Returns full-length weights.  Deterministic: ties in argmin/argmax
@@ -257,16 +253,6 @@ def _wolfe_min_norm(P):
     return w_full
 
 
-def _min_norm_weights(P):
-    """Full-length simplex weights of the minimum-norm point of conv(rows of P)."""
-    m = P.shape[0]
-    if m == 1:
-        return np.array([1.0])
-    if m == 2:
-        return _segment_weights(P)
-    return _wolfe_min_norm(P)
-
-
 def _dot(a, b):
     # row-wise <a, b> over (..., n) stacks; stacked @ calls the same BLAS
     # dot for each row that a @ b calls for one pair of vectors
@@ -279,6 +265,15 @@ def _pow2(x):
     # last bit, so code that squared one value at a time keeps its bits
     # on a stack through this
     return np.array([v ** 2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _proper_pair(dd):
+    # whether a pair with |delta|^2 = dd spans a segment that the m = 2
+    # closed forms divide by: dd is at least the smallest normal float.
+    # A degenerate pair (dd below it, or NaN) takes weight 1 on its first
+    # generator, as a zero-length segment does.  Works on a float and on
+    # an array of them.
+    return dd >= _MIN_NORMAL
 
 
 def _pair_weights(theta):
@@ -295,27 +290,34 @@ def _min_norm(P):
     of conv(rows of P).
 
     P is one (m, n) hull, which gives a float norm, or an (..., m, n) stack
-    of hulls, which gives stacks of weights, points and norms.  A stacked
-    result equals the result of its hull alone bit for bit: m = 2 takes
-    _segment_weights' closed form on every hull at once, m >= 3 runs Wolfe
-    hull by hull.
+    of hulls, which gives stacks of weights, points and norms.  One
+    dispatch on m serves both.  A stacked result equals the result of its
+    hull alone bit for bit: m = 2 takes the segment's closed form on every
+    hull at once, m >= 3 runs Wolfe hull by hull.
     """
-    if P.ndim == 2:
-        w = _min_norm_weights(P)
-        d = w @ P
-        return w, d, float(np.sqrt(d @ d))
+    one = P.ndim == 2
     m = P.shape[-2]
     if m == 1:
         w = np.ones(P.shape[:-1])
+    elif m == 2 and one:
+        # the closed form: minimize ||theta p0 + (1 - theta) p1||
+        d = P[0] - P[1]
+        dd = float(d @ d)
+        theta = float(-(P[1] @ d)) / dd if _proper_pair(dd) else 1.0
+        theta = min(1.0, max(0.0, theta))
+        w = np.array([theta, 1.0 - theta])
     elif m == 2:
+        # the same closed form on every hull at once
         d = P[..., 0, :] - P[..., 1, :]
         dd = _dot(d, d)
-        # theta = 1 on a zero-length segment
         w = _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
-                                    out=np.ones_like(dd), where=dd != 0.0))
+                                    out=np.ones_like(dd), where=_proper_pair(dd)))
     else:
         hulls = P.reshape((-1,) + P.shape[-2:])
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])
+    if one:
+        d = w @ P
+        return w, d, math.sqrt(d @ d)
     d = (w[..., None, :] @ P)[..., 0, :]
     return w, d, np.sqrt(_dot(d, d))
 

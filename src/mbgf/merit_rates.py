@@ -6,14 +6,17 @@ weak Pareto points.  The sup is attained inside any box containing
 L(f, f(x)) because z outside that level set makes some f_i(z) > f_i(x) and
 hence the inner min negative.  Both estimators return a certified interval
 for u0: u0_certified by a grid over that box, for any problem, and
-u0_bracket by a primal-dual bracket, for convex problems.  u0_certified,
-u0_bracket and criticality take one (n,) point or a (P, n) stack, and a
-stack gives per point the bits of that point's own call: u0_certified(p, X,
-boxes, h) and u0_bracket(p, X) are tuples of P MeritEstimates, from one
-grid walk and one loop, and criticality(p, X) two (P,) arrays.  RATE_BOUNDS
-states each rate theorem's constant and bound curve once, and a row refuses
-a scaling rule its theorem does not cover; rate_report is the one place a
-row meets the series of a run it bounds.  Every grid here (u0_certified's
+u0_bracket by a primal-dual bracket, for convex problems.  Points are read
+by the problem's one point reader, Problem._check_input, as Problem.value
+reads them.  u0_certified, u0_bracket and criticality take one point or a
+(P, n) stack (for n = 1 also a (P,) vector of P points), and a stack gives
+per point the bits of that point's own call: u0_certified(p, X, boxes, h)
+and u0_bracket(p, X) are tuples of P MeritEstimates, from one grid walk
+and one loop, and criticality(p, X) two (P,) arrays.  lyapunov_monitors
+takes one point z.  RATE_BOUNDS states each rate theorem's constant and
+bound curve once, and a row refuses a scaling rule or a problem its
+theorem does not cover; rate_report is the one place a row meets the
+series of a run it bounds.  Every grid here (u0_certified's
 P grids, one per point, the eta = 0 gradient range's and V0's) is walked in
 chunks of at most _CHUNK points by _box_grid, which raises GridBudgetError
 before it builds grids of more than GRID_BUDGET points together.
@@ -71,26 +74,6 @@ class RateReport:
     slack: float
     verdict: str
     slope: float = field(default=float("nan"))
-
-
-def _check_point(p, x):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (p.n,) or not np.all(np.isfinite(x)):
-        raise InvalidInputError(f"x must be a finite vector of length {p.n}")
-    return x
-
-
-def _check_points(p, x):
-    """x as a (P, n) stack of finite points, and whether it was one (n,)
-    point (then P = 1)."""
-    X = np.asarray(x, dtype=float)
-    one = X.ndim < 2
-    if one:
-        X = X.reshape(1, -1)
-    if X.ndim != 2 or X.shape[1] != p.n or not np.all(np.isfinite(X)):
-        raise InvalidInputError(
-            f"x must be a finite vector of length {p.n} or a stack of them")
-    return X, one
 
 
 def _box_grid(box, counts):
@@ -151,7 +134,7 @@ def u0_certified(p, x, box, h):
     equals u0_certified(p, X[k], boxes[k], h[k]) bit for bit: one _box_grid
     walks every grid, and the budget bounds their sum.
     """
-    X, one = _check_points(p, x)
+    X, one = p._check_input(x, stack=True)
     H = np.asarray(h, dtype=float)
     if H.ndim > 1 or H.size not in (1, len(X)) or not (
             np.all(np.isfinite(H)) and np.all(H > 0)):
@@ -198,7 +181,7 @@ def u0_bracket(p, x):
     u0_bracket(p, X[k]) bit for bit.  Each point keeps its own box, lattice
     zooms and stop test; a point that stops leaves the active rows.
     """
-    X, one = _check_points(p, x)
+    X, one = p._check_input(x, stack=True)
     if p.convexity_class not in ("convex", "strongly_convex"):
         raise InvalidInputError(
             f"u0_bracket needs a convex problem, got {p.convexity_class!r}")
@@ -277,7 +260,7 @@ def criticality(p, x, rule=None):
     scaled figure; the raised error carries the unscaled value (the array
     for a stack).
     """
-    X, one = _check_points(p, x)
+    X, one = p._check_input(x, stack=True)
     G = p.grads(X)
     unscaled = _min_norm(G)[2]
     if rule is None:
@@ -352,7 +335,10 @@ def lyapunov_monitors(run, which, z, p, rule):
     <= 0 means nonincreasing within 1e-6 (1 + |monitor|) per record.  The discrete merit E(k) lives in
     discrete.discrete_monitors.
     """
-    z = _check_point(p, z)
+    z = p._check_input(z)
+    if z.ndim != 1:
+        raise InvalidInputError(
+            f"z must be one point in R^{p.n}, got shape {z.shape}")
     fz = p.value(z)
     f_final = run.f_values[-1]
     if np.any(fz > f_final + NESTING_SLACK * (1.0 + np.abs(f_final))):
@@ -412,21 +398,27 @@ def level_set_grad_range(p, x0):
     return p._memo[key]
 
 
-def _refuse_unless(covered, row, rule, needs):
-    # a row's constant holds only for the rules its theorem states
+def _refuse_unless(covered, row, needs, got):
+    # a row's constant holds only for the rules and problems its theorem
+    # states
     if not covered:
-        raise InvalidInputError(
-            f"rate row {row!r} needs {needs}, got {rule.spec_string()}")
+        raise InvalidInputError(f"rate row {row!r} needs {needs}, got {got}")
 
 
 def _unit_weights(row, rule):
     _refuse_unless(rule.variant == "constant"
                    and bool(np.all(rule.values == 1.0)),
-                   row, rule, "constant weights all 1")
+                   row, "constant weights all 1", rule.spec_string())
+
+
+def _convex_problem(row, p):
+    _refuse_unless(p.convexity_class != "nonconvex", row, "a convex problem",
+                   f"{p.name} ({p.convexity_class})")
 
 
 def _convex(p, rule, x0):
     """Convex flow, O(1/t): C = R^2 alpha_max."""
+    _convex_problem("convex", p)
     R = p.level_set_bound(p.value(x0)).radius
     C = R ** 2 * rule.declared_bounds(p)[1]
     return C, lambda t: C / t
@@ -436,6 +428,10 @@ def _strongly_convex(p, rule, x0):
     """Strongly convex flow, unit weights and modulus, O(e^-t): C = gap + R^2.
     The sup of ||x0 - z||^2 / 2 may reach 2 R^2, so C errs strict."""
     _unit_weights("strongly-convex", rule)
+    mu = p.strong_convexity
+    _refuse_unless(mu is not None and bool(np.all(mu >= 1.0)),
+                   "strongly-convex", "a declared strong convexity >= 1",
+                   f"{p.name} ({None if mu is None else mu.tolist()})")
     fx = p.value(x0)
     C = float((fx - p.lower_bounds).min()) + p.level_set_bound(fx).radius ** 2
     return C, lambda t: C * np.exp(-t)
@@ -445,7 +441,8 @@ def _nonconvex(p, rule, x0):
     """Nonconvex flow, gradnorm scaling with eta > 0: running-min criticality
     O(1/sqrt(t)), C = gap."""
     _refuse_unless(rule.variant.startswith("gradnorm") and rule.eta > 0.0,
-                   "nonconvex", rule, "a gradnorm scaling with eta > 0")
+                   "nonconvex", "a gradnorm scaling with eta > 0",
+                   rule.spec_string())
     C = float((p.value(x0) - p.lower_bounds).min())
     return C, lambda t: np.sqrt(C) / np.sqrt(rule.eta * t)
 
@@ -455,7 +452,8 @@ def _nonconvex_eta0(p, rule, x0):
     m1 = max of max_i ||grad f_i|| on L(f, f(x0)), a certified upper bound,
     so it errs strict."""
     _refuse_unless(rule.variant == "gradnorm_eta" and rule.eta == 0.0,
-                   "nonconvex-eta0", rule, "gradnorm scaling with eta = 0")
+                   "nonconvex-eta0", "gradnorm scaling with eta = 0",
+                   rule.spec_string())
     gap = float((p.value(x0) - p.lower_bounds).min())
     m1 = level_set_grad_range(p, x0)[1]
     return m1, lambda t: np.sqrt(gap) / np.sqrt(m1 * t)
@@ -465,6 +463,7 @@ def _accelerated(p, rule, x0, theta):
     """Accelerated flow, unit weights, r >= 3: V0 = sup_z theta^2 min_i(f_i(x0)
     - f_i(z)) + 2 ||x0 - z||^2, an 800^n box-grid max <= the sup: errs strict."""
     _unit_weights("accelerated", rule)
+    _convex_problem("accelerated", p)
     fx = p.value(x0)
     V0 = -np.inf
     for Z, _ in _box_grid(p.level_set_bound(fx).box, [800] * p.n):
@@ -476,6 +475,7 @@ def _accelerated(p, rule, x0, theta):
 
 def _discrete(p, rule, x0, s_min):
     """Discrete method, step floor s_min, O(1/k): C = alpha_max R^2 / s_min."""
+    _convex_problem("discrete", p)
     R = p.level_set_bound(p.value(x0)).radius
     C = rule.declared_bounds(p)[1] / s_min * R ** 2
     return C, lambda k: C / k

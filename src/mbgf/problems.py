@@ -5,6 +5,10 @@ Lipschitz constants valid on a declared region, lower bounds, optional
 strong-convexity moduli, a regional gradient bound, and an analytic
 level-set over-approximation.  Oracles are vectorized over leading axes:
 value maps (..., n) to (..., m) and gradients maps (..., n) to (..., m, n).
+Problem._check_input is the package's one reader of points: a scalar or an
+(n,) vector is one point, (..., n) a stack, and for n = 1 a (P,) vector is
+P points.  value and grads read through it, and so do the scaling rules,
+the flows, the discrete method and the merit_rates estimators.
 The level-set bound takes one (m,) level or a (P, m) stack of levels, and
 a stack gives every radius and box in one call (a stack of P boxes), each
 equal to its level's own call bit for bit: an analytic bound is one
@@ -158,17 +162,24 @@ class Problem:
         if self.lower_bounds.shape != (self.m,):
             raise InvalidInputError("lower_bounds must have length m")
 
-    def _check_input(self, x):
+    def _check_input(self, x, stack=False):
+        """x as finite points in R^n, the one reader of points: a scalar or
+        an (n,) vector is one point and (..., n) a stack, and for n = 1 a
+        (P,) vector is P points.  With stack=True x must be one point or a
+        (P, n) stack, and the reader returns the (P, n) stack and whether
+        x was one point (then P = 1)."""
         x = np.asarray(x, dtype=float)
         if self.n == 1 and x.ndim >= 1 and x.shape[-1] != 1:
             x = x[..., None]
         if x.ndim == 0:
             x = x[None]
-        if x.shape[-1] != self.n:
-            raise InvalidInputError(f"{self.name}: expected points in R^{self.n}, got shape {x.shape}")
+        if x.shape[-1] != self.n or stack and x.ndim > 2:
+            what = "one point or a (P, n) stack" if stack else "points"
+            raise InvalidInputError(
+                f"{self.name}: expected {what} in R^{self.n}, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise InvalidInputError(f"{self.name}: non-finite input point")
-        return x
+        return (x.reshape(-1, self.n), x.ndim == 1) if stack else x
 
     def value(self, x):
         x = self._check_input(x)

@@ -3,6 +3,7 @@ exit codes, and subcommand wiring."""
 
 import csv
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -500,6 +501,17 @@ def test_each_requested_rate_is_one_rate_report_call(monkeypatch, raw, rows):
     assert [r["name"] for r in summary["rate_reports"]] == raw.get("rates", [])
 
 
+def test_merit_cheap_on_a_nonconvex_problem_exits_2(tmp_path, capsys):
+    # the discrete row's convex theorem does not cover p3: no bound is
+    # reported, and no artifact is written
+    out = tmp_path / "it.csv"
+    assert main(["discrete", "--problem", "p3", "--rates", "merit-cheap",
+                 "--out", str(out)]) == 2
+    assert ("rate row 'discrete' needs a convex problem"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_runmin_criticality_builds_no_level_set_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("runmin-criticality built a level-set grid")
@@ -617,6 +629,21 @@ def test_main_exit_3_on_divergence(cmd, monkeypatch, capsys):
     assert f"left the region of {name}" in capsys.readouterr().err
 
 
+_TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
+
+
+def _triangle():
+    # three quadratics with centers on a triangle
+    C = _TRIANGLE
+    return make_problem(
+        "triangle", 2, 3,
+        lambda x: 0.5 * ((x[..., None, :] - C) ** 2).sum(axis=-1),
+        lambda x: x[..., None, :] - C, lipschitz=[1.0] * 3,
+        lower_bounds=[0.0] * 3, convexity_class="convex",
+        region=Box([-3.0, -3.0], [5.0, 5.0]), grad_bound=10.0,
+        starts=[[3.0, 2.0]])
+
+
 @pytest.mark.parametrize("scaling,rc", [("const:1,1,1", 0),
                                         ("const:1,2,0.5", 3)])
 def test_accel_with_three_objectives_finishes_or_exits_3(monkeypatch, capsys,
@@ -628,17 +655,7 @@ def test_accel_with_three_objectives_finishes_or_exits_3(monkeypatch, capsys,
     # const:1,2,0.5 the state reaches a face of the hull near t = 2.27 and
     # chatters between its support points with steps of about 1e-9; the
     # run stops with NoConvergenceError (exit 3) instead of hanging.
-    C = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
-
-    def factory():
-        return make_problem(
-            "triangle", 2, 3,
-            lambda x: 0.5 * ((x[..., None, :] - C) ** 2).sum(axis=-1),
-            lambda x: x[..., None, :] - C, lipschitz=[1.0] * 3,
-            lower_bounds=[0.0] * 3, convexity_class="convex",
-            region=Box([-3.0, -3.0], [5.0, 5.0]), grad_bound=10.0,
-            starts=[[3.0, 2.0]])
-    monkeypatch.setitem(problems._REGISTRY, "triangle", factory)
+    monkeypatch.setitem(problems._REGISTRY, "triangle", _triangle)
     assert main(["accel", "--problem", "triangle", "--x0", "3,2",
                  "--scaling", scaling, "--t-end", "5",
                  "--record-every", "100"]) == rc
@@ -767,3 +784,44 @@ def test_full_verify_flag_names_parse_as_before():
     args = cli.build_parser().parse_args(
         ["verify", "--suite", "problem-sanity", "--seed", "3", "--json", "r.json"])
     assert (args.suite, args.seed, args.json) == ("problem-sanity", 3, "r.json")
+
+
+# sha256 of the CSV and of the summary JSON, without wall_time_s and the
+# two output paths, of four runs: dense first-order records on p1, an
+# accelerated p1 run that locates 2 switches, a discrete run that stops at
+# fixed_point_k = 66, and an m = 3 accelerated run, whose right-hand side
+# and weights come from the support point
+RUN_SHA256 = {
+    "run-p1": (
+        ["run", "--problem", "p1", "--x0", "0.25,1.5", "--t-end", "1"],
+        "198c60624db22d088bdb3409563019902f932ed345d9e0ffda1f4e531cc50d96",
+        "48eacf97b191c4f5822e8aa877503ba33086a203ddaa1661f418a8ffd17e6b03"),
+    "accel-p1-switches": (
+        ["accel", "--problem", "p1", "--x0=-0.2,1.8", "--scaling", "const:1,1",
+         "--t-end", "1"],
+        "e8aed424afa2364afa036c328522c11bdbbb656a61060cd7fc2c4fe5ededc8e0",
+        "0497f04119e6e99ff098f573c505507ae7c487da2821b07c854720b0301e59e5"),
+    "discrete-p3-fixed-point": (
+        ["discrete", "--problem", "p3"],
+        "d7d566461364428246ac74b940a456ddec12b48e2ce97d3c3a47863ec24d5b0b",
+        "9b1ca783feed6b0fd92ad3925fd13d6205b4a1ebe892f17a15efb20a76d1ec56"),
+    "accel-triangle": (
+        ["accel", "--problem", "triangle", "--x0", "3,2", "--scaling",
+         "const:1,1,1", "--t-end", "5", "--record-every", "100"],
+        "efcc38535ae36c96a1246966e14cf2dea25f696ddcb9c36764de381ebbbd0cf9",
+        "b3270410c1954d729d55e89e9e1a9ef6d7505358b0cf476109d76ba2bf88538f"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUN_SHA256))
+def test_run_artifacts_keep_their_bytes(run, monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(problems._REGISTRY, "triangle", _triangle)
+    argv, csv_sha, summary_sha = RUN_SHA256[run]
+    out, summary = tmp_path / "run.csv", tmp_path / "summary.json"
+    assert main(argv + ["--out", str(out), "--summary", str(summary)]) == 0
+    capsys.readouterr()
+    s = json.loads(summary.read_text())
+    del s["wall_time_s"], s["config"]["out_csv"], s["config"]["out_json"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(
+        cli.summary_json_text(s).encode()).hexdigest() == summary_sha

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mbgf import flow
 from mbgf.discrete import DiscreteConfig, run_discrete, step_size
@@ -18,8 +18,8 @@ from mbgf.flow import (
     integrate_first_order,
     solve_implicit_acceleration,
 )
-from mbgf.geometry import (_min_norm_weights, min_norm_point,
-                           project_onto_hull, support_point)
+from mbgf.geometry import (_min_norm, min_norm_point, project_onto_hull,
+                           support_point)
 from mbgf.problems import Box, get_problem, make_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, scaled_hull_generators)
@@ -421,8 +421,7 @@ def _stepping_rhs(p, rule, cfg):
     gens = generator_map(rule, p.m)
     if cfg.mode == "first_order":
         def rhs(x, t):
-            G = gens(p.grads(x))
-            return -(_min_norm_weights(G) @ G)
+            return -_min_norm(gens(p.grads(x)))[1]
         return rhs
 
     def rhs(y, t):
@@ -527,7 +526,7 @@ def test_near_fixed_point_matches_stepping(mode, name, x0, moves):
     p = get_problem(name)
     rule = constant([1.0, 1.0])
     G = generator_map(rule, p.m)(p.grads(x0))
-    k1 = _min_norm_weights(G) @ G
+    k1 = _min_norm(G)[1]
     assert 0.0 < np.abs(k1).max() <= 1e-8
     cfg = FlowConfig(t_end=0.1, dt=1e-3, mode=mode, record_every=1)
     tr = _integrate(p, rule, x0, cfg)
@@ -804,6 +803,10 @@ def _segment_hull(G):
 @settings(max_examples=200, deadline=None)
 @given(G=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
        kind=st.sampled_from(["random", "duplicate", "zero-inside", "tiny"]))
+# hulls whose |delta|^2 is subnormal: 5e-324 and 4.2e-314
+@example(G=[-1.8e-162, -3e-163, -6e-163, 9e-163, 1.5e-163, 3e-163],
+         kind="zero-inside")
+@example(G=[0.0, 0.0, 1.36e-157, 0.0, 0.0, -6.8e-158], kind="zero-inside")
 def test_sliding_weight_at_rest_is_the_min_norm_weight(G, kind):
     # At v = 0 the equivalent control is the unclamped min-norm weight of
     # the hull: clamped to [0, 1] it gives the point of _exact_min_norm.
@@ -823,8 +826,9 @@ def test_sliding_weight_at_rest_is_the_min_norm_weight(G, kind):
     norm = np.linalg.norm(w * G[0] + (1.0 - w) * G[1])
     scale = np.abs(G).max()
     assert abs(norm - _exact_min_norm(G)) <= 1e-12 * (1.0 + scale)
-    if float(delta @ delta) == 0.0:
-        # duplicates, or a hull too small for its squared norm
+    if not float(delta @ delta) >= np.finfo(float).tiny:
+        # a degenerate pair: duplicates, or a hull too small for its
+        # squared norm to be a normal float
         assert lam == 1.0
     elif kind == "zero-inside":
         assert lam == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -833,6 +837,23 @@ def test_sliding_weight_at_rest_is_the_min_norm_weight(G, kind):
         # the weight does not depend on the hull's scale
         lam_unit = _sliding_weight(*_segment_hull(G * 1e3), zero, zero, 1.0)[2]
         assert lam == pytest.approx(lam_unit, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("G", [
+    [[-1.8e-162, -3e-163, -6e-163], [9e-163, 1.5e-163, 3e-163]],  # 5e-324
+    [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
+    [[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]],
+])
+def test_every_pair_closed_form_gives_a_degenerate_pair_weight_1(G):
+    # |delta|^2 subnormal, zero or NaN: one rule at all four closed forms
+    G = np.array(G)
+    grads, gens = _segment_hull(G)
+    zero = np.zeros(3)
+    assert _sliding_weight(grads, gens, zero, zero, 1.0)[2] == 1.0
+    assert _sliding_weights(grads, gens, G[None], zero[None], zero[None],
+                            np.ones(1)).tolist() == [1.0]
+    assert _min_norm(G)[0].tolist() == [1.0, 0.0]
+    assert _min_norm(G[None])[0].tolist() == [[1.0, 0.0]]
 
 
 @settings(max_examples=100, deadline=None)

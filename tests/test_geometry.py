@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mbgf import (
     InvalidInputError,
@@ -15,13 +15,8 @@ from mbgf import (
 from mbgf.errors import NumericDomainError
 from mbgf import verify
 from mbgf.geometry import (CERTIFICATE_TOL, MEMBERSHIP_TOL, SUPPORT_TIE_TOL,
-                           _excess, _min_norm, _min_norm_weights,
-                           _support_weights)
+                           _excess, _min_norm, _support_weights)
 from mbgf.verify import _exact_min_norm
-
-settings.register_profile("suite", deadline=None, derandomize=True, max_examples=100)
-settings.load_profile("suite")
-
 
 def hulls(max_m=5, max_n=4, scale=5.0):
     return st.integers(1, max_m).flatmap(
@@ -218,10 +213,8 @@ def _flatnonzero_support(G, b):
     if tied.size == 1:
         w[tied[0]] = 1.0
         return tied, w, G[tied[0]].copy()
-    face = G[tied]
-    wf = _min_norm_weights(face)
-    w[tied] = wf
-    return tied, w, wf @ face
+    w[tied], point, _ = _min_norm(G[tied])
+    return tied, w, point
 
 
 def _assert_same_support(G, b):

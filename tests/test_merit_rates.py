@@ -352,6 +352,21 @@ def test_stacked_criticality_degenerate_row_carries_the_unscaled_array():
     assert unscaled.tobytes() == criticality(p, X, rule=constant([1.0, 1.0]))[0].tobytes()
 
 
+def test_points_are_read_as_problem_value_reads_them():
+    # one point reader: for n = 1 a (P,) vector is P points, as in p.value,
+    # and more than two axes are refused
+    p = get_problem("scalar-pair")
+    xs = np.array([2.0, 0.5, -1.5])
+    assert p.value(xs).tobytes() == p.value(xs[:, None]).tobytes()
+    for got, want in zip(u0_bracket(p, xs), u0_bracket(p, xs[:, None])):
+        assert _est_bits(got) == _est_bits(want)
+    for got, want in zip(criticality(p, xs), criticality(p, xs[:, None])):
+        assert got.tobytes() == want.tobytes()
+    for estimate in (u0_bracket, criticality):
+        with pytest.raises(InvalidInputError, match=r"or a \(P, n\) stack"):
+            estimate(p, np.zeros((2, 2, 1)))
+
+
 def test_scaled_zero_iff_unscaled_zero():
     p = get_problem("unbalanced-convex")
     rng = np.random.default_rng(11)
@@ -492,16 +507,25 @@ _ROW_REFERENCES = {
 }
 
 
+_SHIPPED = ("unbalanced-convex", "strongly-convex", "nonconvex-bounded-grad",
+            "scalar-pair")
+_CONVEX = ("unbalanced-convex", "strongly-convex", "scalar-pair")
+# row -> the shipped problems its theorem covers: the convex rows need a
+# convex problem, strongly-convex a declared modulus of at least 1
+_ROW_PROBLEMS = {"convex": _CONVEX, "strongly-convex": ("strongly-convex",),
+                 "nonconvex": _SHIPPED, "nonconvex-eta0": _SHIPPED,
+                 "accelerated": _CONVEX, "discrete": _CONVEX}
+
+
 def test_every_rate_row_has_a_reference():
-    assert set(RATE_BOUNDS) == set(_ROW_REFERENCES)
+    assert set(RATE_BOUNDS) == set(_ROW_REFERENCES) == set(_ROW_PROBLEMS)
 
 
 @pytest.mark.parametrize("row", sorted(_ROW_REFERENCES))
 def test_rate_row_matches_hand_formula_bit_for_bit(row):
     make_rule, extra, reference = _ROW_REFERENCES[row]
     t = np.concatenate([np.geomspace(1.0, 100.0, 20), np.arange(1.0, 60.0)])
-    for name in ("unbalanced-convex", "strongly-convex",
-                 "nonconvex-bounded-grad", "scalar-pair"):
+    for name in _ROW_PROBLEMS[row]:
         p = get_problem(name)
         rule = make_rule(p.m)
         for x0 in p.starts:
@@ -527,6 +551,33 @@ def test_rate_row_refuses_a_rule_its_theorem_does_not_cover(row, spec, extra):
                        match=re.escape(f"{row!r}") + ".*"
                        + re.escape(rule.spec_string())):
         RATE_BOUNDS[row](p, rule, p.starts[0], **extra)
+
+
+def _weak_modulus():
+    # p2's objectives with a declared strong convexity of 0.5, below the
+    # unit modulus the strongly-convex constant assumes
+    p = get_problem("strongly-convex")
+    return make_problem(
+        "weak-modulus", 2, 2, p._value, p._grads, lipschitz=p.lipschitz,
+        lower_bounds=p.lower_bounds, convexity_class="strongly_convex",
+        region=p.region, grad_bound=p.grad_bound, starts=p.starts,
+        strong_convexity=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("row, name", [
+    *[(row, name) for row in sorted(_ROW_PROBLEMS) for name in _SHIPPED
+      if name not in _ROW_PROBLEMS[row]],
+    ("strongly-convex", "weak-modulus"),
+])
+def test_rate_row_refuses_a_problem_its_theorem_does_not_cover(row, name,
+                                                              monkeypatch):
+    # refused before any grid walk, with the row and the problem named
+    make_rule, extra, _ = _ROW_REFERENCES[row]
+    p = _weak_modulus() if name == "weak-modulus" else get_problem(name)
+    monkeypatch.setattr(merit_rates, "_box_grid", None)
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"{row!r}") + ".*" + re.escape(name)):
+        RATE_BOUNDS[row](p, make_rule(p.m), p.starts[0], **extra)
 
 
 # ------------------------------------------------------------- rate_report
@@ -653,10 +704,12 @@ def _u0_grid(p, x0):
 def _grid_results(p, x0):
     _, box, h = _u0_grid(p, x0)
     est = u0_certified(p, x0, box, h)
-    V0, _ = RATE_BOUNDS["accelerated"](p, constant([1.0] * p.m), x0, theta=1.0)
+    V0 = b""
+    if p.convexity_class != "nonconvex":  # the accelerated row's problems
+        V0 = np.float64(RATE_BOUNDS["accelerated"](
+            p, constant([1.0] * p.m), x0, theta=1.0)[0]).tobytes()
     return (np.float64(est.value).tobytes(), est.witness.tobytes(),
-            np.array(level_set_grad_range(p, x0)).tobytes(),
-            np.float64(V0).tobytes())
+            np.array(level_set_grad_range(p, x0)).tobytes(), V0)
 
 
 def test_chunked_grid_walk_matches_one_chunk_bit_for_bit(monkeypatch):
@@ -907,6 +960,17 @@ def test_monitor_error_paths():
         lyapunov_monitors(tr, ["discrete"], [1.0, 0.0], p, rule)  # removed
     with pytest.raises(InvalidInputError):
         lyapunov_monitors(tr, ["accelerated"], [1.0, 0.0], p, rule)  # no velocities
+
+
+def test_monitors_refuse_a_z_that_is_not_one_point():
+    # a (2, 1) z is two points of R^1, or no point of R^2: refused either way
+    for name in ("strongly-convex", "scalar-pair"):
+        p = get_problem(name)
+        rule = constant([1.0, 1.0])
+        tr = integrate_first_order(p, rule, p.starts[0],
+                                   FlowConfig(t_end=1.0, record_every=100))
+        with pytest.raises(InvalidInputError, match=r"R\^"):
+            lyapunov_monitors(tr, ["h"], np.zeros((2, 1)), p, rule)
 
 
 # ---------------------------------------------------------- monotone excess
