@@ -629,12 +629,9 @@ def test_main_exit_3_on_divergence(cmd, monkeypatch, capsys):
     assert f"left the region of {name}" in capsys.readouterr().err
 
 
-_TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
-
-
 def _triangle():
     # three quadratics with centers on a triangle
-    C = _TRIANGLE
+    C = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
     return make_problem(
         "triangle", 2, 3,
         lambda x: 0.5 * ((x[..., None, :] - C) ** 2).sum(axis=-1),
