@@ -24,8 +24,8 @@ algorithm) on the shifted generators, with closed forms for one or two
 generators.  A pair whose |g_1 - g_2|^2 is below the smallest normal float,
 or NaN, is degenerate (_proper_pair) and takes weight 1 on g_1, as a
 zero-length segment does; every two-generator closed form, here and in
-mbgf.flow's sliding weights, keeps that one rule.  Every result carries simplex weights and satisfies the standard
-variational certificate
+mbgf.flow's sliding weights, keeps that one rule.  Every result carries
+simplex weights and satisfies the standard variational certificate
 
     <point - q, g_i - point> >= -CERTIFICATE_TOL * scale   for all i,
 
@@ -311,7 +311,8 @@ def _min_norm(P):
         d = P[..., 0, :] - P[..., 1, :]
         dd = _dot(d, d)
         w = _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
-                                    out=np.ones_like(dd), where=_proper_pair(dd)))
+                                    out=np.ones_like(dd),
+                                    where=_proper_pair(dd)))
     else:
         hulls = P.reshape((-1,) + P.shape[-2:])
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])
