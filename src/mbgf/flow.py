@@ -22,6 +22,12 @@ the first trial step, not a step bound.  Records between step ends come
 from the pair's 4th-order dense output; the last is the end of the last
 step, where stepping stops.  At a fixed point every stage is zero, so the
 error estimate is zero and every record repeats the first bit for bit.
+Every run is held by one stall guard: where the right-hand side is not
+regular enough for a trajectory to exist, the flow chatters with steps of
+about 1e-9, and the run stops with NoConvergenceError at its
+CHATTER_STEPS-th accepted step shorter than CHATTER_STEP times the window.
+A run that needs steps that short throughout would take more than about
+1e8 steps, so no run that finishes in practice trips the guard.
 
 The first-order right-hand side is the negated minimum-norm point of the
 scaled hull, from geometry._min_norm, the kernel every other minimum-norm
@@ -51,8 +57,8 @@ sigma = 0, and the first regime is the one of lambda at the start, where
 it is the unclamped minimum-norm weight of the hull.  For other m the
 right-hand side, its record weights and solve_implicit_acceleration all
 take the support point from geometry._support_weights, with its
-minimum-norm tie rule, and a run that chatters between support points
-stops with NoConvergenceError (CHATTER_STEPS).  Starts are read by the
+minimum-norm tie rule, and a run that slides along a face chatters between
+support points until the stall guard stops it.  Starts are read by the
 problem's point reader, Problem._check_input, as one point.
 """
 
@@ -78,12 +84,15 @@ SIGMA_BAND = 1e-10
 FD_STEP = 1e-5
 # Event location stops when the bracket is this narrow, in units of the step.
 ROOT_TOL = 1e-13
-# Without a sliding rule (m >= 3) a run that slides along a face of the hull
-# chatters between support points with steps of about 1e-9, which the error
-# control sets from TOL and the jump of xddot, not from the flow's time
-# scale.  A lone switch of the support point takes a few steps that short
-# too, so such a run stops with NoConvergenceError only at its
-# CHATTER_STEPS-th accepted step shorter than CHATTER_STEP times the window.
+# The stall guard of every run.  Where the right-hand side jumps and no
+# sliding rule holds the flow on the surface (an accelerated run with
+# m >= 3 on a face of the hull, or a gradient that jumps), the flow
+# chatters with steps of about 1e-9, which the error control sets from TOL
+# and the jump, not from the flow's time scale.  A lone switch takes a few
+# steps that short too, so a run stops with NoConvergenceError only at its
+# CHATTER_STEPS-th accepted step shorter than CHATTER_STEP times the
+# window.  A run that needs such steps throughout would take more than
+# 1 / CHATTER_STEP = 1e8 steps, so the guard stops no run that would end.
 CHATTER_STEP = 1e-8
 CHATTER_STEPS = 1000
 
@@ -200,9 +209,11 @@ def _check_start(p, x0):
 def _prepare(p, x0, cfg):
     x0 = _check_start(p, x0)
     _check_config(cfg)
-    steps = int(round((cfg.t_end - cfg.t0) / cfg.dt))
-    if steps < 1:
-        raise InvalidInputError("integration window shorter than one step")
+    steps = (cfg.t_end - cfg.t0) / cfg.dt
+    if not 0.5 < steps < math.inf:  # rounds to a count of at least 1
+        raise InvalidInputError("integration window must hold 1 to finitely "
+                                f"many steps of dt, got {steps:g}")
+    steps = round(steps)
     # the recorded step counts: every record_every-th and the last
     return x0, [*range(0, steps, int(cfg.record_every)), steps]
 
@@ -267,7 +278,7 @@ def _dense_output(y, y_new, h, K):
     return at
 
 
-def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
+def _run_dp54(p, cfg, y0, counts, rhs, events=None):
     """The adaptive Dormand-Prince 5(4) loop, recording at t0 + j dt for
     each step count j in counts.  rhs(y, t) is the right-hand side; its
     value at (y0, t0) is the first stage, and every later step takes its
@@ -283,8 +294,12 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
     on the step's dense output; and events.switch(y, t) changes regime
     there and returns the new right-hand side, which starts the next step.
 
-    chatter, when true, ends a run whose steps chatter with
-    NoConvergenceError, see CHATTER_STEPS.
+    Every run is held by the stall guard: it stops with NoConvergenceError
+    at its CHATTER_STEPS-th accepted step shorter than CHATTER_STEP times
+    the window.  A run that needed steps that short throughout would take
+    more than about 1e8 steps.  A non-finite error estimate stops a run
+    with NumericDomainError, which names the state or the velocity when
+    that is non-finite, else the error estimate.
     """
     lo, hi = _guard_bounds(p, y0.size)
     t0, dt = cfg.t0, cfg.dt
@@ -292,7 +307,7 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
     record_times = np.array(times)
     t0, t_end = times[0], times[-1]  # t0 + 0 dt: a t0 of -0.0 records 0.0
     h_min = math.ulp(max(abs(t0), abs(t_end)))
-    floor = CHATTER_STEP * (t_end - t0) if chatter else 0.0
+    floor = CHATTER_STEP * (t_end - t0)
     short = 0  # accepted steps shorter than floor, the last excluded
     A, C, E = _DP_A, _DP_C, _DP_E
 
@@ -316,8 +331,10 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
         err = math.sqrt(float(e @ e) / e.size)
         if not err <= 1.0:
             if not math.isfinite(err):
+                if not np.isfinite(y_new).all():
+                    _guard(y_new, t_new, lo, hi, p)  # fails on NaN and inf
                 raise NumericDomainError(
-                    f"non-finite {_non_finite_part(y_new, p.n)} at t = {t_new:.6g}")
+                    f"non-finite error estimate at t = {t_new:.6g}")
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             grow = False
@@ -365,12 +382,6 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None, chatter=False):
     return record_times, np.array(ys), regimes, dict(
         steps=accepted, rejected=rejected,
         rhs_evals=1 + 6 * (accepted + rejected))
-
-
-def _non_finite_part(y, n):
-    if not np.isfinite(y[:n]).all():
-        return "state"
-    return "error estimate" if np.isfinite(y).all() else "velocity"
 
 
 def integrate_first_order(p, rule, x0, cfg):
@@ -601,8 +612,11 @@ def integrate_accelerated(p, rule, x0, cfg):
     Restricted to constant scaling rules; the damping coefficient is
     r/(t + theta).  A pair (m = 2) runs as a Filippov system with a located
     sliding rule, see the module docstring; other m take xddot in closed
-    form from the support point with its minimum-norm tie rule, and raise
-    NoConvergenceError when the steps chatter (CHATTER_STEPS).
+    form from the support point with its minimum-norm tie rule.  Like every
+    run, it raises NoConvergenceError when its steps chatter, as a run
+    that slides along a face of the hull with m >= 3 does (CHATTER_STEPS);
+    a run that needed steps that short throughout would take more than
+    about 1e8 steps.
     """
     if cfg.mode != "accelerated":
         raise InvalidInputError("integrate_accelerated needs mode='accelerated'")
@@ -627,8 +641,7 @@ def integrate_accelerated(p, rule, x0, cfg):
             return np.concatenate((v, -(b + c)))
 
     times, Y, regimes, work = _run_dp54(
-        p, cfg, np.concatenate((x0, np.zeros(n))), counts, rhs, events,
-        chatter=events is None)
+        p, cfg, np.concatenate((x0, np.zeros(n))), counts, rhs, events)
     X, V = Y[:, :n].copy(), Y[:, n:].copy()
     f, crit, G, _, crit_scaled = _diagnostics(p, gens, X)
     if events is None:

@@ -560,6 +560,8 @@ def run_suite(name, seed=DEFAULT_SEED):
     if name not in _SUITE_FNS:
         raise ConfigError(
             f"unknown suite {name!r}; choose from: {', '.join(SUITES)}")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed),
                                                         SUITES.index(name)]))
     checks = _SUITE_FNS[name](rng)

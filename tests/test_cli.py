@@ -512,6 +512,22 @@ def test_merit_cheap_on_a_nonconvex_problem_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rate_rows_refuse_at_validation():
+    # validate_config asks each requested report's RATE_BOUNDS row, so a
+    # report its theorem does not cover is refused before any run
+    with pytest.raises(ConfigError,
+                       match="rates: rate row 'discrete' needs a convex problem"):
+        validate_config({"problem": "p3", "mode": "discrete",
+                         "rates": ["merit-cheap"]})
+    with pytest.raises(ConfigError, match="rates: rate row 'nonconvex' needs "
+                                          "a gradnorm scaling with eta > 0"):
+        validate_config({"problem": "p3", "t_end": 2.0,
+                         "scaling": "gradnorm:eta=0",
+                         "rates": ["runmin-criticality"]})
+    assert validate_config({"problem": "p1", "mode": "discrete",
+                            "rates": ["merit-cheap"]}).rates == ("merit-cheap",)
+
+
 def test_runmin_criticality_builds_no_level_set_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("runmin-criticality built a level-set grid")
@@ -549,6 +565,21 @@ def test_main_exit_2_on_config_errors(tmp_path, capsys):
                  "--t-end", "1"]) == 2                 # x0 outside region
     err = capsys.readouterr().err
     assert "bogus" in err and "dt" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--seed", "-1"], "error: seed: must be >= 0, got -1"),
+    (["run", "--problem", "p1", "--x0", "0.25,1.5", "--t-end", "1e308",
+      "--dt", "1e-300"], "error: integration window must hold 1 to finitely "
+     "many steps of dt, got inf"),
+], ids=["negative-seed", "infinite-step-count"])
+def test_main_exit_2_on_a_value_no_run_can_take(argv, message, capsys):
+    # a seed numpy refuses, and a window whose step count overflows a
+    # float: both are input errors, refused before any work
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -739,20 +741,51 @@ def test_non_finite_velocity_is_a_numeric_domain_error():
     # The last stage that builds the new state (oracle call 6, after the
     # record and four more stages, all taken at rest) sees a gradient of
     # 1e308 and the others see 0, so the state stays put while the
-    # velocity overflows (h * 11/84 = 1.83).  The last stage then
-    # evaluates at that state.
-    calls = [0]
+    # velocity overflows (h * 11/84 = 1.83).  The last stage (call 7)
+    # evaluates at the new state; a NaN there leaves the state finite and
+    # only the error estimate NaN.
+    for call, spike, message in ((6, 1e308, "non-finite velocity at t = 14"),
+                                 (7, np.nan, "non-finite error estimate at t = 14")):
+        calls = [0]
 
-    def grad():
-        calls[0] += 1
-        return 1e308 if calls[0] == 6 else 0.0
+        def grad():
+            calls[0] += 1
+            return spike if calls[0] == call else 0.0
 
-    p = _twin("spike", grad)
-    cfg = FlowConfig(t_end=14.0, dt=14.0, mode="accelerated")
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericDomainError, match="non-finite velocity at t = 14"):
-        integrate_accelerated(p, constant([1.0, 1.0]), [0.0], cfg)
-    assert calls[0] == 7
+        p = _twin("spike", grad)
+        cfg = FlowConfig(t_end=14.0, dt=14.0, mode="accelerated")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericDomainError, match=message):
+            integrate_accelerated(p, constant([1.0, 1.0]), [0.0], cfg)
+        assert calls[0] == 7
+
+
+def test_a_chattering_first_order_run_stops():
+    # f(x) = |x| has the gradient sign(x), which jumps at the minimizer:
+    # the flow reaches 0 at t = 1 and then chatters across it with steps of
+    # about 1e-9.  The stall guard holds for every run, so the run stops
+    # at its CHATTER_STEPS-th step shorter than CHATTER_STEP * 1.5.
+    p = make_problem(
+        "abs", 1, 1, np.abs, lambda x: np.sign(x)[..., None, :],
+        lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
+        region=Box([-2.0], [2.0]), grad_bound=1.0, starts=[[1.0]])
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError,
+                       match="steps chatter: 1000 accepted steps shorter "
+                             "than 1.5e-08 by t = 1"):
+        integrate_first_order(p, constant([1.0]), [1.0], FlowConfig(t_end=1.5))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_stiff_run_over_a_long_window_does_not_trip_the_stall_guard():
+    # Under const:0.01,0.01 the scaled p1 has a Lipschitz constant of 1e4,
+    # so stability bounds the steps, and the run takes more of them than
+    # CHATTER_STEPS.  The guard watches every run, and it must not stop
+    # this one.
+    p = get_problem("unbalanced-convex")
+    cfg = FlowConfig(t_end=100.0, record_every=10 ** 6)
+    tr = integrate_first_order(p, constant([0.01, 0.01]), [0.25, 1.5], cfg)
+    assert tr.times[-1] == 100.0 and tr.steps > flow.CHATTER_STEPS
 
 
 # ---------------------------------------------------------- the sliding pair

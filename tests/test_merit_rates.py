@@ -947,6 +947,30 @@ def test_monitors_accelerated_p2():
         assert isinstance(excess, float) and excess <= 0.0, excess
 
 
+def test_rate_time_is_measured_from_the_start_of_the_run():
+    # The flows are autonomous here, so a run from t0 is the run from 0
+    # shifted in time, and the convex monitor and the nonconvex rate report
+    # must read the same.  Read on absolute time, p1's convex_E from
+    # t0 = -5 gained an excess of 0.0124.
+    p = get_problem("unbalanced-convex")
+    rule = constant([1.0, 1.0])
+    for t0 in (0.0, -5.0):
+        tr = integrate_first_order(p, rule, [0.25, 1.5],
+                                   FlowConfig(t0=t0, t_end=t0 + 20.0,
+                                              record_every=10))
+        z = tr.states[-1]
+        assert lyapunov_monitors(tr, ["convex"], z, p, rule)["convex_E"] <= 0.0
+    p = get_problem("nonconvex-bounded-grad")
+    rule = parse_scaling("gradnorm:eta=0.2")
+    x0 = p.starts[0]
+    sups = [rate_report("runmin", "nonconvex", p, rule, x0,
+                        integrate_first_order(
+                            p, rule, x0, FlowConfig(t0=t0, t_end=t0 + 20.0,
+                                                    record_every=10))
+                        ).observed_sup for t0 in (0.0, -0.9, 5.0)]
+    assert sups == pytest.approx([sups[0]] * 3, rel=1e-12)
+
+
 def test_monitor_error_paths():
     p = get_problem("strongly-convex")
     rule = constant([1.0, 1.0])
