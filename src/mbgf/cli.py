@@ -325,10 +325,12 @@ def iterates_csv_text(seq):
               ["step", "crit_unscaled", "crit_scaled"])
     cols = ([seq.ks] + [seq.states[:, i] for i in range(n)] +
             [seq.f_values[:, i] for i in range(m)] +
-            [seq.steps, seq.crit_unscaled, seq.crit_scaled])
+            [np.full(len(seq), seq.s_min), seq.crit_unscaled, seq.crit_scaled])
     # from fixed_point_k on the rows repeat but for k: format that part of
     # the line once
-    t = len(seq) - 1 if seq.fixed_point_k is None else seq.fixed_point_k
+    t = seq.work["fixed_point_k"]
+    if t is None:
+        t = len(seq) - 1
     tail = (",%.17g" * (len(cols) - 1)) % tuple(float(c[t]) for c in cols[1:])
     return (_csv_lines(header, [c[:t] for c in cols], first="%d")
             + "".join("%d%s\n" % (k, tail) for k in seq.ks[t:].tolist()))
@@ -408,16 +410,8 @@ def run_experiment(cfg):
         "final": final,
         "rate_reports": [_report_dict(r) for r in reports],
         "wall_time_s": wall,
+        "work": dict(result.work),  # deterministic, unlike the wall time
     }
-    # deterministic work counts, unlike the wall time
-    if cfg.mode == "discrete":
-        summary["work"] = {"grad_calls": result.grad_calls,
-                           "fixed_point_k": result.fixed_point_k}
-    else:
-        summary["work"] = {"rhs_evals": result.rhs_evals,
-                           "steps": result.steps, "rejected": result.rejected}
-        if cfg.mode == "accel":
-            summary["work"]["switches"] = result.switches
     if cfg.out_json:
         _write_text(cfg.out_json, summary_json_text(summary))
     return summary

@@ -64,17 +64,17 @@ def _check_config(cfg):
 
 
 class IterateSequence:
-    """Recorded iterates with the same diagnostics as a Trajectory.
+    """Recorded iterates with the same diagnostics as a Trajectory, and
+    s_min, the constant step of every iteration.
 
-    Work counts, deterministic for a given input: grad_calls, the gradient
-    evaluations of the loop (the stacked pass over the iterates adds one
-    more), and fixed_point_k, the first k with x_{k+1} == x_k, or None.
+    work maps each work count, deterministic for a given input, to its
+    value: grad_calls, the gradient evaluations of the loop (the stacked
+    pass over the iterates adds one more), and fixed_point_k, the first k
+    with x_{k+1} == x_k, or None.
     """
 
-    __slots__ = ("ks", "states", "f_values", "steps", "crit_unscaled",
-                 "crit_scaled", "weights", "alpha_bounds", "s_min",
-                 "grad_calls", "fixed_point_k",
-                 "problem_name", "rule_spec", "config")
+    __slots__ = ("ks", "states", "f_values", "crit_unscaled", "crit_scaled",
+                 "weights", "alpha_bounds", "s_min", "work")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -122,11 +122,9 @@ def run_discrete(p, rule, x0, cfg):
     rest = 0 if fixed_point_k is None else cfg.max_iters - fixed_point_k
     X, F, cu, cs, ws = (_repeat_last(a, rest) for a in (X, F, cu, cs, ws))
     return IterateSequence(
-        ks=np.arange(len(X)), states=X, f_values=F, steps=np.full(len(X), s),
-        crit_unscaled=cu, crit_scaled=cs, weights=ws,
-        alpha_bounds=alpha_bounds, s_min=s,
-        grad_calls=len(states), fixed_point_k=fixed_point_k,
-        problem_name=p.name, rule_spec=rule.spec_string(), config=cfg)
+        ks=np.arange(len(X)), states=X, f_values=F, crit_unscaled=cu,
+        crit_scaled=cs, weights=ws, alpha_bounds=alpha_bounds, s_min=s,
+        work={"grad_calls": len(states), "fixed_point_k": fixed_point_k})
 
 
 def _repeat_last(rows, rest):

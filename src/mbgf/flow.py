@@ -16,11 +16,14 @@ method shares: one value and one grads call on the (K, n) stack of
 recorded states and two minimum-norm solves on (K, m, n) stacks, plus, for
 an accelerated pair, the central-difference grads call of its sliding
 records.  Each record's values equal those of the record alone bit for bit.
-Both record at t0 + j dt for j = 0, record_every, 2 record_every, ... and
-at the last step count j = round((t_end - t0) / dt).  dt sets that grid and
-the first trial step, not a step bound.  Records between step ends come
-from the pair's 4th-order dense output; the last is the end of the last
-step, where stepping stops.  At a fixed point every stage is zero, so the
+Every flow starts at t = 0, the time of the paper's rates: in the
+accelerated system theta is the clock shift, through the damping
+r/(t + theta), and the first-order flow does not read t.  Both record at
+j dt for j = 0, record_every, 2 record_every, ... and at the last step
+count j = round(t_end / dt).  dt sets that grid and the first trial step,
+not a step bound.  Records between step ends come from the pair's
+4th-order dense output; the last is the end of the last step, where
+stepping stops.  At a fixed point every stage is zero, so the
 error estimate is zero and every record repeats the first bit for bit.
 Every run is held by one stall guard: where the right-hand side is not
 regular enough for a trajectory to exist, the flow chatters with steps of
@@ -118,42 +121,46 @@ _DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                   -1453857185 / 822651844, 69997945 / 29380423])
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
     """Integration window and mode.
 
-    mode is "first_order" or "accelerated".  Records are taken every
-    record_every multiples of dt after t0.  dt is also the first trial step
-    of the adaptive pair, which then sizes its own steps in both modes.
-    r and theta only apply to the accelerated system, which starts at rest
-    (r >= 3 is the regime the rate theory covers, smaller values run but
-    void the guarantees).
+    Every flow runs from t = 0 to t_end.  mode is "first_order" or
+    "accelerated".  Records are taken every record_every multiples of dt.
+    dt is also the first trial step of the adaptive pair, which then sizes
+    its own steps in both modes.  r and theta only apply to the accelerated
+    system, which starts at rest; theta > 0 is its clock shift, the damping
+    being r/(t + theta) (r >= 3 is the regime the rate theory covers,
+    smaller values run but void the guarantees).
     """
 
     t_end: float
-    t0: float = 0.0
     dt: float = 1e-3
     mode: str = "first_order"
     r: float = 3.0
     theta: float = 1.0
     record_every: int = 1
+    # Not a field: the start time of every flow, kept for code that
+    # computes the window as t_end - t0, as perfbench/tracing.py does.
+    t0 = 0.0
 
 
 def _check_config(cfg):
-    if not (np.isfinite(cfg.t0) and np.isfinite(cfg.t_end)) or cfg.t_end <= cfg.t0:
-        raise InvalidInputError("need finite t0 < t_end")
+    if not (np.isfinite(cfg.t_end) and cfg.t_end > 0.0):
+        raise InvalidInputError("t_end must be a positive real")
     if not np.isfinite(cfg.dt) or cfg.dt <= 0.0:
         raise InvalidInputError("dt must be positive")
     every = cfg.record_every
-    if not (np.isfinite(every) and every >= 1 and int(every) == every):
+    # any int is whole and finite, and math.isfinite overflows on a huge one
+    whole = isinstance(every, (int, np.integer)) or (
+        math.isfinite(every) and every == int(every))
+    if not (whole and every >= 1):
         raise InvalidInputError("record_every must be an integer >= 1")
     if cfg.mode == "accelerated":
         if not np.isfinite(cfg.r) or cfg.r <= 0.0:
             raise InvalidInputError("r must be a positive real")
-        if not np.isfinite(cfg.theta) or cfg.theta < 0.0:
-            raise InvalidInputError("theta must be >= 0")
-        if cfg.t0 + cfg.theta <= 0.0:
-            raise InvalidInputError("need t0 + theta > 0 for the damping term")
+        if not np.isfinite(cfg.theta) or cfg.theta <= 0.0:
+            raise InvalidInputError("theta must be a positive real")
 
 
 class Trajectory:
@@ -165,24 +172,26 @@ class Trajectory:
     energies W_i = f_i + (alpha_i/2)||xdot||^2 (accelerated only, else
     None), weights of the active projection.
 
-    Work counts, deterministic for a given input: steps accepted, steps
-    rejected by the error control, and rhs_evals = 1 + 6 (steps +
-    rejected), the stage evaluations of the stepping loop, the first of
-    them at t0.  The records add a fixed number of oracle calls, whatever
-    their number: one value and one grads call on the stack of recorded
-    states, and for an accelerated pair one more grads call on the central
-    differences of the sliding records that have left rest.  switches
-    counts the located regime changes of an accelerated pair (sliding
-    entries, sliding exits and crossings of sigma = 0); it is 0 for other
-    m and None in first-order mode.  A located switch also evaluates the
+    times are measured from the start of the flow, t = 0, the time of the
+    rate theorems.
+
+    work maps each work count, deterministic for a given input, to its
+    value: steps accepted, steps rejected by the error control, and
+    rhs_evals = 1 + 6 (steps + rejected), the stage evaluations of the
+    stepping loop, the first of them at t = 0.  The records add a fixed
+    number of oracle calls, whatever their number: one value and one grads
+    call on the stack of recorded states, and for an accelerated pair one
+    more grads call on the central differences of the sliding records that
+    have left rest.  An accelerated run adds switches, the located regime
+    changes of a pair (sliding entries, sliding exits and crossings of
+    sigma = 0), 0 for other m.  A located switch also evaluates the
     switching function on the dense output and the right-hand side at the
     restart point, outside the stage count.
     """
 
     __slots__ = ("times", "states", "velocities", "f_values", "speeds",
                  "crit_unscaled", "crit_scaled", "energies", "weights",
-                 "rhs_evals", "steps", "rejected", "switches",
-                 "mode", "problem_name", "rule_spec", "config")
+                 "work", "mode", "problem_name", "config")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -209,7 +218,7 @@ def _check_start(p, x0):
 def _prepare(p, x0, cfg):
     x0 = _check_start(p, x0)
     _check_config(cfg)
-    steps = (cfg.t_end - cfg.t0) / cfg.dt
+    steps = cfg.t_end / cfg.dt
     if not 0.5 < steps < math.inf:  # rounds to a count of at least 1
         raise InvalidInputError("integration window must hold 1 to finitely "
                                 f"many steps of dt, got {steps:g}")
@@ -244,10 +253,9 @@ def _guard(y, t, lo, hi, p):
     raise NumericDomainError(f"non-finite velocity at t = {t:.6g}")
 
 
-def _trajectory(p, rule, cfg, work, **columns):
-    return Trajectory(mode=cfg.mode, problem_name=p.name,
-                      rule_spec=rule.spec_string(), config=cfg,
-                      **columns, **work)
+def _trajectory(p, cfg, work, **columns):
+    return Trajectory(mode=cfg.mode, problem_name=p.name, config=cfg,
+                      work=work, **columns)
 
 
 def _diagnostics(p, gens, X):
@@ -279,12 +287,12 @@ def _dense_output(y, y_new, h, K):
 
 
 def _run_dp54(p, cfg, y0, counts, rhs, events=None):
-    """The adaptive Dormand-Prince 5(4) loop, recording at t0 + j dt for
-    each step count j in counts.  rhs(y, t) is the right-hand side; its
-    value at (y0, t0) is the first stage, and every later step takes its
+    """The adaptive Dormand-Prince 5(4) loop from t = 0, recording at j dt
+    for each step count j in counts.  rhs(y, t) is the right-hand side; its
+    value at (y0, 0) is the first stage, and every later step takes its
     first stage from the last stage of the step before.  Returns the record
     times (K,), the recorded states (K, y0.size), the regime of events at
-    each record (None without events) and the work counts; the modes
+    each record (None without events) and the work counts, a dict; the modes
     compute their recorded diagnostics from these in one stacked pass.
 
     events, when given, switches the right-hand side between smooth
@@ -302,20 +310,19 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None):
     that is non-finite, else the error estimate.
     """
     lo, hi = _guard_bounds(p, y0.size)
-    t0, dt = cfg.t0, cfg.dt
-    times = [t0 + j * dt for j in counts]
+    times = [j * cfg.dt for j in counts]
     record_times = np.array(times)
-    t0, t_end = times[0], times[-1]  # t0 + 0 dt: a t0 of -0.0 records 0.0
-    h_min = math.ulp(max(abs(t0), abs(t_end)))
-    floor = CHATTER_STEP * (t_end - t0)
+    t_end = times[-1]
+    h_min = math.ulp(t_end)
+    floor = CHATTER_STEP * t_end
     short = 0  # accepted steps shorter than floor, the last excluded
     A, C, E = _DP_A, _DP_C, _DP_E
 
     K = np.empty((7, y0.size))
-    K[0] = rhs(y0, t0)
+    K[0] = rhs(y0, 0.0)
     ys = [y0]
     regimes = None if events is None else [events.regime]
-    y, t, h = y0, t0, dt
+    y, t, h = y0, 0.0, cfg.dt
     q, accepted, rejected = 1, 0, 0
     grow = True  # False on the step after a rejection
     while True:
@@ -400,9 +407,9 @@ def integrate_first_order(p, rule, x0, cfg):
     times, X, _, work = _run_dp54(p, cfg, x0, counts, rhs)
     f, crit, _, w, speed = _diagnostics(p, gens, X)
     # ||xdot|| is the scaled criticality in the first-order flow
-    return _trajectory(p, rule, cfg, work, times=times, states=X,
-                       f_values=f, speeds=speed, crit_unscaled=crit,
-                       crit_scaled=speed, weights=w)
+    return _trajectory(p, cfg, work, times=times, states=X, f_values=f,
+                       speeds=speed, crit_unscaled=crit, crit_scaled=speed,
+                       weights=w)
 
 
 def solve_implicit_acceleration(generators, b):
@@ -481,7 +488,7 @@ class _SlidingPair:
     """The accelerated system of a pair (m = 2) as a Filippov system.
 
     regime is 1 (c = u_1), -1 (c = u_2) or 0 (sliding on sigma = 0); it is
-    None until the t0 evaluation picks it.  rhs() gives the right-hand side
+    None until the evaluation at t = 0 picks it.  rhs() gives the right-hand side
     in the current regime and keeps the probe of its point, lambda while
     sliding and else (v, U), so after a step the probe is the one of the
     step's last stage, its end.
@@ -649,9 +656,9 @@ def integrate_accelerated(p, rule, x0, cfg):
         w = np.array([_support_weights(Gk, bk)[1] for Gk, bk in zip(G, b)])
     else:
         w = events.weights(G, times, X, V, regimes)
+    work["switches"] = 0 if events is None else events.switches
     speed2 = _dot(V, V)
-    return _trajectory(p, rule, cfg, work, times=times, states=X,
-                       velocities=V, f_values=f, speeds=np.sqrt(speed2),
+    return _trajectory(p, cfg, work, times=times, states=X, velocities=V,
+                       f_values=f, speeds=np.sqrt(speed2),
                        crit_unscaled=crit, crit_scaled=crit_scaled,
-                       energies=f + half_alpha * speed2[:, None], weights=w,
-                       switches=0 if events is None else events.switches)
+                       energies=f + half_alpha * speed2[:, None], weights=w)

@@ -334,8 +334,9 @@ def lyapunov_monitors(run, which, z, p, rule):
     (1 + |f_i|).  Each monitor maps to its monotone_excess at MONITOR_SLACK:
     <= 0 means nonincreasing within 1e-6 (1 + |monitor|) per record.  The discrete merit E(k) lives in
     discrete.discrete_monitors.  The convex and strongly convex monitors
-    measure time from the run's first record, as their theorems do; the
-    accelerated one reads t + theta, the time of the damping r/(t + theta).
+    read the run's times, measured from the start of the flow at t = 0 as
+    their theorems' time is; the accelerated one reads t + theta, the time
+    of the damping r/(t + theta).
     """
     z = p._check_input(z)
     if z.ndim != 1:
@@ -348,17 +349,16 @@ def lyapunov_monitors(run, which, z, p, rule):
 
     gaps = run.f_values - fz              # (N, m)
     d2 = ((run.states - z) ** 2).sum(axis=-1)
-    t = run.times - run.times[0]          # the rate theorems' time
     series = {}
     for name in which:
         if name == "h":
             series["h"] = 0.5 * d2
         elif name == "convex":
             amax = rule.declared_bounds(p)[1]
-            series["convex_E"] = (t / amax) * gaps.min(axis=-1) + 0.5 * d2
+            series["convex_E"] = (run.times / amax) * gaps.min(axis=-1) + 0.5 * d2
         elif name == "strongly_convex":
             amax = rule.declared_bounds(p)[1]
-            series["strongly_convex_W"] = (np.exp(t / amax)
+            series["strongly_convex_W"] = (np.exp(run.times / amax)
                                            * (gaps.min(axis=-1) + 0.5 * d2))
         elif name == "accelerated":
             if run.velocities is None:
@@ -491,8 +491,8 @@ RATE_BOUNDS = {"convex": _convex, "strongly-convex": _strongly_convex,
 
 def rate_report(name, row, p, rule, x0, run):
     """The RateReport, under name, of RATE_BOUNDS[row] on the series it
-    bounds, read off the run from k >= 1, or from time 1 since the run's
-    start, on: the running minimum of crit_scaled for nonconvex and
+    bounds, read off the run from k >= 1, or from t >= 1 since the flow's
+    start at t = 0, on: the running minimum of crit_scaled for nonconvex and
     nonconvex-eta0, and min_i(f_i - inf f_i), an upper bound on u0, for
     discrete (at run.s_min).
     A window with no record, as when the discrete method stops at a
@@ -503,7 +503,7 @@ def rate_report(name, row, p, rule, x0, run):
         values = (run.f_values - p.lower_bounds).min(axis=1)
     elif row in ("nonconvex", "nonconvex-eta0"):
         C, bound = RATE_BOUNDS[row](p, rule, x0)
-        ts = run.times - run.times[0]
+        ts = run.times
         values = np.minimum.accumulate(run.crit_scaled)
     else:
         raise InvalidInputError(f"rate row {row!r} is checked on u0, not on a "

@@ -276,7 +276,7 @@ def test_iterates_csv_parses_back_exactly():
     assert np.array_equal(ks, seq.ks)
     assert np.array_equal(data[:, 0:2], seq.states)
     assert np.array_equal(data[:, 2:4], seq.f_values)
-    assert np.array_equal(data[:, 4], seq.steps)
+    assert np.array_equal(data[:, 4], np.full(len(seq), seq.s_min))
     assert np.array_equal(data[:, 5], seq.crit_unscaled)
     assert np.array_equal(data[:, 6], seq.crit_scaled)
 
@@ -287,7 +287,8 @@ _GRADNORM = "gradnorm:eta=0.1,min=0.1,max=10"
 def _every_row_csv(seq):
     # the plain formatting of every row, one %-format per line
     cols = ([seq.ks] + list(seq.states.T) + list(seq.f_values.T)
-            + [seq.steps, seq.crit_unscaled, seq.crit_scaled])
+            + [np.full(len(seq), seq.s_min), seq.crit_unscaled,
+               seq.crit_scaled])
     header = iterates_csv_text(seq).split("\n", 1)[0]
     fmt = ",".join(["%d"] + ["%.17g"] * (len(cols) - 1))
     return "\n".join([header] + [fmt % r for r in zip(*[c.tolist() for c in cols])]) + "\n"
@@ -302,7 +303,8 @@ def test_iterates_csv_formats_the_fixed_point_tail_once_byte_for_byte(
         problem, x0, cfg):
     seq = run_discrete(get_problem(problem), parse_scaling(_GRADNORM),
                        np.array(x0), cfg)
-    assert (seq.fixed_point_k == 12) == (problem == "scalar-pair" and len(seq) > 1)
+    assert ((seq.work["fixed_point_k"] == 12)
+            == (problem == "scalar-pair" and len(seq) > 1))
     assert iterates_csv_text(seq) == _every_row_csv(seq)
 
 
@@ -317,10 +319,11 @@ def test_every_column_past_the_fixed_point_is_a_byte_copy(problem, x0,
     # run_discrete must make them copies of one row in every column
     seq = run_discrete(get_problem(problem), parse_scaling(scaling),
                        np.array(x0), DiscreteConfig(max_iters=3000))
-    k = seq.fixed_point_k
-    assert k is not None and len(seq) == 3001 and seq.grad_calls == k + 1
-    for col in (seq.states, seq.f_values, seq.steps, seq.crit_unscaled,
-                seq.crit_scaled, seq.weights):
+    k = seq.work["fixed_point_k"]
+    assert k is not None and len(seq) == 3001
+    assert seq.work["grad_calls"] == k + 1
+    for col in (seq.states, seq.f_values, seq.crit_unscaled, seq.crit_scaled,
+                seq.weights):
         assert all(row.tobytes() == col[k].tobytes() for row in col[k:])
 
 
@@ -551,6 +554,17 @@ def test_main_run_ok(tmp_path, capsys):
     assert out.exists()
     text = capsys.readouterr().out
     assert "strongly-convex" in text
+
+
+def test_main_run_with_a_stride_above_the_step_count(tmp_path, capsys):
+    # a stride past the last step records the first and the last state,
+    # however large the int is: 2**64 fits no numpy integer type
+    summary = tmp_path / "s.json"
+    assert main(["run", "--problem", "p2", "--t-end", "1", "--record-every",
+                 str(2 ** 64), "--summary", str(summary)]) == 0
+    ondisk = json.loads(summary.read_text())
+    assert ondisk["records"] == 2 and ondisk["config"]["record_every"] == 2 ** 64
+    assert ondisk["final"]["t"] == 1.0
 
 
 def test_main_exit_2_on_config_errors(tmp_path, capsys):

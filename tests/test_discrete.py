@@ -35,7 +35,7 @@ def test_boundary_step_oscillates():
     seq = run_discrete(p, constant([1.0]), [1.0],
                        DiscreteConfig(max_iters=6, safety=1.0))
     assert np.allclose(seq.states[:, 0], [1, -1, 1, -1, 1, -1, 1])
-    assert np.allclose(seq.steps, 2.0)
+    assert seq.s_min == 2.0
     mon = discrete_monitors(seq)
     assert mon["f_excess"] == -1e-9 * (1.0 + 0.5)
 
@@ -98,11 +98,9 @@ def test_merit_slack_is_absolute():
     root = np.sqrt([10.0, 10.0 + 5e-9, 0.0])
     seq = IterateSequence(
         ks=np.arange(3), states=root[:, None], f_values=np.ones((3, 1)),
-        steps=np.full(3, 0.5), crit_unscaled=np.zeros(3),
-        crit_scaled=np.zeros(3), weights=np.ones((3, 1)),
-        alpha_bounds=(1.0, 1.0), s_min=0.5, grad_calls=0, fixed_point_k=None,
-        problem_name="hand-built", rule_spec="const:1",
-        config=DiscreteConfig(max_iters=2))
+        crit_unscaled=np.zeros(3), crit_scaled=np.zeros(3),
+        weights=np.ones((3, 1)), alpha_bounds=(1.0, 1.0), s_min=0.5,
+        work={"grad_calls": 0, "fixed_point_k": None})
     mon = discrete_monitors(seq)
     rise = mon["merit"][1] - mon["merit"][0]
     assert rise == pytest.approx(5e-9, rel=1e-6)
@@ -229,11 +227,11 @@ def test_fixed_point_stop_matches_the_every_k_loop_bit_for_bit(case):
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    assert seq.fixed_point_k == fixed_k
+    assert seq.work["fixed_point_k"] == fixed_k
     if fixed_k is None:
-        assert seq.grad_calls == len(seq)
+        assert seq.work["grad_calls"] == len(seq)
     else:
-        assert seq.grad_calls == fixed_k + 1
+        assert seq.work["grad_calls"] == fixed_k + 1
         assert seq.states[fixed_k + 1].tobytes() == seq.states[fixed_k].tobytes()
         assert seq.states[fixed_k].tobytes() != seq.states[fixed_k - 1].tobytes()
     if stop_tol > 0.0:
@@ -246,7 +244,7 @@ def test_a_two_cycle_is_not_a_fixed_point():
     # x_{k+1} = -x_k repeats every second iterate, never the last one
     seq = run_discrete(ball_problem(), constant([1.0]), [1.0],
                        DiscreteConfig(max_iters=6, safety=1.0))
-    assert seq.fixed_point_k is None and seq.grad_calls == 7
+    assert seq.work == {"grad_calls": 7, "fixed_point_k": None}
 
 
 # ------------------------------------------- the stacked record pass, checked
@@ -286,7 +284,7 @@ def test_record_pass_matches_the_every_k_loop_bit_for_bit(case):
         x0 = p.starts[x0]
     rule, cfg = parse_scaling(spec), DiscreteConfig(max_iters=max_iters)
     seq = run_discrete(p, rule, x0, cfg)
-    assert (seq.fixed_point_k, len(seq)) == (fixed_k, records)
+    assert (seq.work["fixed_point_k"], len(seq)) == (fixed_k, records)
     got = (seq.states, seq.f_values, seq.crit_scaled, seq.crit_unscaled,
            seq.weights)
     for a, b in zip(got, reference_run(p, rule, x0, cfg)):

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mbgf import flow
+from mbgf.cli import run_experiment, validate_config
 from mbgf.discrete import DiscreteConfig, run_discrete, step_size
 from mbgf.errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                          NumericDomainError)
@@ -124,7 +126,7 @@ def test_smooth_nonlinear_flow_matches_closed_form():
         # divided by the curve's slope in x, 1 + 0.1 / x, this is
         # |x - x(t)| to first order
         assert (residual / (1.0 + 0.1 / x)).max() <= 1e-9, (dt, every)
-        assert tr.steps <= 50
+        assert tr.work["steps"] <= 50
 
 
 def test_divergence_error_on_unstable_step():
@@ -148,7 +150,7 @@ def test_divergence_error_on_unstable_step():
                      (FlowConfig(t_end=1.0, dt=1.0, mode="accelerated",
                                  r=1e-9), 1e-9)):
         end = _integrate(outward(10.0), constant([1.0]), [1.0], cfg)
-        assert end.steps == 1 and abs(end.states[-1, 0] - 3.0) <= tol
+        assert end.work["steps"] == 1 and abs(end.states[-1, 0] - 3.0) <= tol
         with pytest.raises(DivergenceError) as err:
             _integrate(outward(2.0), constant([1.0]), [1.0], cfg)
         assert str(err.value) == (
@@ -192,9 +194,31 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         integrate_accelerated(p, gradnorm_eta(0.1), [1.0],
                               FlowConfig(t_end=1.0, mode="accelerated"))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="theta must be a positive real"):
         integrate_accelerated(p, constant([1.0]), [1.0],
-                              FlowConfig(t_end=1.0, mode="accelerated", theta=0.0, t0=0.0))
+                              FlowConfig(t_end=1.0, mode="accelerated", theta=0.0))
+
+
+def test_every_flow_starts_at_zero():
+    # theta is the clock shift of the accelerated system, so the start time
+    # is no setting: FlowConfig has six fields, and t0 is a constant 0.0
+    assert [f.name for f in dataclasses.fields(FlowConfig)] == [
+        "t_end", "dt", "mode", "r", "theta", "record_every"]
+    assert FlowConfig.t0 == 0.0 and FlowConfig(t_end=1.0).t0 == 0.0
+    with pytest.raises(TypeError):
+        FlowConfig(t_end=1.0, t0=0.0)
+    tr = integrate_first_order(ball_problem(), constant([1.0]), [1.0],
+                               FlowConfig(t_end=1.0, dt=0.25))
+    assert tr.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_flow_config_is_frozen():
+    # a run keeps its config, and the accelerated monitor reads its theta
+    cfg = FlowConfig(t_end=1.0, mode="accelerated")
+    for name, value in (("theta", 5.0), ("t_end", 2.0), ("t0", 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert (cfg.theta, cfg.t_end, cfg.t0) == (1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("mode", ["first_order", "accelerated"])
@@ -203,6 +227,16 @@ def test_record_every_must_be_a_positive_integer(mode, every):
     cfg = FlowConfig(t_end=1.0, mode=mode, record_every=every)
     with pytest.raises(InvalidInputError, match="record_every"):
         _integrate(ball_problem(), constant([1.0]), [1.0], cfg)
+
+
+@pytest.mark.parametrize("mode", ["first_order", "accelerated"])
+def test_a_record_stride_of_any_size_records_the_first_and_last_state(mode):
+    # a Python int of any size is a valid stride; one above the step count
+    # records the start and the end
+    for every in (2 ** 64, 10 ** 400):
+        cfg = FlowConfig(t_end=1.0, dt=0.25, mode=mode, record_every=every)
+        tr = _integrate(ball_problem(), constant([1.0]), [1.0], cfg)
+        assert tr.times.tolist() == [0.0, 1.0]
 
 
 # ----------------------------------------------------------- implicit solve
@@ -394,7 +428,7 @@ def test_accelerated_matches_public_reference_path():
             _assert_close(tr.energies[j],
                           p.value(x) + 0.5 * np.array([1.0, 2.0]) * (v @ v), 1e-10)
         y = _rk4(lambda y, t: sliding(y, t)[1], y, i * h, h)
-    assert tr.switches == 0
+    assert tr.work["switches"] == 0
 
 
 def test_discrete_matches_public_reference_path():
@@ -437,13 +471,13 @@ def _stepped_records(p, rule, y0, cfg):
     # times and states (with velocities in accelerated mode) of plain RK4
     # over every step, at the integrator's record times
     rhs = _stepping_rhs(p, rule, cfg)
-    steps = int(round((cfg.t_end - cfg.t0) / cfg.dt))
+    steps = int(round(cfg.t_end / cfg.dt))
     y = np.array(y0, dtype=float)
-    times, ys = [cfg.t0], [y]
+    times, ys = [0.0], [y]
     for k in range(steps):
-        y = _rk4(rhs, y, cfg.t0 + k * cfg.dt, cfg.dt)
+        y = _rk4(rhs, y, k * cfg.dt, cfg.dt)
         if (k + 1) % cfg.record_every == 0 or k + 1 == steps:
-            times.append(cfg.t0 + (k + 1) * cfg.dt)
+            times.append((k + 1) * cfg.dt)
             ys.append(y)
     return np.array(times), np.array(ys)
 
@@ -494,13 +528,15 @@ def test_fixed_point_records_equal_stepping(mode, name, x0, alpha, every):
     tr = _integrate(p, rule, x0, cfg)
     # The error estimate is 0, so each step is ten times the last: 1e-3,
     # 1e-2, 0.1 and the rest of the window, six stages each, after the
-    # first stage at t0.  The records take one stacked oracle call, whatever
-    # their number.  At rest the pair slides (lambda = 0 on p1, where
+    # first stage at t = 0.  The records take one stacked oracle call,
+    # whatever their number.  At rest the pair slides (lambda = 0 on p1, where
     # g_2 = 0, and 1/2 on p4), and the sliding weight at v = 0 needs no
     # central difference, so the accelerated run costs the same.
-    assert (tr.steps, tr.rejected, tr.rhs_evals) == (4, 0, 25)
-    assert calls[0] == tr.rhs_evals + 1
-    assert tr.switches == (None if mode == "first_order" else 0)
+    work = {"steps": 4, "rejected": 0, "rhs_evals": 25}
+    if mode == "accelerated":
+        work["switches"] = 0
+    assert tr.work == work
+    assert calls[0] == tr.work["rhs_evals"] + 1
     y0 = x0 if mode == "first_order" else x0 + [0.0] * p.n
     times, ys = _stepped_records(p, rule, y0, cfg)
     assert _same_bytes(tr.times, times)
@@ -581,14 +617,14 @@ def test_one_dense_output_call_per_step_matches_per_record_calls(
                     FlowConfig(t_end=1.0, dt=1e-3, mode=mode, record_every=1))
     assert len(tr) == 1001 and 0 < len(per_step) < sum(per_step) < 1001
     assert max(per_step) > 1
-    assert bool(tr.switches) == (x0[0] < 0.0)
+    assert bool(tr.work.get("switches")) == (x0[0] < 0.0)
 
 
 @pytest.mark.parametrize("mode", ["first_order", "accelerated"])
 @pytest.mark.parametrize("every", [1, 7])
 def test_each_step_reuses_the_record_k1(mode, every):
     # A step evaluates six stages; its first is the last stage of the step
-    # before (FSAL), and only the t0 stage is evaluated on its own.  A
+    # before (FSAL), and only the stage at t = 0 is evaluated on its own.  A
     # sliding stage evaluates x and the central difference along v in one
     # stacked oracle call, and this run locates no switch, so both modes
     # step at the same cost.  The records cost a fixed number of oracle
@@ -599,9 +635,10 @@ def test_each_step_reuses_the_record_k1(mode, every):
     cfg = FlowConfig(t_end=0.05, dt=1e-3, mode=mode, record_every=every)
     calls = _counting_grads(p)
     tr = _integrate(p, constant([1.0, 1.0]), [0.25, 1.5], cfg)
-    assert tr.rhs_evals == 1 + 6 * (tr.steps + tr.rejected)
-    assert calls[0] == tr.rhs_evals + (1 if mode == "first_order" else 2)
-    assert tr.switches == (None if mode == "first_order" else 0)
+    work = tr.work
+    assert work["rhs_evals"] == 1 + 6 * (work["steps"] + work["rejected"])
+    assert calls[0] == work["rhs_evals"] + (1 if mode == "first_order" else 2)
+    assert work.get("switches") == (None if mode == "first_order" else 0)
     assert len(tr) == (51 if every == 1 else 9)
 
 
@@ -620,7 +657,8 @@ def test_accelerated_records_equal_stacked_stepping(name, x0):
     cfg = FlowConfig(t_end=0.21, dt=1e-3, mode="accelerated", record_every=7)
     tr = integrate_accelerated(p, rule, x0, cfg)
     assert len(tr) == 31
-    assert (tr.steps, tr.rejected, tr.rhs_evals, tr.switches) == (4, 0, 25, 0)
+    assert tr.work == {"steps": 4, "rejected": 0, "rhs_evals": 25,
+                       "switches": 0}
     assert tr.weights[0].tolist() == ([0.5, 0.5] if name == "strongly-convex"
                                       else [0.0, 1.0])
     _assert_records_repeat(tr)
@@ -635,32 +673,21 @@ def test_accelerated_records_equal_stacked_stepping(name, x0):
 
 @settings(max_examples=40, deadline=None)
 @given(x0=st.floats(0.5, 1.9), sign=st.sampled_from([-1.0, 1.0]),
-       alpha=st.floats(0.5, 2.0), t0=st.floats(-1.0, 1.0),
-       dt=st.floats(1e-3, 0.1), span=st.floats(0.01, 2.0),
-       every=st.sampled_from([1, 7, 10 ** 9]))
-def test_ball_records_match_exponential_decay(x0, sign, alpha, t0, dt, span,
+       alpha=st.floats(0.5, 2.0), dt=st.floats(1e-3, 0.1),
+       span=st.floats(0.01, 2.0), every=st.sampled_from([1, 7, 10 ** 9]))
+def test_ball_records_match_exponential_decay(x0, sign, alpha, dt, span,
                                               every):
     # xdot = -x / alpha on the ball: every record, dense-output ones
-    # included, is within 1e-9 relative of x0 exp(-(t - t0) / alpha).  The
-    # window decays the state by at most about e^-4.
+    # included, is within 1e-9 relative of x0 exp(-t / alpha).  The window
+    # decays the state by at most about e^-4.
     x0 = sign * x0
     steps = max(1, int(round(span / dt)))
-    cfg = FlowConfig(t0=t0, t_end=t0 + steps * dt, dt=dt, record_every=every)
+    cfg = FlowConfig(t_end=steps * dt, dt=dt, record_every=every)
     tr = integrate_first_order(ball_problem(), constant([alpha]), [x0], cfg)
     j = list(range(0, steps, every)) + [steps]
-    assert _same_bytes(tr.times, np.array([t0 + k * dt for k in j]))
-    exact = x0 * np.exp(-(tr.times - t0) / alpha)
+    assert _same_bytes(tr.times, np.array([k * dt for k in j]))
+    exact = x0 * np.exp(-tr.times / alpha)
     assert (np.abs(tr.states[:, 0] - exact) / np.abs(exact)).max() <= 1e-9
-
-
-@pytest.mark.parametrize("mode", ["first_order", "accelerated"])
-def test_t0_of_negative_zero_records_on_the_grid(mode):
-    # Records sit at t0 + j dt, and -0.0 + 0 dt is 0.0: the first record
-    # too, not t0 itself.
-    cfg = FlowConfig(t0=-0.0, t_end=1.0, dt=0.0625, mode=mode)
-    run = integrate_first_order if mode == "first_order" else integrate_accelerated
-    tr = run(ball_problem(), constant([1.0]), [-1.0], cfg)
-    assert _same_bytes(tr.times, np.array([-0.0 + k * 0.0625 for k in range(17)]))
 
 
 def test_switch_crossing_matches_fine_rk4():
@@ -675,7 +702,7 @@ def test_switch_crossing_matches_fine_rk4():
     interior = tr.times[tr.weights.min(axis=1) > 0.0]
     assert tr.weights[0].tolist() == [0.0, 1.0] and 0.33 < interior[0] <= 0.34
     # the error control rejects steps at the switch
-    assert tr.rejected > 0
+    assert tr.work["rejected"] > 0
     rhs = _stepping_rhs(p, rule, cfg)
     x, h = np.array([-0.4, 1.9]), 2e-5
     for i in range(25001):
@@ -687,31 +714,37 @@ def test_switch_crossing_matches_fine_rk4():
 def test_step_size_underflow_is_no_convergence():
     # A gradient of size 1e9 that oscillates on a 1e-12 scale: no step the
     # error control tries is accepted, and the step falls to the float
-    # spacing of the window after about twenty rejections, also from
-    # t0 = 0, where the spacing of t itself is far smaller.
+    # spacing of the window after about twenty rejections, though the
+    # spacing of t = 0, where every flow starts, is far smaller.
     p = make_problem(
         "rough", 1, 1, lambda x: -1e-3 * np.cos(1e12 * x),
         lambda x: (1e9 * np.sin(1e12 * x))[..., None, :],
         lipschitz=[1e21], lower_bounds=[-1e-3], convexity_class="nonconvex",
         region=Box([-2.0], [2.0]), grad_bound=1e9, starts=[[0.5]])
-    for t0 in (1.0, 0.0, -1.0):
-        cfg = FlowConfig(t0=t0, t_end=t0 + 1.0, dt=1e-3)
-        with pytest.raises(NoConvergenceError, match="step size underflow"):
-            integrate_first_order(p, constant([1.0]), [0.5], cfg)
+    with pytest.raises(NoConvergenceError, match="step size underflow"):
+        integrate_first_order(p, constant([1.0]), [0.5],
+                              FlowConfig(t_end=1.0, dt=1e-3))
 
 
 @pytest.mark.parametrize("mode,x0", [("first_order", [-0.4, 1.9]),
                                      ("accelerated", [-0.2, 1.8])])
 def test_work_counts_repeat_exactly(mode, x0):
     # The accelerated run leaves its first slide and enters another one.
+    # The summary of the same run through the CLI holds the same counts.
     p = get_problem("unbalanced-convex")
     cfg = FlowConfig(t_end=1.0, dt=1e-3, mode=mode, record_every=100)
-    runs = [_integrate(p, constant([1.0, 1.0]), x0, cfg) for _ in range(3)]
-    counts = {(tr.rhs_evals, tr.steps, tr.rejected, tr.switches) for tr in runs}
-    assert len(counts) == 1
-    rhs_evals, steps, rejected, switches = counts.pop()
-    assert rejected > 0 and rhs_evals == 1 + 6 * (steps + rejected)
-    assert switches == (None if mode == "first_order" else 2)
+    works = [_integrate(p, constant([1.0, 1.0]), x0, cfg).work
+             for _ in range(3)]
+    assert works[0] == works[1] == works[2]
+    work = works[0]
+    assert work["rejected"] > 0
+    assert work["rhs_evals"] == 1 + 6 * (work["steps"] + work["rejected"])
+    assert work.get("switches") == (None if mode == "first_order" else 2)
+    summary = run_experiment(validate_config({
+        "problem": "p1", "mode": "flow" if mode == "first_order" else "accel",
+        "x0": x0, "scaling": "const:1,1", "t_end": 1.0, "dt": 1e-3,
+        "record_every": 100}))
+    assert summary["work"] == work
 
 
 # ------------------------------------------------------------- the guards
@@ -785,7 +818,7 @@ def test_a_stiff_run_over_a_long_window_does_not_trip_the_stall_guard():
     p = get_problem("unbalanced-convex")
     cfg = FlowConfig(t_end=100.0, record_every=10 ** 6)
     tr = integrate_first_order(p, constant([0.01, 0.01]), [0.25, 1.5], cfg)
-    assert tr.times[-1] == 100.0 and tr.steps > flow.CHATTER_STEPS
+    assert tr.times[-1] == 100.0 and tr.work["steps"] > flow.CHATTER_STEPS
 
 
 # ---------------------------------------------------------- the sliding pair
@@ -1002,7 +1035,8 @@ def test_stacked_records_equal_per_record_rebuild(monkeypatch, mode, name):
                 lam = min(1.0, max(0.0, lam))
                 _same_row(tr.weights[i], [lam, 1.0 - lam])
         if mode == "accelerated" and len(x0) == 2 and x0[0] == -0.2:
-            assert tr.switches == 2 and set(regimes[-1]) == {-1, 0, 1}
+            assert tr.work["switches"] == 2
+            assert set(regimes[-1]) == {-1, 0, 1}
 
 
 def _sigma(p, rule, tr):
@@ -1058,7 +1092,7 @@ def test_located_switch_is_the_limit_of_rk4(name, x0, alpha, t_switch, t_end,
     tr = integrate_accelerated(p, rule, x0,
                                FlowConfig(t_end=t_end, dt=1e-3,
                                           mode="accelerated", record_every=10))
-    assert tr.switches == 1
+    assert tr.work["switches"] == 1
     before = tr.weights[tr.times < t_switch - 0.01]
     if after == "crossing":
         assert (before == [0.0, 1.0]).all()
@@ -1113,7 +1147,7 @@ def test_located_switch_is_a_root_on_the_dense_output(monkeypatch, name, x0,
     monkeypatch.setattr(_SlidingPair, "locate", spy_locate)
     monkeypatch.setattr(_SlidingPair, "switch", spy_switch)
     tr = integrate_accelerated(p, rule, x0, cfg)
-    assert tr.switches == len(kinds) == len(located) == len(restarts)
+    assert tr.work["switches"] == len(kinds) == len(located) == len(restarts)
     assert [kind for *_, kind in restarts] == kinds
     for (s, dense, t, h, th), (y, t_switch, _) in zip(located, restarts):
         assert 0.0 < th < 1.0
