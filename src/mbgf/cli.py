@@ -89,7 +89,11 @@ def _require_number(key, v):
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer,
                                                  np.floating)):
         raise ConfigError(f"{key}: malformed number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ConfigError(f"{key}: must be finite, got an integer beyond "
+                          "the float range") from None
     if not np.isfinite(v):
         raise ConfigError(f"{key}: must be finite, got {v!r}")
     return v

@@ -145,11 +145,21 @@ class FlowConfig:
     t0 = 0.0
 
 
+def _check_positive(cfg, name):
+    # a finite float > 0; a value with no finite float (NaN, an infinity,
+    # an int beyond the float range, a non-number) is refused by name
+    v = getattr(cfg, name)
+    try:
+        ok = math.isfinite(v) and v > 0.0
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidInputError(f"{name} must be a positive real")
+
+
 def _check_config(cfg):
-    if not (np.isfinite(cfg.t_end) and cfg.t_end > 0.0):
-        raise InvalidInputError("t_end must be a positive real")
-    if not np.isfinite(cfg.dt) or cfg.dt <= 0.0:
-        raise InvalidInputError("dt must be positive")
+    _check_positive(cfg, "t_end")
+    _check_positive(cfg, "dt")
     every = cfg.record_every
     # any int is whole and finite, and math.isfinite overflows on a huge one
     whole = isinstance(every, (int, np.integer)) or (
@@ -157,10 +167,8 @@ def _check_config(cfg):
     if not (whole and every >= 1):
         raise InvalidInputError("record_every must be an integer >= 1")
     if cfg.mode == "accelerated":
-        if not np.isfinite(cfg.r) or cfg.r <= 0.0:
-            raise InvalidInputError("r must be a positive real")
-        if not np.isfinite(cfg.theta) or cfg.theta <= 0.0:
-            raise InvalidInputError("theta must be a positive real")
+        _check_positive(cfg, "r")
+        _check_positive(cfg, "theta")
 
 
 class Trajectory:
@@ -194,8 +202,11 @@ class Trajectory:
                  "work", "mode", "problem_name", "config")
 
     def __init__(self, **kw):
+        # a slot left out, as velocities on a first-order run, is None
         for k in self.__slots__:
-            setattr(self, k, kw.get(k))
+            setattr(self, k, kw.pop(k, None))
+        if kw:
+            raise TypeError(f"unexpected fields: {sorted(kw)}")
 
     def __len__(self):
         return self.times.size

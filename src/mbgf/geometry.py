@@ -19,13 +19,18 @@ its weights and point, and a tied support face its point; its stack form
 gives the recorded criticalities and weights of the flows and the
 discrete method.
 
-Projections are solved with an active-set minimum-norm-point method (Wolfe's
-algorithm) on the shifted generators, with closed forms for one or two
-generators.  A pair whose |g_1 - g_2|^2 is below the smallest normal float,
-or NaN, is degenerate (_proper_pair) and takes weight 1 on g_1, as a
+Projections are solved on the shifted generators by closed forms for one,
+two and three generators, on a stack of hulls as on one, and by an
+active-set minimum-norm-point method (Wolfe's algorithm) hull by hull for
+four or more.  A pair whose |g_1 - g_2|^2 is below the smallest normal
+float, or NaN, is degenerate (_proper_pair) and takes weight 1 on g_1, as a
 zero-length segment does; every two-generator closed form, here and in
-mbgf.flow's sliding weights, keeps that one rule.  Every result carries
-simplex weights and satisfies the standard variational certificate
+mbgf.flow's sliding weights, keeps that one rule.  A triangle is
+degenerate (_proper_triangle) when the Gram determinant of its edge
+vectors is below the smallest normal float, or NaN; its point is then the
+best point of its three edges, each solved by the pair closed form.
+Every result carries simplex weights and satisfies the standard
+variational certificate
 
     <point - q, g_i - point> >= -CERTIFICATE_TOL * scale   for all i,
 
@@ -285,6 +290,88 @@ def _pair_weights(theta):
     return np.stack([theta, 1.0 - theta], axis=-1)
 
 
+_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
+def _proper_triangle(det):
+    # whether a triangle spans a plane that the interior solve divides by:
+    # det, the Gram determinant |d1|^2 |d2|^2 - <d1, d2>^2 of its edge
+    # vectors d1 = p0 - p1 and d2 = p0 - p2, is at least the smallest normal
+    # float.  A degenerate triangle (det below it, or NaN) has no interior
+    # candidate, and its minimum-norm point is the best point of its edges.
+    # Works on a float and on an array of them.
+    return det >= _MIN_NORMAL
+
+
+def _triangle_weights(P):
+    # the m = 3 closed form on an (..., 3, n) stack: the candidates are the
+    # three edges by the pair closed form, whose clamps give the vertices,
+    # and the interior point of the 2x2 Gram system in d1 and d2 when its
+    # weights are >= 0.  Every row takes the first candidate of least norm.
+    # Elementwise, so no row's bits depend on the rest of the stack.
+    lead = P.shape[:-2]
+    ws, ds, dds = [], [], []
+    for i, j in _EDGES:
+        d = P[..., i, :] - P[..., j, :]
+        dd = _dot(d, d)
+        w = np.zeros(lead + (3,))
+        w[..., [i, j]] = _pair_weights(np.divide(
+            -_dot(P[..., j, :], d), dd, out=np.ones_like(dd),
+            where=_proper_pair(dd)))
+        ws.append(w)
+        ds.append(d)
+        dds.append(dd)
+    g12 = _dot(ds[0], ds[1])
+    r1, r2 = _dot(P[..., 0, :], ds[0]), _dot(P[..., 0, :], ds[1])
+    det = dds[0] * dds[1] - g12 * g12
+    proper = _proper_triangle(det)
+    a = np.divide(r1 * dds[1] - r2 * g12, det, out=np.zeros_like(det),
+                  where=proper)
+    b = np.divide(r2 * dds[0] - r1 * g12, det, out=np.zeros_like(det),
+                  where=proper)
+    w = np.stack([(1.0 - a) - b, a, b], axis=-1)
+    inside = proper & (w >= 0.0).all(axis=-1)
+    ws.append(np.where(w > 0.0, w, 0.0))
+    W = np.stack(ws, axis=-2)
+    # each candidate's point as the (1, 3) @ (3, n) product of the result
+    X = (W[..., None, :] @ P[..., None, :, :])[..., 0, :]
+    nn = _dot(X, X)
+    nn[..., 3] = np.where(inside, nn[..., 3], np.inf)
+    k = np.argmin(nn, axis=-1)
+    return np.take_along_axis(W, k[..., None, None], axis=-2)[..., 0, :]
+
+
+def _triangle_weights_one(P):
+    # _triangle_weights on one (3, n) hull, on Python floats and 1-D dots:
+    # the same candidates in the same order by the same operations, so its
+    # weights equal a stacked row's bit for bit
+    ws, ds, dds = [], [], []
+    for i, j in _EDGES:
+        d = P[i] - P[j]
+        dd = float(d @ d)
+        theta = float(-(P[j] @ d)) / dd if _proper_pair(dd) else 1.0
+        theta = min(1.0, max(0.0, theta))
+        w = [0.0, 0.0, 0.0]
+        w[i], w[j] = theta, 1.0 - theta
+        ws.append(w)
+        ds.append(d)
+        dds.append(dd)
+    g12 = float(ds[0] @ ds[1])
+    r1, r2 = float(P[0] @ ds[0]), float(P[0] @ ds[1])
+    det = dds[0] * dds[1] - g12 * g12
+    if _proper_triangle(det):
+        a = (r1 * dds[1] - r2 * g12) / det
+        b = (r2 * dds[0] - r1 * g12) / det
+        w = [(1.0 - a) - b, a, b]
+        if all(v >= 0.0 for v in w):
+            ws.append([max(0.0, v) for v in w])
+    nn = []
+    for w in ws:
+        x = np.array(w) @ P
+        nn.append(float(x @ x))
+    return np.array(ws[int(np.argmin(nn))])
+
+
 def _min_norm(P):
     """Weights w, point d = w @ P and norm ||d|| of the minimum-norm point
     of conv(rows of P).
@@ -292,8 +379,9 @@ def _min_norm(P):
     P is one (m, n) hull, which gives a float norm, or an (..., m, n) stack
     of hulls, which gives stacks of weights, points and norms.  One
     dispatch on m serves both.  A stacked result equals the result of its
-    hull alone bit for bit: m = 2 takes the segment's closed form on every
-    hull at once, m >= 3 runs Wolfe hull by hull.
+    hull alone bit for bit: m = 2 and m = 3 take closed forms on every hull
+    at once, the segment's and the triangle's (_triangle_weights), and
+    m >= 4 runs Wolfe hull by hull.
     """
     one = P.ndim == 2
     m = P.shape[-2]
@@ -313,6 +401,8 @@ def _min_norm(P):
         w = _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
                                     out=np.ones_like(dd),
                                     where=_proper_pair(dd)))
+    elif m == 3:
+        w = _triangle_weights_one(P) if one else _triangle_weights(P)
     else:
         hulls = P.reshape((-1,) + P.shape[-2:])
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])

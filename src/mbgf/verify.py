@@ -9,7 +9,10 @@ data, so a fixed seed yields byte-identical JSON.
 The min-norm oracle here is deliberately independent of the geometry
 module: it enumerates every support subset of the generators and keeps
 the smallest affine minimizer with nonnegative weights, which is exact up
-to rounding for the m <= 5 hulls it is used on.  The test suite checks the
+to rounding for the m <= 5 hulls it is used on.  It takes a stack of hulls
+of one (m, n) shape and solves each subset for the whole stack with one
+batched least-squares (an SVD of the difference vectors), so
+geometry-oracle calls it once per shape.  The test suite checks the
 geometry module against this same oracle.
 """
 
@@ -113,27 +116,60 @@ def _merit_checks(p, points, bounds, rate_name, run, checks):
 
 # -- independent min-norm oracle -------------------------------------------
 
+def _combine(c, A):
+    # sum_j c[:, j] A[:, j] for a (B, K) stack of coefficients and a
+    # (B, K, N) stack of rows, summed term by term in index order, so that
+    # a row has the same bits in a stack of any size
+    out = c[:, 0, None] * A[:, 0]
+    for j in range(1, c.shape[1]):
+        out = out + c[:, j, None] * A[:, j]
+    return out
+
+
+def _lstsq(A, y):
+    # the minimum-norm least-squares solution of A_b c = y_b for each matrix
+    # of a (B, M, N) stack, from its SVD with lstsq's default cutoff stated
+    # outright: singular values <= eps * max(M, N) * s_max count as zero
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    cut = np.finfo(float).eps * max(A.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+    return _combine(inv * _combine(y, u), vt)
+
+
 def _exact_min_norm(G):
     """min_w ||w @ G|| over the simplex, by enumerating every support.
 
-    For each nonempty subset S of the rows, a0 = G[S[0]], D = G[S[1:]] - a0
-    and c solves min ||a0 + c @ D|| by least squares; a0 + c @ D is a
-    candidate iff its weights (1 - sum(c), c) are all >= -1e-12.  By
-    Caratheodory the optimum is the affine minimizer of some affinely
-    independent support with positive weights, so the smallest candidate
-    norm is exact up to rounding.
+    G is one (m, n) hull, which gives a float, or a (B, m, n) stack of
+    hulls, which gives an array of B values; a hull alone is the B = 1
+    stack, and each row equals its hull's value bit for bit.  For each
+    nonempty subset S of the rows, a0 = G[S[0]], D = G[S[1:]] - a0 and c
+    solves min ||a0 + c @ D|| by least squares, one batched solve per
+    subset over the whole stack; a0 + c @ D is a candidate iff its weights
+    (1 - sum(c), c) are all >= -1e-12.  By Caratheodory the optimum is the
+    affine minimizer of some affinely independent support with positive
+    weights, so the smallest candidate norm is exact up to rounding.
     """
     G = np.asarray(G, dtype=float)
-    m = G.shape[0]
-    best = np.inf
+    one = G.ndim == 2
+    if one:
+        G = G[None]
+    m = G.shape[1]
+    best = np.full(G.shape[0], np.inf)
     for k in range(1, m + 1):
         for S in itertools.combinations(range(m), k):
-            a0 = G[S[0]]
-            D = G[list(S[1:])] - a0
-            c = np.linalg.lstsq(D.T, -a0, rcond=None)[0]
-            if min(1.0 - c.sum(), c.min(initial=0.0)) >= -1e-12:
-                best = min(best, float(np.linalg.norm(a0 + c @ D)))
-    return best
+            a0 = G[:, S[0]]
+            if k == 1:
+                x, ok = a0, True
+            else:
+                D = G[:, S[1:]] - a0[:, None]
+                c = _lstsq(D.mT, -a0)
+                x = a0 + _combine(c, D)
+                # sum() over the columns adds them in index order, as
+                # _combine does
+                ok = np.minimum(1.0 - sum(c.T), c.min(axis=1)) >= -1e-12
+            norm = np.sqrt(sum(x.T * x.T))
+            best = np.where(ok & (norm < best), norm, best)
+    return float(best[0]) if one else best
 
 
 # -- suites -----------------------------------------------------------------
@@ -219,11 +255,11 @@ def _draw_hull(rng):
 
 
 def _by_shape(hulls):
-    """The hulls grouped by (m, n) shape: (indices, (k, m, n) stack) pairs."""
+    """The hulls grouped by (m, n) shape, as (k, m, n) stacks."""
     groups = {}
-    for i, G in enumerate(hulls):
-        groups.setdefault(G.shape, []).append(i)
-    return [(idx, np.stack([hulls[i] for i in idx])) for idx in groups.values()]
+    for G in hulls:
+        groups.setdefault(G.shape, []).append(G)
+    return [np.stack(group) for group in groups.values()]
 
 
 def _suite_geometry_oracle(rng):
@@ -243,14 +279,14 @@ def _suite_geometry_oracle(rng):
     worst_gap = 0.0
     worst_cert = -np.inf
     failures = 0
-    for idx, Gs in _by_shape(hulls):
+    for Gs in _by_shape(hulls):
         _, points, norms = _min_norm(Gs)
         q = np.zeros(Gs.shape[-1])
         # the projection of q onto the hull is q + points, as
         # project_onto_hull forms it
         cert = (certificate_violation(q, Gs, q + points)
                 - certificate_tolerance(q, Gs))
-        gap = np.abs(norms - [_exact_min_norm(hulls[i]) for i in idx])
+        gap = np.abs(norms - _exact_min_norm(Gs))
         worst_gap = max(worst_gap, float(gap.max()))
         worst_cert = max(worst_cert, float(cert.max()))
         failures += int(((gap > 1e-4) | (cert > 0.0)).sum())
@@ -264,9 +300,8 @@ def _suite_geometry_oracle(rng):
         G = _draw_hull(rng)
         shifted.append(G - rng.normal(0.0, 0.1, size=G.shape[1]))
     worst_proj = 0.0
-    for idx, Gs in _by_shape(shifted):
-        gap = np.abs(_min_norm(Gs)[2]
-                     - [_exact_min_norm(shifted[i]) for i in idx])
+    for Gs in _by_shape(shifted):
+        gap = np.abs(_min_norm(Gs)[2] - _exact_min_norm(Gs))
         worst_proj = max(worst_proj, float(gap.max()))
     checks.append(_check("projection-vs-grid-worst-gap", worst_proj, 1e-4))
     return checks

@@ -236,6 +236,20 @@ def test_json_array_config_rejected_alike(tmp_path, capsys):
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["t_end", "dt", "x0"])
+def test_config_file_integer_beyond_the_float_range_exits_2(key, tmp_path,
+                                                           capsys):
+    # a JSON integer of 401 digits has no float; the error names its key
+    huge = "1" + "0" * 400
+    value = f"[{huge}, 0]" if key == "x0" else huge
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(f'{{"problem": "p2", "t_end": 1, "{key}": {value}}}')
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: must be finite, got an integer beyond the float range" in err
+    assert "Traceback" not in err
+
+
 def test_x0_defaults_to_problem_start():
     cfg = parse_config('{"problem": "p3", "mode": "discrete"}')
     p = get_problem("nonconvex-bounded-grad")
@@ -850,8 +864,8 @@ RUN_SHA256 = {
     "accel-triangle": (
         ["accel", "--problem", "triangle", "--x0", "3,2", "--scaling",
          "const:1,1,1", "--t-end", "5", "--record-every", "100"],
-        "efcc38535ae36c96a1246966e14cf2dea25f696ddcb9c36764de381ebbbd0cf9",
-        "b3270410c1954d729d55e89e9e1a9ef6d7505358b0cf476109d76ba2bf88538f"),
+        "6c6ede0136f4f2e20d86f469f1e809f94ef6077317d31e43582dc59a87d65297",
+        "019056ab984e855f94bef00401455600899c07172d994b856a9e362592ca3d60"),
 }
 
 

@@ -199,6 +199,24 @@ def test_config_validation():
                               FlowConfig(t_end=1.0, mode="accelerated", theta=0.0))
 
 
+@pytest.mark.parametrize("name", ["t_end", "dt", "r", "theta"])
+@pytest.mark.parametrize("bad", [10 ** 400, -(10 ** 400), float("nan"),
+                                 float("inf"), "1"])
+def test_a_window_value_without_a_finite_float_is_refused_by_name(name, bad):
+    # an int beyond the float range is refused as an infinity is, by name
+    cfg = dataclasses.replace(FlowConfig(t_end=1.0, mode="accelerated"),
+                              **{name: bad})
+    with pytest.raises(InvalidInputError, match=f"^{name} must be a positive real"):
+        integrate_accelerated(ball_problem(), constant([1.0]), [1.0], cfg)
+
+
+def test_trajectory_refuses_unknown_fields():
+    with pytest.raises(TypeError, match="unexpected fields: \\['steps'\\]"):
+        flow.Trajectory(steps=5)
+    tr = flow.Trajectory(mode="first_order")
+    assert tr.mode == "first_order" and tr.velocities is None
+
+
 def test_every_flow_starts_at_zero():
     # theta is the clock shift of the accelerated system, so the start time
     # is no setting: FlowConfig has six fields, and t0 is a constant 0.0

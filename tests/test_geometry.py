@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,8 @@ from mbgf import (
 from mbgf.errors import NumericDomainError
 from mbgf import verify
 from mbgf.geometry import (CERTIFICATE_TOL, MEMBERSHIP_TOL, SUPPORT_TIE_TOL,
-                           _excess, _min_norm, _support_weights)
+                           _excess, _min_norm, _support_weights,
+                           _wolfe_min_norm)
 from mbgf.verify import _exact_min_norm
 
 def hulls(max_m=5, max_n=4, scale=5.0):
@@ -542,7 +545,7 @@ def _geometry_oracle_stacks():
 
     def recording(hulls):
         groups = by_shape(hulls)
-        stacks.extend(Gs for _, Gs in groups)
+        stacks.extend(groups)
         return groups
 
     with pytest.MonkeyPatch.context() as mp:
@@ -602,3 +605,170 @@ def test_certificate_stacks_check_their_shapes():
         certificate_violation(np.zeros(2), Gs, np.zeros((4, 2)))
     with pytest.raises(InvalidInputError, match="length 2, got"):
         certificate_violation(np.zeros(2), Gs[0], np.zeros((3, 2)))
+
+
+# ------------------------------------------------- the m = 3 closed form
+
+@st.composite
+def triangle_stacks(draw):
+    # a stack of three-generator hulls with the degenerate cases: collinear
+    # and duplicate generators, 0 inside the hull, a 1e-3 scale, and a
+    # scale whose |g_i - g_j|^2 is subnormal
+    lead = draw(st.sampled_from([(1,), (6,), (2, 3)]))
+    n = draw(st.integers(1, 4))
+    flat = draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False, width=64),
+                         min_size=3 * n, max_size=3 * n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(-5.0, 5.0, lead + (3, n))
+    P[(0,) * len(lead)] = np.reshape(flat, (3, n))
+    kind = draw(st.sampled_from(["plain", "collinear", "duplicate",
+                                 "zero-inside", "tiny", "subnormal"]))
+    if kind == "collinear":
+        # the third generator on the line through the first two
+        s = rng.uniform(-2.0, 3.0, lead + (1,))
+        P[..., 2, :] = P[..., 0, :] + s * (P[..., 1, :] - P[..., 0, :])
+    elif kind == "duplicate":
+        P[..., draw(st.integers(1, 2)), :] = P[..., 0, :]
+    elif kind == "zero-inside":
+        P -= P.mean(axis=-2, keepdims=True)
+    elif kind == "tiny":
+        P *= 1e-3
+    elif kind == "subnormal":
+        P *= 1e-160
+    return P
+
+
+def _rows(P):
+    return P.reshape((-1,) + P.shape[-2:])
+
+
+def _assert_triangle_matches_references(P):
+    # the closed form against Wolfe and the exact oracle, with a certified
+    # point and simplex weights that give it
+    w, d, norm = _min_norm(P)
+    scale = float(np.abs(P).max())
+    tol = 1e-9 * (1.0 + scale)
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+    assert np.abs(d - w @ P).max() <= 1e-15 * (1.0 + scale)
+    assert abs(norm - np.linalg.norm(_wolfe_min_norm(P) @ P)) <= tol
+    assert abs(norm - _exact_min_norm(P)) <= tol
+    z = np.zeros(P.shape[1])
+    assert certificate_violation(z, P, d) <= certificate_tolerance(z, P)
+
+
+@given(triangle_stacks())
+def test_triangle_closed_form_matches_wolfe_and_the_exact_oracle(P):
+    for Pk in _rows(P):
+        _assert_triangle_matches_references(Pk)
+
+
+@given(triangle_stacks())
+def test_stacked_triangle_rows_bit_equal_each_hull(P):
+    w, d, norm = _min_norm(P)
+    n = P.shape[-1]
+    for Pk, wk, dk, nk in zip(_rows(P), w.reshape(-1, 3), d.reshape(-1, n),
+                              norm.ravel()):
+        w1, d1, n1 = _min_norm(Pk)
+        assert wk.tobytes() == w1.tobytes()
+        assert dk.tobytes() == d1.tobytes()
+        assert np.float64(n1).tobytes() == nk.tobytes()
+
+
+def test_triangle_closed_form_fixed_cases():
+    # 0 inside: the interior point, every weight positive
+    w, d, norm = _min_norm(np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]))
+    assert norm <= 1e-15 and w.min() > 0.0
+    # the minimum on an edge, the third weight exactly 0
+    w, d, norm = _min_norm(np.array([[3.0, 1.0], [1.0, 3.0], [4.0, 4.0]]))
+    assert w[2] == 0.0 and abs(norm - np.sqrt(8.0)) <= 1e-15
+    # a vertex, and a degenerate triangle of three equal points
+    w, _, norm = _min_norm(np.array([[1.0, 1.0], [2.0, 3.0], [3.0, 1.0]]))
+    assert w.tolist() == [1.0, 0.0, 0.0] and norm == np.sqrt(2.0)
+    w, _, _ = _min_norm(np.ones((3, 2)))
+    assert w.tolist() == [1.0, 0.0, 0.0]
+    # collinear in n = 1 with 0 inside the segment
+    assert _min_norm(np.array([[0.5], [-1.0], [2.0]]))[2] <= 1e-16
+
+
+def test_triangle_closed_form_on_the_suite_stacks():
+    # the m = 3 stacks geometry-oracle solves at seed 0: each row equals its
+    # hull alone bit for bit and matches Wolfe and the oracle
+    stacks = [Gs for Gs in _geometry_oracle_stacks() if Gs.shape[1] == 3]
+    assert sum(len(Gs) for Gs in stacks) > 250
+    for Gs in stacks:
+        w, d, norm = _min_norm(Gs)
+        for G, wk, dk, nk in zip(Gs, w, d, norm):
+            w1, d1, n1 = _min_norm(G)
+            assert wk.tobytes() == w1.tobytes() and dk.tobytes() == d1.tobytes()
+            assert np.float64(n1).tobytes() == nk.tobytes()
+            _assert_triangle_matches_references(G)
+
+
+# ------------------------------------------------------ the stacked oracle
+
+# the oracle solves each support subset for a whole stack at once; this is
+# the per-hull loop of lstsq calls it replaced, kept as the reference
+def _lstsq_loop_min_norm(G):
+    m = G.shape[0]
+    best = np.inf
+    for k in range(1, m + 1):
+        for S in itertools.combinations(range(m), k):
+            a0 = G[S[0]]
+            D = G[list(S[1:])] - a0
+            c = np.linalg.lstsq(D.T, -a0, rcond=None)[0]
+            if min(1.0 - c.sum(), c.min(initial=0.0)) >= -1e-12:
+                best = min(best, float(np.linalg.norm(a0 + c @ D)))
+    return best
+
+
+def _assert_oracle_rows_equal_each_hull(Gs):
+    values = _exact_min_norm(Gs)
+    assert isinstance(values, np.ndarray) and values.shape == (len(Gs),)
+    for G, v in zip(Gs, values):
+        one = _exact_min_norm(G)
+        assert isinstance(one, float)
+        assert np.float64(one).tobytes() == v.tobytes()
+        ref = _lstsq_loop_min_norm(G)
+        assert abs(one - ref) <= 1e-14 * (1.0 + np.abs(G).max())
+
+
+@given(hull_stacks())
+def test_stacked_oracle_rows_bit_equal_each_hull(P):
+    _assert_oracle_rows_equal_each_hull(_rows(P))
+
+
+@given(triangle_stacks())
+def test_stacked_oracle_on_degenerate_triangles(P):
+    _assert_oracle_rows_equal_each_hull(_rows(P))
+
+
+def test_stacked_oracle_rows_bit_equal_each_hull_up_to_six_generators():
+    # supports of five and six generators sum four and five terms per
+    # coordinate, where a matrix product's bits can depend on the stack
+    rng = np.random.default_rng(7)
+    for m in range(1, 7):
+        for n in range(1, 6):
+            G = rng.normal(0.0, 0.1, size=(24, m, n))
+            if m >= 2:
+                G[:6, 1] = G[:6, 0]
+                G[6:12, 1] = -G[6:12, 0]
+            G[12:18] *= 1e-3
+            _assert_oracle_rows_equal_each_hull(G)
+
+
+def test_stacked_oracle_on_the_suite_stacks():
+    stacks = _geometry_oracle_stacks()
+    assert sum(len(Gs) for Gs in stacks) == 1300
+    for Gs in stacks:
+        _assert_oracle_rows_equal_each_hull(Gs)
+
+
+def test_oracle_reads_nothing_of_the_geometry_module():
+    # the oracle's functions name no geometry code, so a fault in the kernel
+    # cannot hide in the reference it is checked against
+    import mbgf.geometry as geometry
+    kernel = {name for name in vars(geometry) if not name.startswith("__")}
+    for fn in (verify._exact_min_norm, verify._lstsq, verify._combine):
+        assert fn.__module__ == "mbgf.verify"
+        assert not (set(fn.__code__.co_names) - {"np", "itertools"}) & kernel
