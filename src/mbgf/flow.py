@@ -73,7 +73,7 @@ import numpy as np
 from .errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                      NumericDomainError)
 from .geometry import (_as_generator_matrix, _as_vector, _dot, _min_norm,
-                       _pair_weights, _proper_pair, _support_weights)
+                       _pair_weights, _proper, _support_weights)
 from .scaling import generator_map
 
 DIVERGENCE_SLACK = 0.1  # fraction of the region diameter a state may overshoot
@@ -449,7 +449,7 @@ def _sliding_weight(grads, gens, x, v, k):
     oracle call with x itself.  At v = 0 it is zero and x alone is
     evaluated, as it is at an infinite v, where the field is not finite.
     A degenerate delta, whose |delta|^2 is below the smallest normal
-    float (geometry._proper_pair), gives lambda = 1, as the min-norm
+    float (geometry._proper), gives lambda = 1, as the min-norm
     weights of a zero-length segment do.
     """
     vv = float(v @ v)
@@ -467,7 +467,7 @@ def _sliding_weight(grads, gens, x, v, k):
         num = -k * float(v @ delta)
     num -= float(U[1] @ delta)
     dd = float(delta @ delta)
-    return U, delta, num / dd if _proper_pair(dd) else 1.0
+    return U, delta, num / dd if _proper(dd) else 1.0
 
 
 def _sliding_weights(grads, gens, G, X, V, k):
@@ -489,7 +489,7 @@ def _sliding_weights(grads, gens, G, X, V, k):
         U[fd], delta[fd] = U3[:, 0, 1], D3[:, 0]
     num -= _dot(U, delta)
     dd = _dot(delta, delta)
-    return np.divide(num, dd, out=np.ones_like(dd), where=_proper_pair(dd))
+    return np.divide(num, dd, out=np.ones_like(dd), where=_proper(dd))
 
 
 _VERTICES = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))

@@ -22,13 +22,14 @@ discrete method.
 Projections are solved on the shifted generators by closed forms for one,
 two and three generators, on a stack of hulls as on one, and by an
 active-set minimum-norm-point method (Wolfe's algorithm) hull by hull for
-four or more.  A pair whose |g_1 - g_2|^2 is below the smallest normal
-float, or NaN, is degenerate (_proper_pair) and takes weight 1 on g_1, as a
-zero-length segment does; every two-generator closed form, here and in
-mbgf.flow's sliding weights, keeps that one rule.  A triangle is
-degenerate (_proper_triangle) when the Gram determinant of its edge
-vectors is below the smallest normal float, or NaN; its point is then the
-best point of its three edges, each solved by the pair closed form.
+four or more.  A closed form divides only by a value at or above the
+smallest normal float (_proper).  A pair whose |g_1 - g_2|^2 is below it,
+or NaN, is degenerate and takes weight 1 on g_1, as a zero-length segment
+does; every two-generator closed form, here and in mbgf.flow's sliding
+weights, keeps that one rule.  A triangle is solved scaled by a power of
+two to unit size, and is degenerate when the Gram determinant of its edge
+vectors is below that float, or NaN; its point is then the best point of
+its three edges, each solved by the pair closed form.
 Every result carries simplex weights and satisfies the standard
 variational certificate
 
@@ -272,13 +273,14 @@ def _pow2(x):
     return np.array([v ** 2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
-def _proper_pair(dd):
-    # whether a pair with |delta|^2 = dd spans a segment that the m = 2
-    # closed forms divide by: dd is at least the smallest normal float.
-    # A degenerate pair (dd below it, or NaN) takes weight 1 on its first
-    # generator, as a zero-length segment does.  Works on a float and on
-    # an array of them.
-    return dd >= _MIN_NORMAL
+def _proper(x):
+    # whether a closed form may divide by x: a pair's |delta|^2, or a
+    # triangle's Gram determinant |d1|^2 |d2|^2 - <d1, d2>^2, is at least
+    # the smallest normal float.  Below it, or NaN, the pair or triangle is
+    # degenerate: a pair takes weight 1 on its first generator, as a
+    # zero-length segment does, and a triangle has no interior candidate.
+    # Works on a float and on an array of them.
+    return x >= _MIN_NORMAL
 
 
 def _pair_weights(theta):
@@ -290,86 +292,51 @@ def _pair_weights(theta):
     return np.stack([theta, 1.0 - theta], axis=-1)
 
 
-_EDGES = ((0, 1), (0, 2), (1, 2))
-
-
-def _proper_triangle(det):
-    # whether a triangle spans a plane that the interior solve divides by:
-    # det, the Gram determinant |d1|^2 |d2|^2 - <d1, d2>^2 of its edge
-    # vectors d1 = p0 - p1 and d2 = p0 - p2, is at least the smallest normal
-    # float.  A degenerate triangle (det below it, or NaN) has no interior
-    # candidate, and its minimum-norm point is the best point of its edges.
-    # Works on a float and on an array of them.
-    return det >= _MIN_NORMAL
+# the edges (i, j) of a triangle, and where their pair weights go in the
+# (4, 3) candidate weights of _triangle_weights
+_EDGE_I, _EDGE_J = [0, 0, 1], [1, 2, 2]
+_EDGE_ROWS, _EDGE_COLS = [0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 1, 2]
 
 
 def _triangle_weights(P):
     # the m = 3 closed form on an (..., 3, n) stack: the candidates are the
     # three edges by the pair closed form, whose clamps give the vertices,
-    # and the interior point of the 2x2 Gram system in d1 and d2 when its
-    # weights are >= 0.  Every row takes the first candidate of least norm.
-    # Elementwise, so no row's bits depend on the rest of the stack.
+    # and the interior point of the 2x2 Gram system in d1 = p0 - p1 and
+    # d2 = p0 - p2 when its weights are >= 0.  Every row takes the first
+    # candidate of least norm.  Elementwise, so no row's bits depend on the
+    # rest of the stack.
     lead = P.shape[:-2]
-    ws, ds, dds = [], [], []
-    for i, j in _EDGES:
-        d = P[..., i, :] - P[..., j, :]
-        dd = _dot(d, d)
-        w = np.zeros(lead + (3,))
-        w[..., [i, j]] = _pair_weights(np.divide(
-            -_dot(P[..., j, :], d), dd, out=np.ones_like(dd),
-            where=_proper_pair(dd)))
-        ws.append(w)
-        ds.append(d)
-        dds.append(dd)
-    g12 = _dot(ds[0], ds[1])
-    r1, r2 = _dot(P[..., 0, :], ds[0]), _dot(P[..., 0, :], ds[1])
-    det = dds[0] * dds[1] - g12 * g12
-    proper = _proper_triangle(det)
-    a = np.divide(r1 * dds[1] - r2 * g12, det, out=np.zeros_like(det),
+    # each hull scaled by the power of two that brings its largest entry
+    # into [0.5, 1): exact for normal entries, so the weights are those of
+    # the hull itself, and the degenerate-triangle test on det, of degree
+    # 4 in the data, is relative to the hull's size rather than underflowing
+    # on a hull of size 1e-77 or overflowing on one of size 1e77
+    e = np.frexp(np.abs(P).max(axis=(-2, -1)))[1]
+    P = np.ldexp(P, -e[..., None, None])
+    D = P[..., _EDGE_I, :] - P[..., _EDGE_J, :]
+    dd = _dot(D, D)
+    W = np.zeros(lead + (4, 3))
+    W[..., _EDGE_ROWS, _EDGE_COLS] = _pair_weights(np.divide(
+        -_dot(P[..., _EDGE_J, :], D), dd, out=np.ones_like(dd),
+        where=_proper(dd))).reshape(lead + (6,))
+    g12 = _dot(D[..., 0, :], D[..., 1, :])
+    r = _dot(P[..., 0, None, :], D[..., :2, :])
+    r1, r2 = r[..., 0], r[..., 1]
+    det = dd[..., 0] * dd[..., 1] - g12 * g12
+    proper = _proper(det)
+    a = np.divide(r1 * dd[..., 1] - r2 * g12, det, out=np.zeros_like(det),
                   where=proper)
-    b = np.divide(r2 * dds[0] - r1 * g12, det, out=np.zeros_like(det),
+    b = np.divide(r2 * dd[..., 0] - r1 * g12, det, out=np.zeros_like(det),
                   where=proper)
     w = np.stack([(1.0 - a) - b, a, b], axis=-1)
     inside = proper & (w >= 0.0).all(axis=-1)
-    ws.append(np.where(w > 0.0, w, 0.0))
-    W = np.stack(ws, axis=-2)
+    W[..., 3, :] = np.where(w > 0.0, w, 0.0)
     # each candidate's point as the (1, 3) @ (3, n) product of the result
     X = (W[..., None, :] @ P[..., None, :, :])[..., 0, :]
     nn = _dot(X, X)
     nn[..., 3] = np.where(inside, nn[..., 3], np.inf)
     k = np.argmin(nn, axis=-1)
     return np.take_along_axis(W, k[..., None, None], axis=-2)[..., 0, :]
-
-
-def _triangle_weights_one(P):
-    # _triangle_weights on one (3, n) hull, on Python floats and 1-D dots:
-    # the same candidates in the same order by the same operations, so its
-    # weights equal a stacked row's bit for bit
-    ws, ds, dds = [], [], []
-    for i, j in _EDGES:
-        d = P[i] - P[j]
-        dd = float(d @ d)
-        theta = float(-(P[j] @ d)) / dd if _proper_pair(dd) else 1.0
-        theta = min(1.0, max(0.0, theta))
-        w = [0.0, 0.0, 0.0]
-        w[i], w[j] = theta, 1.0 - theta
-        ws.append(w)
-        ds.append(d)
-        dds.append(dd)
-    g12 = float(ds[0] @ ds[1])
-    r1, r2 = float(P[0] @ ds[0]), float(P[0] @ ds[1])
-    det = dds[0] * dds[1] - g12 * g12
-    if _proper_triangle(det):
-        a = (r1 * dds[1] - r2 * g12) / det
-        b = (r2 * dds[0] - r1 * g12) / det
-        w = [(1.0 - a) - b, a, b]
-        if all(v >= 0.0 for v in w):
-            ws.append([max(0.0, v) for v in w])
-    nn = []
-    for w in ws:
-        x = np.array(w) @ P
-        nn.append(float(x @ x))
-    return np.array(ws[int(np.argmin(nn))])
 
 
 def _min_norm(P):
@@ -380,8 +347,8 @@ def _min_norm(P):
     of hulls, which gives stacks of weights, points and norms.  One
     dispatch on m serves both.  A stacked result equals the result of its
     hull alone bit for bit: m = 2 and m = 3 take closed forms on every hull
-    at once, the segment's and the triangle's (_triangle_weights), and
-    m >= 4 runs Wolfe hull by hull.
+    at once, the segment's and the triangle's (_triangle_weights, which
+    solves one hull as a stack of one), and m >= 4 runs Wolfe hull by hull.
     """
     one = P.ndim == 2
     m = P.shape[-2]
@@ -391,7 +358,7 @@ def _min_norm(P):
         # the closed form: minimize ||theta p0 + (1 - theta) p1||
         d = P[0] - P[1]
         dd = float(d @ d)
-        theta = float(-(P[1] @ d)) / dd if _proper_pair(dd) else 1.0
+        theta = float(-(P[1] @ d)) / dd if _proper(dd) else 1.0
         theta = min(1.0, max(0.0, theta))
         w = np.array([theta, 1.0 - theta])
     elif m == 2:
@@ -400,9 +367,9 @@ def _min_norm(P):
         dd = _dot(d, d)
         w = _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
                                     out=np.ones_like(dd),
-                                    where=_proper_pair(dd)))
+                                    where=_proper(dd)))
     elif m == 3:
-        w = _triangle_weights_one(P) if one else _triangle_weights(P)
+        w = _triangle_weights(P[None])[0] if one else _triangle_weights(P)
     else:
         hulls = P.reshape((-1,) + P.shape[-2:])
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])

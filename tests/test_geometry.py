@@ -689,6 +689,24 @@ def test_triangle_closed_form_fixed_cases():
     assert w.tolist() == [1.0, 0.0, 0.0]
     # collinear in n = 1 with 0 inside the segment
     assert _min_norm(np.array([[0.5], [-1.0], [2.0]]))[2] <= 1e-16
+    # a triangle is degenerate by its size relative to itself: 0 inside a
+    # 1e-100 or 1e100 triangle, whose Gram determinant would underflow or
+    # overflow, is found to the same relative accuracy as the oracle's
+    inside = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    edge = np.array([[3.0, 1.0], [1.0, 3.0], [4.0, 4.0]])
+    for s in (1e-100, 1e100):
+        w, _, norm = _min_norm(s * inside)
+        assert w.min() > 0.0 and norm <= 1e-15 * s
+        assert _exact_min_norm(s * inside) <= 1e-15 * s
+        w, _, norm = _min_norm(s * edge)
+        assert w[2] == 0.0
+        assert abs(norm - s * np.sqrt(8.0)) <= 1e-15 * s * np.sqrt(8.0)
+        assert abs(_exact_min_norm(s * edge) - norm) <= 1e-15 * norm
+    # a power-of-two scale leaves the weights' bits as they are
+    for P in (inside, edge, np.array([[0.3, 1.1], [-0.7, 0.2], [0.5, -0.9]])):
+        w = _min_norm(P)[0]
+        for k in (-330, -60, 60, 300):
+            assert _min_norm(np.ldexp(P, k))[0].tobytes() == w.tobytes()
 
 
 def test_triangle_closed_form_on_the_suite_stacks():
