@@ -291,10 +291,10 @@ def parse_config(text):
 # CSV / JSON persistence
 
 
-def _csv_lines(header, cols, first="%.17g"):
-    # the header and one line per row, each through one %-format string
-    # over the columns as Python numbers
-    row = ",".join([first] + ["%.17g"] * (len(cols) - 1))
+def _csv_lines(header, cols, row=None):
+    # the header and one line per row, each through one %-format string,
+    # by default %.17g per column, over the columns as Python numbers
+    row = row or ",".join(["%.17g"] * len(cols))
     return "\n".join([",".join(header)] + [
         row % r for r in zip(*[c.tolist() for c in cols])]) + "\n"
 
@@ -329,14 +329,17 @@ def iterates_csv_text(seq):
               ["step", "crit_unscaled", "crit_scaled"])
     cols = ([seq.ks] + [seq.states[:, i] for i in range(n)] +
             [seq.f_values[:, i] for i in range(m)] +
-            [np.full(len(seq), seq.s_min), seq.crit_unscaled, seq.crit_scaled])
+            [seq.crit_unscaled, seq.crit_scaled])
+    # the line after k; step, the constant s_min, is formatted once, into
+    # the format itself
+    rest = ",%.17g" * (n + m) + ",%.17g" % seq.s_min + ",%.17g,%.17g"
     # from fixed_point_k on the rows repeat but for k: format that part of
     # the line once
     t = seq.work["fixed_point_k"]
     if t is None:
         t = len(seq) - 1
-    tail = (",%.17g" * (len(cols) - 1)) % tuple(float(c[t]) for c in cols[1:])
-    return (_csv_lines(header, [c[:t] for c in cols], first="%d")
+    tail = rest % tuple(float(c[t]) for c in cols[1:])
+    return (_csv_lines(header, [c[:t] for c in cols], "%d" + rest)
             + "".join("%d%s\n" % (k, tail) for k in seq.ks[t:].tolist()))
 
 

@@ -11,7 +11,9 @@ An iteration pays one gradient call and one minimum-norm solve, whose point
 is the step and whose norm is the stop test; the loop keeps only the
 iterates.  Every record of the distinct iterates (f, both criticalities
 and the min-norm weights) comes after the loop, from the one stacked
-record pass the flows use (flow._diagnostics).
+record pass the flows use (flow._diagnostics).  One point takes
+ndarray.dot, a stack takes @: the same BLAS routine, the same bits
+(geometry._dot has the rule).
 
 The loop stops stepping at a floating-point fixed point, the first k with
 x_{k+1} == x_k byte for byte, and every record of x_k (state, f, both
@@ -30,6 +32,7 @@ E(k) = k min_i(f_i(x_k) - f_i(x_K)) + alpha_max / (2 s_min) ||x_k - x_K||^2
 at the absolute MERIT_SLACK.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +62,13 @@ def _check_config(cfg):
         raise InvalidInputError(f"max_iters must be a positive integer, got {cfg.max_iters!r}")
     if not (0.0 < cfg.safety <= 1.0):
         raise InvalidInputError(f"safety must lie in (0, 1], got {cfg.safety!r}")
-    if not (np.isfinite(cfg.stop_tol) and cfg.stop_tol >= 0.0):
-        raise InvalidInputError(f"stop_tol must be >= 0, got {cfg.stop_tol!r}")
+    # refused by name, as in flow._check_positive, when it has no finite float
+    try:
+        ok = math.isfinite(cfg.stop_tol) and cfg.stop_tol >= 0.0
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidInputError("stop_tol must be a finite real >= 0")
 
 
 class IterateSequence:
@@ -103,7 +111,7 @@ def run_discrete(p, rule, x0, cfg):
     fixed_point_k = None
 
     for k in range(cfg.max_iters + 1):
-        if not np.isfinite(x).all():
+        if not all(np.isfinite(x).tolist()):
             raise NumericDomainError(f"non-finite iterate at k={k}")
         _, d, crit_s = _min_norm(gens(p._grads(x)))
         states.append(x)

@@ -25,6 +25,8 @@ not a step bound.  Records between step ends come from the pair's
 4th-order dense output; the last is the end of the last step, where
 stepping stops.  At a fixed point every stage is zero, so the
 error estimate is zero and every record repeats the first bit for bit.
+One point takes ndarray.dot, a stack takes @: the same BLAS routine, the
+same bits (geometry._dot has the rule).
 Every run is held by one stall guard: where the right-hand side is not
 regular enough for a trajectory to exist, the flow chatters with steps of
 about 1e-9, and the run stops with NoConvergenceError at its
@@ -251,7 +253,7 @@ def _guard_bounds(p, size):
 def _guard(y, t, lo, hi, p):
     # One comparison per accepted step; NaN fails it too, and only then
     # are the errors told apart.
-    if ((lo <= y) & (y <= hi)).all():
+    if all(((lo <= y) & (y <= hi)).tolist()):
         return
     n = p.n
     x = y[:n]
@@ -289,7 +291,7 @@ def _dense_output(y, y_new, h, K):
     dy = y_new - y
     b = h * K[0] - dy
     c = dy - h * K[6] - b
-    d = h * (_DP_D @ K)
+    d = h * _DP_D.dot(K)
 
     def at(th):
         th1 = 1.0 - th
@@ -330,6 +332,7 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None):
     A, C, E = _DP_A, _DP_C, _DP_E
 
     K = np.empty((7, y0.size))
+    heads = [K[:i] for i in range(7)]  # the stage views, built once
     K[0] = rhs(y0, 0.0)
     ys = [y0]
     regimes = None if events is None else [events.regime]
@@ -340,13 +343,15 @@ def _run_dp54(p, cfg, y0, counts, rhs, events=None):
         last = t + 1.01 * h >= t_end
         if last:
             h = t_end - t
-        for i in range(1, 6):
-            K[i] = rhs(y + h * (A[i] @ K[:i]), t + C[i] * h)
-        y_new = y + h * (A[6] @ K[:6])
+        # stage 1 has one weight: @, as geometry._dot says
+        K[1] = rhs(y + h * (A[1] @ K[:1]), t + C[1] * h)
+        for i in range(2, 6):
+            K[i] = rhs(y + h * A[i].dot(heads[i]), t + C[i] * h)
+        y_new = y + h * A[6].dot(heads[6])
         t_new = t_end if last else t + h
         K[6] = rhs(y_new, t_new)
-        e = (h * (E @ K)) / (TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new))))
-        err = math.sqrt(float(e @ e) / e.size)
+        e = (h * E.dot(K)) / (TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new))))
+        err = math.sqrt(float(e.dot(e)) / e.size)
         if not err <= 1.0:
             if not math.isfinite(err):
                 if not np.isfinite(y_new).all():
@@ -452,21 +457,21 @@ def _sliding_weight(grads, gens, x, v, k):
     float (geometry._proper), gives lambda = 1, as the min-norm
     weights of a zero-length segment do.
     """
-    vv = float(v @ v)
+    vv = float(v.dot(v))
     if 0.0 < vv < math.inf:
-        e = FD_STEP * (1.0 + math.sqrt(float(x @ x))) / math.sqrt(vv)
+        e = FD_STEP * (1.0 + math.sqrt(float(x.dot(x)))) / math.sqrt(vv)
         U3 = gens(grads(x + (e * _FD_ROWS) * v))  # x, x + e v, x - e v
         D3 = U3[:, 0] - U3[:, 1]
         # sigma = <v, delta> and <v, delta> ahead of and behind x
-        sigma, ahead, behind = (D3 @ v).tolist()
+        sigma, ahead, behind = D3.dot(v).tolist()
         U, delta = U3[0], D3[0]
         num = (ahead - behind) / (2.0 * e) - k * sigma
     else:
         U = gens(grads(x))
         delta = U[0] - U[1]
-        num = -k * float(v @ delta)
-    num -= float(U[1] @ delta)
-    dd = float(delta @ delta)
+        num = -k * float(v.dot(delta))
+    num -= float(U[1].dot(delta))
+    dd = float(delta.dot(delta))
     return U, delta, num / dd if _proper(dd) else 1.0
 
 
@@ -550,8 +555,8 @@ class _SlidingPair:
         if self.regime:
             v, U = self._probe
             delta = U[0] - U[1]
-            band = SIGMA_BAND * (1.0 + math.sqrt(float(v @ v) * float(delta @ delta)))
-            return self.regime * float(v @ delta) < -band
+            band = SIGMA_BAND * (1.0 + math.sqrt(float(v.dot(v)) * float(delta.dot(delta))))
+            return self.regime * float(v.dot(delta)) < -band
         return not 0.0 <= self._probe <= 1.0
 
     def locate(self, dense, t, h):
@@ -564,12 +569,12 @@ class _SlidingPair:
         n, s = self.n, self.regime
         if s:
             v, U = self._probe
-            g_hi = s * float(v @ (U[0] - U[1]))
+            g_hi = s * float(v.dot(U[0] - U[1]))
 
             def g(th):
                 y = dense(th)
                 U = self.gens(self.grads(y[:n]))
-                return s * float(y[n:] @ (U[0] - U[1]))
+                return s * float(y[n:].dot(U[0] - U[1]))
         else:
             high = self._probe > 1.0
             g_hi = 1.0 - self._probe if high else self._probe

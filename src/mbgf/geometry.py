@@ -17,7 +17,8 @@ alike.  Its one-hull form gives the first-order right-hand side of
 mbgf.flow its velocity, the discrete method its step, project_onto_hull
 its weights and point, and a tied support face its point; its stack form
 gives the recorded criticalities and weights of the flows and the
-discrete method.
+discrete method.  One point takes ndarray.dot, a stack takes @: the same
+BLAS routine, the same bits (_dot has the rule).
 
 Projections are solved on the shifted generators by closed forms for one,
 two and three generators, on a stack of hulls as on one, and by an
@@ -260,8 +261,13 @@ def _wolfe_min_norm(P):
 
 
 def _dot(a, b):
-    # row-wise <a, b> over (..., n) stacks; stacked @ calls the same BLAS
-    # dot for each row that a @ b calls for one pair of vectors
+    # row-wise <a, b> over (..., n) stacks.  One point: ndarray.dot; stacks:
+    # @; the same BLAS routine, the same bits, when the contracted axis has
+    # two or more entries.  With one, dot does not sum from +0.0: a -0.0
+    # product keeps its sign and 0 * inf can read 0.  Such a product keeps
+    # @ where a result reads it (flow's stage 1, a one-generator hull, the
+    # support scores at b = 0); at n = 1 the rest are squared, clamped,
+    # compared, or meet b = k v (never -0.0) in the sliding control.
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -357,8 +363,8 @@ def _min_norm(P):
     elif m == 2 and one:
         # the closed form: minimize ||theta p0 + (1 - theta) p1||
         d = P[0] - P[1]
-        dd = float(d @ d)
-        theta = float(-(P[1] @ d)) / dd if _proper(dd) else 1.0
+        dd = float(d.dot(d))
+        theta = float(-P[1].dot(d)) / dd if _proper(dd) else 1.0
         theta = min(1.0, max(0.0, theta))
         w = np.array([theta, 1.0 - theta])
     elif m == 2:
@@ -374,8 +380,8 @@ def _min_norm(P):
         hulls = P.reshape((-1,) + P.shape[-2:])
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])
     if one:
-        d = w @ P
-        return w, d, math.sqrt(d @ d)
+        d = w @ P if m == 1 else w.dot(P)  # one contracted entry: see _dot
+        return w, d, math.sqrt(d.dot(d))
     d = (w[..., None, :] @ P)[..., 0, :]
     return w, d, np.sqrt(_dot(d, d))
 
@@ -409,7 +415,7 @@ def _support_weights(G, b):
     # the tied indices (a list), full-length simplex weights and the point.
     # The scores are scanned as Python floats, which is cheaper than numpy
     # reductions at small m; max(top, -min) is the largest |score|.
-    s = (G @ b).tolist()
+    s = (G @ b).tolist()  # n may be 1 and b 0: see _dot
     top = max(s)
     cut = top - SUPPORT_TIE_TOL * (1.0 + max(top, -min(s)))
     tied = [i for i, v in enumerate(s) if v >= cut]

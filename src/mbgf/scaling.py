@@ -44,12 +44,13 @@ class ScalingRule:
         # g (..., m, n) -> alpha (..., m) under a gradnorm variant; shared by
         # alpha() and generator_map(), whose callers have the gradients.  The
         # variant is branched on here, once per map, not on every call.
-        eta = self.eta
+        # 0-d arrays, which a ufunc takes without converting a Python float
+        eta = np.array(self.eta)
         if self.variant == "gradnorm_eta_clamped":
-            lo, hi = self.clamp_lo, self.clamp_hi
+            lo, hi = np.array(self.clamp_lo), np.array(self.clamp_hi)
             # bit-equal to np.clip(a, lo, hi), NaN included, and cheaper
             return lambda g: np.minimum(np.maximum(_grad_norms(g) + eta, lo), hi)
-        if eta == 0.0:
+        if self.eta == 0.0:
             return _alpha_eta0
         return lambda g: _grad_norms(g) + eta
 
@@ -102,7 +103,8 @@ class ScalingRule:
 
 
 def _grad_norms(g):
-    return np.sqrt((g * g).sum(axis=-1))
+    # np.add.reduce is what ndarray.sum calls, without the wrapper
+    return np.sqrt(np.add.reduce(g * g, axis=-1))
 
 
 def _alpha_eta0(g):

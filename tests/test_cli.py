@@ -843,10 +843,12 @@ def test_full_verify_flag_names_parse_as_before():
 
 
 # sha256 of the CSV and of the summary JSON, without wall_time_s and the
-# two output paths, of four runs: dense first-order records on p1, an
+# two output paths, of five runs: dense first-order records on p1, an
 # accelerated p1 run that locates 2 switches, a discrete run that stops at
-# fixed_point_k = 66, and an m = 3 accelerated run, whose right-hand side
-# and weights come from the support point
+# fixed_point_k = 66, a clamped-gradnorm discrete run of 2001 gradient
+# calls that reaches no fixed point, so every row comes from the loop, and
+# an m = 3 accelerated run, whose right-hand side and weights come from the
+# support point
 RUN_SHA256 = {
     "run-p1": (
         ["run", "--problem", "p1", "--x0", "0.25,1.5", "--t-end", "1"],
@@ -861,6 +863,11 @@ RUN_SHA256 = {
         ["discrete", "--problem", "p3"],
         "d7d566461364428246ac74b940a456ddec12b48e2ce97d3c3a47863ec24d5b0b",
         "9b1ca783feed6b0fd92ad3925fd13d6205b4a1ebe892f17a15efb20a76d1ec56"),
+    "discrete-p1-clamped": (
+        ["discrete", "--problem", "p1", "--x0", "0.25,1.5", "--scaling",
+         "gradnorm:eta=0.1,min=0.1,max=10", "--iters", "2000"],
+        "5c727071791721ac101421dee4a54491dc4010e7d8a3e0e2178d1200930c5c54",
+        "65dcdf4ba170e26080c3d9e9babed75c1c7c974fc065302b7c8c77b19618cebf"),
     "accel-triangle": (
         ["accel", "--problem", "triangle", "--x0", "3,2", "--scaling",
          "const:1,1,1", "--t-end", "5", "--record-every", "100"],

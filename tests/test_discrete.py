@@ -163,6 +163,11 @@ def test_config_validation():
                 DiscreteConfig(max_iters=5, stop_tol=-1.0)]:
         with pytest.raises(InvalidInputError):
             run_discrete(p, rule, [1.0], bad)
+    # a stop_tol with no finite float is refused by name, not by numpy
+    for tol in [10**400, "0.1", float("nan"), float("inf")]:
+        with pytest.raises(InvalidInputError, match="stop_tol"):
+            run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=5, stop_tol=tol))
+    assert len(run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=5, stop_tol=0))) >= 1
     with pytest.raises(InvalidInputError):
         run_discrete(p, rule, [5.0], DiscreteConfig(max_iters=5))
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mbgf import (
     InvalidInputError,
@@ -463,6 +463,51 @@ def test_stacked_min_norm_keeps_positive_zero_weights():
     P = np.array([[[1.0, 2.0], [0.0, 0.0]], [[3.0, 0.0], [-0.0, 0.0]]])
     w = _min_norm(P)[0]
     assert w.tobytes() == np.array([[0.0, 1.0], [0.0, 1.0]]).tobytes()
+    # a one-generator hull of n = 1 contracts one entry: alone as in a
+    # stack its point is w @ P, +0.0 for the generator -0.0 (geometry._dot)
+    P1 = np.array([[-0.0]])
+    assert (_min_norm(P1)[1].tobytes() == _min_norm(P1[None])[1][0].tobytes()
+            == np.zeros(1).tobytes())
+
+
+@st.composite
+def one_point_products(draw):
+    # the operand pairs of the one-point products of mbgf, with entries
+    # w 2^e of exponents far apart, so that a sum taken in another order
+    # rounds differently, and some signed zeros.  Two or more contracted
+    # entries: vector . vector, as the tail view y[n:] of a stacked state
+    # and as strided views; (k,) . (k, n) on the leading-rows view K[:k] of
+    # the (7, n) stage array; (k, n) . (n,).  Every matrix has contiguous
+    # rows: on strided columns numpy's matmul runs its own loop, not BLAS.
+    # One contracted entry: the n = 1 products, by a nonzero vector.
+    k, n = draw(st.integers(2, 7)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def wide(*shape):
+        a = rng.standard_normal(shape) * np.exp2(rng.integers(-400, 400, shape))
+        a[rng.random(shape) < 0.2] = -0.0
+        return a
+
+    y, K, w, G = wide(2 * n), wide(7, n), wide(k), wide(k, n)
+    y1, v1 = wide(2), wide(1)
+    v1[v1 == 0.0] = 1.0
+    return ([(y[n:], y[:n]), (y[::2], y[1::2]), (K[:, 0], K[:, -1]),
+             (w, K[:k]), (G, y[n:]), (G, y[::2]), (K[:k], y[1::2])],
+            [(y1[1:], y1[:1]), (K[:3, :1], v1)])
+
+
+@settings(max_examples=2000)
+@given(one_point_products())
+def test_one_point_dot_is_bit_equal_to_matmul(case):
+    # One point takes ndarray.dot, a stack takes @ (geometry._dot): with
+    # two or more contracted entries the same bits, which every pin of a
+    # run's output rests on; with one, the same bits up to the sign of a
+    # zero, which @ sums from +0.0 and dot does not.
+    several, one = case
+    for a, b in several:
+        assert a.dot(b).tobytes() == (a @ b).tobytes()
+    for a, b in one:
+        assert (a.dot(b) + 0.0).tobytes() == (a @ b).tobytes()
 
 
 def test_stacked_hausdorff_input_contract():
