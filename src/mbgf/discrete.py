@@ -57,17 +57,24 @@ class DiscreteConfig:
     stop_tol: float = 0.0           # stop when scaled criticality <= stop_tol
 
 
-def _check_config(cfg):
-    if not isinstance(cfg.max_iters, (int, np.integer)) or cfg.max_iters < 1:
-        raise InvalidInputError(f"max_iters must be a positive integer, got {cfg.max_iters!r}")
-    if not (0.0 < cfg.safety <= 1.0):
-        raise InvalidInputError(f"safety must lie in (0, 1], got {cfg.safety!r}")
-    # refused by name, as in flow._check_positive, when it has no finite float
+def _real_where(v, ok):
+    # whether v has a finite float and ok(v) holds: as in
+    # flow._check_positive, a value with no finite float (NaN, an infinity,
+    # an int beyond the float range, a non-number) is refused by name
     try:
-        ok = math.isfinite(cfg.stop_tol) and cfg.stop_tol >= 0.0
+        return math.isfinite(v) and ok(v)
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+        return False
+
+
+def _check_config(cfg):
+    it = cfg.max_iters
+    # a bool is an int, but no count of iterations
+    if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
+        raise InvalidInputError(f"max_iters must be a positive integer, got {it!r}")
+    if not _real_where(cfg.safety, lambda v: 0.0 < v <= 1.0):
+        raise InvalidInputError(f"safety must lie in (0, 1], got {cfg.safety!r}")
+    if not _real_where(cfg.stop_tol, lambda v: v >= 0.0):
         raise InvalidInputError("stop_tol must be a finite real >= 0")
 
 
@@ -109,13 +116,14 @@ def run_discrete(p, rule, x0, cfg):
     gens = generator_map(rule, p.m)
     states = []
     fixed_point_k = None
+    grads, stop_tol, max_iters = p._grads, cfg.stop_tol, cfg.max_iters
 
-    for k in range(cfg.max_iters + 1):
-        if not all(np.isfinite(x).tolist()):
+    for k in range(max_iters + 1):
+        if not all(map(math.isfinite, x.tolist())):
             raise NumericDomainError(f"non-finite iterate at k={k}")
-        _, d, crit_s = _min_norm(gens(p._grads(x)))
+        _, d, crit_s = _min_norm(gens(grads(x)))
         states.append(x)
-        if crit_s <= cfg.stop_tol or k == cfg.max_iters:
+        if crit_s <= stop_tol or k == max_iters:
             break
         x_new = x - s * d
         if x_new.tobytes() == x.tobytes():
@@ -127,7 +135,7 @@ def run_discrete(p, rule, x0, cfg):
     # column's last row repeated up to max_iters
     X = np.array(states)
     F, cu, _, ws, cs = _diagnostics(p, gens, X)
-    rest = 0 if fixed_point_k is None else cfg.max_iters - fixed_point_k
+    rest = 0 if fixed_point_k is None else max_iters - fixed_point_k
     X, F, cu, cs, ws = (_repeat_last(a, rest) for a in (X, F, cu, cs, ws))
     return IterateSequence(
         ks=np.arange(len(X)), states=X, f_values=F, crit_unscaled=cu,

@@ -21,16 +21,21 @@ discrete method.  One point takes ndarray.dot, a stack takes @: the same
 BLAS routine, the same bits (_dot has the rule).
 
 Projections are solved on the shifted generators by closed forms for one,
-two and three generators, on a stack of hulls as on one, and by an
+two, three and four generators, on a stack of hulls as on one, and by an
 active-set minimum-norm-point method (Wolfe's algorithm) hull by hull for
-four or more.  A closed form divides only by a value at or above the
+five or more.  A closed form divides only by a value at or above the
 smallest normal float (_proper).  A pair whose |g_1 - g_2|^2 is below it,
 or NaN, is degenerate and takes weight 1 on g_1, as a zero-length segment
 does; every two-generator closed form, here and in mbgf.flow's sliding
 weights, keeps that one rule.  A triangle is solved scaled by a power of
 two to unit size, and is degenerate when the Gram determinant of its edge
 vectors is below that float, or NaN; its point is then the best point of
-its three edges, each solved by the pair closed form.
+its three edges, each solved by the pair closed form.  A tetrahedron is
+scaled the same way; its point is the best point of its four faces, each
+solved by the triangle closed form, and, for n >= 3, of its interior: the
+minimum-norm point of its affine hull, when that point's weights are
+nonnegative and the Gram determinant of the edge vectors from g_1 is
+proper.
 Every result carries simplex weights and satisfies the standard
 variational certificate
 
@@ -196,7 +201,8 @@ def _affine_minimizer(A):
 
 
 def _wolfe_min_norm(P):
-    # Wolfe's minimum-norm-point algorithm over the rows of P (m >= 3).
+    # Wolfe's minimum-norm-point algorithm over the rows of P (m >= 3;
+    # _min_norm runs it for m >= 5, the tests as a reference).
     # Returns full-length weights.  Deterministic: ties in argmin/argmax
     # resolve to the lowest index.
     m = P.shape[0]
@@ -345,6 +351,85 @@ def _triangle_weights(P):
     return np.take_along_axis(W, k[..., None, None], axis=-2)[..., 0, :]
 
 
+# the faces of a tetrahedron, and where their triangle weights go in the
+# (5, 4) candidate weights of _tetra_weights; the entries (i, j) of the
+# upper triangle of a 3x3 Gram matrix; each index's successor and
+# predecessor mod 3, which form cross products
+_FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+_FACE_ROWS, _FACE_COLS = np.repeat(np.arange(4), 3), _FACES.ravel()
+_GRAM_I, _GRAM_J = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _gram_solve(g, r):
+    # G^-1 r for the symmetric 3x3 matrices G whose upper triangles are g
+    # (..., 6), by the adjugate and Cramer's rule, and det G; 0 where det G
+    # is not _proper
+    g11, g12, g13, g22, g23, g33 = np.moveaxis(g, -1, 0)
+    r1, r2, r3 = np.moveaxis(r, -1, 0)
+    c11, c12, c13 = g22 * g33 - g23 * g23, g13 * g23 - g12 * g33, g12 * g23 - g13 * g22
+    c22, c23, c33 = g11 * g33 - g13 * g13, g12 * g13 - g11 * g23, g11 * g22 - g12 * g12
+    det = g11 * c11 + g12 * c12 + g13 * c13
+    a = np.divide(np.stack([c11 * r1 + c12 * r2 + c13 * r3,
+                            c12 * r1 + c22 * r2 + c23 * r3,
+                            c13 * r1 + c23 * r2 + c33 * r3], axis=-1),
+                  det[..., None], out=np.zeros(r.shape),
+                  where=_proper(det)[..., None])
+    return a, det
+
+
+def _tetra_weights(P):
+    # the m = 4 closed form on an (..., 4, n) stack: the candidates are the
+    # four faces by the triangle closed form, whose edges and vertices come
+    # with them, and for n >= 3 the interior point, the minimum-norm point
+    # p0 - sum_i a_i d_i of the affine hull in d_i = p0 - p_i, when its
+    # weights are >= 0 and the Gram determinant of the d_i is _proper (for
+    # n <= 2 a minimum lies on a face, by Caratheodory's theorem).  Every
+    # row takes the first candidate of least norm.  Each hull is scaled to
+    # unit size as in _triangle_weights, so the determinant test, of degree
+    # 6 in the data, is relative to the hull's size.  Elementwise, so no
+    # row's bits depend on the rest of the stack.
+    lead, n = P.shape[:-2], P.shape[-1]
+    e = np.frexp(np.abs(P).max(axis=(-2, -1)))[1]
+    P = np.ldexp(P, -e[..., None, None])
+    W = np.zeros(lead + (5 if n >= 3 else 4, 4))
+    W[..., _FACE_ROWS, _FACE_COLS] = _triangle_weights(
+        P[..., _FACES, :]).reshape(lead + (12,))
+    if n >= 3:
+        p0 = P[..., :1, :]
+        D = p0 - P[..., 1:, :]
+        if n == 3:
+            # the a with sum_i a_i d_i = p0, by Cramer's rule on the d_i
+            # (the Gram determinant is the square of theirs): the Gram
+            # system squares their condition number, and missed 0 inside a
+            # tetrahedron 1e-4 thin by 3e-5 of its size
+            A, B = D.take(_NEXT, axis=-2), D.take(_PREV, axis=-2)
+            C = (A.take(_NEXT, axis=-1) * B.take(_PREV, axis=-1)
+                 - A.take(_PREV, axis=-1) * B.take(_NEXT, axis=-1))
+            vol = _dot(D[..., 0, :], C[..., 0, :])
+            det = vol * vol
+            a = np.divide(_dot(p0, C), vol[..., None], out=np.zeros(lead + (3,)),
+                          where=_proper(det)[..., None])
+        else:
+            # the 3x3 Gram system, then one correction by the residual
+            # <x, d_i> of its point x (the corrected seminormal equations)
+            g = _dot(D[..., _GRAM_I, :], D[..., _GRAM_J, :])
+            a, det = _gram_solve(g, _dot(p0, D))
+            x = p0 - a[..., None, :] @ D
+            a = a + _gram_solve(g, _dot(x, D))[0]
+        w = W[..., 4, :]
+        w[..., 0] = ((1.0 - a[..., 0]) - a[..., 1]) - a[..., 2]
+        w[..., 1:] = a
+        inside = _proper(det) & (w >= 0.0).all(axis=-1)
+        W[..., 4, :] = np.where(w > 0.0, w, 0.0)
+    X = (W[..., None, :] @ P[..., None, :, :])[..., 0, :]
+    nn = _dot(X, X)
+    if n >= 3:
+        nn[..., 4] = np.where(inside, nn[..., 4], np.inf)
+    k = np.argmin(nn, axis=-1)
+    return np.take_along_axis(W, k[..., None, None], axis=-2)[..., 0, :]
+
+
 def _min_norm(P):
     """Weights w, point d = w @ P and norm ||d|| of the minimum-norm point
     of conv(rows of P).
@@ -352,9 +437,10 @@ def _min_norm(P):
     P is one (m, n) hull, which gives a float norm, or an (..., m, n) stack
     of hulls, which gives stacks of weights, points and norms.  One
     dispatch on m serves both.  A stacked result equals the result of its
-    hull alone bit for bit: m = 2 and m = 3 take closed forms on every hull
-    at once, the segment's and the triangle's (_triangle_weights, which
-    solves one hull as a stack of one), and m >= 4 runs Wolfe hull by hull.
+    hull alone bit for bit: m = 2, 3 and 4 take closed forms on every hull
+    at once, the segment's, the triangle's and the tetrahedron's
+    (_triangle_weights and _tetra_weights, which solve one hull as a stack
+    of one), and m >= 5 runs Wolfe hull by hull.
     """
     one = P.ndim == 2
     m = P.shape[-2]
@@ -362,9 +448,10 @@ def _min_norm(P):
         w = np.ones(P.shape[:-1])
     elif m == 2 and one:
         # the closed form: minimize ||theta p0 + (1 - theta) p1||
-        d = P[0] - P[1]
+        p1 = P[1]
+        d = P[0] - p1
         dd = float(d.dot(d))
-        theta = float(-P[1].dot(d)) / dd if _proper(dd) else 1.0
+        theta = float(-p1.dot(d)) / dd if _proper(dd) else 1.0
         theta = min(1.0, max(0.0, theta))
         w = np.array([theta, 1.0 - theta])
     elif m == 2:
@@ -376,6 +463,8 @@ def _min_norm(P):
                                     where=_proper(dd)))
     elif m == 3:
         w = _triangle_weights(P[None])[0] if one else _triangle_weights(P)
+    elif m == 4:
+        w = _tetra_weights(P[None])[0] if one else _tetra_weights(P)
     else:
         hulls = P.reshape((-1,) + P.shape[-2:])
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])

@@ -163,10 +163,18 @@ def test_config_validation():
                 DiscreteConfig(max_iters=5, stop_tol=-1.0)]:
         with pytest.raises(InvalidInputError):
             run_discrete(p, rule, [1.0], bad)
-    # a stop_tol with no finite float is refused by name, not by numpy
+    # a stop_tol or safety with no finite float is refused by name, not by
+    # numpy or a comparison's TypeError, and so is a bool max_iters
     for tol in [10**400, "0.1", float("nan"), float("inf")]:
         with pytest.raises(InvalidInputError, match="stop_tol"):
             run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=5, stop_tol=tol))
+    for safety in [10**400, "0.5", float("nan"), float("inf")]:
+        with pytest.raises(InvalidInputError, match="safety"):
+            run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=5, safety=safety))
+    for it in [True, False, "5", 5.0, float("nan")]:
+        with pytest.raises(InvalidInputError, match="max_iters"):
+            run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=it))
+    assert len(run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=np.int64(3)))) >= 1
     assert len(run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=5, stop_tol=0))) >= 1
     with pytest.raises(InvalidInputError):
         run_discrete(p, rule, [5.0], DiscreteConfig(max_iters=5))
@@ -256,7 +264,7 @@ def test_a_two_cycle_is_not_a_fixed_point():
 # against the per-iterate solves it replaced
 
 def three_quadratics():
-    # m = 3: the records of every iterate go through Wolfe's solver
+    # m = 3: every iterate is solved by the triangle closed form
     A = np.array([[4.0, 1.0], [1.0, 9.0], [2.0, 0.5]])
     C = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]])
     return make_problem(
@@ -266,6 +274,22 @@ def three_quadratics():
         lower_bounds=[0.0, 0.0, 0.0], convexity_class="strongly_convex",
         region=Box([0.0, 0.0], [2.0, 2.0]), grad_bound=20.0,
         starts=[[1.0, 1.0]])
+
+
+def four_quadratics():
+    # m = 4 in n = 3: every iterate is solved by the tetrahedron closed
+    # form, whose interior candidate holds inside the weak Pareto set
+    A = np.array([[4.0, 1.0, 2.0], [1.0, 9.0, 1.0], [2.0, 0.5, 3.0],
+                  [1.0, 2.0, 6.0]])
+    C = np.array([[0.0, 0.0, 0.0], [2.0, 0.5, 0.0], [0.5, 2.0, 0.5],
+                  [0.5, 0.5, 2.0]])
+    return make_problem(
+        "four-quadratics", 3, 4,
+        lambda x: 0.5 * (A * (x[..., None, :] - C) ** 2).sum(axis=-1),
+        lambda x: A * (x[..., None, :] - C), lipschitz=A.max(axis=1),
+        lower_bounds=[0.0] * 4, convexity_class="strongly_convex",
+        region=Box([-1.0] * 3, [3.0] * 3), grad_bound=40.0,
+        starts=[[1.0, 1.0, 1.0]])
 
 
 # discrete-rate's scaling and budget
@@ -278,13 +302,19 @@ CLAMPED = "gradnorm:eta=0.1,min=0.1,max=10"
     ("unbalanced-convex", CLAMPED, 1, 10_000, None, 10_001),
     ("strongly-convex", CLAMPED, 0, 10_000, None, 1880),  # crit_scaled 0
     ("three-quadratics", "const:1,1.5,0.5", [0.3, 1.7], 2000, 108, 2001),
+    # to a face of the tetrahedron, and from the weak Pareto set's interior,
+    # where every iterate takes the interior candidate
+    ("four-quadratics", "const:1,1.5,0.5,2", [0.3, 1.7, 0.2], 2000, 121, 2001),
+    ("four-quadratics", "const:1,1.5,0.5,2", [0.4375, 0.52, 1.125], 2000, 2,
+     2001),
 ], ids=["discrete-rate-p1-critical-start", "discrete-rate-p1-interior-start",
-        "discrete-rate-p2", "m3-wolfe-k108"])
+        "discrete-rate-p2", "m3-wolfe-k108", "m4-face-k121", "m4-interior-k2"])
 def test_record_pass_matches_the_every_k_loop_bit_for_bit(case):
     # every record, weights and crit_scaled included, comes from one stacked
     # pass after the loop; row k must be the one-hull solve at x_k
     name, spec, x0, max_iters, fixed_k, records = case
-    p = three_quadratics() if name == "three-quadratics" else get_problem(name)
+    p = {"three-quadratics": three_quadratics,
+         "four-quadratics": four_quadratics}.get(name, lambda: get_problem(name))()
     if isinstance(x0, int):
         x0 = p.starts[x0]
     rule, cfg = parse_scaling(spec), DiscreteConfig(max_iters=max_iters)

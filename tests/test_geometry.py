@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mbgf import (
     InvalidInputError,
@@ -62,11 +62,14 @@ def test_min_norm_point_interior_origin():
 
 def test_tiny_hull_around_origin_is_solved_to_its_scale():
     # Four generators of size 1e-6 to 6e-5 on a line, with 0 inside the
-    # hull: the Wolfe stop is relative to the hull's scale, so the point
-    # found is 0 up to rounding, not ~1e-6 as an absolute stop would allow.
+    # hull: the closed form solves the hull scaled to unit size, and with a
+    # fifth generator the Wolfe stop is relative to the hull's scale, so
+    # the point found is 0 up to rounding, not ~1e-6 as an absolute stop
+    # would allow.
     G = np.array([[-6.369867788021516e-05], [8.317504988157094e-06],
                   [-8.135689145345654e-06], [-1.1290484673047792e-06]])
     assert np.linalg.norm(min_norm_point(G).point) < 1e-9
+    assert np.linalg.norm(min_norm_point(np.vstack([G, G[:1]])).point) < 1e-9
 
 
 def test_single_generator():
@@ -688,15 +691,25 @@ def _rows(P):
     return P.reshape((-1,) + P.shape[-2:])
 
 
-def _assert_triangle_matches_references(P):
-    # the closed form against Wolfe and the exact oracle, with a certified
-    # point and simplex weights that give it
+def _wolfe_norm(P):
+    # Wolfe's norm on the hull scaled exactly to unit size: its stop and
+    # certificate are not relative to a hull of size 1e100
+    e = np.frexp(np.abs(P).max())[1]
+    U = np.ldexp(P, -e)
+    return np.ldexp(np.linalg.norm(_wolfe_min_norm(U) @ U), e)
+
+
+def _assert_closed_form_matches_references(P):
+    # a closed form against the exact oracle to 1e-9 of the hull's size,
+    # and never above Wolfe, whose stop allows a norm error of about 1e-5
+    # of it; a certified point and simplex weights that give it.  1e-160
+    # absorbs ||d|| = sqrt(d @ d) where d @ d is a subnormal float.
     w, d, norm = _min_norm(P)
     scale = float(np.abs(P).max())
-    tol = 1e-9 * (1.0 + scale)
+    tol = 1e-9 * scale + 1e-160
     assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
-    assert np.abs(d - w @ P).max() <= 1e-15 * (1.0 + scale)
-    assert abs(norm - np.linalg.norm(_wolfe_min_norm(P) @ P)) <= tol
+    assert np.abs(d - w @ P).max() <= 1e-15 * scale
+    assert norm <= _wolfe_norm(P) + tol
     assert abs(norm - _exact_min_norm(P)) <= tol
     z = np.zeros(P.shape[1])
     assert certificate_violation(z, P, d) <= certificate_tolerance(z, P)
@@ -705,7 +718,7 @@ def _assert_triangle_matches_references(P):
 @given(triangle_stacks())
 def test_triangle_closed_form_matches_wolfe_and_the_exact_oracle(P):
     for Pk in _rows(P):
-        _assert_triangle_matches_references(Pk)
+        _assert_closed_form_matches_references(Pk)
 
 
 @given(triangle_stacks())
@@ -765,7 +778,148 @@ def test_triangle_closed_form_on_the_suite_stacks():
             w1, d1, n1 = _min_norm(G)
             assert wk.tobytes() == w1.tobytes() and dk.tobytes() == d1.tobytes()
             assert np.float64(n1).tobytes() == nk.tobytes()
-            _assert_triangle_matches_references(G)
+            _assert_closed_form_matches_references(G)
+
+
+# ------------------------------------------------- the m = 4 closed form
+
+@st.composite
+def tetra_stacks(draw):
+    # a stack of four-generator hulls with the degenerate cases: coplanar
+    # and duplicate generators, 0 inside the hull, and the scales 1e-3,
+    # 1e-100 and 1e100
+    lead = draw(st.sampled_from([(1,), (6,), (2, 3)]))
+    n = draw(st.integers(1, 4))
+    flat = draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False, width=64),
+                         min_size=4 * n, max_size=4 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = rng.uniform(-5.0, 5.0, lead + (4, n))
+    P[(0,) * len(lead)] = np.reshape(flat, (4, n))
+    kind = draw(st.sampled_from(["plain", "coplanar", "duplicate",
+                                 "zero-inside", "tiny", "1e-100", "1e100"]))
+    if kind == "coplanar":
+        # the fourth generator in the plane of the first three
+        u = rng.uniform(-1.0, 2.0, lead + (2, 1))
+        P[..., 3, :] = (P[..., 0, :] + u[..., 0, :] * (P[..., 1, :] - P[..., 0, :])
+                        + u[..., 1, :] * (P[..., 2, :] - P[..., 0, :]))
+    elif kind == "duplicate":
+        P[..., draw(st.integers(1, 3)), :] = P[..., 0, :]
+    elif kind == "zero-inside":
+        P -= P.mean(axis=-2, keepdims=True)
+    elif kind == "tiny":
+        P *= 1e-3
+    elif kind == "1e-100":
+        P *= 1e-100
+    elif kind == "1e100":
+        P *= 1e100
+    return P
+
+
+# the hull on which Wolfe's stop returns norm 2^-25 where the exact value
+# is 0 (0 lies inside its face of generators 0, 1 and 3)
+WOLFE_STOP_HULL = np.array([[0.0, np.ldexp(3.0, -25), -0.25],
+                            [0.0, -np.ldexp(1.0, -25), -0.25],
+                            [0.0, -np.ldexp(1.0, -25), -0.25],
+                            [0.0, -np.ldexp(1.0, -25), 0.75]])
+
+
+@example(WOLFE_STOP_HULL[None])
+@given(tetra_stacks())
+def test_tetra_closed_form_matches_wolfe_and_the_exact_oracle(P):
+    for Pk in _rows(P):
+        _assert_closed_form_matches_references(Pk)
+
+
+@example(WOLFE_STOP_HULL[None], 0)
+@given(tetra_stacks(), st.integers(-200, 200))
+def test_stacked_tetra_rows_bit_equal_each_hull(P, k):
+    # each row equals its hull alone byte for byte, and a hull scaled by
+    # 2^k, where that is exact, keeps its weights' bits
+    w, d, norm = _min_norm(P)
+    n = P.shape[-1]
+    for Pk, wk, dk, nk in zip(_rows(P), w.reshape(-1, 4), d.reshape(-1, n),
+                              norm.ravel()):
+        w1, d1, n1 = _min_norm(Pk)
+        assert wk.tobytes() == w1.tobytes()
+        assert dk.tobytes() == d1.tobytes()
+        assert np.float64(n1).tobytes() == nk.tobytes()
+        scaled = np.ldexp(Pk, k)
+        if np.array_equal(np.ldexp(scaled, -k), Pk):
+            assert _min_norm(scaled)[0].tobytes() == w1.tobytes()
+
+
+def test_tetra_closed_form_fixed_cases():
+    # 0 inside: the interior point, every weight positive
+    inside = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                       [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    w, d, norm = _min_norm(inside)
+    assert norm <= 1e-15 and w.min() > 0.0
+    # the minimum inside a face, on an edge, at a vertex: the other weights
+    # exactly 0
+    face = inside + 2.0
+    w, _, norm = _min_norm(face)
+    assert w[0] == 0.0 and w[1:].min() > 0.0
+    assert abs(norm - _exact_min_norm(face)) <= 1e-15
+    edge = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [4.0, 4.0, 1.0],
+                     [5.0, 3.0, -1.0]])
+    w, _, norm = _min_norm(edge)
+    assert w[2:].tolist() == [0.0, 0.0] and abs(norm - np.sqrt(8.0)) <= 1e-15
+    vertex = np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 1.0], [3.0, 1.0, 2.0],
+                       [2.0, 2.0, 4.0]])
+    w, _, norm = _min_norm(vertex)
+    assert w.tolist() == [1.0, 0.0, 0.0, 0.0] and norm == np.sqrt(3.0)
+    # four equal points, and 0 inside a square in n = 2 and a segment in n = 1
+    assert _min_norm(np.ones((4, 3)))[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    assert _min_norm(square)[2] <= 1e-16
+    assert _min_norm(np.array([[0.5], [-1.0], [2.0], [3.0]]))[2] <= 1e-16
+    # Wolfe's stop leaves 2^-25 on this hull; the closed form finds 0
+    assert np.linalg.norm(_wolfe_min_norm(WOLFE_STOP_HULL) @ WOLFE_STOP_HULL) > 1e-8
+    assert _min_norm(WOLFE_STOP_HULL)[2] == 0.0
+    # a tetrahedron is degenerate by its size relative to itself: 0 inside
+    # a 1e-100 or 1e100 one, whose Gram determinant would underflow or
+    # overflow, is found to the oracle's relative accuracy, and a
+    # power-of-two scale leaves the weights' bits as they are
+    for s in (1e-100, 1e100):
+        w, _, norm = _min_norm(s * inside)
+        assert w.min() > 0.0 and norm <= 1e-15 * s
+        w, _, norm = _min_norm(s * face)
+        assert abs(norm - _exact_min_norm(s * face)) <= 1e-15 * norm
+    for P in (inside, face, edge, WOLFE_STOP_HULL,
+              np.array([[0.3, 1.1, 0.2, -0.4], [-0.7, 0.2, 0.9, 0.1],
+                        [0.5, -0.9, -0.3, 0.6], [-0.2, 0.1, -0.8, -0.5]])):
+        w = _min_norm(P)[0]
+        for k in (-330, -60, 60, 300):
+            assert _min_norm(np.ldexp(P, k))[0].tobytes() == w.tobytes()
+
+
+def test_tetra_interior_of_thin_hulls():
+    # 0 at the centroid of tetrahedra thin in their last coordinate: the
+    # interior point is found to 1e-12 of the hull's size.  The plain 3x3
+    # Gram system misses it by 6e-7 at n = 3 (1e-4 thin), and without its
+    # correction step by 7e-10 at n = 4 (1e-8 thin).
+    rng = np.random.default_rng(25)
+    for n, thin in ((3, 1e-4), (4, 1e-8)):
+        P = rng.normal(size=(200, 4, n))
+        P[..., -1] *= thin
+        P -= P.mean(axis=-2, keepdims=True)
+        w, _, norm = _min_norm(P)
+        assert (norm <= 1e-12 * np.abs(P).max(axis=(-2, -1))).all()
+        assert (w > 0.0).all()
+
+
+def test_tetra_closed_form_on_the_suite_stacks():
+    # the m = 4 stacks geometry-oracle solves at seed 0: each row equals its
+    # hull alone bit for bit and matches Wolfe and the oracle
+    stacks = [Gs for Gs in _geometry_oracle_stacks() if Gs.shape[1] == 4]
+    assert sum(len(Gs) for Gs in stacks) > 250
+    for Gs in stacks:
+        w, d, norm = _min_norm(Gs)
+        for G, wk, dk, nk in zip(Gs, w, d, norm):
+            w1, d1, n1 = _min_norm(G)
+            assert wk.tobytes() == w1.tobytes() and dk.tobytes() == d1.tobytes()
+            assert np.float64(n1).tobytes() == nk.tobytes()
+            _assert_closed_form_matches_references(G)
 
 
 # ------------------------------------------------------ the stacked oracle

@@ -306,7 +306,7 @@ SUITE_JSON_SHA256 = {
     "problem-sanity":
         "8834021d7e2e9b2ede4e4c5876f1aa8ab702418c2d967d218771baeb3e7a6298",
     "geometry-oracle":
-        "4045e7f2cce2fba2150e4f6e191d7b9b0318efe65ecab8b3b736d917a6da7d51",
+        "31cc4b798bfd87434b04131e7971ebe145a86c84e84cdcb3aed59fcfb4f16f90",
     "accelerated-rate":
         "a072f30c1bd72dd788f7cfaa5bfd0fd4d811e12ddbcb39a4e50521bdaf9ddae9",
     "convex-rate":
