@@ -69,9 +69,13 @@ def _real_where(v, ok):
 
 def _check_config(cfg):
     it = cfg.max_iters
-    # a bool is an int, but no count of iterations
+    # a bool is an int, but no count of iterations; the repeated tail of a
+    # fixed point is an array of up to max_iters rows, so numpy must index it
     if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
         raise InvalidInputError(f"max_iters must be a positive integer, got {it!r}")
+    if it > np.iinfo(np.intp).max:
+        raise InvalidInputError(
+            f"max_iters must be at most {np.iinfo(np.intp).max}, got {it!r}")
     if not _real_where(cfg.safety, lambda v: 0.0 < v <= 1.0):
         raise InvalidInputError(f"safety must lie in (0, 1], got {cfg.safety!r}")
     if not _real_where(cfg.stop_tol, lambda v: v >= 0.0):

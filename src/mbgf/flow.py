@@ -60,11 +60,11 @@ is cut there, and stepping restarts at that point in the next regime:
 sliding if lambda is in [0, 1] there, else across the surface.  From rest
 sigma = 0, and the first regime is the one of lambda at the start, where
 it is the unclamped minimum-norm weight of the hull.  For other m the
-right-hand side, its record weights and solve_implicit_acceleration all
-take the support point from geometry._support_weights, with its
-minimum-norm tie rule, and a run that slides along a face chatters between
-support points until the stall guard stops it.  Starts are read by the
-problem's point reader, Problem._check_input, as one point.
+right-hand side and its record weights take the support point from
+geometry._support_weights, with its minimum-norm tie rule, and a run that
+slides along a face chatters between support points until the stall guard
+stops it.  Starts are read by the problem's point reader,
+Problem._check_input, as one point.
 """
 
 import math
@@ -74,8 +74,8 @@ import numpy as np
 
 from .errors import (DivergenceError, InvalidInputError, NoConvergenceError,
                      NumericDomainError)
-from .geometry import (_as_generator_matrix, _as_vector, _dot, _min_norm,
-                       _pair_weights, _proper, _support_weights)
+from .geometry import (_dot, _min_norm, _pair_weights, _proper,
+                       _support_weights)
 from .scaling import generator_map
 
 DIVERGENCE_SLACK = 0.1  # fraction of the region diameter a state may overshoot
@@ -426,19 +426,6 @@ def integrate_first_order(p, rule, x0, cfg):
     return _trajectory(p, cfg, work, times=times, states=X, f_values=f,
                        speeds=speed, crit_unscaled=crit, crit_scaled=speed,
                        weights=w)
-
-
-def solve_implicit_acceleration(generators, b):
-    """Exact xddot with xddot + b + proj_hull(-xddot) = 0.
-
-    The support point c* of the hull in direction b satisfies
-    <b, y - c*> <= 0 for every hull point y, so w = b + c* projects onto the
-    hull exactly at c*, and xddot = -w solves the implicit equation.  A tied
-    support face resolves to its minimum-norm point.
-    """
-    G = _as_generator_matrix(generators)
-    b = _as_vector(b, G.shape[1], "b")
-    return -(b + _support_weights(G, b)[2])
 
 
 _FD_ROWS = np.array([[0.0], [1.0], [-1.0]])

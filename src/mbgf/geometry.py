@@ -27,15 +27,16 @@ five or more.  A closed form divides only by a value at or above the
 smallest normal float (_proper).  A pair whose |g_1 - g_2|^2 is below it,
 or NaN, is degenerate and takes weight 1 on g_1, as a zero-length segment
 does; every two-generator closed form, here and in mbgf.flow's sliding
-weights, keeps that one rule.  A triangle is solved scaled by a power of
-two to unit size, and is degenerate when the Gram determinant of its edge
-vectors is below that float, or NaN; its point is then the best point of
-its three edges, each solved by the pair closed form.  A tetrahedron is
-scaled the same way; its point is the best point of its four faces, each
-solved by the triangle closed form, and, for n >= 3, of its interior: the
-minimum-norm point of its affine hull, when that point's weights are
-nonnegative and the Gram determinant of the edge vectors from g_1 is
-proper.
+weights, keeps that one rule.  Three and four generators share one
+face-recursive closed form, _simplex_weights.  It scales a hull by a power
+of two to unit size and takes the best point of its faces, a triangle's
+edges by the pair closed form and a tetrahedron's triangles by itself, and
+of its interior: the minimum-norm point of the affine hull, solved on the
+edge vectors d_i = g_1 - g_i, when that point's weights are nonnegative
+and the Gram determinant of the d_i is proper.  With as many d_i as
+dimensions that point is 0, by Cramer's rule on the d_i; with fewer, it
+comes from the Gram system and one correction step; with more, the hull
+has no interior candidate, since its minimum lies on a face.
 Every result carries simplex weights and satisfies the standard
 variational certificate
 
@@ -44,6 +45,7 @@ variational certificate
 where scale = (1 + max(max_i ||g_i - q||, 0))^2 absorbs the data magnitude.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -286,11 +288,11 @@ def _pow2(x):
 
 
 def _proper(x):
-    # whether a closed form may divide by x: a pair's |delta|^2, or a
-    # triangle's Gram determinant |d1|^2 |d2|^2 - <d1, d2>^2, is at least
-    # the smallest normal float.  Below it, or NaN, the pair or triangle is
+    # whether a closed form may divide by x: a pair's |delta|^2, or the
+    # Gram determinant of a scaled hull's edge vectors, is at least the
+    # smallest normal float.  Below it, or NaN, the pair or hull is
     # degenerate: a pair takes weight 1 on its first generator, as a
-    # zero-length segment does, and a triangle has no interior candidate.
+    # zero-length segment does, and a hull has no interior candidate.
     # Works on a float and on an array of them.
     return x >= _MIN_NORMAL
 
@@ -301,133 +303,111 @@ def _pair_weights(theta):
     # np.clip would keep the -0.0 of a zero numerator
     theta = np.where(theta > 0.0, theta, 0.0)
     theta = np.where(theta < 1.0, theta, 1.0)
-    return np.stack([theta, 1.0 - theta], axis=-1)
+    w = np.empty(theta.shape + (2,))
+    w[..., 0], w[..., 1] = theta, 1.0 - theta
+    return w
 
 
-# the edges (i, j) of a triangle, and where their pair weights go in the
-# (4, 3) candidate weights of _triangle_weights
-_EDGE_I, _EDGE_J = [0, 0, 1], [1, 2, 2]
-_EDGE_ROWS, _EDGE_COLS = [0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 1, 2]
+def _segment_weights(P):
+    # the pair closed form on an (..., 2, n) stack: minimize
+    # ||theta p0 + (1 - theta) p1|| over theta in [0, 1]
+    d = P[..., 0, :] - P[..., 1, :]
+    dd = _dot(d, d)
+    return _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
+                                   out=np.ones_like(dd), where=_proper(dd)))
 
 
-def _triangle_weights(P):
-    # the m = 3 closed form on an (..., 3, n) stack: the candidates are the
-    # three edges by the pair closed form, whose clamps give the vertices,
-    # and the interior point of the 2x2 Gram system in d1 = p0 - p1 and
-    # d2 = p0 - p2 when its weights are >= 0.  Every row takes the first
-    # candidate of least norm.  Elementwise, so no row's bits depend on the
-    # rest of the stack.
-    lead = P.shape[:-2]
-    # each hull scaled by the power of two that brings its largest entry
-    # into [0.5, 1): exact for normal entries, so the weights are those of
-    # the hull itself, and the degenerate-triangle test on det, of degree
-    # 4 in the data, is relative to the hull's size rather than underflowing
-    # on a hull of size 1e-77 or overflowing on one of size 1e77
-    e = np.frexp(np.abs(P).max(axis=(-2, -1)))[1]
-    P = np.ldexp(P, -e[..., None, None])
-    D = P[..., _EDGE_I, :] - P[..., _EDGE_J, :]
-    dd = _dot(D, D)
-    W = np.zeros(lead + (4, 3))
-    W[..., _EDGE_ROWS, _EDGE_COLS] = _pair_weights(np.divide(
-        -_dot(P[..., _EDGE_J, :], D), dd, out=np.ones_like(dd),
-        where=_proper(dd))).reshape(lead + (6,))
-    g12 = _dot(D[..., 0, :], D[..., 1, :])
-    r = _dot(P[..., 0, None, :], D[..., :2, :])
-    r1, r2 = r[..., 0], r[..., 1]
-    det = dd[..., 0] * dd[..., 1] - g12 * g12
-    proper = _proper(det)
-    a = np.divide(r1 * dd[..., 1] - r2 * g12, det, out=np.zeros_like(det),
-                  where=proper)
-    b = np.divide(r2 * dd[..., 0] - r1 * g12, det, out=np.zeros_like(det),
-                  where=proper)
-    w = np.stack([(1.0 - a) - b, a, b], axis=-1)
-    inside = proper & (w >= 0.0).all(axis=-1)
-    W[..., 3, :] = np.where(w > 0.0, w, 0.0)
-    # each candidate's point as the (1, 3) @ (3, n) product of the result
-    X = (W[..., None, :] @ P[..., None, :, :])[..., 0, :]
-    nn = _dot(X, X)
-    nn[..., 3] = np.where(inside, nn[..., 3], np.inf)
-    k = np.argmin(nn, axis=-1)
-    return np.take_along_axis(W, k[..., None, None], axis=-2)[..., 0, :]
-
-
-# the faces of a tetrahedron, and where their triangle weights go in the
-# (5, 4) candidate weights of _tetra_weights; the entries (i, j) of the
-# upper triangle of a 3x3 Gram matrix; each index's successor and
+# the cofactor signs of a 2x2 matrix; each index's successor and
 # predecessor mod 3, which form cross products
-_FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
-_FACE_ROWS, _FACE_COLS = np.repeat(np.arange(4), 3), _FACES.ravel()
-_GRAM_I, _GRAM_J = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _gram_solve(g, r):
-    # G^-1 r for the symmetric 3x3 matrices G whose upper triangles are g
-    # (..., 6), by the adjugate and Cramer's rule, and det G; 0 where det G
-    # is not _proper
-    g11, g12, g13, g22, g23, g33 = np.moveaxis(g, -1, 0)
-    r1, r2, r3 = np.moveaxis(r, -1, 0)
-    c11, c12, c13 = g22 * g33 - g23 * g23, g13 * g23 - g12 * g33, g12 * g23 - g13 * g22
-    c22, c23, c33 = g11 * g33 - g13 * g13, g12 * g13 - g11 * g23, g11 * g22 - g12 * g12
-    det = g11 * c11 + g12 * c12 + g13 * c13
-    a = np.divide(np.stack([c11 * r1 + c12 * r2 + c13 * r3,
-                            c12 * r1 + c22 * r2 + c23 * r3,
-                            c13 * r1 + c23 * r2 + c33 * r3], axis=-1),
-                  det[..., None], out=np.zeros(r.shape),
-                  where=_proper(det)[..., None])
-    return a, det
+def _cofactors(V):
+    # the rows C_i with <V_j, C_i> = det V * delta_ij, and det V, for a
+    # (..., k, k) stack with k = 2 (perpendiculars) or k = 3 (cross products)
+    if V.shape[-1] == 2:
+        C = V[..., ::-1, ::-1] * _SIGNS
+    else:
+        A, B = V.take(_NEXT, axis=-2), V.take(_PREV, axis=-2)
+        C = (A.take(_NEXT, axis=-1) * B.take(_PREV, axis=-1)
+             - A.take(_PREV, axis=-1) * B.take(_NEXT, axis=-1))
+    return C, _dot(V[..., 0, :], C[..., 0, :])
 
 
-def _tetra_weights(P):
-    # the m = 4 closed form on an (..., 4, n) stack: the candidates are the
-    # four faces by the triangle closed form, whose edges and vertices come
-    # with them, and for n >= 3 the interior point, the minimum-norm point
-    # p0 - sum_i a_i d_i of the affine hull in d_i = p0 - p_i, when its
-    # weights are >= 0 and the Gram determinant of the d_i is _proper (for
-    # n <= 2 a minimum lies on a face, by Caratheodory's theorem).  Every
-    # row takes the first candidate of least norm.  Each hull is scaled to
-    # unit size as in _triangle_weights, so the determinant test, of degree
-    # 6 in the data, is relative to the hull's size.  Elementwise, so no
-    # row's bits depend on the rest of the stack.
-    lead, n = P.shape[:-2], P.shape[-1]
+def _interior(P):
+    # the interior candidate of an (..., m, n) stack with k = m - 1 <= n
+    # edge vectors d_i = p0 - p_i: the weights (1 - sum_i a_i, a) of the
+    # minimum-norm point x = p0 - sum_i a_i d_i of the affine hull, +0.0
+    # for -0.0, and whether they are >= 0 with a _proper Gram determinant
+    p0 = P[..., :1, :]
+    D = p0 - P[..., 1:, :]
+    k, n = D.shape[-2:]
+    if n == k:
+        # a @ D = p0 by Cramer's rule on the d_i themselves, whose
+        # determinant squared is the Gram determinant: the Gram system
+        # squares their condition number
+        C, vol = _cofactors(D)
+        det = vol * vol
+        y, q = p0, vol
+    else:
+        # the Gram system, then one correction by the residual <x, d_i> of
+        # its point x (the corrected seminormal equations)
+        C, det = _cofactors(_dot(D[..., :, None, :], D[..., None, :, :]))
+        y, q = _dot(p0, D)[..., None, :], det
+    proper = _proper(det)
+    a = np.divide(_dot(y, C), q[..., None], out=np.zeros(D.shape[:-1]),
+                  where=proper[..., None])
+    if n > k:
+        x = p0 - a[..., None, :] @ D
+        a = a + np.divide(_dot(_dot(x, D)[..., None, :], C), q[..., None],
+                          out=np.zeros(D.shape[:-1]), where=proper[..., None])
+    w = np.empty(P.shape[:-1])
+    w[..., 0], w[..., 1:] = 1.0, a
+    for i in range(k):
+        w[..., 0] -= a[..., i]
+    return np.where(w > 0.0, w, 0.0), proper & (w >= 0.0).all(axis=-1)
+
+
+# the faces of an m-generator hull, in the order of its candidates, and
+# where their weights go in its (m + 1, m) candidate weights
+_FACES = {m: np.array(list(itertools.combinations(range(m), m - 1)))
+          for m in (3, 4)}
+_FACE_AT = {m: (np.repeat(np.arange(m), m - 1), F.ravel())
+            for m, F in _FACES.items()}
+
+
+def _simplex_weights(P):
+    # the m = 3 and m = 4 closed form on an (..., m, n) stack: the
+    # candidates are the m faces, by the pair closed form for a triangle's
+    # edges and by this closed form for a tetrahedron's triangles, whose
+    # clamps give the lower faces, and for n >= m - 1 the interior point
+    # (for n < m - 1 a minimum lies on a face, by Caratheodory's theorem).
+    # Every row takes the first candidate of least norm.  Each hull is
+    # scaled by the power of two that brings its largest entry into
+    # [0.5, 1): exact for normal entries, so the weights are those of the
+    # hull itself, and the determinant test is relative to the hull's size
+    # rather than underflowing on a hull of size 1e-77 or overflowing on
+    # one of size 1e77.  Elementwise, so no row's bits depend on the rest
+    # of the stack.
+    lead, (m, n) = P.shape[:-2], P.shape[-2:]
     e = np.frexp(np.abs(P).max(axis=(-2, -1)))[1]
     P = np.ldexp(P, -e[..., None, None])
-    W = np.zeros(lead + (5 if n >= 3 else 4, 4))
-    W[..., _FACE_ROWS, _FACE_COLS] = _triangle_weights(
-        P[..., _FACES, :]).reshape(lead + (12,))
-    if n >= 3:
-        p0 = P[..., :1, :]
-        D = p0 - P[..., 1:, :]
-        if n == 3:
-            # the a with sum_i a_i d_i = p0, by Cramer's rule on the d_i
-            # (the Gram determinant is the square of theirs): the Gram
-            # system squares their condition number, and missed 0 inside a
-            # tetrahedron 1e-4 thin by 3e-5 of its size
-            A, B = D.take(_NEXT, axis=-2), D.take(_PREV, axis=-2)
-            C = (A.take(_NEXT, axis=-1) * B.take(_PREV, axis=-1)
-                 - A.take(_PREV, axis=-1) * B.take(_NEXT, axis=-1))
-            vol = _dot(D[..., 0, :], C[..., 0, :])
-            det = vol * vol
-            a = np.divide(_dot(p0, C), vol[..., None], out=np.zeros(lead + (3,)),
-                          where=_proper(det)[..., None])
-        else:
-            # the 3x3 Gram system, then one correction by the residual
-            # <x, d_i> of its point x (the corrected seminormal equations)
-            g = _dot(D[..., _GRAM_I, :], D[..., _GRAM_J, :])
-            a, det = _gram_solve(g, _dot(p0, D))
-            x = p0 - a[..., None, :] @ D
-            a = a + _gram_solve(g, _dot(x, D))[0]
-        w = W[..., 4, :]
-        w[..., 0] = ((1.0 - a[..., 0]) - a[..., 1]) - a[..., 2]
-        w[..., 1:] = a
-        inside = _proper(det) & (w >= 0.0).all(axis=-1)
-        W[..., 4, :] = np.where(w > 0.0, w, 0.0)
+    F = P[..., _FACES[m], :]
+    W = np.zeros(lead + (m + (n >= m - 1), m))
+    W[(...,) + _FACE_AT[m]] = (
+        _simplex_weights(F) if m == 4 else _segment_weights(F)
+    ).reshape(lead + (m * (m - 1),))
+    if n >= m - 1:
+        W[..., m, :], inside = _interior(P)
+    # each candidate's point as the (1, m) @ (m, n) product of the result
     X = (W[..., None, :] @ P[..., None, :, :])[..., 0, :]
     nn = _dot(X, X)
-    if n >= 3:
-        nn[..., 4] = np.where(inside, nn[..., 4], np.inf)
-    k = np.argmin(nn, axis=-1)
-    return np.take_along_axis(W, k[..., None, None], axis=-2)[..., 0, :]
+    if n >= m - 1:
+        nn[..., m] = np.where(inside, nn[..., m], np.inf)
+    k = np.argmin(nn, axis=-1).ravel()
+    W = W.reshape((-1,) + W.shape[-2:])
+    return W[np.arange(k.size), k].reshape(lead + (m,))
 
 
 def _min_norm(P):
@@ -438,9 +418,9 @@ def _min_norm(P):
     of hulls, which gives stacks of weights, points and norms.  One
     dispatch on m serves both.  A stacked result equals the result of its
     hull alone bit for bit: m = 2, 3 and 4 take closed forms on every hull
-    at once, the segment's, the triangle's and the tetrahedron's
-    (_triangle_weights and _tetra_weights, which solve one hull as a stack
-    of one), and m >= 5 runs Wolfe hull by hull.
+    at once, the segment's (_segment_weights) and the face-recursive one of
+    triangles and tetrahedra (_simplex_weights, which solves one hull as a
+    stack of one), and m >= 5 runs Wolfe hull by hull.
     """
     one = P.ndim == 2
     m = P.shape[-2]
@@ -456,15 +436,9 @@ def _min_norm(P):
         w = np.array([theta, 1.0 - theta])
     elif m == 2:
         # the same closed form on every hull at once
-        d = P[..., 0, :] - P[..., 1, :]
-        dd = _dot(d, d)
-        w = _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
-                                    out=np.ones_like(dd),
-                                    where=_proper(dd)))
-    elif m == 3:
-        w = _triangle_weights(P[None])[0] if one else _triangle_weights(P)
-    elif m == 4:
-        w = _tetra_weights(P[None])[0] if one else _tetra_weights(P)
+        w = _segment_weights(P)
+    elif m <= 4:
+        w = _simplex_weights(P[None])[0] if one else _simplex_weights(P)
     else:
         hulls = P.reshape((-1,) + P.shape[-2:])
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])

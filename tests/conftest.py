@@ -7,7 +7,7 @@ examples per test; "deep" draws 3000, for the min-norm kernels, whose
 failures can hide from 100 draws:
 
     HYPOTHESIS_PROFILE=deep python -m pytest tests/test_geometry.py \
-        -k "min_norm or triangle or tetra"
+        -k "min_norm or simplex or triangle or tetra"
 """
 
 import os

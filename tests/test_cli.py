@@ -600,10 +600,14 @@ def test_main_exit_2_on_config_errors(tmp_path, capsys):
     (["run", "--problem", "p1", "--x0", "0.25,1.5", "--t-end", "1e308",
       "--dt", "1e-300"], "error: integration window must hold 1 to finitely "
      "many steps of dt, got inf"),
-], ids=["negative-seed", "infinite-step-count"])
+    (["discrete", "--problem", "p4", "--scaling", "gradnorm:eta=0.148939",
+      "--iters", str(10**30)], "error: max_iters must be at most "
+     f"{np.iinfo(np.intp).max}, got {10**30}"),
+], ids=["negative-seed", "infinite-step-count", "iters-beyond-intp"])
 def test_main_exit_2_on_a_value_no_run_can_take(argv, message, capsys):
-    # a seed numpy refuses, and a window whose step count overflows a
-    # float: both are input errors, refused before any work
+    # a seed numpy refuses, a window whose step count overflows a float,
+    # and an iteration count numpy cannot index: all are input errors,
+    # refused before any work
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(message)
@@ -871,8 +875,8 @@ RUN_SHA256 = {
     "accel-triangle": (
         ["accel", "--problem", "triangle", "--x0", "3,2", "--scaling",
          "const:1,1,1", "--t-end", "5", "--record-every", "100"],
-        "6c6ede0136f4f2e20d86f469f1e809f94ef6077317d31e43582dc59a87d65297",
-        "019056ab984e855f94bef00401455600899c07172d994b856a9e362592ca3d60"),
+        "d1988473f1a6e87898553c338195a85aa6c861daade29f30abad3004c45d6c64",
+        "c86b09cfb37bf335cf34f7565431d80bb5e01da57acd6c64aecdd248c7801a4f"),
 }
 
 

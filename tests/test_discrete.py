@@ -175,6 +175,12 @@ def test_config_validation():
         with pytest.raises(InvalidInputError, match="max_iters"):
             run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=it))
     assert len(run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=np.int64(3)))) >= 1
+    # a count numpy cannot index is refused by name, not by numpy's
+    # OverflowError once the run reaches a fixed point (p4 at k = 9)
+    p4, gradnorm = get_problem("scalar-pair"), gradnorm_eta(0.148939)
+    for it in [10**400, np.iinfo(np.intp).max + 1]:
+        with pytest.raises(InvalidInputError, match="max_iters must be at most"):
+            run_discrete(p4, gradnorm, [2.0], DiscreteConfig(max_iters=it))
     assert len(run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=5, stop_tol=0))) >= 1
     with pytest.raises(InvalidInputError):
         run_discrete(p, rule, [5.0], DiscreteConfig(max_iters=5))

@@ -20,10 +20,9 @@ from mbgf.flow import (
     _sliding_weights,
     integrate_accelerated,
     integrate_first_order,
-    solve_implicit_acceleration,
 )
-from mbgf.geometry import (_min_norm, min_norm_point, project_onto_hull,
-                           support_point)
+from mbgf.geometry import (_min_norm, _support_weights, min_norm_point,
+                           project_onto_hull, support_point)
 from mbgf.problems import Box, get_problem, make_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, scaled_hull_generators)
@@ -259,14 +258,21 @@ def test_a_record_stride_of_any_size_records_the_first_and_last_state(mode):
 
 # ----------------------------------------------------------- implicit solve
 
+# The exact xddot with xddot + b + proj_hull(-xddot) = 0, as the accelerated
+# right-hand side takes it: the support point c* of the hull in direction b
+# has <b, y - c*> <= 0 for every hull point y, so b + c* projects onto the
+# hull exactly at c*, and xddot = -(b + c*).  A tied support face resolves
+# to its minimum-norm point.
+
 def test_implicit_acceleration_closed_forms():
     G = np.array([[3.0, 1.0], [1.0, 3.0]])
     # b = 0 ties every generator; the tie resolves to the min-norm point.
-    xdd = solve_implicit_acceleration(G, np.zeros(2))
+    b = np.zeros(2)
+    xdd = -(b + _support_weights(G, b)[2])
     assert np.allclose(xdd, -min_norm_point(G).point)
     # singleton hull: xdd = -(b + g)
     b = np.array([0.5, -0.25])
-    xdd = solve_implicit_acceleration([[1.0, 2.0]], b)
+    xdd = -(b + _support_weights(np.array([[1.0, 2.0]]), b)[2])
     assert np.allclose(xdd, -(b + np.array([1.0, 2.0])))
 
 
@@ -277,7 +283,7 @@ def test_implicit_acceleration_residual():
         n = int(rng.integers(1, 4))
         G = rng.normal(size=(m, n))
         b = rng.normal(size=n)
-        xdd = solve_implicit_acceleration(G, b)
+        xdd = -(b + _support_weights(G, b)[2])
         res = np.linalg.norm(xdd + b + project_onto_hull(-xdd, G).point)
         assert res <= 1e-9
 
@@ -344,7 +350,7 @@ def test_accelerated_invariants_on_p2():
     for t, x, v in zip(tr.times, tr.states, tr.velocities):
         G = scaled_hull_generators(rule, p, x, t)
         b = (r / (t + theta)) * v
-        xdd = solve_implicit_acceleration(G, b)
+        xdd = -(b + _support_weights(G, b)[2])
         inner = (G + b + xdd) @ v
         assert inner.max() <= 1e-8 * (1.0 + float(v @ v))
     # velocities recorded and x1 pinned to 1 by symmetry

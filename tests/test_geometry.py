@@ -655,36 +655,42 @@ def test_certificate_stacks_check_their_shapes():
         certificate_violation(np.zeros(2), Gs[0], np.zeros((3, 2)))
 
 
-# ------------------------------------------------- the m = 3 closed form
+# ------------------------------------------- the m = 3 and m = 4 closed form
 
 @st.composite
-def triangle_stacks(draw):
-    # a stack of three-generator hulls with the degenerate cases: collinear
-    # and duplicate generators, 0 inside the hull, a 1e-3 scale, and a
-    # scale whose |g_i - g_j|^2 is subnormal
+def simplex_stacks(draw, m):
+    # a stack of m-generator hulls, m = 3 or 4, with the degenerate cases:
+    # the last generator in the affine hull of the others (collinear or
+    # coplanar), duplicate generators, 0 inside the hull, and the scales
+    # 1e-3, 1e-100, 1e-160 (where |g_i - g_j|^2 is subnormal) and 1e100
     lead = draw(st.sampled_from([(1,), (6,), (2, 3)]))
     n = draw(st.integers(1, 4))
     flat = draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False, width=64),
-                         min_size=3 * n, max_size=3 * n))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
-    P = rng.uniform(-5.0, 5.0, lead + (3, n))
-    P[(0,) * len(lead)] = np.reshape(flat, (3, n))
-    kind = draw(st.sampled_from(["plain", "collinear", "duplicate",
-                                 "zero-inside", "tiny", "subnormal"]))
-    if kind == "collinear":
-        # the third generator on the line through the first two
-        s = rng.uniform(-2.0, 3.0, lead + (1,))
-        P[..., 2, :] = P[..., 0, :] + s * (P[..., 1, :] - P[..., 0, :])
+                         min_size=m * n, max_size=m * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = rng.uniform(-5.0, 5.0, lead + (m, n))
+    P[(0,) * len(lead)] = np.reshape(flat, (m, n))
+    kind = draw(st.sampled_from(["plain", "flat", "duplicate", "zero-inside",
+                                 "1e-3", "1e-100", "1e-160", "1e100"]))
+    if kind == "flat":
+        u = rng.uniform(-2.0, 3.0, lead + (m - 2, 1))
+        E = P[..., 1:-1, :] - P[..., :1, :]
+        P[..., -1, :] = P[..., 0, :] + (u * E).sum(axis=-2)
     elif kind == "duplicate":
-        P[..., draw(st.integers(1, 2)), :] = P[..., 0, :]
+        P[..., draw(st.integers(1, m - 1)), :] = P[..., 0, :]
     elif kind == "zero-inside":
         P -= P.mean(axis=-2, keepdims=True)
-    elif kind == "tiny":
-        P *= 1e-3
-    elif kind == "subnormal":
-        P *= 1e-160
+    elif kind != "plain":
+        P *= float(kind)
     return P
+
+
+# the hull on which Wolfe's stop returns norm 2^-25 where the exact value
+# is 0 (0 lies inside its face of generators 0, 1 and 3)
+WOLFE_STOP_HULL = np.array([[0.0, np.ldexp(3.0, -25), -0.25],
+                            [0.0, -np.ldexp(1.0, -25), -0.25],
+                            [0.0, -np.ldexp(1.0, -25), -0.25],
+                            [0.0, -np.ldexp(1.0, -25), 0.75]])
 
 
 def _rows(P):
@@ -715,13 +721,14 @@ def _assert_closed_form_matches_references(P):
     assert certificate_violation(z, P, d) <= certificate_tolerance(z, P)
 
 
-@given(triangle_stacks())
-def test_triangle_closed_form_matches_wolfe_and_the_exact_oracle(P):
-    for Pk in _rows(P):
+@example(WOLFE_STOP_HULL[None, [0, 1, 3]], WOLFE_STOP_HULL[None])
+@given(simplex_stacks(3), simplex_stacks(4))
+def test_simplex_closed_form_matches_wolfe_and_the_exact_oracle(P3, P4):
+    for Pk in (*_rows(P3), *_rows(P4)):
         _assert_closed_form_matches_references(Pk)
 
 
-@given(triangle_stacks())
+@given(simplex_stacks(3))
 def test_stacked_triangle_rows_bit_equal_each_hull(P):
     w, d, norm = _min_norm(P)
     n = P.shape[-1]
@@ -767,71 +774,8 @@ def test_triangle_closed_form_fixed_cases():
             assert _min_norm(np.ldexp(P, k))[0].tobytes() == w.tobytes()
 
 
-def test_triangle_closed_form_on_the_suite_stacks():
-    # the m = 3 stacks geometry-oracle solves at seed 0: each row equals its
-    # hull alone bit for bit and matches Wolfe and the oracle
-    stacks = [Gs for Gs in _geometry_oracle_stacks() if Gs.shape[1] == 3]
-    assert sum(len(Gs) for Gs in stacks) > 250
-    for Gs in stacks:
-        w, d, norm = _min_norm(Gs)
-        for G, wk, dk, nk in zip(Gs, w, d, norm):
-            w1, d1, n1 = _min_norm(G)
-            assert wk.tobytes() == w1.tobytes() and dk.tobytes() == d1.tobytes()
-            assert np.float64(n1).tobytes() == nk.tobytes()
-            _assert_closed_form_matches_references(G)
-
-
-# ------------------------------------------------- the m = 4 closed form
-
-@st.composite
-def tetra_stacks(draw):
-    # a stack of four-generator hulls with the degenerate cases: coplanar
-    # and duplicate generators, 0 inside the hull, and the scales 1e-3,
-    # 1e-100 and 1e100
-    lead = draw(st.sampled_from([(1,), (6,), (2, 3)]))
-    n = draw(st.integers(1, 4))
-    flat = draw(st.lists(st.floats(-5.0, 5.0, allow_nan=False, width=64),
-                         min_size=4 * n, max_size=4 * n))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    P = rng.uniform(-5.0, 5.0, lead + (4, n))
-    P[(0,) * len(lead)] = np.reshape(flat, (4, n))
-    kind = draw(st.sampled_from(["plain", "coplanar", "duplicate",
-                                 "zero-inside", "tiny", "1e-100", "1e100"]))
-    if kind == "coplanar":
-        # the fourth generator in the plane of the first three
-        u = rng.uniform(-1.0, 2.0, lead + (2, 1))
-        P[..., 3, :] = (P[..., 0, :] + u[..., 0, :] * (P[..., 1, :] - P[..., 0, :])
-                        + u[..., 1, :] * (P[..., 2, :] - P[..., 0, :]))
-    elif kind == "duplicate":
-        P[..., draw(st.integers(1, 3)), :] = P[..., 0, :]
-    elif kind == "zero-inside":
-        P -= P.mean(axis=-2, keepdims=True)
-    elif kind == "tiny":
-        P *= 1e-3
-    elif kind == "1e-100":
-        P *= 1e-100
-    elif kind == "1e100":
-        P *= 1e100
-    return P
-
-
-# the hull on which Wolfe's stop returns norm 2^-25 where the exact value
-# is 0 (0 lies inside its face of generators 0, 1 and 3)
-WOLFE_STOP_HULL = np.array([[0.0, np.ldexp(3.0, -25), -0.25],
-                            [0.0, -np.ldexp(1.0, -25), -0.25],
-                            [0.0, -np.ldexp(1.0, -25), -0.25],
-                            [0.0, -np.ldexp(1.0, -25), 0.75]])
-
-
-@example(WOLFE_STOP_HULL[None])
-@given(tetra_stacks())
-def test_tetra_closed_form_matches_wolfe_and_the_exact_oracle(P):
-    for Pk in _rows(P):
-        _assert_closed_form_matches_references(Pk)
-
-
 @example(WOLFE_STOP_HULL[None], 0)
-@given(tetra_stacks(), st.integers(-200, 200))
+@given(simplex_stacks(4), st.integers(-200, 200))
 def test_stacked_tetra_rows_bit_equal_each_hull(P, k):
     # each row equals its hull alone byte for byte, and a hull scaled by
     # 2^k, where that is exact, keeps its weights' bits
@@ -893,26 +837,33 @@ def test_tetra_closed_form_fixed_cases():
             assert _min_norm(np.ldexp(P, k))[0].tobytes() == w.tobytes()
 
 
-def test_tetra_interior_of_thin_hulls():
-    # 0 at the centroid of tetrahedra thin in their last coordinate: the
-    # interior point is found to 1e-12 of the hull's size.  The plain 3x3
-    # Gram system misses it by 6e-7 at n = 3 (1e-4 thin), and without its
-    # correction step by 7e-10 at n = 4 (1e-8 thin).
-    rng = np.random.default_rng(25)
-    for n, thin in ((3, 1e-4), (4, 1e-8)):
-        P = rng.normal(size=(200, 4, n))
-        P[..., -1] *= thin
-        P -= P.mean(axis=-2, keepdims=True)
-        w, _, norm = _min_norm(P)
-        assert (norm <= 1e-12 * np.abs(P).max(axis=(-2, -1))).all()
+@pytest.mark.parametrize("m,n,thin", [(3, 2, 1e-4), (3, 3, 1e-8), (4, 2, 1e-4),
+                                       (4, 3, 1e-4), (4, 4, 1e-8)])
+def test_simplex_interior_of_thin_hulls(m, n, thin):
+    # 0 at the centroid of hulls thin in their last coordinate is found to
+    # 1e-12 of the hull's size, by the interior candidate when n >= m - 1
+    # and by a face's otherwise.  The plain Gram system squares the edge
+    # vectors' condition number: solved by it, triangles miss 0 by 3.3e-6
+    # at n = 2 and 1.3e-12 at n = 3, and m = 4 hulls by 9.9e-8 at n = 2,
+    # through their faces, and 5.6e-6 at n = 3.  The Gram system with its
+    # correction step in place of Cramer's rule misses by 7e-9 (m = 3,
+    # n = 2) and 6.4e-7 (m = 4, n = 3), and without that step by 2.1e-10
+    # at n = 4.
+    P = np.random.default_rng(0).normal(size=(200, m, n))
+    P[..., -1] *= thin
+    P -= P.mean(axis=-2, keepdims=True)
+    w, _, norm = _min_norm(P)
+    assert (norm <= 1e-12 * np.abs(P).max(axis=(-2, -1))).all()
+    if n >= m - 1:
         assert (w > 0.0).all()
 
 
-def test_tetra_closed_form_on_the_suite_stacks():
-    # the m = 4 stacks geometry-oracle solves at seed 0: each row equals its
-    # hull alone bit for bit and matches Wolfe and the oracle
-    stacks = [Gs for Gs in _geometry_oracle_stacks() if Gs.shape[1] == 4]
-    assert sum(len(Gs) for Gs in stacks) > 250
+def test_simplex_closed_form_on_the_suite_stacks():
+    # the m = 3 and m = 4 stacks geometry-oracle solves at seed 0: each row
+    # equals its hull alone bit for bit and matches Wolfe and the oracle
+    stacks = [Gs for Gs in _geometry_oracle_stacks() if Gs.shape[1] in (3, 4)]
+    for m in (3, 4):
+        assert sum(len(Gs) for Gs in stacks if Gs.shape[1] == m) > 250
     for Gs in stacks:
         w, d, norm = _min_norm(Gs)
         for G, wk, dk, nk in zip(Gs, w, d, norm):
@@ -955,7 +906,7 @@ def test_stacked_oracle_rows_bit_equal_each_hull(P):
     _assert_oracle_rows_equal_each_hull(_rows(P))
 
 
-@given(triangle_stacks())
+@given(simplex_stacks(3))
 def test_stacked_oracle_on_degenerate_triangles(P):
     _assert_oracle_rows_equal_each_hull(_rows(P))
 

@@ -306,7 +306,7 @@ SUITE_JSON_SHA256 = {
     "problem-sanity":
         "8834021d7e2e9b2ede4e4c5876f1aa8ab702418c2d967d218771baeb3e7a6298",
     "geometry-oracle":
-        "31cc4b798bfd87434b04131e7971ebe145a86c84e84cdcb3aed59fcfb4f16f90",
+        "383738520d7c5b016c1ec6137b728bd3663e26568df8a0f86497a7e30f6e2c63",
     "accelerated-rate":
         "a072f30c1bd72dd788f7cfaa5bfd0fd4d811e12ddbcb39a4e50521bdaf9ddae9",
     "convex-rate":
