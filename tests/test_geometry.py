@@ -721,10 +721,17 @@ def _assert_closed_form_matches_references(P):
     assert certificate_violation(z, P, d) <= certificate_tolerance(z, P)
 
 
-@example(WOLFE_STOP_HULL[None, [0, 1, 3]], WOLFE_STOP_HULL[None])
-@given(simplex_stacks(3), simplex_stacks(4))
-def test_simplex_closed_form_matches_wolfe_and_the_exact_oracle(P3, P4):
-    for Pk in (*_rows(P3), *_rows(P4)):
+@example(WOLFE_STOP_HULL[None, [0, 1, 3]])
+@given(simplex_stacks(3))
+def test_triangle_closed_form_matches_wolfe_and_the_exact_oracle(P):
+    for Pk in _rows(P):
+        _assert_closed_form_matches_references(Pk)
+
+
+@example(WOLFE_STOP_HULL[None])
+@given(simplex_stacks(4))
+def test_tetra_closed_form_matches_wolfe_and_the_exact_oracle(P):
+    for Pk in _rows(P):
         _assert_closed_form_matches_references(Pk)
 
 
@@ -858,12 +865,11 @@ def test_simplex_interior_of_thin_hulls(m, n, thin):
         assert (w > 0.0).all()
 
 
-def test_simplex_closed_form_on_the_suite_stacks():
-    # the m = 3 and m = 4 stacks geometry-oracle solves at seed 0: each row
+def _assert_suite_stacks_match(m):
+    # the m-generator stacks geometry-oracle solves at seed 0: each row
     # equals its hull alone bit for bit and matches Wolfe and the oracle
-    stacks = [Gs for Gs in _geometry_oracle_stacks() if Gs.shape[1] in (3, 4)]
-    for m in (3, 4):
-        assert sum(len(Gs) for Gs in stacks if Gs.shape[1] == m) > 250
+    stacks = [Gs for Gs in _geometry_oracle_stacks() if Gs.shape[1] == m]
+    assert sum(len(Gs) for Gs in stacks) > 250
     for Gs in stacks:
         w, d, norm = _min_norm(Gs)
         for G, wk, dk, nk in zip(Gs, w, d, norm):
@@ -871,6 +877,14 @@ def test_simplex_closed_form_on_the_suite_stacks():
             assert wk.tobytes() == w1.tobytes() and dk.tobytes() == d1.tobytes()
             assert np.float64(n1).tobytes() == nk.tobytes()
             _assert_closed_form_matches_references(G)
+
+
+def test_triangle_closed_form_on_the_suite_stacks():
+    _assert_suite_stacks_match(3)
+
+
+def test_tetra_closed_form_on_the_suite_stacks():
+    _assert_suite_stacks_match(4)
 
 
 # ------------------------------------------------------ the stacked oracle
