@@ -27,9 +27,10 @@ five or more.  A closed form divides only by a value at or above the
 smallest normal float (_proper).  A pair whose |g_1 - g_2|^2 is below it,
 or NaN, is degenerate and takes weight 1 on g_1, as a zero-length segment
 does; every two-generator closed form, here and in mbgf.flow's sliding
-weights, keeps that one rule.  Three and four generators share one
-face-recursive closed form, _simplex_weights.  It scales a hull by a power
-of two to unit size and takes the best point of its faces, a triangle's
+weights, keeps that one rule.  A pair whose |g_1 - g_2|^2 overflows is
+solved scaled by a power of two to unit size.  Three and four generators
+share one face-recursive closed form, _simplex_weights.  It scales every
+hull that way and takes the best point of its faces, a triangle's
 edges by the pair closed form and a tetrahedron's triangles by itself, and
 of its interior: the minimum-norm point of the affine hull, solved on the
 edge vectors d_i = g_1 - g_i, when that point's weights are nonnegative
@@ -308,11 +309,24 @@ def _pair_weights(theta):
     return w
 
 
+def _unit_scale(P):
+    # each hull of an (..., m, n) stack scaled by the power of two that
+    # brings its largest entry into [0.5, 1)
+    e = np.frexp(np.abs(P).max(axis=(-2, -1)))[1]
+    return np.ldexp(P, -e[..., None, None])
+
+
 def _segment_weights(P):
     # the pair closed form on an (..., 2, n) stack: minimize
-    # ||theta p0 + (1 - theta) p1|| over theta in [0, 1]
+    # ||theta p0 + (1 - theta) p1|| over theta in [0, 1].  A pair whose
+    # |delta|^2 overflows (beyond about 1e154) is solved at unit scale
     d = P[..., 0, :] - P[..., 1, :]
     dd = _dot(d, d)
+    big = ~(dd < np.inf)
+    if big.any():
+        P = np.where(big[..., None, None], _unit_scale(P), P)
+        d = P[..., 0, :] - P[..., 1, :]
+        dd = _dot(d, d)
     return _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
                                    out=np.ones_like(dd), where=_proper(dd)))
 
@@ -391,8 +405,7 @@ def _simplex_weights(P):
     # one of size 1e77.  Elementwise, so no row's bits depend on the rest
     # of the stack.
     lead, (m, n) = P.shape[:-2], P.shape[-2:]
-    e = np.frexp(np.abs(P).max(axis=(-2, -1)))[1]
-    P = np.ldexp(P, -e[..., None, None])
+    P = _unit_scale(P)
     F = P[..., _FACES[m], :]
     W = np.zeros(lead + (m + (n >= m - 1), m))
     W[(...,) + _FACE_AT[m]] = (
@@ -431,9 +444,13 @@ def _min_norm(P):
         p1 = P[1]
         d = P[0] - p1
         dd = float(d.dot(d))
-        theta = float(-p1.dot(d)) / dd if _proper(dd) else 1.0
-        theta = min(1.0, max(0.0, theta))
-        w = np.array([theta, 1.0 - theta])
+        if dd < math.inf:
+            theta = float(-p1.dot(d)) / dd if _proper(dd) else 1.0
+            theta = min(1.0, max(0.0, theta))
+            w = np.array([theta, 1.0 - theta])
+        else:
+            # |delta|^2 overflows: the stack form solves it at unit scale
+            w = _segment_weights(P[None])[0]
     elif m == 2:
         # the same closed form on every hull at once
         w = _segment_weights(P)

@@ -13,6 +13,11 @@ The level-set bound takes one (m,) level or a (P, m) stack of levels, and
 a stack gives every radius and box in one call (a stack of P boxes), each
 equal to its level's own call bit for bit: an analytic bound is one
 vectorized function of a (P, m) stack, and one level is its P = 1 case.
+
+quadratic_problem builds the diagonal quadratics f_i(x) = 1/2 sum_j
+A_ij (x_j - c_ij)^2 from their curvatures and centers, and derives their
+constants and level-set bound.  The built-ins p1, p2 and p4 are instances
+of it; p3 is written by hand, and make_problem takes any other plugin.
 """
 
 import numpy as np
@@ -227,100 +232,60 @@ def _refuse_negative(A):
         raise InvalidInputError("empty sublevel set (level below the objective minimum)")
 
 
-def _ball_bound(a_i, center):
-    # Sublevel sets of 0.5*||x - c||^2 at the (P,) levels a_i: balls of
-    # radius sqrt(2 a_i).  Returns their norm bounds and box corners.
-    r = np.sqrt(np.maximum(0.0, 2.0 * a_i))
-    c = np.asarray(center, dtype=float)
-    return _norm(c) + r, c - r[:, None], c + r[:, None]
-
-
 # ------------------------------------------------------------ built-ins
 
-# The built-in oracles fill a preallocated result instead of calling
-# np.stack, whose per-call overhead dominates at a single point.  They
-# square by multiplication: ** 2 on a numpy scalar calls pow(), which can
-# round differently from the x * x that ** 2 gives on an array, and a point
-# must get the same value alone and inside a stack.
+# The built-ins are the quadratic family's p1, p2 and p4 and the
+# hand-written p3.  Their oracles square by multiplication: ** 2 on a numpy
+# scalar calls pow(), which can round differently from the x * x that ** 2
+# gives on an array, and a point must get the same value alone and inside
+# a stack.
 
-def _p1_value(x):
-    x1, x2 = x[..., 0], x[..., 1]
-    u1, u2 = x1 - 1.0, x2 - 1.0
-    f = np.empty(x.shape[:-1] + (2,))
-    f[..., 0] = 0.5 * (100.0 * (x1 * x1) + x2 * x2)
-    f[..., 1] = 0.5 * (u1 * u1 + u2 * u2)
-    return f
+def quadratic_problem(name, A, C, *, convexity_class, region, starts):
+    """The diagonal quadratics f_i(x) = 1/2 sum_j A_ij (x_j - C_ij)^2.
 
+    A holds the (m, n) positive curvatures and C the (m, n) centers, and
+    every declared constant follows from them and the region: lipschitz_i
+    = max_j A_ij, lower bounds 0, strong_convexity_i = min_j A_ij when the
+    declared class is strongly_convex, and grad_bound the largest
+    ||A_i (x - c_i)|| over the region's corners.  The level-set bound of
+    levels a is the intersection of the boxes c_i +- sqrt(2 a_i / A_i),
+    with the radius min_i ||c_i|| + sqrt(2 a_i / min_j A_ij), or the box's
+    largest norm when that is smaller.
+    """
+    A = np.array(A, dtype=float)
+    C = np.array(C, dtype=float)
+    if (A.ndim != 2 or A.shape != C.shape or not np.all(A > 0.0)
+            or not np.all(np.isfinite(A)) or not np.all(np.isfinite(C))):
+        raise InvalidInputError("a quadratic problem takes finite (m, n) "
+                                "curvatures A > 0 and centers C of one shape")
 
-_P1_CURVATURE = np.array([100.0, 1.0])
+    def value(x):
+        d = x[..., None, :] - C
+        return 0.5 * np.add.reduce(A * (d * d), axis=-1)
 
+    def grads(x):
+        return (x[..., None, :] - C) * A
 
-def _p1_grads(x):
-    # x * 1.0 is x exactly, so the first row takes one product
-    g = np.empty(x.shape[:-1] + (2, 2))
-    g[..., 0, :] = x * _P1_CURVATURE
-    g[..., 1, :] = x - 1.0
-    return g
+    def level_set_bound(a):
+        _refuse_negative(a)
+        half = np.sqrt(2.0 * a[:, :, None] / A)
+        lo, hi = C - half, C + half
+        box_lo, box_hi = lo[:, 0], hi[:, 0]
+        for i in range(1, len(C)):
+            box_lo, box_hi = _intersect(box_lo, box_hi, lo[:, i], hi[:, i])
+        box = Box(box_lo, box_hi)
+        balls = _norm(C) + np.sqrt(2.0 * a / A.min(axis=1))
+        return LevelSetBound(a, np.minimum(balls.min(axis=1), box.max_norm()), box)
 
-
-def _p1_level_set_bound(A):
-    _refuse_negative(A)
-    # f1-sublevel: ellipse 100 x1^2 + x2^2 <= 2 a1.  Its largest norm sits on
-    # the x2 axis because that is the flattest direction.
-    r1 = np.sqrt(2.0 * A[:, 0])
-    radius2, lo2, hi2 = _ball_bound(A[:, 1], [1.0, 1.0])
-    box = Box(*_intersect(np.stack([-r1 / 10.0, -r1], axis=-1),
-                          np.stack([r1 / 10.0, r1], axis=-1), lo2, hi2))
-    radius = np.minimum.reduce([r1, radius2, box.max_norm()])
-    return LevelSetBound(A, radius, box)
-
-
-def _make_p1():
+    far = np.maximum(np.abs(region.lo - C), np.abs(region.hi - C))
     return Problem(
-        name="unbalanced-convex", n=2, m=2,
-        value=_p1_value, grads=_p1_grads,
-        lipschitz=[100.0, 1.0], lower_bounds=[0.0, 0.0],
-        convexity_class="convex",
-        region=Box([-0.5, -0.5], [1.5, 2.0]),
-        grad_bound=float(np.hypot(150.0, 2.0)),
-        starts=[[1.0, 1.0], [0.25, 1.5]],
-        level_set_bound=_p1_level_set_bound,
-    )
-
-
-_P2_C = np.array([[0.0, 0.0], [2.0, 0.0]])
-
-
-def _p2_value(x):
-    d = x[..., None, :] - _P2_C
-    return 0.5 * (d * d).sum(axis=-1)
-
-
-def _p2_grads(x):
-    return x[..., None, :] - _P2_C
-
-
-def _p2_level_set_bound(A):
-    _refuse_negative(A)
-    r1, lo1, hi1 = _ball_bound(A[:, 0], _P2_C[0])
-    r2, lo2, hi2 = _ball_bound(A[:, 1], _P2_C[1])
-    box = Box(*_intersect(lo1, hi1, lo2, hi2))
-    radius = np.minimum.reduce([r1, r2, box.max_norm()])
-    return LevelSetBound(A, radius, box)
-
-
-def _make_p2():
-    return Problem(
-        name="strongly-convex", n=2, m=2,
-        value=_p2_value, grads=_p2_grads,
-        lipschitz=[1.0, 1.0], lower_bounds=[0.0, 0.0],
-        strong_convexity=[1.0, 1.0],
-        convexity_class="strongly_convex",
-        region=Box([-2.0, -2.0], [4.0, 2.0]),
-        grad_bound=float(np.sqrt(20.0)),
-        starts=[[1.0, 1.0]],
-        level_set_bound=_p2_level_set_bound,
-    )
+        name, A.shape[1], A.shape[0], value, grads,
+        lipschitz=A.max(axis=1), lower_bounds=np.zeros(len(A)),
+        convexity_class=convexity_class, region=region,
+        grad_bound=_norm(A * far).max(), starts=starts,
+        strong_convexity=(A.min(axis=1) if convexity_class == "strongly_convex"
+                          else None),
+        level_set_bound=level_set_bound)
 
 
 # Coordinatewise term g(u) = sqrt(1 + u^2) + 0.4 cos(u) - 1.4.  g >= 0 with
@@ -368,44 +333,6 @@ def _make_p3():
     )
 
 
-def _p4_value(x):
-    x0 = x[..., 0]
-    f = np.empty(x0.shape + (2,))
-    u0, u1 = x0 + 1.0, x0 - 1.0
-    f[..., 0] = u0 * u0
-    f[..., 1] = u1 * u1
-    return f
-
-
-def _p4_grads(x):
-    x0 = x[..., 0]
-    g = np.empty(x0.shape + (2, 1))
-    g[..., 0, 0] = 2.0 * (x0 + 1.0)
-    g[..., 1, 0] = 2.0 * (x0 - 1.0)
-    return g
-
-
-def _p4_level_set_bound(A):
-    _refuse_negative(A)
-    r1, r2 = np.sqrt(A[:, :1]), np.sqrt(A[:, 1:])
-    box = Box(*_intersect(-1.0 - r1, -1.0 + r1, 1.0 - r2, 1.0 + r2))
-    radius = np.minimum.reduce([1.0 + r1[:, 0], 1.0 + r2[:, 0], box.max_norm()])
-    return LevelSetBound(A, radius, box)
-
-
-def _make_p4():
-    return Problem(
-        name="scalar-pair", n=1, m=2,
-        value=_p4_value, grads=_p4_grads,
-        lipschitz=[2.0, 2.0], lower_bounds=[0.0, 0.0],
-        convexity_class="convex",
-        region=Box([-2.5], [2.5]),
-        grad_bound=7.0,
-        starts=[[2.0]],
-        level_set_bound=_p4_level_set_bound,
-    )
-
-
 _REGISTRY = {}
 
 
@@ -428,7 +355,21 @@ def list_problems():
     return sorted(_REGISTRY)
 
 
-for _f in (_make_p1, _make_p2, _make_p3, _make_p4):
+for _f in (
+        lambda: quadratic_problem(
+            "unbalanced-convex", [[100.0, 1.0], [1.0, 1.0]],
+            [[0.0, 0.0], [1.0, 1.0]], convexity_class="convex",
+            region=Box([-0.5, -0.5], [1.5, 2.0]),
+            starts=[[1.0, 1.0], [0.25, 1.5]]),
+        lambda: quadratic_problem(
+            "strongly-convex", [[1.0, 1.0], [1.0, 1.0]],
+            [[0.0, 0.0], [2.0, 0.0]], convexity_class="strongly_convex",
+            region=Box([-2.0, -2.0], [4.0, 2.0]), starts=[[1.0, 1.0]]),
+        _make_p3,
+        lambda: quadratic_problem(
+            "scalar-pair", [[2.0], [2.0]], [[-1.0], [1.0]],
+            convexity_class="convex", region=Box([-2.5], [2.5]),
+            starts=[[2.0]])):
     register_problem(_f)
 
 

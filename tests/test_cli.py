@@ -14,7 +14,7 @@ from mbgf.cli import (ExperimentConfig, parse_config, validate_config,
                       run_experiment, trajectory_csv_text, iterates_csv_text,
                       main, PROBLEM_ALIASES)
 from mbgf import cli, merit_rates, problems, verify
-from mbgf.problems import Box, get_problem, make_problem
+from mbgf.problems import Box, get_problem, make_problem, quadratic_problem
 from mbgf.scaling import parse_scaling
 from mbgf.flow import FlowConfig, integrate_first_order
 from mbgf.discrete import DiscreteConfig, run_discrete
@@ -694,13 +694,9 @@ def test_main_exit_3_on_divergence(cmd, monkeypatch, capsys):
 
 def _triangle():
     # three quadratics with centers on a triangle
-    C = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
-    return make_problem(
-        "triangle", 2, 3,
-        lambda x: 0.5 * ((x[..., None, :] - C) ** 2).sum(axis=-1),
-        lambda x: x[..., None, :] - C, lipschitz=[1.0] * 3,
-        lower_bounds=[0.0] * 3, convexity_class="convex",
-        region=Box([-3.0, -3.0], [5.0, 5.0]), grad_bound=10.0,
+    return quadratic_problem(
+        "triangle", np.ones((3, 2)), [[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]],
+        convexity_class="convex", region=Box([-3.0, -3.0], [5.0, 5.0]),
         starts=[[3.0, 2.0]])
 
 

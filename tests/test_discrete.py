@@ -7,18 +7,14 @@ from mbgf.discrete import (MERIT_SLACK, DiscreteConfig, IterateSequence,
 from mbgf.errors import InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
 from mbgf.geometry import _min_norm
-from mbgf.problems import Box, get_problem, make_problem
+from mbgf.problems import Box, get_problem, make_problem, quadratic_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, parse_scaling)
 
 
 def ball_problem():
-    return make_problem(
-        "ball", 1, 1,
-        lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
-        lambda x: x[..., None, :],
-        lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
-        region=Box([-2.0], [2.0]), grad_bound=2.0, starts=[[1.0]])
+    return quadratic_problem("ball", [[1.0]], [[0.0]], convexity_class="convex",
+                             region=Box([-2.0], [2.0]), starts=[[1.0]])
 
 
 def test_critical_start_stays_fixed():
@@ -271,30 +267,20 @@ def test_a_two_cycle_is_not_a_fixed_point():
 
 def three_quadratics():
     # m = 3: every iterate is solved by the triangle closed form
-    A = np.array([[4.0, 1.0], [1.0, 9.0], [2.0, 0.5]])
-    C = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]])
-    return make_problem(
-        "three-quadratics", 2, 3,
-        lambda x: 0.5 * (A * (x[..., None, :] - C) ** 2).sum(axis=-1),
-        lambda x: A * (x[..., None, :] - C), lipschitz=A.max(axis=1),
-        lower_bounds=[0.0, 0.0, 0.0], convexity_class="strongly_convex",
-        region=Box([0.0, 0.0], [2.0, 2.0]), grad_bound=20.0,
-        starts=[[1.0, 1.0]])
+    return quadratic_problem(
+        "three-quadratics", [[4.0, 1.0], [1.0, 9.0], [2.0, 0.5]],
+        [[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]], convexity_class="strongly_convex",
+        region=Box([0.0, 0.0], [2.0, 2.0]), starts=[[1.0, 1.0]])
 
 
 def four_quadratics():
     # m = 4 in n = 3: every iterate is solved by the tetrahedron closed
     # form, whose interior candidate holds inside the weak Pareto set
-    A = np.array([[4.0, 1.0, 2.0], [1.0, 9.0, 1.0], [2.0, 0.5, 3.0],
-                  [1.0, 2.0, 6.0]])
-    C = np.array([[0.0, 0.0, 0.0], [2.0, 0.5, 0.0], [0.5, 2.0, 0.5],
-                  [0.5, 0.5, 2.0]])
-    return make_problem(
-        "four-quadratics", 3, 4,
-        lambda x: 0.5 * (A * (x[..., None, :] - C) ** 2).sum(axis=-1),
-        lambda x: A * (x[..., None, :] - C), lipschitz=A.max(axis=1),
-        lower_bounds=[0.0] * 4, convexity_class="strongly_convex",
-        region=Box([-1.0] * 3, [3.0] * 3), grad_bound=40.0,
+    return quadratic_problem(
+        "four-quadratics",
+        [[4.0, 1.0, 2.0], [1.0, 9.0, 1.0], [2.0, 0.5, 3.0], [1.0, 2.0, 6.0]],
+        [[0.0, 0.0, 0.0], [2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.5, 0.5, 2.0]],
+        convexity_class="strongly_convex", region=Box([-1.0] * 3, [3.0] * 3),
         starts=[[1.0, 1.0, 1.0]])
 
 

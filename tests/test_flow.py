@@ -23,19 +23,15 @@ from mbgf.flow import (
 )
 from mbgf.geometry import (_min_norm, _support_weights, min_norm_point,
                            project_onto_hull, support_point)
-from mbgf.problems import Box, get_problem, make_problem
+from mbgf.problems import Box, get_problem, make_problem, quadratic_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, scaled_hull_generators)
 from mbgf.verify import _exact_min_norm
 
 
 def ball_problem(region=2.0):
-    return make_problem(
-        "ball", 1, 1,
-        lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
-        lambda x: x[..., None, :],
-        lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
-        region=Box([-region], [region]), grad_bound=region, starts=[[1.0]])
+    return quadratic_problem("ball", [[1.0]], [[0.0]], convexity_class="convex",
+                             region=Box([-region], [region]), starts=[[1.0]])
 
 
 def test_single_objective_exponential_decay():

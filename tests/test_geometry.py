@@ -44,6 +44,22 @@ def test_min_norm_point_of_symmetric_segment():
     assert abs(float(r.point @ r.point) - 8.0) < 1e-10
 
 
+def test_min_norm_point_of_a_segment_past_1e154():
+    # |delta|^2 overflows at this size: the pair closed form solves the
+    # segment scaled to unit size, alone and as a row of a stack.  The
+    # norm, sqrt(d . d), still overflows to inf here, hence the errstate.
+    G = np.array([[3.0, 1.0], [1.0, 3.0]]) * 1e155
+    with np.errstate(over="ignore"):
+        r = min_norm_point(G)
+        w = _min_norm(G)[0]
+        W = _min_norm(np.stack([G * 1e-155, G, -G]))[0]
+    assert np.abs(r.weights.weights - 0.5).max() <= 1e-15
+    assert np.allclose(r.point, [2e155, 2e155], rtol=1e-15, atol=0.0)
+    assert np.abs(W - 0.5).max() <= 1e-15
+    assert W[1].tobytes() == w.tobytes()
+    assert W[0].tobytes() == _min_norm(G * 1e-155)[0].tobytes()
+
+
 def test_projection_clamps_to_endpoint():
     # Projecting (0,2) onto the segment {(2,0),(0,1)}: the unconstrained
     # affine solution has a negative weight, so the answer is the endpoint

@@ -24,18 +24,14 @@ from mbgf.merit_rates import (
     u0_bracket,
     u0_certified,
 )
-from mbgf.problems import Box, LevelSetBound, get_problem, make_problem
+from mbgf.problems import Box, get_problem, make_problem, quadratic_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, parse_scaling)
 
 
 def ball_problem(region=3.0):
-    return make_problem(
-        "ball", 1, 1,
-        lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
-        lambda x: x[..., None, :],
-        lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
-        region=Box([-region], [region]), grad_bound=region, starts=[[1.0]])
+    return quadratic_problem("ball", [[1.0]], [[0.0]], convexity_class="convex",
+                             region=Box([-region], [region]), starts=[[1.0]])
 
 
 # --------------------------------------------------------------- u0 grids
@@ -104,31 +100,12 @@ def test_u0_grid_too_fine_for_an_integer_count_is_refused():
 # ------------------------------------------------------------- u0 bracket
 
 def three_quadratics():
-    # f_i(x) = 0.5 sum_j a_ij (x_j - c_ij)^2: convex, m = 3, and its
-    # sublevel sets are axis-aligned ellipses with closed-form boxes
-    A = np.array([[4.0, 1.0], [1.0, 9.0], [2.0, 0.5]])
-    C = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]])
-
-    def value(x):
-        d = x[..., None, :] - C
-        return 0.5 * (A * d * d).sum(axis=-1)
-
-    def grads(x):
-        return A * (x[..., None, :] - C)
-
-    def level_set_bound(a):
-        # a (P, 3) stack of levels, as every analytic bound takes
-        half = np.sqrt(2.0 * a[:, :, None] / A)
-        box = Box(C[0] - half[:, 0], C[0] + half[:, 0])
-        for i in (1, 2):
-            box = box.intersect(Box(C[i] - half[:, i], C[i] + half[:, i]))
-        return LevelSetBound(a, box.max_norm(), box)
-
-    return make_problem(
-        "three-quadratics", 2, 3, value, grads, lipschitz=A.max(axis=1),
-        lower_bounds=[0.0, 0.0, 0.0], convexity_class="strongly_convex",
-        region=Box([0.0, 0.0], [2.0, 2.0]), grad_bound=20.0,
-        starts=[[1.0, 1.0]], level_set_bound=level_set_bound)
+    # convex, m = 3, and its sublevel sets are axis-aligned ellipses with
+    # closed-form boxes
+    return quadratic_problem(
+        "three-quadratics", [[4.0, 1.0], [1.0, 9.0], [2.0, 0.5]],
+        [[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]], convexity_class="strongly_convex",
+        region=Box([0.0, 0.0], [2.0, 2.0]), starts=[[1.0, 1.0]])
 
 
 def test_bracket_holds_closed_forms():

@@ -9,6 +9,7 @@ from mbgf.problems import (
     get_problem,
     list_problems,
     make_problem,
+    quadratic_problem,
     register_problem,
 )
 
@@ -244,11 +245,11 @@ def test_register_plugin_roundtrip(monkeypatch):
     assert list_problems() == sorted(ALL)
 
 
-# The built-in oracles fill preallocated arrays; these are the np.stack
-# formulas they replaced, kept as the reference.  They square by
-# multiplication, as ** 2 does on an array: on a single point's numpy
-# scalars ** 2 calls pow(), which differs from x * x in the last bit at
-# about 1 point in 1000.
+# p1, p2 and p4 are instances of one quadratic family; these are the
+# hand-written np.stack formulas of each, kept as the reference.  They
+# square by multiplication, as ** 2 does on an array: on a single point's
+# numpy scalars ** 2 calls pow(), which differs from x * x in the last bit
+# at about 1 point in 1000.
 
 def _p1_value_stack(x):
     x1, x2 = x[..., 0], x[..., 1]
@@ -261,6 +262,17 @@ def _p1_grads_stack(x):
     g1 = np.stack([100.0 * x[..., 0], x[..., 1]], axis=-1)
     g2 = x - np.array([1.0, 1.0])
     return np.stack([g1, g2], axis=-2)
+
+
+def _p2_value_stack(x):
+    x1, x2 = x[..., 0], x[..., 1]
+    f1 = 0.5 * (x1 * x1 + x2 * x2)
+    f2 = 0.5 * ((x1 - 2.0) * (x1 - 2.0) + x2 * x2)
+    return np.stack([f1, f2], axis=-1)
+
+
+def _p2_grads_stack(x):
+    return np.stack([x, x - np.array([2.0, 0.0])], axis=-2)
 
 
 def _p4_value_stack(x):
@@ -280,6 +292,7 @@ def _assert_same_array(a, b):
 
 @pytest.mark.parametrize("name,value,grads", [
     ("unbalanced-convex", _p1_value_stack, _p1_grads_stack),
+    ("strongly-convex", _p2_value_stack, _p2_grads_stack),
     ("scalar-pair", _p4_value_stack, _p4_grads_stack),
 ])
 def test_oracles_match_stack_formulas_bitwise(name, value, grads):
@@ -295,6 +308,32 @@ def test_oracles_match_stack_formulas_bitwise(name, value, grads):
     if p.n == 1:
         _assert_same_array(p.value(2.0), value(np.array([2.0])))
         _assert_same_array(p.grads(2.0), grads(np.array([2.0])))
+
+
+@pytest.mark.parametrize("name,lipschitz,strong_convexity,grad_bound", [
+    ("unbalanced-convex", [100.0, 1.0], None, float(np.hypot(150.0, 2.0))),
+    ("strongly-convex", [1.0, 1.0], [1.0, 1.0], float(np.sqrt(20.0))),
+    ("scalar-pair", [2.0, 2.0], None, 7.0),
+])
+def test_quadratic_family_derives_the_declared_constants(
+        name, lipschitz, strong_convexity, grad_bound):
+    # the literals p1, p2 and p4 declared before they became instances
+    p = get_problem(name)
+    assert p.lipschitz.tolist() == lipschitz
+    assert p.lower_bounds.tolist() == [0.0, 0.0]
+    assert (p.strong_convexity is None if strong_convexity is None
+            else p.strong_convexity.tolist() == strong_convexity)
+    assert p.grad_bound == grad_bound
+
+
+def test_quadratic_problem_refuses_bad_curvatures():
+    for A, C in (([[1.0, 0.0]], [[0.0, 0.0]]), ([[1.0, 1.0]], [[0.0]]),
+                 ([1.0, 1.0], [0.0, 0.0]), ([[1.0, np.inf]], [[0.0, 0.0]]),
+                 ([[1.0, 1.0]], [[0.0, np.nan]])):
+        with pytest.raises(InvalidInputError, match="quadratic problem"):
+            quadratic_problem("bad", A, C, convexity_class="convex",
+                              region=Box([-1.0, -1.0], [1.0, 1.0]),
+                              starts=[[0.0, 0.0]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -347,6 +386,68 @@ def test_stacked_level_set_bound_equals_per_level_calls(name):
         one = p.level_set_bound(a)
         assert isinstance(one.radius, float) and one.box.lo.shape == (p.n,)
         assert _bound_bits(stacked[k]) == _bound_bits(one), (name, k)
+
+
+# The level-set bounds p1, p2 and p4 had before they became instances of
+# the quadratic family, kept as the reference.  p1's f1 box had the x1
+# half-width sqrt(2 a_1) / 10; the family's sqrt(2 a_1 / 100) takes its
+# place, the one part of these bounds the family moved.
+
+def _ball_bound(a_i, c):
+    r = np.sqrt(np.maximum(0.0, 2.0 * a_i))
+    c = np.array(c)
+    return np.sqrt(c @ c) + r, c - r[:, None], c + r[:, None]
+
+
+def _p1_bound(a):
+    r1 = np.sqrt(2.0 * a[:, 0])
+    h1 = np.sqrt(2.0 * a[:, 0] / 100.0)
+    radius2, lo2, hi2 = _ball_bound(a[:, 1], [1.0, 1.0])
+    box = Box(*problems._intersect(np.stack([-h1, -r1], axis=-1),
+                                   np.stack([h1, r1], axis=-1), lo2, hi2))
+    return np.minimum.reduce([r1, radius2, box.max_norm()]), box
+
+
+def _p2_bound(a):
+    r1, lo1, hi1 = _ball_bound(a[:, 0], [0.0, 0.0])
+    r2, lo2, hi2 = _ball_bound(a[:, 1], [2.0, 0.0])
+    box = Box(*problems._intersect(lo1, hi1, lo2, hi2))
+    return np.minimum.reduce([r1, r2, box.max_norm()]), box
+
+
+def _p4_bound(a):
+    r1, r2 = np.sqrt(a[:, :1]), np.sqrt(a[:, 1:])
+    box = Box(*problems._intersect(-1.0 - r1, -1.0 + r1, 1.0 - r2, 1.0 + r2))
+    return np.minimum.reduce([1.0 + r1[:, 0], 1.0 + r2[:, 0],
+                              box.max_norm()]), box
+
+
+@pytest.mark.parametrize("name,bound,centers", [
+    ("unbalanced-convex", _p1_bound, [[0.0, 0.0], [1.0, 1.0]]),
+    ("strongly-convex", _p2_bound, [[0.0, 0.0], [2.0, 0.0]]),
+    ("scalar-pair", _p4_bound, [[-1.0], [1.0]]),
+])
+def test_quadratic_family_keeps_the_closed_form_level_set_bounds(
+        name, bound, centers):
+    # seeded levels, and the levels of the centers and above them, where
+    # the center's own objective reads +0.0 or -0.0
+    p = get_problem(name)
+    F = p.value(np.array(centers))
+    F = np.vstack([F, F + 0.5])
+    own = np.tile(np.eye(p.m, dtype=bool), (2, 1))
+    A = np.vstack([_levels(p, np.random.default_rng(27), 3000),
+                   np.where(own, 0.0, F), np.where(own, -0.0, F)])
+    radius, box = bound(A)
+    got = p.level_set_bound(A)
+    assert np.array_equal(got.radius, radius)
+    assert np.array_equal(got.box.lo, box.lo)
+    assert np.array_equal(got.box.hi, box.hi)
+    # bit for bit, but where p1's f1 level is +-0.0: there the family's
+    # corners 0 - r and 0 + r read +0.0, where -r or r read -0.0
+    keep = A[:, 0] != 0.0 if name == "unbalanced-convex" else slice(None)
+    assert got.radius[keep].tobytes() == radius[keep].tobytes()
+    assert got.box.lo[keep].tobytes() == box.lo[keep].tobytes()
+    assert got.box.hi[keep].tobytes() == box.hi[keep].tobytes()
 
 
 def test_p3_bound_squares_each_level_as_a_numpy_scalar_does():

@@ -331,3 +331,19 @@ def test_suite_json_report_keeps_its_bytes(suite, tmp_path, capsys):
                      "--json", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SUITE_JSON_SHA256[suite]
+
+
+# sha256 of the whole `mbgf verify --seed <seed> --json` report at the other
+# seeds CI runs, beside the per-suite seed-0 pins above
+VERIFY_JSON_SHA256 = {
+    1: "2f0ceea1bff591015de73ba4bab75de5dfd4744d277c24afbd5f3509e088c668",
+    2: "fd2524a07c91c18dcd4d21b2f2d1f1395c7cb3700b1833a7d68ce0fa4fef1c84",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_report_keeps_its_bytes(seed, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", str(seed), "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_JSON_SHA256[seed]
