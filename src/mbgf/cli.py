@@ -14,6 +14,7 @@ config error, 3 numeric-domain or divergence error, or a run that stalls.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -333,14 +334,12 @@ def iterates_csv_text(seq):
     # the line after k; step, the constant s_min, is formatted once, into
     # the format itself
     rest = ",%.17g" * (n + m) + ",%.17g" % seq.s_min + ",%.17g,%.17g"
-    # from fixed_point_k on the rows repeat but for k: format that part of
-    # the line once
-    t = seq.work["fixed_point_k"]
-    if t is None:
-        t = len(seq) - 1
-    tail = rest % tuple(float(c[t]) for c in cols[1:])
-    return (_csv_lines(header, [c[:t] for c in cols], "%d" + rest)
-            + "".join("%d%s\n" % (k, tail) for k in seq.ks[t:].tolist()))
+    # from cycle_k on, one period of lines repeats but for k: format it once
+    t, period = seq.work["cycle_k"], seq.work["period"] or 0
+    t = len(seq) if t is None else t
+    tails = [rest % tuple(float(c[j]) for c in cols[1:]) for j in range(t, t + period)]
+    return (_csv_lines(header, [c[:t] for c in cols], "%d" + rest) + "".join(
+        "%d%s\n" % kt for kt in zip(seq.ks[t:].tolist(), itertools.cycle(tails))))
 
 
 def _write_text(path, text):
@@ -464,9 +463,9 @@ def _print_run_summary(summary, out):
           f"scaled {final['crit_scaled']:.3e}", file=out)
     work = summary["work"]
     if "grad_calls" in work:
-        fixed = ("no fixed point" if work["fixed_point_k"] is None
-                 else f"fixed point at k = {work['fixed_point_k']}")
-        print(f"  work: {work['grad_calls']} gradient calls, {fixed}",
+        cycle = ("no cycle" if work["cycle_k"] is None else
+                 f"cycle of period {work['period']} from k = {work['cycle_k']}")
+        print(f"  work: {work['grad_calls']} gradient calls, {cycle}",
               file=out)
     else:
         switches = (f", {work['switches']} located switches"

@@ -15,16 +15,15 @@ record pass the flows use (flow._diagnostics).  One point takes
 ndarray.dot, a stack takes @: the same BLAS routine, the same bits
 (geometry._dot has the rule).
 
-The loop stops stepping at a floating-point fixed point, the first k with
-x_{k+1} == x_k byte for byte, and every record of x_k (state, f, both
-criticalities and weights) is repeated up to k = max_iters, so rows
-fixed_point_k ... max_iters are byte copies of one row.  That is exact,
-not an approximation: the step depends on x alone (s is constant and the
-generator map reads only the gradients), and the loop did not stop at k,
-so the scaled criticality exceeds stop_tol there and at every repeat of
-x_k.  A byte compare keeps +0.0 and -0.0 apart, and the finiteness check
-rules out NaN.  A cycle of two or more distinct iterates is not a fixed
-point and is stepped through.
+The loop stops stepping at the first exact cycle, the first k with x_{k+1}
+equal to an earlier x_j byte for byte, and the records of x_j ... x_k
+(state, f, both criticalities and weights) repeat in turn up to
+k = max_iters: cycle_k = j, period = k + 1 - j, and a fixed point is
+period 1.  That is exact, not an approximation: the step depends on x alone
+(s is constant and the generator map reads only the gradients), so stepping
+on retraces the cycle, and the loop stopped at none of its iterates, so
+their scaled criticality exceeds stop_tol.  A byte compare keeps +0.0 and
+-0.0 apart, and the finiteness check rules out NaN.
 
 discrete_monitors checks a recorded run with merit_rates.monotone_excess:
 f-nesting at the relative NESTING_SLACK, and the merit
@@ -69,8 +68,8 @@ def _real_where(v, ok):
 
 def _check_config(cfg):
     it = cfg.max_iters
-    # a bool is an int, but no count of iterations; the repeated tail of a
-    # fixed point is an array of up to max_iters rows, so numpy must index it
+    # a bool is an int, but no count of iterations; a cycle is repeated
+    # into an array of up to max_iters rows, so numpy must index it
     if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
         raise InvalidInputError(f"max_iters must be a positive integer, got {it!r}")
     if it > np.iinfo(np.intp).max:
@@ -88,8 +87,8 @@ class IterateSequence:
 
     work maps each work count, deterministic for a given input, to its
     value: grad_calls, the gradient evaluations of the loop (the stacked
-    pass over the iterates adds one more), and fixed_point_k, the first k
-    with x_{k+1} == x_k, or None.
+    pass over the iterates adds one more), and cycle_k and period of the
+    first exact cycle (see the module docstring), or None and None.
     """
 
     __slots__ = ("ks", "states", "f_values", "crit_unscaled", "crit_scaled",
@@ -118,39 +117,40 @@ def run_discrete(p, rule, x0, cfg):
     s = step_size(p, rule, cfg)
     alpha_bounds = rule.declared_bounds(p)
     gens = generator_map(rule, p.m)
-    states = []
-    fixed_point_k = None
+    seen = {}  # each distinct iterate's bytes -> its k, in k order
+    cycle_k = None
     grads, stop_tol, max_iters = p._grads, cfg.stop_tol, cfg.max_iters
 
     for k in range(max_iters + 1):
         if not all(map(math.isfinite, x.tolist())):
             raise NumericDomainError(f"non-finite iterate at k={k}")
         _, d, crit_s = _min_norm(gens(grads(x)))
-        states.append(x)
+        seen[x.tobytes()] = k
         if crit_s <= stop_tol or k == max_iters:
             break
-        x_new = x - s * d
-        if x_new.tobytes() == x.tobytes():
-            fixed_point_k = k  # every later iterate repeats x_k
-            break
-        x = x_new
+        x = x - s * d
+        cycle_k = seen.get(x.tobytes())
+        if cycle_k is not None:
+            break  # x_{k+1} == x_{cycle_k}: every later iterate repeats
 
-    # the records of the distinct iterates in one stacked pass, then every
-    # column's last row repeated up to max_iters
-    X = np.array(states)
+    # the records of the distinct iterates in one stacked pass, then the
+    # cycle's rows repeated in turn up to max_iters
+    X = np.frombuffer(b"".join(seen)).reshape(len(seen), -1)
     F, cu, _, ws, cs = _diagnostics(p, gens, X)
-    rest = 0 if fixed_point_k is None else max_iters - fixed_point_k
-    X, F, cu, cs, ws = (_repeat_last(a, rest) for a in (X, F, cu, cs, ws))
+    rows, period = ((len(X), None) if cycle_k is None
+                    else (max_iters + 1, len(X) - cycle_k))
+    X, F, cu, cs, ws = (_repeat_cycle(a, cycle_k, rows) for a in (X, F, cu, cs, ws))
     return IterateSequence(
         ks=np.arange(len(X)), states=X, f_values=F, crit_unscaled=cu,
         crit_scaled=cs, weights=ws, alpha_bounds=alpha_bounds, s_min=s,
-        work={"grad_calls": len(states), "fixed_point_k": fixed_point_k})
+        work={"grad_calls": len(seen), "cycle_k": cycle_k, "period": period})
 
 
-def _repeat_last(rows, rest):
-    """The rows as one array, its last row repeated rest more times."""
-    a = np.array(rows)
-    return np.concatenate([a, np.repeat(a[-1:], rest, axis=0)])
+def _repeat_cycle(a, cycle_k, rows):
+    """a's rows, then its rows cycle_k ... repeated in turn up to rows rows."""
+    rest, block = rows - len(a), a[cycle_k:]
+    tiled = np.tile(block, (-(-rest // len(block)),) + (1,) * (a.ndim - 1))
+    return np.concatenate([a, tiled[:rest]])
 
 
 def merit_coefficient(seq):

@@ -27,8 +27,9 @@ five or more.  A closed form divides only by a value at or above the
 smallest normal float (_proper).  A pair whose |g_1 - g_2|^2 is below it,
 or NaN, is degenerate and takes weight 1 on g_1, as a zero-length segment
 does; every two-generator closed form, here and in mbgf.flow's sliding
-weights, keeps that one rule.  A pair whose |g_1 - g_2|^2 overflows is
-solved scaled by a power of two to unit size.  Three and four generators
+weights, keeps that one rule.  A huge hull, one whose |g_1 - g_2|^2 or
+minimum norm could overflow, is solved scaled by a power of two to unit
+size, and its norm is taken the same way.  Three and four generators
 share one face-recursive closed form, _simplex_weights.  It scales every
 hull that way and takes the best point of its faces, a triangle's
 edges by the pair closed form and a tetrahedron's triangles by itself, and
@@ -66,6 +67,9 @@ ITER_FACTOR = 50             # solver iteration cap is ITER_FACTOR * m
 _STOP_TOL = 1e-10
 _DROP_TOL = 1e-14
 _MIN_NORMAL = float(np.finfo(float).tiny)
+# a hull of n columns is huge when an entry reaches _HUGE / sqrt(n): below
+# that, no |g_i - g_j|^2 or |d|^2 of its points can overflow
+_HUGE = 2.0 ** 510
 
 
 def _as_generator_matrix(generators, stacked=False):
@@ -309,24 +313,19 @@ def _pair_weights(theta):
     return w
 
 
-def _unit_scale(P):
-    # each hull of an (..., m, n) stack scaled by the power of two that
-    # brings its largest entry into [0.5, 1)
-    e = np.frexp(np.abs(P).max(axis=(-2, -1)))[1]
-    return np.ldexp(P, -e[..., None, None])
+def _unit_scale(P, where=True):
+    # each hull of an (..., m, n) stack, or each one where it is True,
+    # scaled by the power of two 2 ** -e that brings its largest entry into
+    # [0.5, 1), and e (0 for the rest); exact for normal entries
+    e = np.where(where, np.frexp(np.abs(P).max(axis=(-2, -1)))[1], 0)
+    return np.ldexp(P, -e[..., None, None]), e
 
 
 def _segment_weights(P):
-    # the pair closed form on an (..., 2, n) stack: minimize
-    # ||theta p0 + (1 - theta) p1|| over theta in [0, 1].  A pair whose
-    # |delta|^2 overflows (beyond about 1e154) is solved at unit scale
+    # the pair closed form on an (..., 2, n) stack of hulls that are not
+    # huge: minimize ||theta p0 + (1 - theta) p1|| over theta in [0, 1]
     d = P[..., 0, :] - P[..., 1, :]
     dd = _dot(d, d)
-    big = ~(dd < np.inf)
-    if big.any():
-        P = np.where(big[..., None, None], _unit_scale(P), P)
-        d = P[..., 0, :] - P[..., 1, :]
-        dd = _dot(d, d)
     return _pair_weights(np.divide(-_dot(P[..., 1, :], d), dd,
                                    out=np.ones_like(dd), where=_proper(dd)))
 
@@ -405,7 +404,7 @@ def _simplex_weights(P):
     # one of size 1e77.  Elementwise, so no row's bits depend on the rest
     # of the stack.
     lead, (m, n) = P.shape[:-2], P.shape[-2:]
-    P = _unit_scale(P)
+    P = _unit_scale(P)[0]
     F = P[..., _FACES[m], :]
     W = np.zeros(lead + (m + (n >= m - 1), m))
     W[(...,) + _FACE_AT[m]] = (
@@ -433,10 +432,21 @@ def _min_norm(P):
     hull alone bit for bit: m = 2, 3 and 4 take closed forms on every hull
     at once, the segment's (_segment_weights) and the face-recursive one of
     triangles and tetrahedra (_simplex_weights, which solves one hull as a
-    stack of one), and m >= 5 runs Wolfe hull by hull.
+    stack of one), and m >= 5 runs Wolfe hull by hull.  A huge hull (see
+    _HUGE) takes the stack form, which solves it and takes its norm at unit
+    scale.
     """
     one = P.ndim == 2
-    m = P.shape[-2]
+    m, n = P.shape[-2:]
+    huge = _HUGE / math.sqrt(n)
+    # one hull takes the stack form when its Frobenius norm, a bound on its
+    # entries, reaches huge, and the stack form finds whether it is huge
+    if one and math.hypot(*P.ravel().tolist()) >= huge:
+        w, d, norm = _min_norm(P[None])
+        return w[0], d[0], float(norm[0])
+    # the hulls the weights are solved on, each huge one at unit scale
+    scaled = not one and not np.abs(P).max() < huge
+    Q = _unit_scale(P, np.abs(P).max(axis=(-2, -1)) >= huge)[0] if scaled else P
     if m == 1:
         w = np.ones(P.shape[:-1])
     elif m == 2 and one:
@@ -444,25 +454,25 @@ def _min_norm(P):
         p1 = P[1]
         d = P[0] - p1
         dd = float(d.dot(d))
-        if dd < math.inf:
-            theta = float(-p1.dot(d)) / dd if _proper(dd) else 1.0
-            theta = min(1.0, max(0.0, theta))
-            w = np.array([theta, 1.0 - theta])
-        else:
-            # |delta|^2 overflows: the stack form solves it at unit scale
-            w = _segment_weights(P[None])[0]
+        theta = float(-p1.dot(d)) / dd if _proper(dd) else 1.0
+        theta = min(1.0, max(0.0, theta))
+        w = np.array([theta, 1.0 - theta])
     elif m == 2:
         # the same closed form on every hull at once
-        w = _segment_weights(P)
+        w = _segment_weights(Q)
     elif m <= 4:
         w = _simplex_weights(P[None])[0] if one else _simplex_weights(P)
     else:
-        hulls = P.reshape((-1,) + P.shape[-2:])
+        hulls = Q.reshape((-1, m, n))
         w = np.array([_wolfe_min_norm(Pk) for Pk in hulls]).reshape(P.shape[:-1])
     if one:
         d = w @ P if m == 1 else w.dot(P)  # one contracted entry: see _dot
         return w, d, math.sqrt(d.dot(d))
     d = (w[..., None, :] @ P)[..., 0, :]
+    if scaled:
+        # at unit scale, the norm of each point whose |d|^2 could overflow
+        u, e = _unit_scale(d[..., None, :], np.abs(d).max(axis=-1) >= huge)
+        return w, d, np.ldexp(np.sqrt(_dot(u[..., 0, :], u[..., 0, :])), e)
     return w, d, np.sqrt(_dot(d, d))
 
 

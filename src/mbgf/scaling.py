@@ -4,8 +4,8 @@ Three variants ship: constant positive values, gradient-norm scaling
 alpha_i = ||grad f_i(x)|| + eta, and its clamped form.  Each rule declares
 bounds [alpha_min, alpha_max] valid on a problem's region and a Lipschitz
 constant L_alpha of (x, t) -> alpha_i(x, t), which the Hausdorff continuity
-check and the rate constants consume.  Rules may depend on t through the
-interface, but none of the shipped ones do.
+check and the rate constants consume.  The paper's rules may depend on t;
+none of the shipped ones do, so they are evaluated at x alone.
 """
 
 import numpy as np
@@ -54,8 +54,7 @@ class ScalingRule:
             return _alpha_eta0
         return lambda g: _grad_norms(g) + eta
 
-    def alpha(self, p, x, t):
-        del t  # no shipped rule is time-dependent
+    def alpha(self, p, x):
         if self.variant == "constant":
             shape = p._check_input(x).shape[:-1]
             return np.broadcast_to(self._constant_values(p.m),
@@ -164,8 +163,9 @@ def generator_map(rule, m):
     return lambda g: g / alpha_of(g)[..., None]
 
 
-def scaled_hull_generators(rule, p, x, t):
-    """The m generators grad f_i(x) / alpha_i(x, t) of C_alpha."""
+def scaled_hull_generators(rule, p, x, t=None):
+    """The m generators grad f_i(x) / alpha_i(x) of C_alpha.  No rule reads
+    t; it is taken for perfbench/probes.py, which still passes it."""
     g = p.grads(x)
     return generator_map(rule, p.m)(g)
 

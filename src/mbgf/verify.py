@@ -90,7 +90,7 @@ def _descent_nesting(tr, alphas):
 
 
 def _flow_sanity_checks(tag, tr, p, rule, checks):
-    alphas = rule.alpha(p, tr.states, 0.0)
+    alphas = rule.alpha(p, tr.states)
     desc, nest = _descent_nesting(tr, alphas)
     checks.append(_check(f"{tag}-descent-violation", desc, 0.0))
     checks.append(_check(f"{tag}-nesting-violation", nest, 0.0))
@@ -129,9 +129,12 @@ def _combine(c, A):
 def _lstsq(A, y):
     # the minimum-norm least-squares solution of A_b c = y_b for each matrix
     # of a (B, M, N) stack, from its SVD with lstsq's default cutoff stated
-    # outright: singular values <= eps * max(M, N) * s_max count as zero
+    # outright: singular values <= eps * max(M, N) * s_max count as zero,
+    # and so do subnormal ones, whose reciprocal can overflow (a direction
+    # that short moves no candidate by more than it)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    cut = np.finfo(float).eps * max(A.shape[1:]) * s[:, :1]
+    cut = np.maximum(np.finfo(float).eps * max(A.shape[1:]) * s[:, :1],
+                     np.finfo(float).tiny)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
     return _combine(inv * _combine(y, u), vt)
 
@@ -561,8 +564,8 @@ def _hausdorff_pairs(rng):
         V[half:] = lo + rng.random((N - half, p.n)) * (hi - lo)
         S[half:] = 10.0 * rng.random(N - half)
 
-        GU = scaled_hull_generators(rule, p, U, 0.0)
-        GV = scaled_hull_generators(rule, p, V, 0.0)
+        GU = scaled_hull_generators(rule, p, U)
+        GV = scaled_hull_generators(rule, p, V)
         dist = np.sqrt(((U - V) ** 2).sum(axis=-1) + (T - S) ** 2)
         yield tag, K, GU, GV, dist
 

@@ -317,8 +317,17 @@ def test_iterates_csv_formats_the_fixed_point_tail_once_byte_for_byte(
         problem, x0, cfg):
     seq = run_discrete(get_problem(problem), parse_scaling(_GRADNORM),
                        np.array(x0), cfg)
-    assert ((seq.work["fixed_point_k"] == 12)
-            == (problem == "scalar-pair" and len(seq) > 1))
+    assert ((seq.work["cycle_k"], seq.work["period"]) == (12, 1)) == (
+        problem == "scalar-pair" and len(seq) > 1)
+    assert iterates_csv_text(seq) == _every_row_csv(seq)
+
+
+def test_iterates_csv_formats_one_period_of_the_cycle_once():
+    # p4 under const:1,1 from 2.0 has x_6 == x_1: rows 1 ... 20000 repeat
+    # five lines but for k
+    seq = run_discrete(get_problem("scalar-pair"), parse_scaling("const:1,1"),
+                       np.array([2.0]), DiscreteConfig(max_iters=20000))
+    assert (seq.work["cycle_k"], seq.work["period"]) == (1, 5)
     assert iterates_csv_text(seq) == _every_row_csv(seq)
 
 
@@ -329,12 +338,12 @@ def test_iterates_csv_formats_the_fixed_point_tail_once_byte_for_byte(
 ])
 def test_every_column_past_the_fixed_point_is_a_byte_copy(problem, x0,
                                                            scaling):
-    # the CSV formats rows fixed_point_k ... max_iters as one line, so
-    # run_discrete must make them copies of one row in every column
+    # the CSV formats rows cycle_k ... max_iters of a fixed point as one
+    # line, so run_discrete must make them copies of one row in every column
     seq = run_discrete(get_problem(problem), parse_scaling(scaling),
                        np.array(x0), DiscreteConfig(max_iters=3000))
-    k = seq.work["fixed_point_k"]
-    assert k is not None and len(seq) == 3001
+    k = seq.work["cycle_k"]
+    assert k is not None and seq.work["period"] == 1 and len(seq) == 3001
     assert seq.work["grad_calls"] == k + 1
     for col in (seq.states, seq.f_values, seq.crit_unscaled, seq.crit_scaled,
                 seq.weights):
@@ -398,23 +407,27 @@ def test_summary_work_block_repeats_exactly(tmp_path, mode, capsys):
     assert f"  {line}\n" in out
 
 
-@pytest.mark.parametrize("iters, work", [
-    (50, {"grad_calls": 10, "fixed_point_k": 9}),
-    (5, {"grad_calls": 6, "fixed_point_k": None})],
-    ids=["fixed-point", "budget-first"])
-def test_discrete_summary_work_block(tmp_path, capsys, iters, work):
-    # p4 from 2.0 reaches x_{k+1} == x_k at k = 9: the loop makes 10
-    # gradient calls however many iterations are asked for beyond that
+@pytest.mark.parametrize("scaling, iters, work", [
+    ("gradnorm:eta=0.148939", 50,
+     {"grad_calls": 10, "cycle_k": 9, "period": 1}),
+    ("gradnorm:eta=0.148939", 5,
+     {"grad_calls": 6, "cycle_k": None, "period": None}),
+    ("const:1,1", 20000, {"grad_calls": 6, "cycle_k": 1, "period": 5})],
+    ids=["fixed-point", "budget-first", "period-5"])
+def test_discrete_summary_work_block(tmp_path, capsys, scaling, iters, work):
+    # p4 from 2.0 reaches x_{k+1} == x_k at k = 9 under gradnorm scaling,
+    # and x_6 == x_1 under const:1,1: the loop makes 10 or 6 gradient calls
+    # however many iterations are asked for beyond that
     cfg = _run_cfg(tmp_path, mode="discrete", problem="p4", x0=[2.0],
-                   scaling="gradnorm:eta=0.148939", iters=iters)
+                   scaling=scaling, iters=iters)
     assert run_experiment(cfg)["work"] == work
     assert json.loads((tmp_path / "run.json").read_text())["work"] == work
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(cfg.to_text())
     assert main(["discrete", "--config", str(cfgfile)]) == 0
-    fixed = ("no fixed point" if work["fixed_point_k"] is None
-             else f"fixed point at k = {work['fixed_point_k']}")
-    assert (f"  work: {work['grad_calls']} gradient calls, {fixed}\n"
+    cycle = ("no cycle" if work["cycle_k"] is None else
+             f"cycle of period {work['period']} from k = {work['cycle_k']}")
+    assert (f"  work: {work['grad_calls']} gradient calls, {cycle}\n"
             in capsys.readouterr().out)
 
 
@@ -844,11 +857,11 @@ def test_full_verify_flag_names_parse_as_before():
 
 # sha256 of the CSV and of the summary JSON, without wall_time_s and the
 # two output paths, of five runs: dense first-order records on p1, an
-# accelerated p1 run that locates 2 switches, a discrete run that stops at
-# fixed_point_k = 66, a clamped-gradnorm discrete run of 2001 gradient
-# calls that reaches no fixed point, so every row comes from the loop, and
-# an m = 3 accelerated run, whose right-hand side and weights come from the
-# support point
+# accelerated p1 run that locates 2 switches, a discrete run that reaches a
+# fixed point (a cycle of period 1) at k = 66, a clamped-gradnorm discrete
+# run of 2001 gradient calls that reaches no cycle, so every row comes from
+# the loop, and an m = 3 accelerated run, whose right-hand side and weights
+# come from the support point
 RUN_SHA256 = {
     "run-p1": (
         ["run", "--problem", "p1", "--x0", "0.25,1.5", "--t-end", "1"],
@@ -862,12 +875,12 @@ RUN_SHA256 = {
     "discrete-p3-fixed-point": (
         ["discrete", "--problem", "p3"],
         "d7d566461364428246ac74b940a456ddec12b48e2ce97d3c3a47863ec24d5b0b",
-        "9b1ca783feed6b0fd92ad3925fd13d6205b4a1ebe892f17a15efb20a76d1ec56"),
+        "08081f60dd9ecff074b069b628d9c69071c5f8a1a7adf3ca30bac7649796bf26"),
     "discrete-p1-clamped": (
         ["discrete", "--problem", "p1", "--x0", "0.25,1.5", "--scaling",
          "gradnorm:eta=0.1,min=0.1,max=10", "--iters", "2000"],
         "5c727071791721ac101421dee4a54491dc4010e7d8a3e0e2178d1200930c5c54",
-        "65dcdf4ba170e26080c3d9e9babed75c1c7c974fc065302b7c8c77b19618cebf"),
+        "b09d5c971392d3e1d4f38cb80a2559f2e1a9f490a4bbe9507acd1eedd5001631"),
     "accel-triangle": (
         ["accel", "--problem", "triangle", "--x0", "3,2", "--scaling",
          "const:1,1,1", "--t-end", "5", "--record-every", "100"],

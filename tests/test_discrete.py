@@ -55,7 +55,7 @@ def test_step_size_window():
     seq = run_discrete(p, rule, [1.0, 1.0], cfg)
     L = np.asarray(p.lipschitz)
     for x in seq.states:
-        a = rule.alpha(p, x, 0.0)
+        a = rule.alpha(p, x)
         assert s <= cfg.safety * (2.0 * a / L).min() + 1e-15
 
 
@@ -96,7 +96,7 @@ def test_merit_slack_is_absolute():
         ks=np.arange(3), states=root[:, None], f_values=np.ones((3, 1)),
         crit_unscaled=np.zeros(3), crit_scaled=np.zeros(3),
         weights=np.ones((3, 1)), alpha_bounds=(1.0, 1.0), s_min=0.5,
-        work={"grad_calls": 0, "fixed_point_k": None})
+        work={"grad_calls": 0, "cycle_k": None, "period": None})
     mon = discrete_monitors(seq)
     rise = mon["merit"][1] - mon["merit"][0]
     assert rise == pytest.approx(5e-9, rel=1e-6)
@@ -172,7 +172,7 @@ def test_config_validation():
             run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=it))
     assert len(run_discrete(p, rule, [1.0], DiscreteConfig(max_iters=np.int64(3)))) >= 1
     # a count numpy cannot index is refused by name, not by numpy's
-    # OverflowError once the run reaches a fixed point (p4 at k = 9)
+    # OverflowError once the run's cycle is repeated (p4 from k = 9)
     p4, gradnorm = get_problem("scalar-pair"), gradnorm_eta(0.148939)
     for it in [10**400, np.iinfo(np.intp).max + 1]:
         with pytest.raises(InvalidInputError, match="max_iters must be at most"):
@@ -196,7 +196,7 @@ def test_merit_rate_small_horizon():
     assert (ks * gaps[1:]).max() <= (amax / seq.s_min) * R * R * 1.05
 
 
-# ------------------------------------------- the fixed-point stop, checked
+# ------------------------------------------------ the cycle stop, checked
 # against a plain loop that computes every iterate
 
 def reference_run(p, rule, x0, cfg):
@@ -220,19 +220,25 @@ def reference_run(p, rule, x0, cfg):
 P1_CLAMPED = "gradnorm:eta=0.278754,min=0.419178,max=2.058262"
 
 
-# (problem, scaling, start, max_iters, stop_tol, fixed_point_k)
+# (problem, scaling, start, max_iters, stop_tol, (cycle_k, period) or None):
+# a fixed point is the cycle of period 1.  The test keeps its name from
+# before the loop caught longer cycles.
 @pytest.mark.parametrize("case", [
-    ("scalar-pair", "gradnorm:eta=0.148939", [2.0], 8000, 0.0, 9),
+    ("scalar-pair", "gradnorm:eta=0.148939", [2.0], 8000, 0.0, (9, 1)),
     ("nonconvex-bounded-grad", "const:0.882142,0.548316", [0.9, 0.7],
-     8000, 0.0, 90),
-    ("unbalanced-convex", P1_CLAMPED, [0.25, 1.5], 8000, 0.0, 3980),
+     8000, 0.0, (90, 1)),
+    ("unbalanced-convex", P1_CLAMPED, [0.25, 1.5], 8000, 0.0, (3980, 1)),
     ("strongly-convex", "const:1,1", [1.0, 1.0], 8000, 0.0, None),
     ("unbalanced-convex", P1_CLAMPED, [0.25, 1.5], 3000, 0.0, None),
     ("strongly-convex", "const:1,1", [1.0, 1.0], 8000, 1e-6, None),
+    # x_6 == x_1: 6 gradient calls where the loop used to make 20001
+    ("scalar-pair", "const:1,1", [2.0], 20000, 0.0, (1, 5)),
 ], ids=["p4-k9", "p3-k90", "p1-k3980", "p2-none", "p1-budget-first",
-        "p2-stop-tol"])
+        "p2-stop-tol", "p4-period-5"])
 def test_fixed_point_stop_matches_the_every_k_loop_bit_for_bit(case):
-    name, spec, x0, max_iters, stop_tol, fixed_k = case
+    # the run equals the every-k loop byte for byte, and stops stepping at
+    # the first x_k that repeats, or at none
+    name, spec, x0, max_iters, stop_tol, cycle = case
     p, rule = get_problem(name), parse_scaling(spec)
     cfg = DiscreteConfig(max_iters=max_iters, stop_tol=stop_tol)
     seq = run_discrete(p, rule, x0, cfg)
@@ -242,24 +248,30 @@ def test_fixed_point_stop_matches_the_every_k_loop_bit_for_bit(case):
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    assert seq.work["fixed_point_k"] == fixed_k
-    if fixed_k is None:
+    if cycle is None:
+        assert (seq.work["cycle_k"], seq.work["period"]) == (None, None)
         assert seq.work["grad_calls"] == len(seq)
     else:
-        assert seq.work["grad_calls"] == fixed_k + 1
-        assert seq.states[fixed_k + 1].tobytes() == seq.states[fixed_k].tobytes()
-        assert seq.states[fixed_k].tobytes() != seq.states[fixed_k - 1].tobytes()
+        k, period = cycle
+        assert (seq.work["cycle_k"], seq.work["period"]) == cycle
+        assert seq.work["grad_calls"] == k + period
+        rows = [x.tobytes() for x in seq.states[:k + period + 1]]
+        assert len(set(rows[:-1])) == k + period and rows[-1] == rows[k]
     if stop_tol > 0.0:
         assert len(seq) < max_iters + 1 and seq.crit_scaled[-1] <= stop_tol
     else:
         assert len(seq) == max_iters + 1
 
 
-def test_a_two_cycle_is_not_a_fixed_point():
-    # x_{k+1} = -x_k repeats every second iterate, never the last one
+def test_a_two_cycle_is_caught():
+    # x_{k+1} = -x_k: x_2 == x_0, and the records alternate up to k = 6
     seq = run_discrete(ball_problem(), constant([1.0]), [1.0],
                        DiscreteConfig(max_iters=6, safety=1.0))
-    assert seq.work == {"grad_calls": 7, "fixed_point_k": None}
+    assert seq.work == {"grad_calls": 2, "cycle_k": 0, "period": 2}
+    assert seq.states[:, 0].tolist() == [1.0, -1.0] * 3 + [1.0]
+    for col in (seq.f_values, seq.crit_unscaled, seq.crit_scaled,
+                seq.weights):
+        assert col[2:].tobytes() == col[:-2].tobytes()
 
 
 # ------------------------------------------- the stacked record pass, checked
@@ -288,7 +300,8 @@ def four_quadratics():
 CLAMPED = "gradnorm:eta=0.1,min=0.1,max=10"
 
 
-# (problem, scaling, start, max_iters, fixed_point_k, records)
+# (problem, scaling, start, max_iters, cycle_k, records); every cycle here
+# is a fixed point
 @pytest.mark.parametrize("case", [
     ("unbalanced-convex", CLAMPED, 0, 10_000, None, 1),  # critical: k = 0
     ("unbalanced-convex", CLAMPED, 1, 10_000, None, 10_001),
@@ -311,7 +324,8 @@ def test_record_pass_matches_the_every_k_loop_bit_for_bit(case):
         x0 = p.starts[x0]
     rule, cfg = parse_scaling(spec), DiscreteConfig(max_iters=max_iters)
     seq = run_discrete(p, rule, x0, cfg)
-    assert (seq.work["fixed_point_k"], len(seq)) == (fixed_k, records)
+    assert (seq.work["cycle_k"], len(seq)) == (fixed_k, records)
+    assert seq.work["period"] == (None if fixed_k is None else 1)
     got = (seq.states, seq.f_values, seq.crit_scaled, seq.crit_unscaled,
            seq.weights)
     for a, b in zip(got, reference_run(p, rule, x0, cfg)):

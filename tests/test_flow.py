@@ -97,7 +97,7 @@ def test_descent_and_nesting_first_order():
         p = get_problem(name)
         tr = integrate_first_order(p, rule, p.starts[-1],
                                    FlowConfig(t_end=3.0, dt=1e-3, record_every=10))
-        alphas = np.stack([rule.alpha(p, x, t) for x, t in zip(tr.states, tr.times)])
+        alphas = np.stack([rule.alpha(p, x) for x in tr.states])
         assert descent_violations(tr, alphas).max() <= 0.0, name
         # level-set nesting: componentwise nonincreasing within slack
         slack = 1e-9 * (1.0 + np.abs(tr.f_values[:-1]))
@@ -344,7 +344,7 @@ def test_accelerated_invariants_on_p2():
     # the key projection inequality at every record
     r, theta = cfg.r, cfg.theta
     for t, x, v in zip(tr.times, tr.states, tr.velocities):
-        G = scaled_hull_generators(rule, p, x, t)
+        G = scaled_hull_generators(rule, p, x)
         b = (r / (t + theta)) * v
         xdd = -(b + _support_weights(G, b)[2])
         inner = (G + b + xdd) @ v
@@ -377,7 +377,7 @@ def _rk4(f, y, t, dt):
 
 def _criticalities(p, rule, x):
     unscaled = np.linalg.norm(min_norm_point(p.grads(x)).point)
-    scaled = min_norm_point(scaled_hull_generators(rule, p, x, 0.0))
+    scaled = min_norm_point(scaled_hull_generators(rule, p, x))
     return unscaled, np.linalg.norm(scaled.point), scaled.weights.weights
 
 
@@ -398,7 +398,7 @@ def test_first_order_matches_public_reference_path():
             tr = integrate_first_order(p, rule, p.starts[-1], cfg)
 
             def rhs(x, t):
-                return -min_norm_point(scaled_hull_generators(rule, p, x, t)).point
+                return -min_norm_point(scaled_hull_generators(rule, p, x)).point
 
             x, h = np.array(p.starts[-1], dtype=float), 1e-4
             for i in range(501):
@@ -426,7 +426,7 @@ def test_accelerated_matches_public_reference_path():
 
     def sliding(y, t):
         x, v = y[:2], y[2:]
-        U = scaled_hull_generators(rule, p, x, t)
+        U = scaled_hull_generators(rule, p, x)
         delta = U[0] - U[1]
         b = (cfg.r / (t + cfg.theta)) * v
         lam = (v @ D @ v - (b + U[1]) @ delta) / (delta @ delta)
@@ -463,7 +463,7 @@ def test_discrete_matches_public_reference_path():
             _assert_close(seq.states[k], x)
             _assert_close(seq.weights[k], w)
             _assert_close([seq.crit_unscaled[k], seq.crit_scaled[k]], [cu, cs])
-            x = x - s * min_norm_point(scaled_hull_generators(rule, p, x, k)).point
+            x = x - s * min_norm_point(scaled_hull_generators(rule, p, x)).point
 
 
 # ------------------------------------------------------ exact fixed points
@@ -868,7 +868,7 @@ def test_sliding_weight_matches_exact_hessians(name, u, v, alpha, damping):
     b = damping * v
     gens = generator_map(constant(alpha), 2)
     U, delta, lam = _sliding_weight(p._grads, gens, x, v, damping)
-    assert np.array_equal(U, scaled_hull_generators(constant(alpha), p, x, 0.0))
+    assert np.array_equal(U, scaled_hull_generators(constant(alpha), p, x))
     H1, H2 = _HESSIANS[name]
     D = H1 / alpha[0] - H2 / alpha[1]
     dd = float(delta @ delta)
@@ -1036,7 +1036,7 @@ def test_stacked_records_equal_per_record_rebuild(monkeypatch, mode, name):
             f = p.value(x)
             _same_row(tr.f_values[i], f)
             _same_row(tr.crit_unscaled[i], _rebuilt_min_norm(p.grads(x))[1])
-            w, norm = _rebuilt_min_norm(scaled_hull_generators(rule, p, x, t))
+            w, norm = _rebuilt_min_norm(scaled_hull_generators(rule, p, x))
             _same_row(tr.crit_scaled[i], norm)
             if mode != "accelerated":
                 _same_row(tr.weights[i], w)

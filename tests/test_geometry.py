@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -45,19 +46,36 @@ def test_min_norm_point_of_symmetric_segment():
 
 
 def test_min_norm_point_of_a_segment_past_1e154():
-    # |delta|^2 overflows at this size: the pair closed form solves the
-    # segment scaled to unit size, alone and as a row of a stack.  The
-    # norm, sqrt(d . d), still overflows to inf here, hence the errstate.
+    # |delta|^2 and |d|^2 overflow at this size: the pair closed form
+    # solves the segment scaled to unit size, alone and as a row of a
+    # stack, and takes its norm the same way, with no overflow warning
     G = np.array([[3.0, 1.0], [1.0, 3.0]]) * 1e155
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         r = min_norm_point(G)
-        w = _min_norm(G)[0]
-        W = _min_norm(np.stack([G * 1e-155, G, -G]))[0]
+        w, _, norm = _min_norm(G)
+        W, _, N = _min_norm(np.stack([G * 1e-155, G, -G]))
     assert np.abs(r.weights.weights - 0.5).max() <= 1e-15
     assert np.allclose(r.point, [2e155, 2e155], rtol=1e-15, atol=0.0)
     assert np.abs(W - 0.5).max() <= 1e-15
     assert W[1].tobytes() == w.tobytes()
     assert W[0].tobytes() == _min_norm(G * 1e-155)[0].tobytes()
+    # the norm at unit scale is sqrt(8) 1e155 to rounding, and a row's norm
+    # keeps the bits of its hull alone
+    assert abs(norm - np.sqrt(8.0) * 1e155) <= 1e-15 * norm
+    assert N.tobytes() == np.array([_min_norm(G * 1e-155)[2], norm,
+                                    norm]).tobytes()
+
+
+def test_wolfe_solves_a_hull_past_1e154_at_unit_scale():
+    # five generators take Wolfe, whose |g_i|^2 overflow at this size: the
+    # hull is solved at unit scale, to the weights (1/2, 1/2, 0, 0, 0)
+    G = np.array([[3.0, 1.0], [1.0, 3.0], [4.0, 4.0], [5.0, 2.0], [2.0, 6.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, _, norm = _min_norm(G * 1e155)
+    assert np.abs(w - [0.5, 0.5, 0.0, 0.0, 0.0]).max() <= 1e-14
+    assert abs(norm - np.sqrt(8.0) * 1e155) <= 1e-14 * norm
 
 
 def test_projection_clamps_to_endpoint():
@@ -155,6 +173,15 @@ def test_exact_oracle_closed_forms():
     midpoint = np.vstack([segment, 0.5 * (segment[0] + segment[1])])
     assert abs(_exact_min_norm(midpoint) - np.sqrt(8.0)) <= 1e-15
     assert abs(_exact_min_norm(1e-3 * midpoint) - 1e-3 * np.sqrt(8.0)) <= 1e-18
+
+
+def test_exact_oracle_takes_no_reciprocal_of_a_subnormal_singular_value():
+    # the segment from 0 to 2.2e-313 has the subnormal singular value
+    # 2.2e-313, whose reciprocal overflows; it counts as zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _exact_min_norm([[0.0], [2.2e-313]]) == 0.0
+        assert _exact_min_norm([[2.2e-313], [0.0]]) == 0.0
 
 
 # ---------------------------------------------------------------- properties
