@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (MBGFError, InvalidInputError, ConfigError,
-                     GridBudgetError)
+                     GridBudgetError, finite_real, is_count)
 from .problems import get_problem, list_problems
 from .scaling import generator_map, parse_scaling
 from .flow import FlowConfig, integrate_first_order, integrate_accelerated
@@ -90,18 +90,15 @@ def _require_number(key, v):
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer,
                                                  np.floating)):
         raise ConfigError(f"{key}: malformed number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:
-        raise ConfigError(f"{key}: must be finite, got an integer beyond "
-                          "the float range") from None
-    if not np.isfinite(v):
-        raise ConfigError(f"{key}: must be finite, got {v!r}")
-    return v
+    if (f := finite_real(v)) is None:
+        got = ("an integer beyond the float range" if isinstance(v, int)
+               else repr(float(v)))
+        raise ConfigError(f"{key}: must be finite, got {got}")
+    return f
 
 
 def _require_int(key, v):
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+    if not is_count(v):
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
     return int(v)
 

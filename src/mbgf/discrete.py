@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericDomainError
+from .errors import InvalidInputError, NumericDomainError, finite_real, is_count
 from .flow import _check_start, _diagnostics
 from .geometry import _min_norm
 from .merit_rates import NESTING_SLACK, monotone_excess
@@ -56,28 +56,19 @@ class DiscreteConfig:
     stop_tol: float = 0.0           # stop when scaled criticality <= stop_tol
 
 
-def _real_where(v, ok):
-    # whether v has a finite float and ok(v) holds: as in
-    # flow._check_positive, a value with no finite float (NaN, an infinity,
-    # an int beyond the float range, a non-number) is refused by name
-    try:
-        return math.isfinite(v) and ok(v)
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def _check_config(cfg):
     it = cfg.max_iters
-    # a bool is an int, but no count of iterations; a cycle is repeated
-    # into an array of up to max_iters rows, so numpy must index it
-    if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
+    # a cycle is repeated into an array of up to max_iters rows, so numpy
+    # must index it
+    if not is_count(it) or it < 1:
         raise InvalidInputError(f"max_iters must be a positive integer, got {it!r}")
     if it > np.iinfo(np.intp).max:
         raise InvalidInputError(
             f"max_iters must be at most {np.iinfo(np.intp).max}, got {it!r}")
-    if not _real_where(cfg.safety, lambda v: 0.0 < v <= 1.0):
+    safety, stop_tol = finite_real(cfg.safety), finite_real(cfg.stop_tol)
+    if safety is None or not 0.0 < safety <= 1.0:
         raise InvalidInputError(f"safety must lie in (0, 1], got {cfg.safety!r}")
-    if not _real_where(cfg.stop_tol, lambda v: v >= 0.0):
+    if stop_tol is None or stop_tol < 0.0:
         raise InvalidInputError("stop_tol must be a finite real >= 0")
 
 

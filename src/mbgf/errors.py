@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-real and count
+rules that every library input reading a number is checked by."""
+
+import numpy as np
 
 
 class MBGFError(Exception):
@@ -9,6 +12,31 @@ class InvalidInputError(MBGFError, ValueError):
     """Malformed or non-finite input: wrong shape, NaN/inf entries,
     weights off the simplex beyond tolerance, bad configuration values
     passed directly to library calls."""
+
+
+def finite_reals(v):
+    """v as a float array if each entry is a finite real: a number, never a
+    string, with a finite float (not NaN, an infinity or an int beyond the
+    float range).  None otherwise."""
+    try:
+        a = np.asarray(v)
+        if a.dtype.kind not in "biufO":
+            return None
+        a = a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return a if np.isfinite(a).all() else None
+
+
+def finite_real(v):
+    """v as a float if it is one finite real (see finite_reals), else None."""
+    a = finite_reals(v)
+    return float(a) if a is not None and a.ndim == 0 else None
+
+
+def is_count(v):
+    """Whether v is a count: a Python or numpy int, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 class NoConvergenceError(MBGFError):

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DivergenceError, InvalidInputError, NoConvergenceError,
-                     NumericDomainError)
+                     NumericDomainError, finite_real, is_count)
 from .geometry import (_dot, _min_norm, _pair_weights, _proper,
                        _support_weights)
 from .scaling import generator_map
@@ -147,30 +147,17 @@ class FlowConfig:
     t0 = 0.0
 
 
-def _check_positive(cfg, name):
-    # a finite float > 0; a value with no finite float (NaN, an infinity,
-    # an int beyond the float range, a non-number) is refused by name
-    v = getattr(cfg, name)
-    try:
-        ok = math.isfinite(v) and v > 0.0
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise InvalidInputError(f"{name} must be a positive real")
-
-
 def _check_config(cfg):
-    _check_positive(cfg, "t_end")
-    _check_positive(cfg, "dt")
-    every = cfg.record_every
-    # any int is whole and finite, and math.isfinite overflows on a huge one
-    whole = isinstance(every, (int, np.integer)) or (
-        math.isfinite(every) and every == int(every))
-    if not (whole and every >= 1):
-        raise InvalidInputError("record_every must be an integer >= 1")
-    if cfg.mode == "accelerated":
-        _check_positive(cfg, "r")
-        _check_positive(cfg, "theta")
+    # in turn: t_end, dt, record_every, and in accelerated mode r and theta
+    names = ("t_end", "dt", "record_every") + (
+        ("r", "theta") if cfg.mode == "accelerated" else ())
+    for name in names:
+        v = getattr(cfg, name)
+        if name == "record_every":
+            if not (is_count(v) and v >= 1):
+                raise InvalidInputError("record_every must be an integer >= 1")
+        elif (v := finite_real(v)) is None or v <= 0.0:
+            raise InvalidInputError(f"{name} must be a positive real")
 
 
 class Trajectory:
@@ -237,7 +224,7 @@ def _prepare(p, x0, cfg):
                                 f"many steps of dt, got {steps:g}")
     steps = round(steps)
     # the recorded step counts: every record_every-th and the last
-    return x0, [*range(0, steps, int(cfg.record_every)), steps]
+    return x0, [*range(0, steps, cfg.record_every), steps]
 
 
 def _guard_bounds(p, size):

@@ -8,17 +8,17 @@ deterministic tie rule, and the Hausdorff distance between two hulls.
 
 The Hausdorff distance also takes stacks: (..., mA, n) and (..., mB, n)
 generator arrays with equal leading shapes give an array of distances.  One
-implementation serves one pair and a stack; it projects one vertex of every
-hull in the stack at a time, and its distances equal the one-pair values bit
-for bit.  It does so through the stack form of _min_norm, the one internal
-minimum-norm kernel: every minimum-norm point of the package is formed
-there, with one dispatch on m for one (m, n) hull and an (..., m, n) stack
-alike.  Its one-hull form gives the first-order right-hand side of
-mbgf.flow its velocity, the discrete method its step, project_onto_hull
-its weights and point, and a tied support face its point; its stack form
-gives the recorded criticalities and weights of the flows and the
-discrete method.  One point takes ndarray.dot, a stack takes @: the same
-BLAS routine, the same bits (_dot has the rule).
+implementation serves one pair and a stack; each direction projects every
+vertex of every hull in one stacked solve, and its distances equal the
+one-pair values bit for bit.  It does so through the stack form of
+_min_norm, the one internal minimum-norm kernel: every minimum-norm point
+of the package is formed there, with one dispatch on m for one (m, n) hull
+and an (..., m, n) stack alike.  Its one-hull form gives the first-order
+right-hand side of mbgf.flow its velocity, the discrete method its step,
+project_onto_hull its weights and point, and a tied support face its
+point; its stack form gives the recorded criticalities and weights of the
+flows and the discrete method.  One point takes ndarray.dot, a stack
+takes @: the same BLAS routine, the same bits (_dot has the rule).
 
 Projections are solved on the shifted generators by closed forms for one,
 two, three and four generators, on a stack of hulls as on one, and by an
@@ -537,20 +537,13 @@ def support_point(b, generators):
     return tuple(tied), point
 
 
-def _point_hull_distance(p, Q):
-    # dist(p, conv Q) for a (..., n) stack of points and (..., mQ, n) hulls,
-    # rounded as project_onto_hull rounds it: R = Q - p, V = w @ R the
-    # min-norm point of R, distance ||(p + V) - p||.
-    V = _min_norm(Q - p[..., None, :])[1]
-    diff = (p + V) - p
-    return np.sqrt(_dot(diff, diff))
-
-
 def _excess(P, Q):
-    # max over the vertices p of P of dist(p, conv Q), one vertex at a time
-    # for the whole stack
-    return np.max([_point_hull_distance(P[..., i, :], Q)
-                   for i in range(P.shape[-2])], axis=0)
+    # max over the vertices p of P of dist(p, conv Q), in one solve on the
+    # (..., mP, mQ, n) stack Q - p, rounded as project_onto_hull rounds it:
+    # V the min-norm point of Q - p, distance ||(p + V) - p||
+    V = _min_norm(Q[..., None, :, :] - P[..., :, None, :])[1]
+    diff = (P + V) - P
+    return np.sqrt(_dot(diff, diff)).max(axis=-1)
 
 
 def hausdorff_hull_distance(generators_a, generators_b):

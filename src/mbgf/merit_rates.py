@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateScalingError, GridBudgetError, InvalidInputError
+from .errors import (DegenerateScalingError, GridBudgetError, InvalidInputError,
+                     finite_reals)
 from .geometry import _min_norm
 from .scaling import generator_map, gradnorm_eta
 
@@ -135,9 +136,8 @@ def u0_certified(p, x, box, h):
     walks every grid, and the budget bounds their sum.
     """
     X, one = p._check_input(x, stack=True)
-    H = np.asarray(h, dtype=float)
-    if H.ndim > 1 or H.size not in (1, len(X)) or not (
-            np.all(np.isfinite(H)) and np.all(H > 0)):
+    H = finite_reals(h)
+    if H is None or H.ndim > 1 or H.size not in (1, len(X)) or not np.all(H > 0):
         raise InvalidInputError(
             f"grid spacing h must be > 0, one or one per point, got {h!r}")
     H = np.broadcast_to(H, len(X))

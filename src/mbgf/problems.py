@@ -17,12 +17,13 @@ vectorized function of a (P, m) stack, and one level is its P = 1 case.
 quadratic_problem builds the diagonal quadratics f_i(x) = 1/2 sum_j
 A_ij (x_j - c_ij)^2 from their curvatures and centers, and derives their
 constants and level-set bound.  The built-ins p1, p2 and p4 are instances
-of it; p3 is written by hand, and make_problem takes any other plugin.
+of it; p3 is written by hand, and Problem takes any other plugin.
 """
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, NumericDomainError
+from .errors import (ConfigError, InvalidInputError, NumericDomainError,
+                     finite_reals)
 from .geometry import _dot, _pow2
 
 
@@ -58,13 +59,13 @@ class Box:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo, hi = finite_reals(lo), finite_reals(hi)
+        if lo is None or hi is None:
+            raise InvalidInputError("box bounds must be finite")
+        lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
         if lo.shape != hi.shape or lo.ndim > 2:
             raise InvalidInputError("box bounds must be 1-D vectors of equal "
                                     "length, or (P, n) stacks of them")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise InvalidInputError("box bounds must be finite")
         if np.any(lo > hi):
             raise InvalidInputError("box has lo > hi")
         self.lo = lo
@@ -142,7 +143,7 @@ class Problem:
                  "region", "grad_bound", "starts", "_level_set_bound",
                  "_memo")
 
-    def __init__(self, name, n, m, value, grads, lipschitz, lower_bounds,
+    def __init__(self, name, n, m, value, grads, *, lipschitz, lower_bounds,
                  convexity_class, region, grad_bound, starts,
                  strong_convexity=None, level_set_bound=None):
         if convexity_class not in ("convex", "strongly_convex", "nonconvex"):
@@ -371,13 +372,3 @@ for _f in (
             convexity_class="convex", region=Box([-2.5], [2.5]),
             starts=[[2.0]])):
     register_problem(_f)
-
-
-def make_problem(name, n, m, value, grads, *, lipschitz, lower_bounds,
-                 convexity_class, region, grad_bound, starts,
-                 strong_convexity=None, level_set_bound=None):
-    """Construct a user-defined problem."""
-    return Problem(name, n, m, value, grads, lipschitz, lower_bounds,
-                   convexity_class, region, grad_bound, starts,
-                   strong_convexity=strong_convexity,
-                   level_set_bound=level_set_bound)

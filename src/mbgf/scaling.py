@@ -10,7 +10,8 @@ none of the shipped ones do, so they are evaluated at x alone.
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateScalingError, InvalidInputError
+from .errors import (ConfigError, DegenerateScalingError, InvalidInputError,
+                     finite_real, finite_reals)
 
 DEGENERATE_GRAD_TOL = 1e-14
 
@@ -122,28 +123,25 @@ def _alpha_eta0(g):
 
 def constant(values):
     """alpha_i(x, t) = values[i], each > 0."""
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+    v = finite_reals(values)
+    if v is None or v.ndim > 1 or v.size < 1 or np.any(v <= 0.0):
         raise InvalidInputError("constant scaling needs finite positive values")
-    return ScalingRule("constant", values=v)
+    return ScalingRule("constant", values=np.atleast_1d(v))
 
 
 def gradnorm_eta(eta):
     """alpha_i(x, t) = ||grad f_i(x)|| + eta, eta >= 0."""
-    eta = float(eta)
-    if not np.isfinite(eta) or eta < 0.0:
+    eta = finite_real(eta)
+    if eta is None or eta < 0.0:
         raise InvalidInputError("eta must be a finite real >= 0")
     return ScalingRule("gradnorm_eta", eta=eta)
 
 
 def gradnorm_eta_clamped(eta, alpha_min, alpha_max):
     """Gradient-norm scaling clamped into [alpha_min, alpha_max]."""
-    eta = float(eta)
-    lo = float(alpha_min)
-    hi = float(alpha_max)
-    if not np.isfinite(eta) or eta < 0.0:
-        raise InvalidInputError("eta must be a finite real >= 0")
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0.0 or hi < lo:
+    eta = gradnorm_eta(eta).eta  # checked as gradnorm_eta checks it
+    lo, hi = finite_real(alpha_min), finite_real(alpha_max)
+    if lo is None or hi is None or lo <= 0.0 or hi < lo:
         raise InvalidInputError("clamp bounds need 0 < alpha_min <= alpha_max")
     return ScalingRule("gradnorm_eta_clamped", eta=eta, clamp_lo=lo, clamp_hi=hi)
 

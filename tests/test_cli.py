@@ -14,7 +14,7 @@ from mbgf.cli import (ExperimentConfig, parse_config, validate_config,
                       run_experiment, trajectory_csv_text, iterates_csv_text,
                       main, PROBLEM_ALIASES)
 from mbgf import cli, merit_rates, problems, verify
-from mbgf.problems import Box, get_problem, make_problem, quadratic_problem
+from mbgf.problems import Box, Problem, get_problem, quadratic_problem
 from mbgf.scaling import parse_scaling
 from mbgf.flow import FlowConfig, integrate_first_order
 from mbgf.discrete import DiscreteConfig, run_discrete
@@ -684,7 +684,7 @@ def test_main_exit_3_on_degenerate_scaling(capsys):
 def _register(monkeypatch, name, grads):
     # a one-dimensional problem on [-2, 2] with the given gradient
     def factory():
-        return make_problem(
+        return Problem(
             name, 1, 1, lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
             grads, lipschitz=[1.0], lower_bounds=[0.0],
             convexity_class="convex", region=Box([-2.0], [2.0]),

@@ -7,7 +7,7 @@ from mbgf.discrete import (MERIT_SLACK, DiscreteConfig, IterateSequence,
 from mbgf.errors import InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
 from mbgf.geometry import _min_norm
-from mbgf.problems import Box, get_problem, make_problem, quadratic_problem
+from mbgf.problems import Box, Problem, get_problem, quadratic_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, parse_scaling)
 
@@ -351,10 +351,10 @@ def test_each_dynamics_records_through_the_one_pass(monkeypatch):
         values.append(x.shape)
         return p2._value(x)
 
-    p = make_problem("counted", 2, 2, value, p2._grads,
-                     lipschitz=p2.lipschitz, lower_bounds=p2.lower_bounds,
-                     convexity_class=p2.convexity_class, region=p2.region,
-                     grad_bound=p2.grad_bound, starts=p2.starts)
+    p = Problem("counted", 2, 2, value, p2._grads,
+                lipschitz=p2.lipschitz, lower_bounds=p2.lower_bounds,
+                convexity_class=p2.convexity_class, region=p2.region,
+                grad_bound=p2.grad_bound, starts=p2.starts)
     rule, x0 = constant([1.0, 2.0]), [1.0, 1.0]
     runs = [
         integrate_first_order(p, rule, x0, FlowConfig(t_end=1.0, dt=0.1)),

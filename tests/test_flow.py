@@ -23,7 +23,7 @@ from mbgf.flow import (
 )
 from mbgf.geometry import (_min_norm, _support_weights, min_norm_point,
                            project_onto_hull, support_point)
-from mbgf.problems import Box, get_problem, make_problem, quadratic_problem
+from mbgf.problems import Box, Problem, get_problem, quadratic_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, scaled_hull_generators)
 from mbgf.verify import _exact_min_norm
@@ -134,7 +134,7 @@ def test_divergence_error_on_unstable_step():
     # of its diameter.  The same run on a wider region records that step's
     # end.
     def outward(half_width):
-        return make_problem(
+        return Problem(
             "outward", 1, 1, lambda x: -4.0 * x,
             lambda x: np.full(x.shape + (1,), -4.0),
             lipschitz=[1.0], lower_bounds=[-10.0], convexity_class="convex",
@@ -158,7 +158,7 @@ def test_numeric_domain_error_propagates():
         g = x[..., None, :]
         return np.where(np.abs(x[..., None, :]) > 1.2, np.nan, -g)
 
-    p = make_problem(
+    p = Problem(
         "ascends", 1, 1,
         lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
         bad_grads,
@@ -736,7 +736,7 @@ def test_step_size_underflow_is_no_convergence():
     # error control tries is accepted, and the step falls to the float
     # spacing of the window after about twenty rejections, though the
     # spacing of t = 0, where every flow starts, is far smaller.
-    p = make_problem(
+    p = Problem(
         "rough", 1, 1, lambda x: -1e-3 * np.cos(1e12 * x),
         lambda x: (1e9 * np.sin(1e12 * x))[..., None, :],
         lipschitz=[1e21], lower_bounds=[-1e-3], convexity_class="nonconvex",
@@ -772,7 +772,7 @@ def test_work_counts_repeat_exactly(mode, x0):
 def _twin(name, grad):
     # two equal objectives on [-1, 1]: the pair's hull is a point, so the
     # field is smooth and no support scan sees a non-finite stage first
-    return make_problem(
+    return Problem(
         name, 1, 2, lambda x: 0.0 * np.concatenate([x, x], axis=-1),
         lambda x: np.full(x.shape[:-1] + (2, 1), grad()),
         lipschitz=[1.0, 1.0], lower_bounds=[-1.0, -1.0],
@@ -818,7 +818,7 @@ def test_a_chattering_first_order_run_stops():
     # the flow reaches 0 at t = 1 and then chatters across it with steps of
     # about 1e-9.  The stall guard holds for every run, so the run stops
     # at its CHATTER_STEPS-th step shorter than CHATTER_STEP * 1.5.
-    p = make_problem(
+    p = Problem(
         "abs", 1, 1, np.abs, lambda x: np.sign(x)[..., None, :],
         lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
         region=Box([-2.0], [2.0]), grad_bound=1.0, starts=[[1.0]])

@@ -24,7 +24,7 @@ from mbgf.merit_rates import (
     u0_bracket,
     u0_certified,
 )
-from mbgf.problems import Box, get_problem, make_problem, quadratic_problem
+from mbgf.problems import Box, Problem, get_problem, quadratic_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, parse_scaling)
 
@@ -209,7 +209,7 @@ def slow_problem():
     # all _ITERS steps of a round, while on the segment the level-set box
     # is one point and every round stops at once
     p2 = get_problem("strongly-convex")
-    return make_problem(
+    return Problem(
         "slow", 2, 2, p2._value, p2._grads, lipschitz=[1e3, 1e3],
         lower_bounds=[0.0, 0.0], convexity_class="convex", region=p2.region,
         grad_bound=p2.grad_bound, starts=p2.starts,
@@ -534,7 +534,7 @@ def _weak_modulus():
     # p2's objectives with a declared strong convexity of 0.5, below the
     # unit modulus the strongly-convex constant assumes
     p = get_problem("strongly-convex")
-    return make_problem(
+    return Problem(
         "weak-modulus", 2, 2, p._value, p._grads, lipschitz=p.lipschitz,
         lower_bounds=p.lower_bounds, convexity_class="strongly_convex",
         region=p.region, grad_bound=p.grad_bound, starts=p.starts,
@@ -650,7 +650,7 @@ def two_balls_3d():
     # f_i = 0.5 ||x - c_i||^2 in three dimensions: convex, and its level-set
     # box is the whole region [-2, 2]^3
     C = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    return make_problem(
+    return Problem(
         "two-balls-3d", 3, 2,
         lambda x: 0.5 * ((x[..., None, :] - C) ** 2).sum(axis=-1),
         lambda x: x[..., None, :] - C,
@@ -703,7 +703,7 @@ def test_chunked_grid_walk_matches_one_chunk_bit_for_bit(monkeypatch):
 def trough():
     # f = 0.5 x_2^2 on [-1, 1]^2: every row of the u0 grid, hence every
     # chunk, ties at the z_2 nearest 0
-    return make_problem(
+    return Problem(
         "trough", 2, 1, lambda x: 0.5 * x[..., 1:] ** 2,
         lambda x: np.stack([0.0 * x[..., 1], x[..., 1]], axis=-1)[..., None, :],
         lipschitz=[1.0], lower_bounds=[0.0], convexity_class="convex",
@@ -872,10 +872,10 @@ def test_stacked_u0_budget_covers_the_sum_of_the_grids():
         shapes.append(x.shape)
         return p2._value(x)
 
-    p = make_problem("spy", 2, 2, value, p2._grads, lipschitz=[1.0, 1.0],
-                     lower_bounds=[0.0, 0.0], convexity_class="convex",
-                     region=p2.region, grad_bound=p2.grad_bound,
-                     starts=p2.starts)
+    p = Problem("spy", 2, 2, value, p2._grads, lipschitz=[1.0, 1.0],
+                lower_bounds=[0.0, 0.0], convexity_class="convex",
+                region=p2.region, grad_bound=p2.grad_bound,
+                starts=p2.starts)
     lo = np.full((6, 2), -1.0)
     assert 2001 ** 2 < GRID_BUDGET < 6 * 2001 ** 2
     with pytest.raises(GridBudgetError, match="u0_bracket") as exc:

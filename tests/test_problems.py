@@ -6,9 +6,9 @@ from mbgf import problems
 from mbgf.errors import ConfigError, InvalidInputError, NumericDomainError
 from mbgf.problems import (
     Box,
+    Problem,
     get_problem,
     list_problems,
-    make_problem,
     quadratic_problem,
     register_problem,
 )
@@ -140,7 +140,7 @@ def test_region_contains_shipped_start_level_sets():
 
 
 def test_level_set_bound_ball_example():
-    ball = make_problem(
+    ball = Problem(
         "unit-ball", 2, 1,
         lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
         lambda x: x[..., None, :],
@@ -159,7 +159,7 @@ def test_level_set_bound_ball_example():
         r = np.sqrt(2.0 * a)
         return LevelSetBound(a, r[:, 0], Box(-r * [1.0, 1.0], r * [1.0, 1.0]))
 
-    ball2 = make_problem(
+    ball2 = Problem(
         "unit-ball-2", 2, 1,
         lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
         lambda x: x[..., None, :],
@@ -213,7 +213,7 @@ def test_error_paths():
     with pytest.raises(InvalidInputError):
         p.level_set_bound([-1.0, 1.0])
 
-    bad = make_problem(
+    bad = Problem(
         "explodes", 1, 1,
         lambda x: np.full(x.shape[:-1] + (1,), np.inf),
         lambda x: x[..., None, :],
@@ -226,7 +226,7 @@ def test_error_paths():
 
 def test_register_plugin_roundtrip(monkeypatch):
     def factory():
-        return make_problem(
+        return Problem(
             "plugin-demo", 1, 1,
             lambda x: (x * x).sum(axis=-1, keepdims=True),
             lambda x: 2.0 * x[..., None, :],
@@ -488,7 +488,7 @@ def test_level_stack_shape_is_checked():
 
 
 def test_plugin_without_analytic_bound_gets_its_region_per_level():
-    ball = make_problem(
+    ball = Problem(
         "unit-ball", 2, 1,
         lambda x: 0.5 * (x * x).sum(axis=-1, keepdims=True),
         lambda x: x[..., None, :],
