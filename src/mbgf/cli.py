@@ -297,40 +297,31 @@ def _csv_lines(header, cols, row=None):
         row % r for r in zip(*[c.tolist() for c in cols])]) + "\n"
 
 
+def _named(name, A):
+    # an (N, d) record array's CSV block: names name_0 .. name_{d-1}, columns
+    return [f"{name}_{i}" for i in range(A.shape[1])], list(A.T)
+
+
 def trajectory_csv_text(tr):
     """CSV with header; columns t, x_*, [v_* accel], f_*, speed,
     crit_unscaled, crit_scaled, [W_* accel]."""
-    n = tr.states.shape[1]
-    m = tr.f_values.shape[1]
-    accel = tr.mode == "accelerated"
-    header = ["t"] + [f"x_{i}" for i in range(n)]
-    cols = [tr.times] + [tr.states[:, i] for i in range(n)]
-    if accel:
-        header += [f"v_{i}" for i in range(n)]
-        cols += [tr.velocities[:, i] for i in range(n)]
-    header += [f"f_{i}" for i in range(m)] + ["speed", "crit_unscaled",
-                                              "crit_scaled"]
-    cols += [tr.f_values[:, i] for i in range(m)]
-    cols += [tr.speeds, tr.crit_unscaled, tr.crit_scaled]
-    if accel:
-        header += [f"W_{i}" for i in range(m)]
-        cols += [tr.energies[:, i] for i in range(m)]
-    return _csv_lines(header, cols)
+    v, W = (([_named("v", tr.velocities)], [_named("W", tr.energies)])
+            if tr.mode == "accelerated" else ([], []))
+    blocks = ([(["t"], [tr.times]), _named("x", tr.states)] + v
+              + [_named("f", tr.f_values),
+                 (["speed", "crit_unscaled", "crit_scaled"],
+                  [tr.speeds, tr.crit_unscaled, tr.crit_scaled])] + W)
+    return _csv_lines(*(sum(part, []) for part in zip(*blocks)))
 
 
 def iterates_csv_text(seq):
     """CSV with header; columns k, x_*, f_*, step, crit_unscaled, crit_scaled."""
-    n = seq.states.shape[1]
-    m = seq.f_values.shape[1]
-    header = (["k"] + [f"x_{i}" for i in range(n)] +
-              [f"f_{i}" for i in range(m)] +
-              ["step", "crit_unscaled", "crit_scaled"])
-    cols = ([seq.ks] + [seq.states[:, i] for i in range(n)] +
-            [seq.f_values[:, i] for i in range(m)] +
-            [seq.crit_unscaled, seq.crit_scaled])
+    (hx, x), (hf, f) = _named("x", seq.states), _named("f", seq.f_values)
+    header = ["k"] + hx + hf + ["step", "crit_unscaled", "crit_scaled"]
+    cols = [seq.ks] + x + f + [seq.crit_unscaled, seq.crit_scaled]
     # the line after k; step, the constant s_min, is formatted once, into
     # the format itself
-    rest = ",%.17g" * (n + m) + ",%.17g" % seq.s_min + ",%.17g,%.17g"
+    rest = ",%.17g" * (len(x) + len(f)) + ",%.17g" % seq.s_min + ",%.17g,%.17g"
     # from cycle_k on, one period of lines repeats but for k: format it once
     t, period = seq.work["cycle_k"], seq.work["period"] or 0
     t = len(seq) if t is None else t
@@ -374,19 +365,18 @@ def run_experiment(cfg):
     x0 = np.asarray(cfg.x0, dtype=float)
 
     start = time.perf_counter()
-    if cfg.mode == "flow":
-        fc = FlowConfig(t_end=cfg.t_end, dt=cfg.dt,
-                        record_every=cfg.record_every)
-        result = integrate_first_order(p, rule, x0, fc)
-    elif cfg.mode == "accel":
-        fc = FlowConfig(t_end=cfg.t_end, dt=cfg.dt, mode="accelerated",
-                        r=cfg.r, theta=cfg.theta,
-                        record_every=cfg.record_every)
-        result = integrate_accelerated(p, rule, x0, fc)
-    else:
+    if cfg.mode == "discrete":
         dc = DiscreteConfig(max_iters=cfg.iters, safety=cfg.safety,
                             stop_tol=cfg.stop_tol)
         result = run_discrete(p, rule, x0, dc)
+    else:
+        accel = cfg.mode == "accel"
+        fc = FlowConfig(t_end=cfg.t_end, dt=cfg.dt,
+                        mode="accelerated" if accel else "first_order",
+                        r=cfg.r, theta=cfg.theta, record_every=cfg.record_every)
+        # the integrators by their module names, which a tracer may rebind
+        result = (integrate_accelerated if accel
+                  else integrate_first_order)(p, rule, x0, fc)
     wall = time.perf_counter() - start
 
     reports = [rate_report(name, RATE_ROWS[name], p, rule, cfg.x0, result)

@@ -15,9 +15,10 @@ class InvalidInputError(MBGFError, ValueError):
 
 
 def finite_reals(v):
-    """v as a float array if each entry is a finite real: a number, never a
-    string, with a finite float (not NaN, an infinity or an int beyond the
-    float range).  None otherwise."""
+    """v as a float array, with the bits np.asarray(v, dtype=float) gives,
+    if each entry is a finite real: a number, never a string or a complex
+    number, with a finite float (not NaN, an infinity or an int beyond the
+    float range), in rows of one length.  None otherwise."""
     try:
         a = np.asarray(v)
         if a.dtype.kind not in "biufO":

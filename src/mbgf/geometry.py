@@ -39,8 +39,9 @@ and the Gram determinant of the d_i is proper.  With as many d_i as
 dimensions that point is 0, by Cramer's rule on the d_i; with fewer, it
 comes from the Gram system and one correction step; with more, the hull
 has no interior candidate, since its minimum lies on a face.
-Every result carries simplex weights and satisfies the standard
-variational certificate
+Generators, points, directions and SimplexWeights are read by
+errors.finite_reals.  Every result carries simplex weights and satisfies
+the standard variational certificate
 
     <point - q, g_i - point> >= -CERTIFICATE_TOL * scale   for all i,
 
@@ -52,7 +53,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, NoConvergenceError, NumericDomainError
+from .errors import (InvalidInputError, NoConvergenceError, NumericDomainError,
+                     finite_reals)
 
 # Tolerances, fixed by the public contracts of this module.
 MEMBERSHIP_TOL = 1e-9        # residual_norm <= MEMBERSHIP_TOL * (1 + max generator norm)
@@ -74,30 +76,28 @@ _HUGE = 2.0 ** 510
 
 def _as_generator_matrix(generators, stacked=False):
     # An (m, n) matrix; with stacked=True also an (..., m, n) stack of them.
-    G = np.asarray(generators, dtype=float)
+    if (G := finite_reals(generators)) is None:
+        raise InvalidInputError("generators contain non-finite entries")
     if G.ndim == 1:
         G = G[None, :]
     if not (G.ndim == 2 or stacked and G.ndim > 2) or G.shape[-2] < 1 or G.shape[-1] < 1:
         stack = " or (..., m, n) stack" if stacked else ""
         raise InvalidInputError(
             f"generators must be a nonempty (m, n) matrix{stack}, got shape {G.shape}")
-    if not np.all(np.isfinite(G)):
-        raise InvalidInputError("generators contain non-finite entries")
     return G
 
 
 def _as_vector(v, n, name, lead=()):
     # One (n,) vector; with lead, the leading shape of a stack of hulls,
     # also one vector per hull.
-    v = np.asarray(v, dtype=float)
+    if (v := finite_reals(v)) is None:
+        raise InvalidInputError(f"{name} contains non-finite entries")
     if v.ndim == 0 and n == 1:
         v = v[None]
     if v.shape not in ((n,), tuple(lead) + (n,)):
         per_hull = ", or one per hull" if lead else ""
         raise InvalidInputError(
             f"{name} must be a vector of length {n}{per_hull}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
     return v
 
 
@@ -112,13 +112,13 @@ class SimplexWeights:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = np.array(weights, dtype=float)
-        if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)):
+        w = finite_reals(weights)
+        if w is None or w.ndim != 1 or w.size < 1:
             raise InvalidInputError("weights must be a finite 1-D vector")
         wmin = float(w.min())
         if wmin < -WEIGHT_NEG_TOL:
             raise InvalidInputError(f"negative simplex weight {wmin:.3e}")
-        np.clip(w, 0.0, None, out=w)
+        w = np.clip(w, 0.0, None)  # a copy: the caller's array stays as it is
         s = float(w.sum())
         if abs(s - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(f"simplex weights sum to {s:.17g}, expected 1")

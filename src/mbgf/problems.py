@@ -7,8 +7,10 @@ level-set over-approximation.  Oracles are vectorized over leading axes:
 value maps (..., n) to (..., m) and gradients maps (..., n) to (..., m, n).
 Problem._check_input is the package's one reader of points: a scalar or an
 (n,) vector is one point, (..., n) a stack, and for n = 1 a (P,) vector is
-P points.  value and grads read through it, and so do the scaling rules,
-the flows, the discrete method and the merit_rates estimators.
+P points.  value and grads read through it, and so do the starts, the
+scaling rules, the flows, the discrete method and the merit_rates
+estimators.  It reads reals by errors.finite_reals, as do the levels, the
+declared constants, quadratic_problem's A and C and the oracles' outputs.
 The level-set bound takes one (m,) level or a (P, m) stack of levels, and
 a stack gives every radius and box in one call (a stack of P boxes), each
 equal to its level's own call bit for bit: an analytic bound is one
@@ -23,7 +25,7 @@ of it; p3 is written by hand, and Problem takes any other plugin.
 import numpy as np
 
 from .errors import (ConfigError, InvalidInputError, NumericDomainError,
-                     finite_reals)
+                     finite_real, finite_reals)
 from .geometry import _dot, _pow2
 
 
@@ -125,6 +127,13 @@ class LevelSetBound:
         return f"LevelSetBound(a={self.a.tolist()}, radius={radius}, box={self.box})"
 
 
+def _declared(name, v):
+    # a declared constant as a 1-D array of finite reals
+    if (a := finite_reals(v)) is None:
+        raise InvalidInputError(f"{name} must be finite reals")
+    return np.atleast_1d(a)
+
+
 class Problem:
     """A smooth multiobjective instance f: R^n -> R^m with declared constants.
 
@@ -153,20 +162,24 @@ class Problem:
         self.m = int(m)
         self._value = value
         self._grads = grads
-        self.lipschitz = np.atleast_1d(np.asarray(lipschitz, dtype=float))
-        self.lower_bounds = np.atleast_1d(np.asarray(lower_bounds, dtype=float))
-        self.strong_convexity = (None if strong_convexity is None
-                                 else np.atleast_1d(np.asarray(strong_convexity, dtype=float)))
-        self.convexity_class = convexity_class
-        self.region = region
-        self.grad_bound = float(grad_bound)
-        self.starts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in starts]
-        self._level_set_bound = level_set_bound
-        self._memo = {}
+        self.lipschitz = _declared("lipschitz", lipschitz)
+        self.lower_bounds = _declared("lower_bounds", lower_bounds)
+        self.strong_convexity = (None if strong_convexity is None else
+                                 _declared("strong_convexity", strong_convexity))
         if self.lipschitz.shape != (self.m,) or np.any(self.lipschitz <= 0):
             raise InvalidInputError("lipschitz must be m positive reals")
         if self.lower_bounds.shape != (self.m,):
             raise InvalidInputError("lower_bounds must have length m")
+        if (grad_bound := finite_real(grad_bound)) is None:
+            raise InvalidInputError("grad_bound must be a finite real")
+        self.convexity_class = convexity_class
+        self.region = region
+        self.grad_bound = grad_bound
+        self.starts = [self._check_input(s) for s in starts]
+        if any(s.ndim != 1 for s in self.starts):
+            raise InvalidInputError(f"{self.name}: a start must be one point")
+        self._level_set_bound = level_set_bound
+        self._memo = {}
 
     def _check_input(self, x, stack=False):
         """x as finite points in R^n, the one reader of points: a scalar or
@@ -174,7 +187,8 @@ class Problem:
         (P,) vector is P points.  With stack=True x must be one point or a
         (P, n) stack, and the reader returns the (P, n) stack and whether
         x was one point (then P = 1)."""
-        x = np.asarray(x, dtype=float)
+        if (x := finite_reals(x)) is None:
+            raise InvalidInputError(f"{self.name}: non-finite input point")
         if self.n == 1 and x.ndim >= 1 and x.shape[-1] != 1:
             x = x[..., None]
         if x.ndim == 0:
@@ -183,21 +197,15 @@ class Problem:
             what = "one point or a (P, n) stack" if stack else "points"
             raise InvalidInputError(
                 f"{self.name}: expected {what} in R^{self.n}, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError(f"{self.name}: non-finite input point")
         return (x.reshape(-1, self.n), x.ndim == 1) if stack else x
 
     def value(self, x):
-        x = self._check_input(x)
-        f = np.asarray(self._value(x), dtype=float)
-        if not np.all(np.isfinite(f)):
+        if (f := finite_reals(self._value(self._check_input(x)))) is None:
             raise NumericDomainError(f"{self.name}: non-finite objective value")
         return f
 
     def grads(self, x):
-        x = self._check_input(x)
-        g = np.asarray(self._grads(x), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if (g := finite_reals(self._grads(self._check_input(x)))) is None:
             raise NumericDomainError(f"{self.name}: non-finite gradient")
         return g
 
@@ -205,27 +213,36 @@ class Problem:
         """LevelSetBound of L(f, a) for one (m,) level, or the stacked bound
         of a (P, m) stack of levels, whose entry k equals the call on a[k]
         bit for bit."""
-        A = np.atleast_1d(np.asarray(a, dtype=float))
-        one = A.ndim == 1
-        if one:
-            A = A[None]
-        if A.ndim != 2 or A.shape[1] != self.m or not np.all(np.isfinite(A)):
+        A = finite_reals(a)
+        if one := A is not None and A.ndim <= 1:
+            A = np.atleast_2d(A)
+        if A is None or A.ndim != 2 or A.shape[1] != self.m:
             raise InvalidInputError(
                 "level vector must be m finite reals, or a (P, m) stack of them")
         if self._level_set_bound is not None:
             bound = self._level_set_bound(A)
         else:
-            # Fallback for plugins without analytic bounds: the declared
-            # region, valid whenever a comes from a shipped start.
-            shape = (len(A), self.n)
-            bound = LevelSetBound(
-                A, np.full(len(A), self.region.max_norm()),
-                Box(np.broadcast_to(self.region.lo, shape),
-                    np.broadcast_to(self.region.hi, shape)))
+            # Fallback for plugins without analytic bounds: the region for
+            # every objective, valid whenever a comes from a shipped start.
+            shape = A.shape + (self.n,)
+            bound = _level_set(A, np.broadcast_to(self.region.lo, shape),
+                               np.broadcast_to(self.region.hi, shape),
+                               np.full(A.shape, self.region.max_norm()))
         return bound[0] if one else bound
 
     def __repr__(self):
         return f"Problem({self.name!r}, n={self.n}, m={self.m}, {self.convexity_class})"
+
+
+def _level_set(A, lo, hi, radii):
+    # the bound of a (P, m) stack of levels A from each objective's box
+    # [lo, hi], (P, m, n), and ball radius, (P, m): the boxes' intersection
+    # and the smallest radius, or the box's largest norm when that is smaller
+    box_lo, box_hi = lo[:, 0], hi[:, 0]
+    for i in range(1, lo.shape[1]):
+        box_lo, box_hi = _intersect(box_lo, box_hi, lo[:, i], hi[:, i])
+    box = Box(box_lo, box_hi)
+    return LevelSetBound(A, np.minimum(radii.min(axis=1), box.max_norm()), box)
 
 
 def _refuse_negative(A):
@@ -253,12 +270,12 @@ def quadratic_problem(name, A, C, *, convexity_class, region, starts):
     with the radius min_i ||c_i|| + sqrt(2 a_i / min_j A_ij), or the box's
     largest norm when that is smaller.
     """
-    A = np.array(A, dtype=float)
-    C = np.array(C, dtype=float)
-    if (A.ndim != 2 or A.shape != C.shape or not np.all(A > 0.0)
-            or not np.all(np.isfinite(A)) or not np.all(np.isfinite(C))):
+    A, C = finite_reals(A), finite_reals(C)
+    if (A is None or C is None or A.ndim != 2 or A.shape != C.shape
+            or not np.all(A > 0.0)):
         raise InvalidInputError("a quadratic problem takes finite (m, n) "
                                 "curvatures A > 0 and centers C of one shape")
+    A, C = A.copy(), C.copy()  # the problem keeps its own data
 
     def value(x):
         d = x[..., None, :] - C
@@ -270,13 +287,8 @@ def quadratic_problem(name, A, C, *, convexity_class, region, starts):
     def level_set_bound(a):
         _refuse_negative(a)
         half = np.sqrt(2.0 * a[:, :, None] / A)
-        lo, hi = C - half, C + half
-        box_lo, box_hi = lo[:, 0], hi[:, 0]
-        for i in range(1, len(C)):
-            box_lo, box_hi = _intersect(box_lo, box_hi, lo[:, i], hi[:, i])
-        box = Box(box_lo, box_hi)
-        balls = _norm(C) + np.sqrt(2.0 * a / A.min(axis=1))
-        return LevelSetBound(a, np.minimum(balls.min(axis=1), box.max_norm()), box)
+        return _level_set(a, C - half, C + half,
+                          _norm(C) + np.sqrt(2.0 * a / A.min(axis=1)))
 
     far = np.maximum(np.abs(region.lo - C), np.abs(region.hi - C))
     return Problem(
@@ -314,11 +326,7 @@ def _p3_level_set_bound(A):
     _refuse_negative(A)
     r = np.sqrt(_pow2(A + 1.8) - 1.0)[:, :, None]
     lo, hi = _P3_C - r, _P3_C + r
-    box = Box(*_intersect(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]))
-    corners = np.maximum(np.abs(lo), np.abs(hi))
-    radius = np.minimum.reduce([_norm(corners[:, 0]), _norm(corners[:, 1]),
-                                box.max_norm()])
-    return LevelSetBound(A, radius, box)
+    return _level_set(A, lo, hi, _norm(np.maximum(np.abs(lo), np.abs(hi))))
 
 
 def _make_p3():

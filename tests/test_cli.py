@@ -236,6 +236,83 @@ def test_json_array_config_rejected_alike(tmp_path, capsys):
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+def test_validate_config_refuses_a_non_mapping():
+    with pytest.raises(ConfigError) as e:
+        validate_config([("problem", "p1")])
+    assert str(e.value) == "config: expected a mapping, got list"
+
+
+def test_parse_config_refuses_non_text():
+    with pytest.raises(ConfigError) as e:
+        parse_config(b"problem=p1")
+    assert str(e.value) == "config: expected text"
+
+
+def test_rates_read_one_name_and_refuse_a_non_list():
+    raw = {"problem": "p3", "t_end": 2, "scaling": "gradnorm:eta=0.1"}
+    cfg = validate_config(dict(raw, rates="runmin-criticality"))
+    assert cfg.rates == ("runmin-criticality",)
+    with pytest.raises(ConfigError) as e:
+        validate_config(dict(raw, rates=5))
+    assert str(e.value) == "rates: expected a list of names, got 5"
+
+
+BAD_JSON = '{"problem": "p1",}'
+
+
+def _json_error(text):
+    # the decoder's own account of text, whose wording varies by Python version
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as e:
+        return str(e)
+
+
+# config refusals through main: the flags, or the config file's text, and
+# the exact message
+MAIN_REFUSALS = {
+    "runmin-not-flow": (
+        ["discrete", "--problem", "p3", "--scaling", "gradnorm:eta=0.1",
+         "--rates", "runmin-criticality"],
+        None, "rates: runmin-criticality needs mode=flow"),
+    "runmin-short": (
+        ["run", "--problem", "p3", "--scaling", "gradnorm:eta=0.1",
+         "--t-end", "1", "--rates", "runmin-criticality"],
+        None, "rates: runmin-criticality is evaluated on t in [1, t_end]; "
+              "need t_end > 1"),
+    "x0-flag": (["run", "--problem", "p1", "--t-end", "1", "--x0", "1,a"],
+                None, "x0: malformed number in '1,a'"),
+    "x0-line": (["run"], "problem=p1\nt_end=1\nx0=1,a\n",
+                "x0: malformed number in '1,a'"),
+    "invalid-json": (["run"], BAD_JSON,
+                     f"config: invalid JSON ({_json_error(BAD_JSON)})"),
+    "no-equals": (["run"], "problem=p1\n# a comment\nt_end 1\n",
+                  "config line 3: expected key=value, got 't_end 1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAIN_REFUSALS))
+def test_main_refuses_a_bad_config_with_exit_2(case, tmp_path, capsys):
+    argv, text, message = MAIN_REFUSALS[case]
+    if text is not None:
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(text)
+        argv = argv + ["--config", str(cfgfile)]
+        with pytest.raises(ConfigError) as e:
+            parse_config(text)
+        assert str(e.value) == message
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_prints_a_passing_rate_report(capsys):
+    assert main(["run", "--problem", "p3", "--scaling", "gradnorm:eta=0.1",
+                 "--t-end", "2", "--rates", "runmin-criticality"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("  rate runmin-criticality: pass "
+                         "(sup value/bound = 0.04222)")
+
+
 @pytest.mark.parametrize("key", ["t_end", "dt", "x0"])
 def test_config_file_integer_beyond_the_float_range_exits_2(key, tmp_path,
                                                            capsys):

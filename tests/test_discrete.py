@@ -4,7 +4,7 @@ import pytest
 from mbgf import discrete, flow
 from mbgf.discrete import (MERIT_SLACK, DiscreteConfig, IterateSequence,
                            discrete_monitors, run_discrete, step_size)
-from mbgf.errors import InvalidInputError
+from mbgf.errors import InvalidInputError, NumericDomainError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
 from mbgf.geometry import _min_norm
 from mbgf.problems import Box, Problem, get_problem, quadratic_problem
@@ -365,3 +365,15 @@ def test_each_dynamics_records_through_the_one_pass(monkeypatch):
     assert passes == values == [(11, 2), (11, 2), (8, 2)]
     for run in runs:
         assert run.f_values.tobytes() == p2._value(run.states).tobytes()
+
+
+def test_an_iterate_that_overflows_is_refused():
+    # finite gradients near 1e300 and a declared Lipschitz constant of
+    # 1e-300 make the step about 1e300, and x_1 = x_0 - s g overflows
+    p = Problem("steep", 1, 1, lambda x: 1e300 * x,
+                lambda x: np.full(x.shape[:-1] + (1, 1), 1e300),
+                lipschitz=[1e-300], lower_bounds=[-1e300], convexity_class="convex",
+                region=Box([-1.0], [1.0]), grad_bound=1e300, starts=[[0.5]])
+    with np.errstate(over="ignore"), pytest.raises(NumericDomainError) as e:
+        run_discrete(p, constant([1.0]), [0.5], DiscreteConfig(max_iters=5))
+    assert str(e.value) == "non-finite iterate at k=1"

@@ -1,6 +1,7 @@
 """The shared input rules of mbgf.errors, through every library input that
-reads a real or a count: a value with no finite float, a string, or a count
-that is no int raises InvalidInputError whose message names the input."""
+reads a real or a count: a value with no finite float, a string, a complex
+number, a ragged row, or a count that is no int raises InvalidInputError
+whose message names the input."""
 
 import re
 
@@ -9,8 +10,9 @@ import pytest
 from mbgf.discrete import DiscreteConfig, run_discrete
 from mbgf.errors import InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated
+from mbgf.geometry import SimplexWeights, min_norm_point, project_onto_hull
 from mbgf.merit_rates import u0_certified
-from mbgf.problems import Box, get_problem
+from mbgf.problems import Box, Problem, get_problem, quadratic_problem
 from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
 
 P4 = get_problem("scalar-pair")
@@ -69,3 +71,63 @@ def test_a_bad_real_or_count_is_refused_by_name(name, bad):
     feed, message, _ = INPUTS[name]
     with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
         feed(bad)
+
+
+P2 = get_problem("strongly-convex")
+
+
+def _plugin(**kw):
+    # p2's oracles with hand-declared constants, one of them replaced
+    return Problem("plugin", 2, 2, P2._value, P2._grads, **{
+        "lipschitz": [1.0, 1.0], "lower_bounds": [0.0, 0.0],
+        "strong_convexity": [1.0, 1.0], "convexity_class": "strongly_convex",
+        "region": P2.region, "grad_bound": P2.grad_bound, "starts": P2.starts,
+        **kw})
+
+
+def _quadratic(A=((1.0, 1.0),), C=((0.0, 0.0),)):
+    return quadratic_problem("quadratic", A, C, convexity_class="convex",
+                             region=P2.region, starts=[[0.0, 0.0]])
+
+
+# entries that are no finite real, each put in the place of one number: a
+# list there makes its row ragged
+MALFORMED = {"str": "1", "complex": 1 + 1j, "row": [1.0, 2.0], **{
+    k: v for k, v in BAD_REALS.items() if k != "str"}}
+
+# each reader of reals: how to feed it one entry, and its refusal
+READERS = {
+    "generators": (lambda v: min_norm_point([[v, 2.0], [3.0, 4.0]]),
+                   "generators contain non-finite entries"),
+    "q": (lambda v: project_onto_hull([v, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+          "q contains non-finite entries"),
+    "weights": (lambda v: SimplexWeights([v, 0.0]),
+                "weights must be a finite 1-D vector"),
+    "point": (lambda v: P2.value([v, 0.5]),
+              "strongly-convex: non-finite input point"),
+    "level": (lambda v: P2.level_set_bound([v, 1.0]),
+              "level vector must be m finite reals"),
+    "A": (lambda v: _quadratic(A=[[v, 1.0]]), "a quadratic problem takes "
+          "finite (m, n) curvatures A > 0 and centers C of one shape"),
+    "C": (lambda v: _quadratic(C=[[v, 0.0]]), "a quadratic problem takes "
+          "finite (m, n) curvatures A > 0 and centers C of one shape"),
+    "lipschitz": (lambda v: _plugin(lipschitz=[v, 1.0]),
+                  "lipschitz must be finite reals"),
+    "lower_bounds": (lambda v: _plugin(lower_bounds=[v, 0.0]),
+                     "lower_bounds must be finite reals"),
+    "strong_convexity": (lambda v: _plugin(strong_convexity=[v, 1.0]),
+                         "strong_convexity must be finite reals"),
+    "grad_bound": (lambda v: _plugin(grad_bound=v),
+                   "grad_bound must be a finite real"),
+    "start": (lambda v: _plugin(starts=[[v, 0.5]]),
+              "plugin: non-finite input point"),
+}
+
+
+@pytest.mark.parametrize("name, label", [
+    pytest.param(name, label, id=f"{name}-{label}")
+    for name in READERS for label in MALFORMED])
+def test_a_malformed_real_is_refused_by_its_reader(name, label):
+    feed, message = READERS[name]
+    with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+        feed(MALFORMED[label])

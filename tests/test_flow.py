@@ -1187,3 +1187,10 @@ def test_located_switch_is_a_root_on_the_dense_output(monkeypatch, name, x0,
         noise = 1e-15 if s else np.finfo(float).eps / FD_STEP
         assert -2.0 * ROOT_TOL * slope - noise <= g(th) < 0.0
         assert g(th - ROOT_TOL - 2.0 * noise / slope) > 0.0
+
+
+def test_the_accelerated_integrator_refuses_a_first_order_config():
+    with pytest.raises(InvalidInputError) as e:
+        integrate_accelerated(get_problem("scalar-pair"), constant([1.0, 1.0]),
+                              [2.0], FlowConfig(t_end=0.1))
+    assert str(e.value) == "integrate_accelerated needs mode='accelerated'"

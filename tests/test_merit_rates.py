@@ -370,6 +370,17 @@ def test_check_bound_exact_ratio():
     assert rep.verdict == "fail" and rep.observed_sup == pytest.approx(1.1)
 
 
+@pytest.mark.parametrize("ts, values, bound_fn, message", [
+    ([1.0, 2.0], [1.0], lambda t: t, "series must be matching 1-D arrays"),
+    ([1.0, 2.0], [1.0, 1.0], lambda t: 1.0 - t,
+     "bound curve must be positive on the series"),
+])
+def test_check_bound_refuses_bad_series(ts, values, bound_fn, message):
+    with pytest.raises(InvalidInputError) as e:
+        check_bound(ts, values, name="bad", constant=1.0, bound_fn=bound_fn)
+    assert str(e.value) == message
+
+
 def test_one_rate_slack_for_check_bound_and_verify():
     ts = np.array([1.0, 2.0])
     rep = check_bound(ts, ts, name="t", constant=1.0, bound_fn=lambda t: t)

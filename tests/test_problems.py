@@ -224,6 +224,46 @@ def test_error_paths():
         bad.value([0.5])
 
 
+def _line_plugin(**kw):
+    # f(x) = x^2 / 2 on [-1, 1], its declared data overridable
+    return Problem(**{"name": "line", "n": 1, "m": 1,
+                      "value": lambda x: 0.5 * x * x,
+                      "grads": lambda x: x[..., None, :],
+                      "lipschitz": [1.0], "lower_bounds": [0.0],
+                      "convexity_class": "convex", "region": Box([-1.0], [1.0]),
+                      "grad_bound": 1.0, "starts": [[0.5]], **kw})
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"convexity_class": "concave"}, "unknown convexity class 'concave'"),
+    ({"lipschitz": [0.0]}, "lipschitz must be m positive reals"),
+    ({"lipschitz": [1.0, 1.0]}, "lipschitz must be m positive reals"),
+    ({"lower_bounds": [0.0, 0.0]}, "lower_bounds must have length m"),
+    ({"starts": [[0.5], [0.25, 0.75]]}, "line: a start must be one point"),
+])
+def test_plugin_declarations_are_refused_by_name(kw, message):
+    with pytest.raises(InvalidInputError) as e:
+        _line_plugin(**kw)
+    assert str(e.value) == message
+
+
+def test_plugin_oracle_outputs_are_checked():
+    p = _line_plugin(grads=lambda x: np.full(x.shape[:-1] + (1, 1), np.inf))
+    with pytest.raises(NumericDomainError) as e:
+        p.grads([0.5])
+    assert str(e.value) == "line: non-finite gradient"
+    p = _line_plugin(value=lambda x: x.astype(complex))
+    with pytest.raises(NumericDomainError) as e:
+        p.value([0.5])
+    assert str(e.value) == "line: non-finite objective value"
+
+
+def test_disjoint_boxes_do_not_intersect():
+    with pytest.raises(InvalidInputError) as e:
+        Box([0.0, 0.0], [1.0, 1.0]).intersect(Box([2.0, 0.0], [3.0, 1.0]))
+    assert str(e.value) == "empty box intersection"
+
+
 def test_register_plugin_roundtrip(monkeypatch):
     def factory():
         return Problem(

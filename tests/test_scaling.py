@@ -185,6 +185,18 @@ def test_parse_errors_name_the_offender():
         assert frag in str(err.value), text
 
 
+@pytest.mark.parametrize("text, message", [
+    ("const:1,x", "scaling: bad constant values '1,x'"),
+    ("gradnorm:eta", "scaling: expected key=value, got 'eta'"),
+    ("gradnorm:min=0.5,max=2", "scaling: gradnorm needs eta=..."),
+    ("harmonic:1,1", "scaling: unknown variant 'harmonic'"),
+])
+def test_parse_errors_read_exactly(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_scaling(text)
+    assert str(err.value) == message
+
+
 def test_invalid_constructions():
     with pytest.raises(InvalidInputError):
         constant([1.0, -1.0])
