@@ -29,7 +29,6 @@ from .scaling import generator_map, parse_scaling
 from .flow import FlowConfig, integrate_first_order, integrate_accelerated
 from .discrete import DiscreteConfig, run_discrete, step_size
 from .merit_rates import RATE_BOUNDS, rate_report
-from . import verify as verify_mod
 
 # Short names accepted anywhere a problem name is; stored canonically.
 PROBLEM_ALIASES = {
@@ -479,6 +478,7 @@ def _cmd_run(args, mode):
 
 
 def _cmd_verify(args):
+    from . import verify as verify_mod
     names = verify_mod.SUITES if args.suite == "all" else (args.suite,)
     seed = args.seed
     reports = [verify_mod.run_suite(nm, seed=seed) for nm in names]
@@ -521,6 +521,8 @@ def _add_common(sub):
 
 
 def build_parser():
+    # the suites load here, not with the module: a run needs none of them
+    from . import verify as verify_mod
     # allow_abbrev=False everywhere: a prefix such as --r or --t would name
     # a different flag on each run subcommand
     parser = argparse.ArgumentParser(

@@ -25,10 +25,8 @@ on retraces the cycle, and the loop stopped at none of its iterates, so
 their scaled criticality exceeds stop_tol.  A byte compare keeps +0.0 and
 -0.0 apart, and the finiteness check rules out NaN.
 
-discrete_monitors checks a recorded run with merit_rates.monotone_excess:
-f-nesting at the relative NESTING_SLACK, and the merit
-E(k) = k min_i(f_i(x_k) - f_i(x_K)) + alpha_max / (2 s_min) ||x_k - x_K||^2
-at the absolute MERIT_SLACK.
+A recorded run's gates, f-nesting and the merit E(k), are the "nesting"
+and "merit" monitors of merit_rates.lyapunov_monitors.
 """
 
 import math
@@ -39,11 +37,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericDomainError, finite_real, is_count
 from .flow import _check_start, _diagnostics
 from .geometry import _min_norm
-from .merit_rates import NESTING_SLACK, monotone_excess
 from .scaling import generator_map
-
-# absolute per-step slack of the merit-decrease check in discrete_monitors
-MERIT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ class IterateSequence:
     """
 
     __slots__ = ("ks", "states", "f_values", "crit_unscaled", "crit_scaled",
-                 "weights", "alpha_bounds", "s_min", "work")
+                 "weights", "s_min", "work")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -106,7 +100,6 @@ def run_discrete(p, rule, x0, cfg):
     x = _check_start(p, x0)
 
     s = step_size(p, rule, cfg)
-    alpha_bounds = rule.declared_bounds(p)
     gens = generator_map(rule, p.m)
     seen = {}  # each distinct iterate's bytes -> its k, in k order
     cycle_k = None
@@ -133,7 +126,7 @@ def run_discrete(p, rule, x0, cfg):
     X, F, cu, cs, ws = (_repeat_cycle(a, cycle_k, rows) for a in (X, F, cu, cs, ws))
     return IterateSequence(
         ks=np.arange(len(X)), states=X, f_values=F, crit_unscaled=cu,
-        crit_scaled=cs, weights=ws, alpha_bounds=alpha_bounds, s_min=s,
+        crit_scaled=cs, weights=ws, s_min=s,
         work={"grad_calls": len(seen), "cycle_k": cycle_k, "period": period})
 
 
@@ -143,22 +136,3 @@ def _repeat_cycle(a, cycle_k, rows):
     tiled = np.tile(block, (-(-rest // len(block)),) + (1,) * (a.ndim - 1))
     return np.concatenate([a, tiled[:rest]])
 
-
-def merit_coefficient(seq):
-    """alpha_max / (2 s_min), the quadratic weight in the discrete merit."""
-    return seq.alpha_bounds[1] / (2.0 * seq.s_min)
-
-
-def discrete_monitors(seq):
-    """Per-step descent and merit-decrease checks for a recorded run.
-
-    Returns the merit values E(k), taken at the final iterate x_K, and the
-    monotone_excess of f (f_excess) and of E (merit_excess): <= 0 means
-    the series is nonincreasing within its slack.
-    """
-    gaps = seq.f_values - seq.f_values[-1]
-    dist2 = ((seq.states - seq.states[-1]) ** 2).sum(axis=-1)
-    merit = seq.ks * gaps.min(axis=-1) + merit_coefficient(seq) * dist2
-    return {"merit": merit,
-            "f_excess": monotone_excess(seq.f_values, NESTING_SLACK),
-            "merit_excess": monotone_excess(merit, 0.0, MERIT_SLACK)}

@@ -21,12 +21,12 @@ P grids, one per point, the eta = 0 gradient range's and V0's) is walked in
 chunks of at most _CHUNK points by _box_grid, which raises GridBudgetError
 before it builds grids of more than GRID_BUDGET points together.
 
-Every monotone gate, here and in mbgf.discrete and mbgf.verify, reads
-monotone_excess: the largest per-record increase of a series beyond a
-slack defined once as a named constant (MONITOR_SLACK for the Lyapunov
-monitors, NESTING_SLACK for f-nesting, discrete.MERIT_SLACK for the
-discrete merit).  An excess <= 0 means the series is nonincreasing within
-its slack.
+Every monotone gate of a recorded run is a monitor of lyapunov_monitors
+that reads monotone_excess: the largest per-record increase of a series
+beyond a slack defined once here (MONITOR_SLACK for the Lyapunov monitors,
+NESTING_SLACK for f-nesting, MERIT_SLACK for the discrete merit,
+ENERGY_SLACK for the accelerated energies).  An excess <= 0 means the
+series is nonincreasing within its slack.
 """
 
 from dataclasses import dataclass, field
@@ -56,6 +56,10 @@ RATE_SLACK = 0.05  # a rate check passes iff value / bound <= 1 + RATE_SLACK
 MONITOR_SLACK = 1e-6
 # per-record slack of f-nesting along flows and iterates: 1e-9 (1 + |f_i|)
 NESTING_SLACK = 1e-9
+# absolute per-step slack of the discrete merit E(k)
+MERIT_SLACK = 1e-9
+# slack of the accelerated energies W_i: 1e-7 per unit time
+ENERGY_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -274,11 +278,18 @@ def criticality(p, x, rule=None):
     return (float(unscaled[0]), float(scaled[0])) if one else (unscaled, scaled)
 
 
+def _series(v):
+    # the one reader of the series a rate check or a monotone gate reads
+    a = finite_reals(v)
+    if a is None:
+        raise InvalidInputError("series must be finite reals")
+    return a
+
+
 def fit_loglog_slope(ts, values):
     """Least-squares slope of log value vs log t over the final decade,
     excluding the first 10% of the horizon and nonpositive values."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
+    ts, values = _series(ts), _series(values)
     t_max = ts.max()
     mask = (ts >= t_max / 10.0) & (ts >= ts.min() + 0.1 * (t_max - ts.min()))
     mask &= (values > 0) & (ts > 0)
@@ -296,8 +307,7 @@ def check_bound(ts, values, *, name, constant, bound_fn):
     sup_t value/bound <= 1 + RATE_SLACK.  For min-over-prefix statements pass
     the running minimum as values.
     """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
+    ts, values = _series(ts), _series(values)
     if ts.shape != values.shape or ts.ndim != 1 or ts.size == 0:
         raise InvalidInputError("series must be matching 1-D arrays")
     bounds = np.asarray(bound_fn(ts), dtype=float)
@@ -318,7 +328,7 @@ def monotone_excess(values, rel, per_step=0.0):
     column; per_step may be an array broadcast against the differences.
     Returns 0.0 for fewer than two records.
     """
-    values = np.asarray(values, dtype=float)
+    values = _series(values)
     if len(values) < 2:
         return 0.0
     slack = rel * (1.0 + np.abs(values[:-1])) + per_step
@@ -326,40 +336,47 @@ def monotone_excess(values, rel, per_step=0.0):
 
 
 def lyapunov_monitors(run, which, z, p, rule):
-    """Evaluate named Lyapunov monitors on a recorded flow run of problem p
-    under scaling rule.
+    """The monotone_excess of named monitors on a recorded run (Trajectory
+    or IterateSequence) of problem p under scaling rule.
 
-    which: iterable from {"h", "convex", "strongly_convex", "accelerated"}.
-    z must lie in the level set of the final record, within NESTING_SLACK
-    (1 + |f_i|).  Each monitor maps to its monotone_excess at MONITOR_SLACK:
-    <= 0 means nonincreasing within 1e-6 (1 + |monitor|) per record.  The discrete merit E(k) lives in
-    discrete.discrete_monitors.  The convex and strongly convex monitors
-    read the run's times, measured from the start of the flow at t = 0 as
-    their theorems' time is; the accelerated one reads t + theta, the time
-    of the damping r/(t + theta).
+    which: iterable from the flows' Lyapunov functions {"h", "convex",
+    "strongly_convex", "accelerated"}, at MONITOR_SLACK; "nesting", each
+    f_i, at NESTING_SLACK; "merit", the discrete E(k) = k min_i(f_i(x_k) -
+    f_i(z)) + alpha_max / (2 s_min) ||x_k - z||^2 for z the final iterate,
+    at MERIT_SLACK; "energy", the accelerated W_i, at ENERGY_SLACK.
+    alpha_max is the rule's declared bound on p.  The convex and strongly
+    convex monitors read the run's times, measured from the start of the
+    flow at t = 0 as their theorems' time is; the accelerated one reads
+    t + theta, the time of the damping r/(t + theta).  z must lie in the
+    level set of the final record, within NESTING_SLACK (1 + |f_i|); it may
+    be None when which names only nesting and energy.
     """
-    z = p._check_input(z)
-    if z.ndim != 1:
-        raise InvalidInputError(
-            f"z must be one point in R^{p.n}, got shape {z.shape}")
-    fz = p.value(z)
-    f_final = run.f_values[-1]
-    if np.any(fz > f_final + NESTING_SLACK * (1.0 + np.abs(f_final))):
-        raise InvalidInputError("z must lie in the level set of the final record")
+    which = tuple(which)
+    if set(which) - {"nesting", "energy"}:
+        z = p._check_input(z)
+        if z.ndim != 1:
+            raise InvalidInputError(
+                f"z must be one point in R^{p.n}, got shape {z.shape}")
+        fz = p.value(z)
+        f_final = run.f_values[-1]
+        if np.any(fz > f_final + NESTING_SLACK * (1.0 + np.abs(f_final))):
+            raise InvalidInputError("z must lie in the level set of the final record")
+        gaps = run.f_values - fz              # (N, m)
+        d2 = ((run.states - z) ** 2).sum(axis=-1)
 
-    gaps = run.f_values - fz              # (N, m)
-    d2 = ((run.states - z) ** 2).sum(axis=-1)
-    series = {}
+    gates = {}  # key -> the arguments of its monotone_excess
     for name in which:
         if name == "h":
-            series["h"] = 0.5 * d2
+            gates["h"] = 0.5 * d2, MONITOR_SLACK
         elif name == "convex":
             amax = rule.declared_bounds(p)[1]
-            series["convex_E"] = (run.times / amax) * gaps.min(axis=-1) + 0.5 * d2
+            gates["convex_E"] = ((run.times / amax) * gaps.min(axis=-1)
+                                 + 0.5 * d2, MONITOR_SLACK)
         elif name == "strongly_convex":
             amax = rule.declared_bounds(p)[1]
-            series["strongly_convex_W"] = (np.exp(run.times / amax)
-                                           * (gaps.min(axis=-1) + 0.5 * d2))
+            gates["strongly_convex_W"] = (np.exp(run.times / amax)
+                                          * (gaps.min(axis=-1) + 0.5 * d2),
+                                          MONITOR_SLACK)
         elif name == "accelerated":
             if run.velocities is None:
                 raise InvalidInputError("accelerated monitor needs recorded velocities")
@@ -370,11 +387,22 @@ def lyapunov_monitors(run, which, z, p, rule):
             norm2 = 0.5 * (shifted ** 2).sum(axis=-1)
             E = (w ** 2) * gaps / alphas + norm2[:, None]
             for i in range(p.m):
-                series[f"accel_E_{i}"] = E[:, i]
-            series["accel_E_min"] = E.min(axis=-1)
+                gates[f"accel_E_{i}"] = E[:, i], MONITOR_SLACK
+            gates["accel_E_min"] = E.min(axis=-1), MONITOR_SLACK
+        elif name == "nesting":
+            gates["nesting"] = run.f_values, NESTING_SLACK
+        elif name == "merit":
+            if not hasattr(run, "s_min"):
+                raise InvalidInputError("merit monitor needs an iterate sequence")
+            amax = rule.declared_bounds(p)[1]
+            gates["merit"] = (run.ks * gaps.min(axis=-1)
+                              + amax / (2.0 * run.s_min) * d2, 0.0, MERIT_SLACK)
+        elif name == "energy":
+            gates["energy"] = (run.energies, 0.0,
+                               ENERGY_SLACK * np.diff(run.times)[:, None])
         else:
             raise InvalidInputError(f"unknown monitor {name!r}")
-    return {key: monotone_excess(v, MONITOR_SLACK) for key, v in series.items()}
+    return {key: monotone_excess(*gate) for key, gate in gates.items()}
 
 
 # -- rate bounds: row(p, rule, x0[, theta | s_min]) = (constant, bound_fn) on
@@ -496,7 +524,10 @@ def rate_report(name, row, p, rule, x0, run):
     nonconvex-eta0, and min_i(f_i - inf f_i), an upper bound on u0, for
     discrete (at run.s_min).
     A window with no record, as when the discrete method stops at a
-    critical start before k = 1, passes with observed_sup 0."""
+    critical start before k = 1, passes with observed_sup 0.  So does a
+    zero bound curve, the row's bound at a start where an objective sits at
+    its lower bound, on a series of zeros; a positive value fails it, with
+    observed_sup inf."""
     if row == "discrete":
         C, bound = RATE_BOUNDS[row](p, rule, x0, run.s_min)
         ts = np.asarray(run.ks, dtype=float)
@@ -509,8 +540,10 @@ def rate_report(name, row, p, rule, x0, run):
         raise InvalidInputError(f"rate row {row!r} is checked on u0, not on a "
                                 "series of the run")
     keep = ts >= 1.0
-    if not keep.any():
-        return RateReport(name=name, constant=float(C), observed_sup=0.0,
-                          slack=RATE_SLACK, verdict="pass")
-    return check_bound(ts[keep], values[keep], name=name, constant=C,
-                       bound_fn=bound)
+    ts, values = ts[keep], values[keep]
+    if not ts.size or not np.any(bound(ts)):
+        observed = float("inf") if np.any(values > 0.0) else 0.0
+        return RateReport(name=name, constant=float(C), observed_sup=observed,
+                          slack=RATE_SLACK,
+                          verdict="pass" if observed == 0.0 else "fail")
+    return check_bound(ts, values, name=name, constant=C, bound_fn=bound)

@@ -82,7 +82,9 @@ class Box:
         return float(np.linalg.norm(self.hi - self.lo))
 
     def contains(self, x, slack=0.0):
-        x = np.asarray(x, dtype=float)
+        x = finite_reals(x)
+        if x is None:
+            raise InvalidInputError("box point must be finite reals")
         return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
 
     def intersect(self, other):

@@ -4,7 +4,8 @@ Each suite re-derives its expected numbers from problem/rule metadata or an
 independent brute-force oracle, runs the package code, and reports
 {suite, seed, checks: [{name, observed, bound, slack, verdict}]} where a
 check passes iff observed <= bound + slack.  Reports carry no wall-clock
-data, so a fixed seed yields byte-identical JSON.
+data, so a fixed seed yields byte-identical JSON.  Every monotone gate of
+a run is a monitor of merit_rates.lyapunov_monitors, at its slack there.
 
 The min-norm oracle here is deliberately independent of the geometry
 module: it enumerates every support subset of the generators and keeps
@@ -20,12 +21,12 @@ import itertools
 
 import numpy as np
 
-from .discrete import DiscreteConfig, discrete_monitors, run_discrete
+from .discrete import DiscreteConfig, run_discrete
 from .errors import ConfigError
 from .flow import FlowConfig, integrate_accelerated, integrate_first_order
 from .geometry import (_dot, _min_norm, certificate_tolerance,
                        certificate_violation, hausdorff_hull_distance)
-from .merit_rates import (NESTING_SLACK, RATE_BOUNDS, RATE_SLACK, criticality,
+from .merit_rates import (RATE_BOUNDS, RATE_SLACK, criticality,
                           level_set_grad_range, lyapunov_monitors,
                           monotone_excess, rate_report, u0_bracket,
                           u0_certified)
@@ -71,36 +72,24 @@ def _checkpoint_indices(times, targets):
     return np.unique(np.minimum(np.searchsorted(times, targets), times.size - 1))
 
 
-def _descent_nesting(tr, alphas):
-    """Worst descent-inequality and level-set-nesting violations.
-
-    The descent check uses the conservative endpoint minimum of
-    min_i alpha_i and ||xdot||^2 on each recorded interval, slack
-    1e-6 (1 + ||xdot||^2); nesting allows NESTING_SLACK (1 + |f_i|) per
-    record.
-    """
+def _descent(tr, alphas):
+    """Worst descent-inequality violation, with the conservative endpoint
+    minimum of min_i alpha_i and ||xdot||^2 on each recorded interval and
+    slack 1e-6 (1 + ||xdot||^2)."""
     if len(tr) < 2:
-        return 0.0, 0.0
+        return 0.0
     dt = np.diff(tr.times)[:, None]
     dfdt = np.diff(tr.f_values, axis=0) / dt
     v2 = np.minimum(tr.speeds[:-1], tr.speeds[1:]) ** 2
     amin = np.minimum(alphas[:-1].min(axis=-1), alphas[1:].min(axis=-1))
-    desc = ((amin * v2)[:, None] + dfdt - 1e-6 * (1.0 + v2)[:, None]).max()
-    return float(desc), monotone_excess(tr.f_values, NESTING_SLACK)
+    return float(((amin * v2)[:, None] + dfdt - 1e-6 * (1.0 + v2)[:, None]).max())
 
 
 def _flow_sanity_checks(tag, tr, p, rule, checks):
-    alphas = rule.alpha(p, tr.states)
-    desc, nest = _descent_nesting(tr, alphas)
+    desc = _descent(tr, rule.alpha(p, tr.states))
+    nest = lyapunov_monitors(tr, ("nesting",), None, p, rule)["nesting"]
     checks.append(_check(f"{tag}-descent-violation", desc, 0.0))
     checks.append(_check(f"{tag}-nesting-violation", nest, 0.0))
-
-
-def _energy_check(tag, tr, checks):
-    # W_i = f_i + (alpha_i/2)||xdot||^2 nonincreasing, 1e-7 per unit time
-    allowed = 1e-7 * np.diff(tr.times)[:, None]
-    checks.append(_check(f"{tag}-energy-monotone-violation",
-                         monotone_excess(tr.energies, 0.0, allowed), 0.0))
 
 
 def _merit_checks(p, points, bounds, rate_name, run, checks):
@@ -400,7 +389,8 @@ def _suite_accelerated_rate(rng):
         _merit_checks(p, tr.states[idx], bound(tr.times[idx]),
                       f"{tag}-merit-rate-ratio", tag, checks)
 
-        _energy_check(tag, tr, checks)
+        energy = lyapunov_monitors(tr, ("energy",), None, p, rule)["energy"]
+        checks.append(_check(f"{tag}-energy-monotone-violation", energy, 0.0))
 
         if r == 4.0:
             # integrability of t||xdot||^2: doubling-window tail integrals
@@ -425,7 +415,8 @@ def _suite_accelerated_rate(rng):
                                    FlowConfig(t_end=20.0, dt=1e-3,
                                               mode="accelerated", r=3.0,
                                               theta=theta, record_every=10))
-        _energy_check(tag, tr, checks)
+        energy = lyapunov_monitors(tr, ("energy",), None, q, rule)["energy"]
+        checks.append(_check(f"{tag}-energy-monotone-violation", energy, 0.0))
     return checks
 
 
@@ -442,11 +433,11 @@ def _suite_discrete_rate(rng):
         x0 = p.starts[start]
         seq = run_discrete(p, rule, x0, cfg)
 
-        mon = discrete_monitors(seq)
-        checks.append(_check(f"{tag}-f-monotone-violation",
-                             mon["f_excess"], 0.0))
-        checks.append(_check(f"{tag}-merit-monotone-violation",
-                             mon["merit_excess"], 0.0))
+        mon = lyapunov_monitors(seq, ("nesting", "merit"), seq.states[-1],
+                                p, rule)
+        checks.append(_check(f"{tag}-f-monotone-violation", mon["nesting"], 0.0))
+        checks.append(_check(f"{tag}-merit-monotone-violation", mon["merit"],
+                             0.0))
 
         # u0 is nonincreasing along componentwise-descent iterates, so
         # checking k_{j+1} u0(x_{k_j}) on a geometric ladder and horizon
@@ -528,8 +519,8 @@ def _suite_lyapunov(rng):
     # discrete merit monitor on a clamped-rule iterate sequence
     seq = run_discrete(p2, clamped, p2.starts[0],
                        DiscreteConfig(max_iters=2000, safety=0.99))
-    checks.append(_check("p2-discrete-merit-monotone",
-                         discrete_monitors(seq)["merit_excess"], 0.0))
+    mons = lyapunov_monitors(seq, ("merit",), seq.states[-1], p2, clamped)
+    checks.append(_check("p2-discrete-merit-monotone", mons["merit"], 0.0))
     return checks
 
 

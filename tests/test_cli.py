@@ -313,6 +313,20 @@ def test_run_prints_a_passing_rate_report(capsys):
                          "(sup value/bound = 0.04222)")
 
 
+def test_run_meets_a_zero_bound_with_zero_criticality(tmp_path, capsys):
+    # p1's first start sits at f_2's lower bound: the bound curve is 0, and
+    # so is the criticality at every record
+    out = tmp_path / "s.json"
+    assert main(["run", "--problem", "p1", "--scaling", "gradnorm:eta=0.1",
+                 "--t-end", "2", "--rates", "runmin-criticality",
+                 "--summary", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == ("  rate runmin-criticality: pass "
+                         "(sup value/bound = 0)")
+    rep, = json.loads(out.read_text())["rate_reports"]
+    assert (rep["constant"], rep["observed_sup"]) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("key", ["t_end", "dt", "x0"])
 def test_config_file_integer_beyond_the_float_range_exits_2(key, tmp_path,
                                                            capsys):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from mbgf import discrete, flow
-from mbgf.discrete import (MERIT_SLACK, DiscreteConfig, IterateSequence,
-                           discrete_monitors, run_discrete, step_size)
+from mbgf.discrete import (DiscreteConfig, IterateSequence, run_discrete,
+                           step_size)
 from mbgf.errors import InvalidInputError, NumericDomainError
 from mbgf.flow import FlowConfig, integrate_accelerated, integrate_first_order
 from mbgf.geometry import _min_norm
+from mbgf.merit_rates import MERIT_SLACK, lyapunov_monitors, monotone_excess
 from mbgf.problems import Box, Problem, get_problem, quadratic_problem
 from mbgf.scaling import (constant, generator_map, gradnorm_eta,
                           gradnorm_eta_clamped, parse_scaling)
@@ -15,6 +16,15 @@ from mbgf.scaling import (constant, generator_map, gradnorm_eta,
 def ball_problem():
     return quadratic_problem("ball", [[1.0]], [[0.0]], convexity_class="convex",
                              region=Box([-2.0], [2.0]), starts=[[1.0]])
+
+
+def merit_series(seq, p, rule):
+    """E(k) = k min_i(f_i(x_k) - f_i(x_K)) + alpha_max / (2 s_min) ||x_k - x_K||^2,
+    the series of the merit monitor."""
+    gaps = seq.f_values - seq.f_values[-1]
+    dist2 = ((seq.states - seq.states[-1]) ** 2).sum(axis=-1)
+    return (seq.ks * gaps.min(axis=-1)
+            + rule.declared_bounds(p)[1] / (2.0 * seq.s_min) * dist2)
 
 
 def test_critical_start_stays_fixed():
@@ -32,8 +42,8 @@ def test_boundary_step_oscillates():
                        DiscreteConfig(max_iters=6, safety=1.0))
     assert np.allclose(seq.states[:, 0], [1, -1, 1, -1, 1, -1, 1])
     assert seq.s_min == 2.0
-    mon = discrete_monitors(seq)
-    assert mon["f_excess"] == -1e-9 * (1.0 + 0.5)
+    mon = lyapunov_monitors(seq, ("nesting",), None, p, constant([1.0]))
+    assert mon["nesting"] == -1e-9 * (1.0 + 0.5)
 
 
 def test_half_safety_solves_quadratic_in_one_step():
@@ -64,14 +74,17 @@ def test_monitors_pass_on_p2():
     for rule, cfg in [(gradnorm_eta_clamped(0.1, 0.1, 10.0), DiscreteConfig(max_iters=500)),
                       (constant([1.0, 1.0]), DiscreteConfig(max_iters=500, safety=0.45))]:
         seq = run_discrete(p, rule, [1.0, 1.0], cfg)
-        mon = discrete_monitors(seq)
-        assert mon["f_excess"] <= 0.0 and mon["merit_excess"] <= 0.0
+        mon = lyapunov_monitors(seq, ("nesting", "merit"), seq.states[-1],
+                                p, rule)
+        assert mon["nesting"] <= 0.0 and mon["merit"] <= 0.0
         # strict descent for safety < 1, checked away from the roundoff tail
         assert np.all(np.diff(seq.f_values[:5], axis=0) < 0.0)
         # the merit is taken at the final iterate
-        assert mon["merit"][-1] == 0.0
-        assert mon["merit"][0] == pytest.approx(
-            (seq.alpha_bounds[1] / (2.0 * seq.s_min))
+        merit = merit_series(seq, p, rule)
+        assert mon["merit"] == monotone_excess(merit, 0.0, MERIT_SLACK)
+        assert merit[-1] == 0.0
+        assert merit[0] == pytest.approx(
+            (rule.declared_bounds(p)[1] / (2.0 * seq.s_min))
             * ((seq.states[0] - seq.states[-1]) ** 2).sum())
 
 
@@ -80,29 +93,35 @@ def test_boundary_adjacent_step_breaks_merit_but_not_descent():
     # window 2 alpha/L but outside the merit window alpha/L: f stays
     # nonincreasing while E(k) visibly increases.
     p = get_problem("strongly-convex")
-    seq = run_discrete(p, constant([1.0, 1.0]), [1.0, 1.0],
-                       DiscreteConfig(max_iters=500))
-    mon = discrete_monitors(seq)
-    assert mon["f_excess"] <= 0.0
-    assert mon["merit_excess"] > 1e-3
+    rule = constant([1.0, 1.0])
+    seq = run_discrete(p, rule, [1.0, 1.0], DiscreteConfig(max_iters=500))
+    mon = lyapunov_monitors(seq, ("nesting", "merit"), seq.states[-1], p, rule)
+    assert mon["nesting"] <= 0.0
+    assert mon["merit"] > 1e-3
 
 
 def test_merit_slack_is_absolute():
     # E(k) = [10, 10 + 5e-9, 0] at |E| ~ 10: a rise of 5e-9 exceeds the
     # absolute MERIT_SLACK, though a 1e-9 (1 + |E|) relative slack
-    # (1.1e-8 here) would let it pass.
+    # (1.1e-8 here) would let it pass.  f(x) = (x - 1)^2 has f(0) = 1, the
+    # f of every record, so E(k) is the distance term alone.
+    p = quadratic_problem("unit-at-zero", [[2.0]], [[1.0]],
+                          convexity_class="convex", region=Box([-4.0], [4.0]),
+                          starts=[[0.0]])
+    rule = constant([1.0])
     root = np.sqrt([10.0, 10.0 + 5e-9, 0.0])
     seq = IterateSequence(
         ks=np.arange(3), states=root[:, None], f_values=np.ones((3, 1)),
         crit_unscaled=np.zeros(3), crit_scaled=np.zeros(3),
-        weights=np.ones((3, 1)), alpha_bounds=(1.0, 1.0), s_min=0.5,
+        weights=np.ones((3, 1)), s_min=0.5,
         work={"grad_calls": 0, "cycle_k": None, "period": None})
-    mon = discrete_monitors(seq)
-    rise = mon["merit"][1] - mon["merit"][0]
+    mon = lyapunov_monitors(seq, ("nesting", "merit"), seq.states[-1], p, rule)
+    merit = merit_series(seq, p, rule)
+    rise = merit[1] - merit[0]
     assert rise == pytest.approx(5e-9, rel=1e-6)
-    assert mon["merit_excess"] == rise - MERIT_SLACK > 0.0
-    assert (rise - 1e-9 * (1.0 + abs(mon["merit"][0]))) < 0.0
-    assert mon["f_excess"] == -1e-9 * 2.0
+    assert mon["merit"] == rise - MERIT_SLACK > 0.0
+    assert (rise - 1e-9 * (1.0 + abs(merit[0]))) < 0.0
+    assert mon["nesting"] == -1e-9 * 2.0
 
 
 def test_shadowing_of_continuous_flow():
@@ -190,7 +209,7 @@ def test_merit_rate_small_horizon():
     x0 = p.starts[1]
     seq = run_discrete(p, rule, x0, DiscreteConfig(max_iters=2000))
     R = p.level_set_bound(p.value(x0)).radius
-    amax = seq.alpha_bounds[1]
+    amax = rule.declared_bounds(p)[1]
     gaps = (seq.f_values - np.asarray(p.lower_bounds)).min(axis=-1)
     ks = seq.ks[1:]
     assert (ks * gaps[1:]).max() <= (amax / seq.s_min) * R * R * 1.05

@@ -11,7 +11,8 @@ from mbgf.discrete import DiscreteConfig, run_discrete
 from mbgf.errors import InvalidInputError
 from mbgf.flow import FlowConfig, integrate_accelerated
 from mbgf.geometry import SimplexWeights, min_norm_point, project_onto_hull
-from mbgf.merit_rates import u0_certified
+from mbgf.merit_rates import (check_bound, fit_loglog_slope, monotone_excess,
+                              u0_certified)
 from mbgf.problems import Box, Problem, get_problem, quadratic_problem
 from mbgf.scaling import constant, gradnorm_eta, gradnorm_eta_clamped
 
@@ -121,6 +122,18 @@ READERS = {
                    "grad_bound must be a finite real"),
     "start": (lambda v: _plugin(starts=[[v, 0.5]]),
               "plugin: non-finite input point"),
+    "box-point": (lambda v: P2.region.contains([v, 0.5]),
+                  "box point must be finite reals"),
+    "bound-times": (lambda v: check_bound([v, 2.0], [0.5, 0.5], name="t",
+                                          constant=1.0, bound_fn=lambda t: t),
+                    "series must be finite reals"),
+    "bound-values": (lambda v: check_bound([1.0, 2.0], [v, 0.5], name="t",
+                                           constant=1.0, bound_fn=lambda t: t),
+                     "series must be finite reals"),
+    "slope": (lambda v: fit_loglog_slope([1.0, 2.0], [v, 0.5]),
+              "series must be finite reals"),
+    "monotone": (lambda v: monotone_excess([v, 2.0], 0.0),
+                 "series must be finite reals"),
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import types
 
 import numpy as np
 import pytest
@@ -634,6 +635,21 @@ def test_rate_report_passes_an_empty_window_with_zero():
     assert (rep.observed_sup, rep.verdict) == (0.0, "pass")
 
 
+def test_rate_report_meets_a_zero_bound_with_zeros_only():
+    # at p1's first start f_2 sits at its lower bound, so the nonconvex
+    # row's constant and bound curve are 0, and so is every crit_scaled
+    p, rule, x0, tr = _flow_run("unbalanced-convex", "gradnorm:eta=0.1", 0, 2.0)
+    assert RATE_BOUNDS["nonconvex"](p, rule, x0)[0] == 0.0
+    assert not tr.crit_scaled.any()
+    rep = rate_report("zero", "nonconvex", p, rule, x0, tr)
+    assert (rep.observed_sup, rep.verdict) == (0.0, "pass")
+    # one positive value in the window fails it
+    run = types.SimpleNamespace(times=np.array([0.0, 1.0, 2.0]),
+                                crit_scaled=np.array([0.5, 0.5, 0.0]))
+    rep = rate_report("zero", "nonconvex", p, rule, x0, run)
+    assert (rep.observed_sup, rep.verdict) == (np.inf, "fail")
+
+
 @pytest.mark.parametrize("row", ["convex", "strongly-convex", "accelerated"])
 def test_rate_report_refuses_a_row_checked_on_u0(row):
     p, rule, x0, seq = _discrete_run("scalar-pair", "const:1,1", [2.0], 10)
@@ -948,6 +964,10 @@ def test_monitor_error_paths():
         lyapunov_monitors(tr, ["discrete"], [1.0, 0.0], p, rule)  # removed
     with pytest.raises(InvalidInputError):
         lyapunov_monitors(tr, ["accelerated"], [1.0, 0.0], p, rule)  # no velocities
+    with pytest.raises(InvalidInputError, match="iterate sequence"):
+        lyapunov_monitors(tr, ["merit"], [1.0, 0.0], p, rule)  # a flow run
+    with pytest.raises(InvalidInputError, match="series"):
+        lyapunov_monitors(tr, ["energy"], None, p, rule)  # no energies
 
 
 def test_monitors_refuse_a_z_that_is_not_one_point():

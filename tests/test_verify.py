@@ -3,13 +3,22 @@ check semantics).  The slow end-to-end suite runs live in test_acceptance.py."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbgf
+from mbgf.discrete import DiscreteConfig, run_discrete
 from mbgf.errors import ConfigError
+from mbgf.flow import FlowConfig, integrate_accelerated
 from mbgf.geometry import (certificate_tolerance, certificate_violation,
                            min_norm_point)
+from mbgf.merit_rates import lyapunov_monitors, monotone_excess
+from mbgf.scaling import constant, gradnorm_eta_clamped
 from mbgf import cli, merit_rates, problems, verify
 
 
@@ -347,3 +356,52 @@ def test_verify_json_report_keeps_its_bytes(seed, tmp_path, capsys):
     assert cli.main(["verify", "--seed", str(seed), "--json", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_JSON_SHA256[seed]
+
+
+def _loaded_after(imports):
+    """The checking modules loaded by `imports` in a fresh interpreter."""
+    code = (f"import sys\n{imports}\nprint(' '.join(sorted(m for m in "
+            "('mbgf.merit_rates', 'mbgf.verify') if m in sys.modules)))")
+    src = str(Path(mbgf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.split()
+
+
+def test_no_method_module_imports_the_checking_layer():
+    # sys.modules after importing them all is the union of what each loads
+    methods = ("errors", "geometry", "scaling", "problems", "flow", "discrete")
+    assert _loaded_after("\n".join(f"import mbgf.{m}" for m in methods)) == []
+    # the command line loads the suites only to run or list them
+    assert _loaded_after("import mbgf.cli") == ["mbgf.merit_rates"]
+
+
+def test_monitors_equal_the_gates_they_replace_on_suite_runs():
+    # discrete-rate's p1 interior-start run, against the f-nesting and
+    # merit expressions the discrete module held
+    p = problems.get_problem("unbalanced-convex")
+    rule = gradnorm_eta_clamped(0.1, 0.1, 10.0)
+    seq = run_discrete(p, rule, p.starts[1],
+                       DiscreteConfig(max_iters=10_000, safety=0.99))
+    mon = lyapunov_monitors(seq, ("nesting", "merit"), seq.states[-1], p, rule)
+    gaps = seq.f_values - seq.f_values[-1]
+    dist2 = ((seq.states - seq.states[-1]) ** 2).sum(axis=-1)
+    coefficient = rule.declared_bounds(p)[1] / (2.0 * seq.s_min)
+    merit = seq.ks * gaps.min(axis=-1) + coefficient * dist2
+    assert mon["merit"] == monotone_excess(merit, 0.0, 1e-9)
+    assert mon["nesting"] == monotone_excess(seq.f_values, 1e-9)
+
+    # accelerated-rate's p2 r = 3 run, against verify's energy and nesting
+    # expressions
+    p = problems.get_problem("strongly-convex")
+    rule = constant([1.0, 1.0])
+    tr = integrate_accelerated(p, rule, p.starts[0],
+                               FlowConfig(t_end=100.0, dt=1e-3,
+                                          mode="accelerated", r=3.0,
+                                          theta=1.0, record_every=100))
+    mon = lyapunov_monitors(tr, ("nesting", "energy"), None, p, rule)
+    allowed = 1e-7 * np.diff(tr.times)[:, None]
+    assert mon["energy"] == monotone_excess(tr.energies, 0.0, allowed)
+    assert mon["nesting"] == monotone_excess(tr.f_values, 1e-9)
+    assert mon["energy"] <= 0.0  # the accelerated f need not nest
